@@ -63,8 +63,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never g itself: add/add_bias hand one g to both
+            # parents and row_sum/mean_rows pass read-only broadcast views
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from a scalar; frees the recorded graph."""

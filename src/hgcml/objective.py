@@ -3,9 +3,14 @@
 Node-node: per anchor u the positive mass is the cross-view similarity
 to its positive set P_u; negatives are the same-view and cross-view
 similarities to everything outside P_u (u itself sits in P_u, so the
-anchor's self-similarity never appears as a negative). Node-graph: a
-bilinear discriminator scores rows against the view's mean summary,
-positive branch vs a negative branch.
+anchor's self-similarity never appears as a negative). It is one tape
+node with a hand-derived backward: anchors stream through in blocks of
+CHUNK rows, forward keeps only per-anchor masses, and backward recomputes
+each block's exponentials. Memory is O(CHUNK*n) floats plus the n^2-byte
+boolean positive mask, with no n x n float array alive at any time.
+
+Node-graph: a bilinear discriminator scores rows against the view's mean
+summary, positive branch vs a negative branch.
 
 The total objective sums both losses over all ordered view pairs (m,n):
 the intra pair (m,m) contrasts two corruptions of view m, the inter pair
@@ -22,17 +27,46 @@ import numpy as np
 
 from . import numerics as nm
 from .model import ModelParams, discriminator_logits, gcn_forward, project, readout
-from .numerics import ShapeMismatch, Tensor
+from .numerics import LOG_EPS, NonFiniteResult, ShapeMismatch, Tensor
 from .positives import PositiveSets
+
+# Anchor rows per block of the node-node loss. Of 64, 128, 256 and 600,
+# 128 was fastest or tied at n=600 and n=1800 (d=64, 2 cores).
+CHUNK = 128
 
 
 class TauNonPositive(ValueError):
     """Temperature must be strictly positive."""
 
 
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), LOG_EPS)
+    return x / norms, norms
+
+
+def _logits(anchors: np.ndarray, keys: np.ndarray, inv_tau: float) -> np.ndarray:
+    out = anchors @ keys.T
+    out *= inv_tau
+    return out
+
+
 def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
                    tau: float) -> Tensor:
-    """Mean InfoNCE-style loss over anchors, on projected rows."""
+    """Mean InfoNCE-style loss over anchors, on projected rows.
+
+    Rows are L2-normalized (norms clamped at LOG_EPS), so with unit rows
+    u of z_m and w of z_n the logits are S_mn = u w^T / tau and
+    S_mm = u u^T / tau. Per anchor i, after a detached row shift,
+    P_i = sum_{j in P_i} exp S_mn[i,j] and D_i = P_i plus the exp mass of
+    both logit rows outside P_i; the loss is mean_i log D_i - log P_i with
+    both logs clamped at LOG_EPS.
+
+    Anchors stream through in blocks of CHUNK rows. The forward pass keeps
+    only the unit rows, norms, shifts, P and D (O(n*d)); the backward pass
+    recomputes each block's exponentials from them, so peak memory is
+    O(CHUNK*n) floats plus the n^2-byte mask from `positives.mask()`.
+    Raises NonFiniteResult when an exponential is not finite.
+    """
     if tau <= 0:
         raise TauNonPositive(f"tau must be > 0, got {tau}")
     n = z_m.shape[0]
@@ -40,26 +74,61 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
         raise ShapeMismatch(f"projected views differ: {z_m.shape} vs {z_n.shape}")
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
-    pos_mask = positives.mask().astype(np.float64)
-    neg_mask = 1.0 - pos_mask
+    mask = positives.mask()
+    inv_tau = 1.0 / tau
+    unit_m, norms_m = _unit_rows(z_m.data)
+    unit_n, norms_n = _unit_rows(z_n.data)
+    # key rows: columns [0,n) of a logit block are S_mn, [n,2n) are S_mm
+    keys = np.concatenate([unit_n, unit_m])
+    blocks = [slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
-    norm_m = nm.row_l2_normalize(z_m)
-    norm_n = nm.row_l2_normalize(z_n)
-    logits_mn = nm.scale(nm.matmul(norm_m, nm.transpose(norm_n)), 1.0 / tau)
-    logits_mm = nm.scale(nm.matmul(norm_m, nm.transpose(norm_m)), 1.0 / tau)
+    shift = np.empty((n, 1))
+    pos_mass = np.empty((n, 1))
+    denominator = np.empty((n, 1))
+    for rows in blocks:
+        exps = _logits(unit_m[rows], keys, inv_tau)
+        # log-sum-exp shift, detached: the true gradient is unchanged by it
+        shift[rows] = exps.max(axis=1, keepdims=True)
+        exps -= shift[rows]
+        np.exp(exps, out=exps)
+        if not np.all(np.isfinite(exps)):
+            raise NonFiniteResult("exp overflow")
+        pos, neg = mask[rows], ~mask[rows]
+        exp_mn, exp_mm = exps[:, :n], exps[:, n:]
+        pos_mass[rows, 0] = (exp_mn * pos).sum(axis=1)
+        denominator[rows, 0] = pos_mass[rows, 0] + (
+            (exp_mm * neg).sum(axis=1) + (exp_mn * neg).sum(axis=1))
+    per_anchor = (np.log(np.maximum(denominator, LOG_EPS))
+                  - np.log(np.maximum(pos_mass, LOG_EPS)))
 
-    # log-sum-exp shift, detached: the true gradient is unchanged by it
-    shift = np.maximum(logits_mn.data.max(axis=1), logits_mm.data.max(axis=1))
-    shift = shift.reshape(n, 1)
-    exp_mn = nm.exp(nm.add_const(logits_mn, -shift))
-    exp_mm = nm.exp(nm.add_const(logits_mm, -shift))
+    def grad_fn(g):
+        g0 = g[0, 0] / n
+        # d/dD and d/dP of the mean; zero where a LOG_EPS clamp is active
+        g_den = np.where(denominator > LOG_EPS,
+                         g0 / np.maximum(denominator, LOG_EPS), 0.0)
+        g_pos = g_den - np.where(pos_mass > LOG_EPS,
+                                 g0 / np.maximum(pos_mass, LOG_EPS), 0.0)
+        grad_unit_m = np.zeros_like(unit_m)
+        grad_keys = np.zeros_like(keys)
+        for rows in blocks:
+            exps = _logits(unit_m[rows], keys, inv_tau)
+            exps -= shift[rows]
+            np.exp(exps, out=exps)
+            pos = mask[rows]
+            # dL/dS = exp * dL/dexp / tau, in place over the block
+            exps[:, :n] *= np.where(pos, g_pos[rows], g_den[rows])
+            exps[:, n:] *= np.where(pos, 0.0, g_den[rows])
+            exps *= inv_tau
+            grad_unit_m[rows] += exps @ keys
+            grad_keys += exps.T @ unit_m[rows]
+        grad_unit_m += grad_keys[n:]
+        for z, unit, norms, grad_unit in ((z_m, unit_m, norms_m, grad_unit_m),
+                                          (z_n, unit_n, norms_n, grad_keys[:n])):
+            if z.requires_grad:
+                inner = (grad_unit * unit).sum(axis=1, keepdims=True)
+                z._accumulate((grad_unit - inner * unit) / norms)
 
-    positive_mass = nm.row_sum(nm.mul_const(exp_mn, pos_mask))
-    negative_mass = nm.add(nm.row_sum(nm.mul_const(exp_mm, neg_mask)),
-                           nm.row_sum(nm.mul_const(exp_mn, neg_mask)))
-    denominator = nm.add(positive_mass, negative_mass)
-    per_anchor = nm.sub(nm.log(denominator), nm.log(positive_mass))
-    return nm.mean_all(per_anchor)
+    return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
 
 
 def node_graph_loss(h_m: Tensor, h_neg: Tensor, s_m: Tensor,

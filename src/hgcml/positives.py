@@ -10,7 +10,7 @@ positives.tsv so training runs never resample them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -100,17 +100,29 @@ class PositiveSets:
     sem: list[np.ndarray] | None
     k_t: int
     k_s: int
+    _mask: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def n(self) -> int:
         return len(self.sets)
 
     def mask(self) -> np.ndarray:
-        """Boolean (n,n) matrix, mask[u,v] = v in P_u."""
-        out = np.zeros((self.n, self.n), dtype=bool)
-        for u, ids in enumerate(self.sets):
-            out[u, ids] = True
-        return out
+        """Boolean (n,n) matrix, mask[u,v] = v in P_u.
+
+        Built on the first call and returned read-only on every later
+        one, so `sets` must not change after the first call.
+        """
+        if self._mask is None:
+            sizes = [len(ids) for ids in self.sets]
+            rows = np.repeat(np.arange(self.n), sizes)
+            cols = (np.concatenate(self.sets) if self.sets
+                    else np.empty(0, dtype=np.int64))
+            out = np.zeros((self.n, self.n), dtype=bool)
+            out[rows, cols] = True
+            out.flags.writeable = False
+            self._mask = out
+        return self._mask
 
     @classmethod
     def anchor_only(cls, n: int) -> "PositiveSets":
@@ -177,6 +189,8 @@ def load_positives(path, n: int) -> PositiveSets:
                 raise MalformedRecord(f"{path}:{lineno}: anchor {u} out of range")
             if ids.size == 0 or ids[0] < 0 or ids[-1] >= n or u not in ids:
                 raise MalformedRecord(f"{path}:{lineno}: invalid positive set")
+            if sets[u] is not None:
+                raise MalformedRecord(f"{path}:{lineno}: anchor {u} repeated")
             sets[u] = ids
     missing = [u for u, ids in enumerate(sets) if ids is None]
     if missing:

@@ -171,6 +171,35 @@ def random_typed_case(rng):
     return build_hin(schema, counts, edges, features), spec
 
 
+def tape_node_node_loss(z_m, z_n, positives, tau):
+    """Node-node loss composed from dense tape ops: the fused op's oracle.
+
+    Keeps ~24 n x n float64 arrays alive until backward, so use it on
+    small n only.
+    """
+    n = z_m.shape[0]
+    pos_mask = positives.mask().astype(np.float64)
+    neg_mask = 1.0 - pos_mask
+
+    norm_m = nm.row_l2_normalize(z_m)
+    norm_n = nm.row_l2_normalize(z_n)
+    logits_mn = nm.scale(nm.matmul(norm_m, nm.transpose(norm_n)), 1.0 / tau)
+    logits_mm = nm.scale(nm.matmul(norm_m, nm.transpose(norm_m)), 1.0 / tau)
+
+    # log-sum-exp shift, detached: the true gradient is unchanged by it
+    shift = np.maximum(logits_mn.data.max(axis=1), logits_mm.data.max(axis=1))
+    shift = shift.reshape(n, 1)
+    exp_mn = nm.exp(nm.add_const(logits_mn, -shift))
+    exp_mm = nm.exp(nm.add_const(logits_mm, -shift))
+
+    positive_mass = nm.row_sum(nm.mul_const(exp_mn, pos_mask))
+    negative_mass = nm.add(nm.row_sum(nm.mul_const(exp_mm, neg_mask)),
+                           nm.row_sum(nm.mul_const(exp_mn, neg_mask)))
+    denominator = nm.add(positive_mass, negative_mass)
+    per_anchor = nm.sub(nm.log(denominator), nm.log(positive_mass))
+    return nm.mean_all(per_anchor)
+
+
 def numerics_grad_cases():
     """One scalar-valued closure per differentiable op, inputs in [-2, 2]."""
 

@@ -182,6 +182,19 @@ def test_train_without_positives_exits_2(pipeline, tmp_path, capsys):
     assert "positives" in capsys.readouterr().err
 
 
+def test_train_with_repeated_positives_anchor_exits_2(pipeline, tmp_path,
+                                                     capsys):
+    out2 = str(tmp_path / "repeated")
+    os.makedirs(out2)
+    with open(os.path.join(pipeline["out"], "positives.tsv"),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(os.path.join(out2, "positives.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines + ["0\t0"]) + "\n")
+    assert main(["train", "--config", pipeline["config"], "--out", out2]) == 2
+    assert "anchor 0 repeated" in capsys.readouterr().err
+
+
 def test_missing_config_flag_exits_3(capsys):
     assert main(["prepare"]) == 3
     assert "ConfigError" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 discriminator objective, summed over ordered view pairs."""
 
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 import scipy.sparse as sp
 
 import hgcml.numerics as nm
+from conftest import tape_node_node_loss
 from hgcml.augment import CorruptionConfig, corrupt
 from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.model import ModelParams, init_params, readout
-from hgcml.numerics import Tensor
-from hgcml.objective import (ContrastTerm, TauNonPositive, node_graph_loss,
-                             node_node_loss, pair_terms, total_objective)
+from hgcml.numerics import LOG_EPS, NonFiniteResult, Tensor
+from hgcml.objective import (CHUNK, ContrastTerm, TauNonPositive,
+                             node_graph_loss, node_node_loss, pair_terms,
+                             total_objective)
 from hgcml.positives import PositiveSets, select_positives
 from hgcml.rng import substream
 
@@ -155,6 +158,98 @@ def test_tau_must_be_positive():
         node_node_loss(z, z, PositiveSets.anchor_only(3), tau=0.0)
     with pytest.raises(TauNonPositive):
         node_node_loss(z, z, PositiveSets.anchor_only(3), tau=-1.0)
+
+
+def sampled_positives(n, label):
+    if n == 1:
+        return PositiveSets.anchor_only(1)
+    k = min(3, n - 1)
+    return select_positives(substream(25, "sets", label).random((n, n)),
+                            substream(26, "sets", label).random((n, n)), k, k)
+
+
+def positive_mass(z_m, z_n, positives, tau):
+    """Shifted positive mass per anchor, straight from the definition."""
+    def unit(x):
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    um, un = unit(z_m), unit(z_n)
+    s_mn, s_mm = um @ un.T / tau, um @ um.T / tau
+    shift = np.maximum(s_mn.max(axis=1), s_mm.max(axis=1))[:, None]
+    return (np.exp(s_mn - shift) * positives.mask()).sum(axis=1)
+
+
+AGREEMENT_CASES = (
+    [pytest.param("sampled", n, tau, id=f"sampled-n{n}-tau{tau}")
+     for n in (1, 2, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+     for tau in (0.07, 0.5)]
+    + [pytest.param("same_tensor", CHUNK + 1, 0.5, id="same-tensor"),
+       pytest.param("anchor_only", CHUNK + 1, 0.5, id="anchor-only"),
+       pytest.param("all_positive", CHUNK + 1, 0.5, id="all-positive"),
+       pytest.param("clamped", CHUNK + 1, 1 / 15, id="positive-mass-clamped")])
+
+
+@pytest.mark.parametrize("kind,n,tau", AGREEMENT_CASES)
+def test_fused_loss_matches_tape_oracle(kind, n, tau):
+    d = 5
+    a = rand_z(n, d, f"agree-m-{n}").data
+    b = rand_z(n, d, f"agree-n-{n}").data
+    if kind == "anchor_only":
+        positives = PositiveSets.anchor_only(n)
+    elif kind == "all_positive":
+        everything = [np.arange(n, dtype=np.int64) for _ in range(n)]
+        positives = PositiveSets(sets=everything, topo=None, sem=None,
+                                 k_t=n - 1, k_s=0)
+    elif kind == "clamped":
+        # anchor i's only positive z_n[i] points nearly opposite z_m[i], so
+        # its shifted positive mass is about exp(-2/tau) = exp(-30): below
+        # LOG_EPS, yet large enough that an unclamped gradient through it
+        # would show. The tilt keeps that gradient off the direction the
+        # row normalization projects out.
+        b = -a + 0.2 * b
+        positives = PositiveSets.anchor_only(n)
+        assert np.mean(positive_mass(a, b, positives, tau) < LOG_EPS) > 0.9
+    else:
+        positives = sampled_positives(n, f"agree-{n}")
+
+    results = []
+    for loss_fn in (tape_node_node_loss, node_node_loss):
+        z_m = Tensor(a.copy(), requires_grad=True)
+        z_n = z_m if kind == "same_tensor" else Tensor(b.copy(), requires_grad=True)
+        loss = loss_fn(z_m, z_n, positives, tau)
+        loss.backward()
+        results.append((loss.item(), z_m.grad, z_n.grad))
+    (want, want_m, want_n), (got, got_m, got_n) = results
+    assert abs(got - want) <= 1e-10
+    assert np.abs(got_m - want_m).max() <= 1e-10
+    assert np.abs(got_n - want_n).max() <= 1e-10
+
+
+def test_fused_loss_nan_row_raises_non_finite():
+    z_m, z_n = rand_z(CHUNK + 5, 4, "nan1"), rand_z(CHUNK + 5, 4, "nan2")
+    z_n.data[CHUNK + 2, 1] = np.nan
+    with pytest.raises(NonFiniteResult):
+        node_node_loss(z_m, z_n, sampled_positives(CHUNK + 5, "nan"), tau=0.5)
+
+
+def test_fused_loss_peak_memory_is_a_tenth_of_the_oracle():
+    n, d = 1024, 64
+    a, b = rand_z(n, d, "mem1").data, rand_z(n, d, "mem2").data
+    sets = sampled_positives(n, "mem").sets
+
+    def peak_bytes(loss_fn):
+        # a fresh PositiveSets, so the mask is built inside the measurement
+        cold = PositiveSets(sets=sets, topo=None, sem=None, k_t=3, k_s=3)
+        z_m, z_n = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        tracemalloc.start()
+        try:
+            loss_fn(z_m, z_n, cold, 0.5).backward()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fused, oracle = peak_bytes(node_node_loss), peak_bytes(tape_node_node_loss)
+    assert fused * 10 <= oracle, (fused, oracle)
 
 
 def test_zero_discriminator_gives_two_log_two():

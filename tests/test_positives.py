@@ -180,6 +180,20 @@ def test_mask_shape_and_diagonal():
     assert mask.diagonal().all()
 
 
+def test_mask_is_memoized_read_only_and_matches_sets():
+    sim_t = substream(3, "maskmemo").random((9, 9))
+    sim_s = substream(4, "maskmemo").random((9, 9))
+    chosen = select_positives(sim_t, sim_s, 3, 2)
+    first = chosen.mask()
+    assert chosen.mask() is first
+    assert not first.flags.writeable
+    brute = np.zeros((9, 9), dtype=bool)
+    for u, ids in enumerate(chosen.sets):
+        for v in ids:
+            brute[u, v] = True
+    assert np.array_equal(first, brute)
+
+
 def test_anchor_only_constructor():
     ps = PositiveSets.anchor_only(4)
     assert [s.tolist() for s in ps.sets] == [[0], [1], [2], [3]]
@@ -215,3 +229,6 @@ def test_load_positives_validation(tmp_path):
     path.write_text("0\tx\n1\t1\n")
     with pytest.raises(MalformedRecord):
         load_positives(path, 2)
+    path.write_text("0\t0,1\n1\t1\n0\t0\n")
+    with pytest.raises(MalformedRecord, match="anchor 0 repeated"):
+        load_positives(path, 2)  # a later line must not replace the first
