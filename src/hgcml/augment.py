@@ -1,14 +1,13 @@
 """Stochastic corruption of metapath views: edge dropping, feature masking.
 
-Both corruptions are pure functions of (view, probabilities, stream).
+Both corruptions are pure functions of (view, probabilities, stream);
+the probabilities are range-checked once, in `config.AugmentSettings`.
 Each undirected edge is one Bernoulli trial, so symmetry survives
 dropping; feature masking zeroes whole columns by default (`mask_mode =
 "columns"`) or independent entries (`"entries"`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,21 +16,6 @@ from .hin import MetapathView
 from .rng import substream
 
 MASK_MODES = ("columns", "entries")
-
-
-@dataclass(frozen=True)
-class CorruptionConfig:
-    p_e: float
-    p_f: float
-    seed: int
-    mask_mode: str = "columns"
-
-    def __post_init__(self):
-        for name, p in (("p_e", self.p_e), ("p_f", self.p_f)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {p}")
-        if self.mask_mode not in MASK_MODES:
-            raise ValueError(f"mask_mode must be one of {MASK_MODES}")
 
 
 def drop_edges(view: MetapathView, p_e: float, rng: np.random.Generator) -> MetapathView:
@@ -64,9 +48,9 @@ def mask_features(view: MetapathView, p_f: float, rng: np.random.Generator,
                         metapath=view.metapath)
 
 
-def corrupt(view: MetapathView, cfg: CorruptionConfig) -> MetapathView:
-    """Feature masking then edge dropping, on independent substreams."""
-    out = mask_features(view, cfg.p_f, substream(cfg.seed, "features"),
-                        cfg.mask_mode)
-    out = drop_edges(out, cfg.p_e, substream(cfg.seed, "edges"))
+def corrupt(view: MetapathView, p_e: float, p_f: float, seed: int,
+            mask_mode: str = "columns") -> MetapathView:
+    """Feature masking then edge dropping, on independent substreams of seed."""
+    out = mask_features(view, p_f, substream(seed, "features"), mask_mode)
+    out = drop_edges(out, p_e, substream(seed, "edges"))
     return out

@@ -32,15 +32,13 @@ from .evaluate import (DegenerateSplit, LengthMismatch, evaluate_embeddings,
                        write_report)
 from .hin import HinError, extract_metapath_view, load_hin
 from .io import FormatError, read_checkpoint, read_matrix, write_checkpoint, write_matrix
-from .model import ModeInvalid
-from .objective import TauNonPositive
 from .positives import (KTooLarge, load_positives, ppr_matrix, save_positives,
                         select_positives, semantic_similarity,
                         topology_similarity)
 from .synth import SynthConfig
 from .trainer import DivergedLoss, export_embeddings, train, write_trace
 
-CONFIG_FAILURES = (ConfigError, TauNonPositive, ModeInvalid, KTooLarge)
+CONFIG_FAILURES = (ConfigError, KTooLarge)
 DATA_FAILURES = (HinError, FormatError, LengthMismatch, DegenerateSplit,
                  FileNotFoundError, IsADirectoryError)
 
@@ -103,16 +101,9 @@ def cmd_positives(args) -> int:
     hin = _load(cfg)
     out = _out_dir(args, cfg)
     pos_cfg = cfg.positives
-    diffusions = []
-    for spec in cfg.metapaths:
-        view = extract_metapath_view(hin, spec)
-        diff = ppr_matrix(view, pos_cfg.alpha, tol=pos_cfg.tol,
-                          max_iter=pos_cfg.max_iter)
-        diffusions.append(diff)
-        if pos_cfg.cache_ppr:
-            cache = os.path.join(out, f"ppr_{spec.name}.bin")
-            write_matrix(cache, diff.values)
-            print(f"wrote {cache}")
+    diffusions = [ppr_matrix(extract_metapath_view(hin, spec), pos_cfg.alpha,
+                             tol=pos_cfg.tol, max_iter=pos_cfg.max_iter)
+                  for spec in cfg.metapaths]
     sim_t = topology_similarity(diffusions)
     sim_s = semantic_similarity(hin.features)
     selected = select_positives(sim_t, sim_s, pos_cfg.k_t, pos_cfg.k_s)
@@ -135,7 +126,8 @@ def cmd_train(args) -> int:
     model_path = os.path.join(out, "model.bin")
     trace_path = os.path.join(out, "trace.tsv")
     try:
-        result = train(hin, cfg.metapaths, positives, cfg.train_config())
+        result = train(hin, cfg.metapaths, positives, cfg.train, cfg.augment,
+                       cfg.seed)
     except DivergedLoss as exc:
         write_checkpoint(model_path, exc.checkpoint)
         write_trace(trace_path, exc.trace)
@@ -156,7 +148,8 @@ def cmd_embed(args) -> int:
     out = _out_dir(args, cfg)
     checkpoint = read_checkpoint(os.path.join(out, "model.bin"))
     path = os.path.join(out, "embeddings.bin")
-    export_embeddings(checkpoint, hin, cfg.metapaths, cfg.train.fusion, path)
+    write_matrix(path, export_embeddings(checkpoint, hin, cfg.metapaths,
+                                         cfg.train.fusion))
     print(f"wrote {path}")
     return 0
 

@@ -1,19 +1,22 @@
 """Run configuration: one JSON document drives the whole pipeline.
 
-Unknown keys are rejected at every level so typos fail loudly. Relative
-dataset paths resolve against the config file's directory. A single
-top-level seed feeds every random substream.
+Unknown keys are rejected at every level so typos fail loudly. Each
+settings section is a frozen dataclass that checks the types and ranges
+of its own values, and the pipeline modules take the sections directly.
+Relative dataset paths resolve against the config file's directory. A
+single top-level seed feeds every random substream.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
+from .augment import MASK_MODES
 from .hin import HinError, MetapathSpec, RelationDecl, SchemaConfig
+from .model import FUSION_MODES
 from .synth import SynthConfig
-from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -29,6 +32,31 @@ def _section(raw: dict, name: str, allowed) -> dict:
     return raw
 
 
+# Accepted Python types per field annotation (a string, as annotations are
+# postponed in this module). bool is a subclass of int, so it is rejected
+# wherever a number is expected; ints pass as floats.
+_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _check_type(name: str, value, kind: str) -> None:
+    accepted, described = _TYPES[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be {described}, got {value!r}")
+
+
+class _Settings:
+    """Base of the config sections: checks every field's type against its
+    annotation, then each (holds, message) range rule from `_rules()`."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
+        for ok, message in self._rules():
+            if not ok:
+                raise ConfigError(message)
+
+
 @dataclass(frozen=True)
 class DataPaths:
     nodes: str
@@ -38,27 +66,38 @@ class DataPaths:
 
 
 @dataclass(frozen=True)
-class AugmentSettings:
-    p_e: float = 0.3
+class AugmentSettings(_Settings):
+    p_e: float = 0.3              # paper grid 0.1..0.7
     p_f: float = 0.3
     mask_mode: str = "columns"
     resample_every_epoch: bool = True
 
+    def _rules(self):
+        return ((0.0 <= self.p_e <= 1.0, f"p_e must be in [0,1], got {self.p_e}"),
+                (0.0 <= self.p_f <= 1.0, f"p_f must be in [0,1], got {self.p_f}"),
+                (self.mask_mode in MASK_MODES,
+                 f"mask_mode must be one of {MASK_MODES}"))
+
 
 @dataclass(frozen=True)
-class PositiveSettings:
+class PositiveSettings(_Settings):
     alpha: float = 0.85
     tol: float = 1e-6
     max_iter: int = 100
-    k_t: int = 8
+    k_t: int = 8                  # paper grid 0..128
     k_s: int = 8
-    cache_ppr: bool = False
+
+    def _rules(self):
+        return ((0.0 < self.alpha <= 1.0, f"alpha must be in (0,1], got {self.alpha}"),
+                (self.tol > 0, "tol must be > 0"),
+                (self.max_iter >= 1, "max_iter must be >= 1"),
+                (min(self.k_t, self.k_s) >= 0, "k_t and k_s must be >= 0"))
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    lr: float = 1e-3
-    tau: float = 0.5
+class TrainSettings(_Settings):
+    lr: float = 1e-3              # paper grid 5e-4..5e-3
+    tau: float = 0.5              # paper grid 0.2..0.8
     dim: int = 64
     patience: int = 20
     max_epochs: int = 500
@@ -68,12 +107,27 @@ class TrainSettings:
     loss_weight_local: float = 1.0
     loss_weight_global: float = 1.0
 
+    def _rules(self):
+        return ((self.lr >= 0, "lr must be >= 0"),
+                (self.tau > 0, "tau must be > 0"),
+                (self.dim >= 1, "dim must be >= 1"),
+                (self.patience >= 1, "patience must be >= 1"),
+                (self.max_epochs >= 1, "max_epochs must be >= 1"),
+                (self.fusion in FUSION_MODES,
+                 f"fusion must be one of {FUSION_MODES}"))
+
 
 @dataclass(frozen=True)
-class EvalSettings:
+class EvalSettings(_Settings):
     train_frac: float = 0.2
     probe_runs: int = 10
     cluster_runs: int = 10
+
+    def _rules(self):
+        return ((0.0 < self.train_frac < 1.0,
+                 f"train_frac must be in (0,1), got {self.train_frac}"),
+                (min(self.probe_runs, self.cluster_runs) >= 1,
+                 "probe_runs and cluster_runs must be >= 1"))
 
 
 @dataclass
@@ -96,19 +150,9 @@ class RunConfig:
             return None
         return raw if os.path.isabs(raw) else os.path.join(self.base_dir, raw)
 
-    def train_config(self) -> TrainConfig:
-        """Assemble the trainer's view of the settings."""
-        return TrainConfig(
-            lr=self.train.lr, tau=self.train.tau,
-            p_e=self.augment.p_e, p_f=self.augment.p_f,
-            k_t=self.positives.k_t, k_s=self.positives.k_s,
-            dim=self.train.dim, patience=self.train.patience,
-            max_epochs=self.train.max_epochs, fusion=self.train.fusion,
-            seed=self.seed, share_encoder=self.train.share_encoder,
-            literal_eq2=self.train.literal_eq2, mask_mode=self.augment.mask_mode,
-            resample_every_epoch=self.augment.resample_every_epoch,
-            w_local=self.train.loss_weight_local,
-            w_global=self.train.loss_weight_global)
+
+def _settings(cls, raw, name: str):
+    return cls(**_section(raw, name, [f.name for f in fields(cls)]))
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
@@ -119,6 +163,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     for required in ("data", "schema", "metapaths"):
         if required not in top:
             raise ConfigError(f"missing required section {required!r}")
+    seed = top.get("seed", 0)
+    _check_type("seed", seed, "int")
     try:
         data = DataPaths(**_section(top["data"], "data",
                                     ("nodes", "edges", "features", "labels")))
@@ -140,73 +186,55 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         weights = _section(train_raw.pop("loss_weights", {}), "loss_weights",
                            ("local", "global"))
         train = TrainSettings(
-            loss_weight_local=float(weights.get("local", 1.0)),
-            loss_weight_global=float(weights.get("global", 1.0)),
+            loss_weight_local=weights.get("local", 1.0),
+            loss_weight_global=weights.get("global", 1.0),
             **train_raw)
         cfg = RunConfig(
             data=data,
             schema=schema,
             metapaths=metapaths,
-            augment=AugmentSettings(**_section(top.get("augment", {}), "augment", (
-                "p_e", "p_f", "mask_mode", "resample_every_epoch"))),
-            positives=PositiveSettings(**_section(top.get("positives", {}), "positives", (
-                "alpha", "tol", "max_iter", "k_t", "k_s", "cache_ppr"))),
+            augment=_settings(AugmentSettings, top.get("augment", {}), "augment"),
+            positives=_settings(PositiveSettings, top.get("positives", {}),
+                                "positives"),
             train=train,
-            eval=EvalSettings(**_section(top.get("eval", {}), "eval", (
-                "train_frac", "probe_runs", "cluster_runs"))),
-            seed=int(top.get("seed", 0)),
+            eval=_settings(EvalSettings, top.get("eval", {}), "eval"),
+            seed=seed,
             out=top.get("out"),
             base_dir=base_dir)
     except ConfigError:
         raise
     except (HinError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    try:
-        cfg.train_config()  # reuses the trainer's range checks
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if not cfg.metapaths:
         raise ConfigError("at least one metapath is required")
     names = [m.name for m in cfg.metapaths]
     if len(set(names)) != len(names):
         raise ConfigError("metapath names must be unique")
-    pos = cfg.positives
-    if not 0.0 < pos.alpha <= 1.0:
-        raise ConfigError(f"alpha must be in (0,1], got {pos.alpha}")
-    if pos.tol <= 0 or pos.max_iter < 1:
-        raise ConfigError("tol must be > 0 and max_iter >= 1")
-    if min(pos.k_t, pos.k_s) < 0:
-        raise ConfigError("k_t and k_s must be >= 0")
-    ev = cfg.eval
-    if not 0.0 < ev.train_frac < 1.0:
-        raise ConfigError(f"train_frac must be in (0,1), got {ev.train_frac}")
-    if ev.probe_runs < 1 or ev.cluster_runs < 1:
-        raise ConfigError("probe_runs and cluster_runs must be >= 1")
+    return cfg
 
 
-def load_config(path) -> RunConfig:
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(_read_json(path),
+                        base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def to_dict(cfg: RunConfig) -> dict:
     """Full canonical dict (every key explicit); inverse of parse_config."""
+    train = asdict(cfg.train)
+    train["loss_weights"] = {"local": train.pop("loss_weight_local"),
+                             "global": train.pop("loss_weight_global")}
     out = {
-        "data": {k: v for k, v in (
-            ("nodes", cfg.data.nodes), ("edges", cfg.data.edges),
-            ("features", cfg.data.features), ("labels", cfg.data.labels))
-            if v is not None},
+        "data": {k: v for k, v in asdict(cfg.data).items() if v is not None},
         "schema": {
             "types": list(cfg.schema.types),
             "target_type": cfg.schema.target_type,
@@ -215,29 +243,10 @@ def to_dict(cfg: RunConfig) -> dict:
         },
         "metapaths": [{"name": m.name, "relations": list(m.relations)}
                       for m in cfg.metapaths],
-        "augment": {
-            "p_e": cfg.augment.p_e, "p_f": cfg.augment.p_f,
-            "mask_mode": cfg.augment.mask_mode,
-            "resample_every_epoch": cfg.augment.resample_every_epoch,
-        },
-        "positives": {
-            "alpha": cfg.positives.alpha, "tol": cfg.positives.tol,
-            "max_iter": cfg.positives.max_iter, "k_t": cfg.positives.k_t,
-            "k_s": cfg.positives.k_s, "cache_ppr": cfg.positives.cache_ppr,
-        },
-        "train": {
-            "lr": cfg.train.lr, "tau": cfg.train.tau, "dim": cfg.train.dim,
-            "patience": cfg.train.patience, "max_epochs": cfg.train.max_epochs,
-            "fusion": cfg.train.fusion, "share_encoder": cfg.train.share_encoder,
-            "literal_eq2": cfg.train.literal_eq2,
-            "loss_weights": {"local": cfg.train.loss_weight_local,
-                             "global": cfg.train.loss_weight_global},
-        },
-        "eval": {
-            "train_frac": cfg.eval.train_frac,
-            "probe_runs": cfg.eval.probe_runs,
-            "cluster_runs": cfg.eval.cluster_runs,
-        },
+        "augment": asdict(cfg.augment),
+        "positives": asdict(cfg.positives),
+        "train": train,
+        "eval": asdict(cfg.eval),
         "seed": cfg.seed,
     }
     if cfg.out is not None:
@@ -258,11 +267,4 @@ def parse_synth_config(raw: dict) -> SynthConfig:
 
 
 def load_synth_config(path) -> SynthConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_synth_config(raw)
+    return parse_synth_config(_read_json(path))

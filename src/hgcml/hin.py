@@ -339,9 +339,3 @@ def extract_metapath_view(hin: HIN, spec: MetapathSpec) -> MetapathView:
         warnings.warn(f"metapath {spec.name!r} view has no edges",
                       EmptyViewWarning, stacklevel=2)
     return MetapathView(adjacency=adj, features=hin.features, metapath=spec)
-
-
-def metapath_neighbors(view: MetapathView, node: int) -> list[int]:
-    """Sorted neighbor ids of `node` in the view."""
-    row = view.adjacency.getrow(node)
-    return sorted(int(j) for j in row.indices)

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from . import numerics as nm
 from .hin import MetapathView
+from .io import FormatError
 from .numerics import ShapeMismatch, SparseMatrix, Tensor
 from .rng import substream
 
@@ -88,7 +89,7 @@ def params_from_checkpoint(checkpoint, metapath_names,
     missing += [k for k in ("proj.W1", "proj.b1", "proj.W2", "proj.b2", "disc.B")
                 if k not in checkpoint]
     if missing:
-        raise KeyError(f"checkpoint is missing tensors: {missing}")
+        raise FormatError(f"checkpoint is missing tensors: {missing}")
     encoders = OrderedDict(
         (name, Tensor(checkpoint[f"enc.{name}.W"])) for name in metapath_names)
     return ModelParams(
@@ -135,11 +136,6 @@ def readout(h: Tensor) -> Tensor:
 def discriminator_logits(h: Tensor, s: Tensor, params: ModelParams) -> Tensor:
     """rho(h) B rho(s)^T for each row of h; s is a (1,d) summary."""
     return nm.bilinear(project(h, params), params.disc_b, project(s, params))
-
-
-def discriminate(h: Tensor, s: Tensor, params: ModelParams) -> Tensor:
-    """Probability that rows of h belong to the graph summarized by s."""
-    return nm.sigmoid(discriminator_logits(h, s, params))
 
 
 def fuse(h_list, mode: str) -> np.ndarray:

@@ -129,21 +129,6 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return self.csr.shape
 
-    @property
-    def row_ptr(self) -> np.ndarray:
-        return self.csr.indptr
-
-    @property
-    def col_idx(self) -> np.ndarray:
-        return self.csr.indices
-
-    @property
-    def vals(self) -> np.ndarray:
-        return self.csr.data
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
 
 # ---------------------------------------------------------------- op suite
 
@@ -268,10 +253,13 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), grad_fn)
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _stable_sigmoid(a.data)
 
     def grad_fn(g):
         if a.requires_grad:
@@ -311,9 +299,7 @@ def softplus(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         if a.requires_grad:
-            sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                           np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-            a._accumulate(g * sig)
+            a._accumulate(g * _stable_sigmoid(x))
 
     return _make(out, (a,), grad_fn)
 
@@ -366,29 +352,6 @@ def row_l2_normalize(a: Tensor) -> Tensor:
             a._accumulate((g - inner * out) / norms)
 
     return _make(out, (a,), grad_fn)
-
-
-def cosine_rowwise(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row cosine similarity, (n,d)x(n,d) -> (n,1)."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"cosine_rowwise {a.shape} vs {b.shape}")
-    return row_sum(mul(row_l2_normalize(a), row_l2_normalize(b)))
-
-
-def concat_cols(tensors) -> Tensor:
-    tensors = list(tensors)
-    rows = tensors[0].shape[0]
-    if any(t.shape[0] != rows for t in tensors):
-        raise ShapeMismatch("concat_cols needs equal row counts")
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def grad_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[:, lo:hi])
-
-    return _make(np.hstack([t.data for t in tensors]), tuple(tensors), grad_fn)
 
 
 def permute_rows(a: Tensor, perm) -> Tensor:
@@ -452,10 +415,6 @@ class AdamState:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def adam_step(state: AdamState) -> None:
-    state.step()
 
 
 def grad_check(f, params, eps: float = 1e-5) -> float:

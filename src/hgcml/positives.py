@@ -96,10 +96,6 @@ class PositiveSets:
     """Per-anchor positive ids. P_u always contains u; ids are sorted."""
 
     sets: list[np.ndarray]
-    topo: list[np.ndarray] | None
-    sem: list[np.ndarray] | None
-    k_t: int
-    k_s: int
     _mask: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -126,9 +122,7 @@ class PositiveSets:
 
     @classmethod
     def anchor_only(cls, n: int) -> "PositiveSets":
-        singles = [np.array([u], dtype=np.int64) for u in range(n)]
-        empty = [np.empty(0, dtype=np.int64) for _ in range(n)]
-        return cls(sets=singles, topo=list(empty), sem=list(empty), k_t=0, k_s=0)
+        return cls(sets=[np.array([u], dtype=np.int64) for u in range(n)])
 
 
 def _top_k(row: np.ndarray, anchor: int, k: int) -> np.ndarray:
@@ -151,15 +145,13 @@ def select_positives(sim_t: np.ndarray, sim_s: np.ndarray,
         raise KTooLarge("k_t and k_s must be non-negative")
     if k_t >= n or k_s >= n:
         raise KTooLarge(f"top-k of {max(k_t, k_s)} needs more than {n} nodes")
-    sets, topo, sem = [], [], []
+    sets = []
     for u in range(n):
         p_t = _top_k(sim_t[u], u, k_t)
         p_s = _top_k(sim_s[u], u, k_s)
         merged = np.union1d(np.union1d(p_t, p_s), np.array([u], dtype=np.int64))
         sets.append(merged.astype(np.int64))
-        topo.append(np.sort(p_t))
-        sem.append(np.sort(p_s))
-    return PositiveSets(sets=sets, topo=topo, sem=sem, k_t=k_t, k_s=k_s)
+    return PositiveSets(sets=sets)
 
 
 def save_positives(path, positives: PositiveSets) -> None:
@@ -169,7 +161,7 @@ def save_positives(path, positives: PositiveSets) -> None:
 
 
 def load_positives(path, n: int) -> PositiveSets:
-    """Read positives.tsv; component sets are not stored in the file."""
+    """Read positives.tsv, one sorted set per anchor."""
     sets: list[np.ndarray | None] = [None] * n
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -195,4 +187,4 @@ def load_positives(path, n: int) -> PositiveSets:
     missing = [u for u, ids in enumerate(sets) if ids is None]
     if missing:
         raise MalformedRecord(f"{path}: no positives for anchor {missing[0]}")
-    return PositiveSets(sets=sets, topo=None, sem=None, k_t=-1, k_s=-1)
+    return PositiveSets(sets=sets)

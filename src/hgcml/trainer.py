@@ -17,59 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import io
-from .augment import MASK_MODES, CorruptionConfig, corrupt
-from .hin import HIN, MetapathSpec, extract_metapath_view
-from .model import (FUSION_MODES, ModeInvalid, ModelParams, fuse, gcn_forward,
-                    init_params, params_from_checkpoint)
+from .augment import corrupt
+from .config import AugmentSettings, TrainSettings
+from .hin import HIN, extract_metapath_view
+from .model import (ModelParams, fuse, gcn_forward, init_params,
+                    params_from_checkpoint)
 from .numerics import AdamState, NonFiniteResult
 from .objective import total_objective
 from .positives import PositiveSets
 from .rng import derive_key, substream
 
 MIN_IMPROVEMENT = 1e-6
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 1e-3              # paper grid 5e-4..5e-3
-    tau: float = 0.5              # paper grid 0.2..0.8
-    p_e: float = 0.3              # paper grid 0.1..0.7
-    p_f: float = 0.3
-    k_t: int = 8                  # paper grid 0..128; consumed by the sampler
-    k_s: int = 8
-    dim: int = 64
-    patience: int = 20
-    max_epochs: int = 500
-    fusion: str = "sum"
-    seed: int = 0
-    share_encoder: bool = False
-    literal_eq2: bool = False
-    mask_mode: str = "columns"
-    resample_every_epoch: bool = True
-    w_local: float = 1.0
-    w_global: float = 1.0
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
-        for name, p in (("p_e", self.p_e), ("p_f", self.p_f)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0,1]")
-        if min(self.k_t, self.k_s) < 0:
-            raise ValueError("k_t and k_s must be >= 0")
-        if self.fusion not in FUSION_MODES:
-            raise ModeInvalid(f"fusion must be one of {FUSION_MODES}")
-        if self.mask_mode not in MASK_MODES:
-            raise ValueError(f"mask_mode must be one of {MASK_MODES}")
 
 
 class DivergedLoss(ArithmeticError):
@@ -94,23 +52,21 @@ class TrainResult:
         return min(self.trace)
 
 
-def _epoch_corruptions(views, cfg: TrainConfig, epoch: int):
-    tick = epoch if cfg.resample_every_epoch else 0
+def _epoch_corruptions(views, augment: AugmentSettings, seed: int, epoch: int):
+    tick = epoch if augment.resample_every_epoch else 0
     pairs = []
     for view in views:
-        name = view.metapath.name
-        first = corrupt(view, CorruptionConfig(
-            cfg.p_e, cfg.p_f, derive_key(cfg.seed, "augment", name, 1, tick),
-            cfg.mask_mode))
-        second = corrupt(view, CorruptionConfig(
-            cfg.p_e, cfg.p_f, derive_key(cfg.seed, "augment", name, 2, tick),
-            cfg.mask_mode))
+        first, second = (
+            corrupt(view, augment.p_e, augment.p_f,
+                    derive_key(seed, "augment", view.metapath.name, copy, tick),
+                    augment.mask_mode)
+            for copy in (1, 2))
         pairs.append((first, second))
     return pairs, tick
 
 
-def _shuffle_perms(views, cfg: TrainConfig, tick: int):
-    return [substream(cfg.seed, "shuffle", view.metapath.name, tick)
+def _shuffle_perms(views, seed: int, tick: int):
+    return [substream(seed, "shuffle", view.metapath.name, tick)
             .permutation(view.n_nodes) for view in views]
 
 
@@ -122,8 +78,8 @@ def compute_embeddings(params: ModelParams, views, mode: str) -> np.ndarray:
     return fuse(per_view, mode)
 
 
-def train(hin: HIN, metapaths, positives: PositiveSets,
-          cfg: TrainConfig) -> TrainResult:
+def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
+          augment: AugmentSettings, seed: int) -> TrainResult:
     """Train on all metapath views; returns checkpoint, embeddings, trace."""
     metapaths = list(metapaths)
     if not metapaths:
@@ -131,7 +87,7 @@ def train(hin: HIN, metapaths, positives: PositiveSets,
     views = [extract_metapath_view(hin, spec) for spec in metapaths]
     d_in = hin.features.shape[1]
     params = init_params([spec.name for spec in metapaths], d_in, cfg.dim,
-                         cfg.seed, cfg.share_encoder)
+                         seed, cfg.share_encoder)
     optimizer = AdamState(params.trainable(), lr=cfg.lr)
 
     trace: list[float] = []
@@ -140,13 +96,13 @@ def train(hin: HIN, metapaths, positives: PositiveSets,
     best_checkpoint = params.snapshot()
     stale = 0
     for epoch in range(cfg.max_epochs):
-        corrupted, tick = _epoch_corruptions(views, cfg, epoch)
-        perms = None if cfg.literal_eq2 else _shuffle_perms(views, cfg, tick)
+        corrupted, tick = _epoch_corruptions(views, augment, seed, epoch)
+        perms = None if cfg.literal_eq2 else _shuffle_perms(views, seed, tick)
         try:
             loss_tensor = total_objective(
                 corrupted, params, positives, cfg.tau,
                 literal_eq2=cfg.literal_eq2, neg_perms=perms,
-                w_local=cfg.w_local, w_global=cfg.w_global)
+                w_local=cfg.loss_weight_local, w_global=cfg.loss_weight_global)
             loss = loss_tensor.item()
         except NonFiniteResult as exc:
             raise DivergedLoss(epoch, best_checkpoint, trace) from exc
@@ -175,15 +131,12 @@ def train(hin: HIN, metapaths, positives: PositiveSets,
                        trace=trace, best_epoch=best_epoch)
 
 
-def export_embeddings(checkpoint, hin: HIN, metapaths, mode: str,
-                      out_path) -> np.ndarray:
-    """Recompute fused embeddings from a checkpoint and write them (f32)."""
+def export_embeddings(checkpoint, hin: HIN, metapaths, mode: str) -> np.ndarray:
+    """Recompute fused embeddings from a checkpoint."""
     metapaths = list(metapaths)
     params = params_from_checkpoint(checkpoint, [m.name for m in metapaths])
     views = [extract_metapath_view(hin, spec) for spec in metapaths]
-    embeddings = compute_embeddings(params, views, mode)
-    io.write_matrix(out_path, embeddings)
-    return embeddings
+    return compute_embeddings(params, views, mode)
 
 
 def write_trace(path, trace) -> None:

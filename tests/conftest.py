@@ -124,6 +124,12 @@ def brute_force_view(hin, spec):
     return np.maximum(adj, adj.T)
 
 
+def metapath_neighbors(view, node):
+    """Sorted neighbor ids of `node` in the view."""
+    row = view.adjacency.getrow(node)
+    return sorted(int(j) for j in row.indices)
+
+
 def random_typed_case(rng):
     """A random small typed graph plus a type-correct metapath."""
     variant = rng.integers(4)
@@ -316,19 +322,6 @@ def numerics_grad_cases():
         w = substream(7, "gradcase", "l2_w").uniform(-1, 1, size=(4, 3))
         return lambda: nm.mean_all(nm.mul_const(nm.row_l2_normalize(a), w)), [a]
     case("row_l2_normalize", c_row_l2_normalize)
-
-    def c_cosine_rowwise():
-        a = param((4, 3), "cos_a", lo=0.2, hi=1.5)
-        b = param((4, 3), "cos_b", lo=0.2, hi=1.5)
-        return lambda: nm.mean_all(nm.cosine_rowwise(a, b)), [a, b]
-    case("cosine_rowwise", c_cosine_rowwise)
-
-    def c_concat_cols():
-        a, b = param((3, 2), "cc_a"), param((3, 4), "cc_b")
-        w = substream(7, "gradcase", "cc_w").uniform(-1, 1, size=(3, 6))
-        return lambda: nm.mean_all(
-            nm.mul_const(nm.concat_cols([a, b]), w)), [a, b]
-    case("concat_cols", c_concat_cols)
 
     def c_permute_rows():
         a = param((5, 3), "pr_a")

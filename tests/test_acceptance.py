@@ -5,7 +5,6 @@ tolerances; most also carry a wall-clock budget that is enforced.
 """
 
 import contextlib
-import dataclasses
 import functools
 import io
 import os
@@ -17,12 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 
 import hgcml.numerics as nm
-from hgcml.augment import CorruptionConfig, corrupt
+from hgcml.augment import corrupt
 from hgcml.cli import main as cli_main
 from hgcml.config import load_config
 from hgcml.evaluate import evaluate_embeddings, linear_probe, micro_f1, nmi
 from hgcml.hin import (MetapathSpec, MetapathView, extract_metapath_view,
-                       load_hin, metapath_neighbors)
+                       load_hin)
 from hgcml.model import init_params
 from hgcml.numerics import Tensor
 from hgcml.objective import (node_graph_loss, node_node_loss, pair_terms,
@@ -33,8 +32,8 @@ from hgcml.rng import derive_key, substream
 from hgcml.synth import SynthConfig, generate
 from hgcml.trainer import train
 
-from conftest import (TOY_SCHEMA, APA, brute_force_view, numerics_grad_cases,
-                      random_typed_case, write_toy_files)
+from conftest import (TOY_SCHEMA, APA, brute_force_view, metapath_neighbors,
+                      numerics_grad_cases, random_typed_case, write_toy_files)
 
 
 def _report(number, ok, detail):
@@ -98,9 +97,8 @@ def test_criterion_1_gradient_correctness():
     corrupted = []
     for view in views:
         pair = tuple(
-            corrupt(view, CorruptionConfig(
-                0.3, 0.3, derive_key(9, "c", view.metapath.name, copy),
-                "columns"))
+            corrupt(view, 0.3, 0.3, derive_key(9, "c", view.metapath.name, copy),
+                    "columns")
             for copy in (1, 2))
         corrupted.append(pair)
     sim_t = rng.standard_normal((6, 6))
@@ -212,7 +210,8 @@ def test_criterion_4_loss_identities():
 def test_criterion_5_end_to_end_learning():
     with tempfile.TemporaryDirectory() as tmp:
         cfg, hin, positives = _fixture_pipeline(tmp)
-    result = train(hin, cfg.metapaths, positives, cfg.train_config())
+    result = train(hin, cfg.metapaths, positives, cfg.train, cfg.augment,
+                   cfg.seed)
     drop = (result.trace[0] - min(result.trace)) / result.trace[0]
     report = evaluate_embeddings(
         result.embeddings, hin.labels, train_frac=cfg.eval.train_frac,
@@ -239,12 +238,10 @@ def test_criterion_6_positive_sampler_quality():
     frac = in_block / pairs
 
     anchor_only = PositiveSets.anchor_only(hin.n_target)
-    base_tc = cfg.train_config()
     means = {"sampled": [], "anchor": []}
     for seed in range(5):
-        tc = dataclasses.replace(base_tc, seed=seed)
         for name, pos in (("sampled", sampled), ("anchor", anchor_only)):
-            result = train(hin, cfg.metapaths, pos, tc)
+            result = train(hin, cfg.metapaths, pos, cfg.train, cfg.augment, seed)
             probe_seeds = [derive_key(seed, "probe", i) for i in range(5)]
             scores = linear_probe(result.embeddings, labels,
                                   train_frac=cfg.eval.train_frac,
@@ -283,7 +280,7 @@ def test_criterion_7_determinism():
     for u in range(12):
         extra = rng.choice(12, size=3, replace=False)
         sets.append(np.unique(np.append(extra, u)).astype(np.int64))
-    positives = PositiveSets(sets=sets, topo=None, sem=None, k_t=3, k_s=0)
+    positives = PositiveSets(sets=sets)
     z_m = rng.standard_normal((12, 6))
     z_n = rng.standard_normal((12, 6))
     base = node_node_loss(Tensor(z_m), Tensor(z_n), positives, 0.5).item()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hgcml.augment import (CorruptionConfig, corrupt, drop_edges,
-                           mask_features)
+from hgcml.augment import corrupt, drop_edges, mask_features
+from hgcml.config import AugmentSettings, ConfigError
 from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.rng import substream
 
@@ -96,12 +96,11 @@ def test_mask_entries_mode():
 
 def test_corrupt_is_deterministic_per_config():
     view = make_view(n=25, d=16)
-    cfg = CorruptionConfig(p_e=0.4, p_f=0.4, seed=123)
-    one = corrupt(view, cfg)
-    two = corrupt(view, cfg)
+    one = corrupt(view, 0.4, 0.4, 123)
+    two = corrupt(view, 0.4, 0.4, 123)
     assert (one.adjacency != two.adjacency).nnz == 0
     assert np.array_equal(one.features, two.features)
-    other = corrupt(view, CorruptionConfig(p_e=0.4, p_f=0.4, seed=124))
+    other = corrupt(view, 0.4, 0.4, 124)
     assert ((one.adjacency != other.adjacency).nnz > 0
             or not np.array_equal(one.features, other.features))
 
@@ -109,15 +108,17 @@ def test_corrupt_is_deterministic_per_config():
 def test_corrupt_leaves_input_untouched():
     view = make_view(n=15)
     before = (view.adjacency.copy(), view.features.copy())
-    corrupt(view, CorruptionConfig(p_e=0.9, p_f=0.9, seed=7))
+    corrupt(view, 0.9, 0.9, 7)
     assert (view.adjacency != before[0]).nnz == 0
     assert np.array_equal(view.features, before[1])
 
 
 def test_corruption_config_validation():
-    with pytest.raises(ValueError):
-        CorruptionConfig(p_e=-0.1, p_f=0.0, seed=0)
-    with pytest.raises(ValueError):
-        CorruptionConfig(p_e=0.0, p_f=1.5, seed=0)
-    with pytest.raises(ValueError):
-        CorruptionConfig(p_e=0.0, p_f=0.0, seed=0, mask_mode="rows")
+    with pytest.raises(ConfigError, match="p_e"):
+        AugmentSettings(p_e=-0.1, p_f=0.0)
+    with pytest.raises(ConfigError, match="p_f"):
+        AugmentSettings(p_e=0.0, p_f=1.5)
+    with pytest.raises(ConfigError, match="mask_mode"):
+        AugmentSettings(mask_mode="rows")
+    with pytest.raises(ConfigError, match="resample_every_epoch"):
+        AugmentSettings(resample_every_epoch=0)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -137,20 +138,6 @@ def test_positives_k_zero_anchor_only(pipeline, tmp_path):
     assert lines == [f"{u}\t{u}" for u in range(30)]
 
 
-def test_ppr_cache_written(pipeline, tmp_path):
-    raw = json.load(open(pipeline["config"], encoding="utf-8"))
-    raw["positives"] = dict(raw["positives"], cache_ppr=True)
-    cfg2 = os.path.join(pipeline["data"], "run_cache.json")
-    with open(cfg2, "w", encoding="utf-8") as fh:
-        json.dump(raw, fh)
-    out2 = str(tmp_path / "cache")
-    assert main(["positives", "--config", cfg2, "--out", out2]) == 0
-    for name in ("meta0", "meta1"):
-        ppr = read_matrix(os.path.join(out2, f"ppr_{name}.bin"))
-        assert ppr.shape == (30, 30)
-        assert np.allclose(ppr.sum(axis=0), 1.0, atol=1e-4)
-
-
 def test_train_artifacts(pipeline):
     out = pipeline["out"]
     trace = open(os.path.join(out, "trace.tsv"), encoding="utf-8").read().splitlines()
@@ -210,6 +197,30 @@ def test_unknown_config_key_exits_3(pipeline, tmp_path, capsys):
     assert "trian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", "train", "dim", 8.5),
+    ("train", "train", "max_epochs", 2.5),
+    ("positives", "positives", "k_t", 2.5),
+    ("eval", "eval", "probe_runs", 2.5),
+    ("train", "train", "share_encoder", "no"),
+    ("train", "augment", "resample_every_epoch", "false"),
+    ("train", "train", "patience", True),
+    ("train", "train", "lr", "0.01"),
+])
+def test_wrongly_typed_config_value_exits_3(pipeline, tmp_path, capsys,
+                                            command, section, key, value):
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw[section] = dict(raw.get(section, {}), **{key: value})
+    bad = os.path.join(pipeline["data"], "run_typed.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out2 = str(tmp_path / "typed")
+    shutil.copytree(pipeline["out"], out2)  # every stage finds its inputs
+    assert main([command, "--config", bad, "--out", out2]) == 3
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and key in err
+
+
 def test_bad_tau_exits_3(pipeline, tmp_path, capsys):
     raw = json.load(open(pipeline["config"], encoding="utf-8"))
     raw["train"] = dict(raw["train"], tau=0.0)
@@ -256,6 +267,20 @@ def test_diverged_train_exits_4(pipeline, tmp_path, capsys):
     emb = read_matrix(os.path.join(out2, "embeddings.bin"))
     assert emb.shape == (30, 8)
     assert np.isfinite(emb).all()
+
+
+def test_embed_with_mismatched_checkpoint_exits_2(pipeline, tmp_path, capsys):
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw["metapaths"][1]["name"] = "other"
+    renamed = os.path.join(pipeline["data"], "run_renamed.json")
+    with open(renamed, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out2 = str(tmp_path / "renamed")
+    os.makedirs(out2)
+    shutil.copy(os.path.join(pipeline["out"], "model.bin"), out2)
+    assert main(["embed", "--config", renamed, "--out", out2]) == 2
+    assert "missing tensors: ['enc.other.W']" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out2, "embeddings.bin"))
 
 
 def test_seed_override_changes_training(pipeline, tmp_path):

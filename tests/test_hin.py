@@ -12,13 +12,13 @@ from hgcml.hin import (AsymmetricViewWarning, DuplicateNodeId, EmptyViewWarning,
                        MalformedRecord, MetapathSpec, RelationDecl,
                        SchemaConfig, TypeChainBroken, UnknownNode,
                        UnknownRelation, UnknownType, extract_metapath_view,
-                       load_hin, metapath_neighbors, resolve_chain)
+                       load_hin, resolve_chain)
 from hgcml.io import write_matrix
 from hgcml.rng import substream
 
 from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_NODES, TOY_SCHEMA,
-                      brute_force_view, build_hin, random_typed_case,
-                      write_toy_files)
+                      brute_force_view, build_hin, metapath_neighbors,
+                      random_typed_case, write_toy_files)
 
 
 def edge_pairs(view):

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 import hgcml.numerics as nm
 from conftest import tape_node_node_loss
-from hgcml.augment import CorruptionConfig, corrupt
+from hgcml.augment import corrupt
 from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.model import ModelParams, init_params, readout
 from hgcml.numerics import LOG_EPS, NonFiniteResult, Tensor
@@ -56,8 +56,8 @@ def make_views(n_nodes, n_views, d_in, seed):
 def corruption_pairs(views, seed):
     pairs = []
     for i, view in enumerate(views):
-        one = corrupt(view, CorruptionConfig(p_e=0.3, p_f=0.3, seed=seed + 2 * i))
-        two = corrupt(view, CorruptionConfig(p_e=0.3, p_f=0.3, seed=seed + 2 * i + 1))
+        one = corrupt(view, 0.3, 0.3, seed + 2 * i)
+        two = corrupt(view, 0.3, 0.3, seed + 2 * i + 1)
         pairs.append((one, two))
     return pairs
 
@@ -89,7 +89,7 @@ def test_all_positive_universe_loss_is_zero():
     n = 4
     z = rand_z(n, 3, "allpos")
     everything = [np.arange(n, dtype=np.int64) for _ in range(n)]
-    ps = PositiveSets(sets=everything, topo=None, sem=None, k_t=n - 1, k_s=0)
+    ps = PositiveSets(sets=everything)
     loss = node_node_loss(z, rand_z(n, 3, "allpos2"), ps, tau=0.5)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -135,7 +135,7 @@ def test_node_node_loss_permutation_equivariance():
     inv = np.empty_like(perm)
     inv[perm] = np.arange(n)
     permuted_sets = [np.sort(inv[ps.sets[orig]]) for orig in perm]
-    ps_p = PositiveSets(sets=permuted_sets, topo=None, sem=None, k_t=2, k_s=1)
+    ps_p = PositiveSets(sets=permuted_sets)
     shuffled = node_node_loss(Tensor(z_m.data[perm]), Tensor(z_n.data[perm]),
                               ps_p, tau=0.5).item()
     assert shuffled == pytest.approx(base, abs=1e-12)
@@ -198,8 +198,7 @@ def test_fused_loss_matches_tape_oracle(kind, n, tau):
         positives = PositiveSets.anchor_only(n)
     elif kind == "all_positive":
         everything = [np.arange(n, dtype=np.int64) for _ in range(n)]
-        positives = PositiveSets(sets=everything, topo=None, sem=None,
-                                 k_t=n - 1, k_s=0)
+        positives = PositiveSets(sets=everything)
     elif kind == "clamped":
         # anchor i's only positive z_n[i] points nearly opposite z_m[i], so
         # its shifted positive mass is about exp(-2/tau) = exp(-30): below
@@ -239,7 +238,7 @@ def test_fused_loss_peak_memory_is_a_tenth_of_the_oracle():
 
     def peak_bytes(loss_fn):
         # a fresh PositiveSets, so the mask is built inside the measurement
-        cold = PositiveSets(sets=sets, topo=None, sem=None, k_t=3, k_s=3)
+        cold = PositiveSets(sets=sets)
         z_m, z_n = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         tracemalloc.start()
         try:
