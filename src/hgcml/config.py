@@ -34,15 +34,41 @@ def _section(raw: dict, name: str, allowed) -> dict:
 
 # Accepted Python types per field annotation (a string, as annotations are
 # postponed in this module). bool is a subclass of int, so it is rejected
-# wherever a number is expected; ints pass as floats.
+# wherever a number is expected; ints pass as floats. "T | None" also
+# takes null.
 _TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
           "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
-def _check_type(name: str, value, kind: str) -> None:
+def _check_type(name: str, value, kind: str):
+    """`value` if it has the annotated type, else ConfigError."""
+    if kind.endswith(" | None"):
+        if value is None:
+            return value
+        kind = kind[:-len(" | None")]
     accepted, described = _TYPES[kind]
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted):
         raise ConfigError(f"{name} must be {described}, got {value!r}")
+    return value
+
+
+def _array(name: str, value) -> list:
+    """A JSON array; a string would otherwise be split into characters."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be an array, got {value!r}")
+    return value
+
+
+def _names(name: str, value) -> tuple:
+    """A JSON array of strings, as a tuple."""
+    return tuple(_check_type(f"{name}[]", item, "str") for item in _array(name, value))
+
+
+def _strings(name: str, raw: dict) -> dict:
+    """An object whose values are all strings."""
+    for key, value in raw.items():
+        _check_type(f"{name}.{key}", value, "str")
+    return raw
 
 
 class _Settings:
@@ -56,9 +82,12 @@ class _Settings:
             if not ok:
                 raise ConfigError(message)
 
+    def _rules(self):
+        return ()
+
 
 @dataclass(frozen=True)
-class DataPaths:
+class DataPaths(_Settings):
     nodes: str
     edges: str
     features: str
@@ -171,15 +200,19 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         schema_raw = _section(top["schema"], "schema",
                               ("types", "target_type", "relations"))
         relations = tuple(
-            RelationDecl(**_section(r, "relations[]", ("name", "src", "dst")))
-            for r in schema_raw.get("relations", ()))
-        schema = SchemaConfig(types=tuple(schema_raw["types"]),
-                              relations=relations,
-                              target_type=schema_raw["target_type"])
+            RelationDecl(**_strings("schema.relations[]", _section(
+                r, "relations[]", ("name", "src", "dst"))))
+            for r in _array("schema.relations", schema_raw.get("relations", [])))
+        schema = SchemaConfig(
+            types=_names("schema.types", schema_raw["types"]),
+            relations=relations,
+            target_type=_check_type("schema.target_type",
+                                    schema_raw["target_type"], "str"))
         metapaths = [
-            MetapathSpec(name=m["name"], relations=tuple(m["relations"]))
+            MetapathSpec(name=_check_type("metapaths[].name", m["name"], "str"),
+                         relations=_names("metapaths[].relations", m["relations"]))
             for m in (_section(m, "metapaths[]", ("name", "relations"))
-                      for m in top["metapaths"])]
+                      for m in _array("metapaths", top["metapaths"]))]
         train_raw = dict(_section(top.get("train", {}), "train", (
             "lr", "tau", "dim", "patience", "max_epochs", "fusion",
             "share_encoder", "literal_eq2", "loss_weights")))
@@ -199,7 +232,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             train=train,
             eval=_settings(EvalSettings, top.get("eval", {}), "eval"),
             seed=seed,
-            out=top.get("out"),
+            out=_check_type("out", top.get("out"), "str | None"),
             base_dir=base_dir)
     except ConfigError:
         raise

@@ -1,10 +1,12 @@
 """Neural components: per-view GCN encoder, shared projector head,
-bilinear discriminator, mean-pooling readout, and late fusion.
+mean-pooling readout, and late fusion.
 
 The encoder is a single graph convolution H = ReLU(A_hat X W) with the
 symmetric renormalization A_hat = D^-1/2 (A+I) D^-1/2 and no bias. The
-projector is a 2-layer MLP d->d->d shared by the node-node branch and by
-both discriminator arguments.
+projector is a 2-layer MLP d->d->d shared by both losses: the objective
+applies it once to each corrupted view's rows and once to each view's
+mean summary, and the bilinear discriminator B (`disc_b`) scores those
+projections.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class ModelParams:
     proj_w2: Tensor
     proj_b2: Tensor
     disc_b: Tensor
-    share_encoder: bool = False
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         named = [(f"enc.{name}.W", w) for name, w in self.encoders.items()]
@@ -77,12 +78,10 @@ def init_params(metapath_names, d_in: int, d: int, seed: int,
         proj_w2=nm.xavier_init((d, d), substream(seed, "init", "proj", "W2")),
         proj_b2=Tensor(np.zeros((1, d)), requires_grad=True),
         disc_b=nm.xavier_init((d, d), substream(seed, "init", "disc", "B")),
-        share_encoder=share_encoder,
     )
 
 
-def params_from_checkpoint(checkpoint, metapath_names,
-                           share_encoder: bool = False) -> ModelParams:
+def params_from_checkpoint(checkpoint, metapath_names) -> ModelParams:
     """Rebuild inference-time parameters from a name->array checkpoint."""
     missing = [f"enc.{n}.W" for n in metapath_names
                if f"enc.{n}.W" not in checkpoint]
@@ -99,7 +98,6 @@ def params_from_checkpoint(checkpoint, metapath_names,
         proj_w2=Tensor(checkpoint["proj.W2"]),
         proj_b2=Tensor(checkpoint["proj.b2"]),
         disc_b=Tensor(checkpoint["disc.B"]),
-        share_encoder=share_encoder,
     )
 
 
@@ -131,11 +129,6 @@ def project(h: Tensor, params: ModelParams) -> Tensor:
 def readout(h: Tensor) -> Tensor:
     """Mean-pooled graph summary: column mean of H."""
     return nm.mean_rows(h)
-
-
-def discriminator_logits(h: Tensor, s: Tensor, params: ModelParams) -> Tensor:
-    """rho(h) B rho(s)^T for each row of h; s is a (1,d) summary."""
-    return nm.bilinear(project(h, params), params.disc_b, project(s, params))
 
 
 def fuse(h_list, mode: str) -> np.ndarray:

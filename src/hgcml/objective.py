@@ -9,14 +9,15 @@ CHUNK rows, forward keeps only per-anchor masses, and backward recomputes
 each block's exponentials. Memory is O(CHUNK*n) floats plus the n^2-byte
 boolean positive mask, with no n x n float array alive at any time.
 
-Node-graph: a bilinear discriminator scores rows against the view's mean
-summary, positive branch vs a negative branch.
+Node-graph: a bilinear discriminator scores projected rows against the
+projected mean summary, positive branch vs a negative branch.
 
 The total objective sums both losses over all ordered view pairs (m,n):
 the intra pair (m,m) contrasts two corruptions of view m, the inter pair
-(m,n) contrasts the first corruptions of views m and n. Per-anchor losses
-are averaged so the scale is independent of the node count; the result is
-minimized.
+(m,n) contrasts the first corruptions of views m and n. The projector runs
+once per corrupted view and once per view summary, 3V passes for V views,
+and every pair reads those projections. Per-anchor losses are averaged so
+the scale is independent of the node count; the result is minimized.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .model import ModelParams, discriminator_logits, gcn_forward, project, readout
+from .model import ModelParams, gcn_forward, project, readout
 from .numerics import LOG_EPS, NonFiniteResult, ShapeMismatch, Tensor
 from .positives import PositiveSets
 
@@ -131,19 +132,17 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
 
 
-def node_graph_loss(h_m: Tensor, h_neg: Tensor, s_m: Tensor,
-                    params: ModelParams) -> Tensor:
-    """Mean two-term BCE against the summary s_m.
+def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor,
+                    disc_b: Tensor) -> Tensor:
+    """Mean two-term BCE of projected rows against the projected summary.
 
-    -log D(h_u, s) - log(1 - D(h'_u, s)) written as softplus of the
-    bilinear logits, which is exact and stable.
+    -log D(z_u, s) - log(1 - D(z'_u, s)) with D = sigmoid(z B s^T),
+    written as softplus of the bilinear logits, which is exact and stable.
     """
-    if h_neg.shape != h_m.shape:
-        raise ShapeMismatch(f"branch shapes differ: {h_m.shape} vs {h_neg.shape}")
-    pos_logits = discriminator_logits(h_m, s_m, params)
-    neg_logits = discriminator_logits(h_neg, s_m, params)
-    per_node = nm.add(nm.softplus(nm.scale(pos_logits, -1.0)),
-                      nm.softplus(neg_logits))
+    if z_neg.shape != z_m.shape:
+        raise ShapeMismatch(f"branch shapes differ: {z_m.shape} vs {z_neg.shape}")
+    per_node = nm.add(nm.softplus(nm.scale(nm.bilinear(z_m, disc_b, s_m), -1.0)),
+                      nm.softplus(nm.bilinear(z_neg, disc_b, s_m)))
     return nm.mean_all(per_node)
 
 
@@ -159,14 +158,15 @@ class ContrastTerm:
 
 
 def pair_terms(corrupted, params: ModelParams, positives: PositiveSets,
-               tau: float, literal_eq2: bool = False,
-               neg_perms=None) -> list[ContrastTerm]:
+               tau: float, neg_perms) -> list[ContrastTerm]:
     """Losses for every ordered view pair under the corruption pairing.
 
     `corrupted` is one (first, second) corruption pair per metapath view,
-    aligned with params.encoders order. The intra negative branch
-    row-shuffles the second corruption with neg_perms[m] unless
-    literal_eq2 is set.
+    aligned with params.encoders order. Each corruption and each view's
+    summary, the mean of its first corruption's encoder rows, is projected
+    once. The intra negative branch row-shuffles the second corruption's
+    projection with neg_perms[m]; the inter (m,n) negative branch is the
+    projection of view n's first corruption.
     """
     corrupted = list(corrupted)
     if not corrupted:
@@ -175,43 +175,38 @@ def pair_terms(corrupted, params: ModelParams, positives: PositiveSets,
     if len(names) != len(corrupted):
         raise ShapeMismatch(
             f"{len(corrupted)} corrupted views for {len(names)} encoders")
-    if not literal_eq2 and neg_perms is None:
-        raise ValueError("neg_perms required unless literal_eq2 is set")
 
-    h: dict[tuple[int, int], Tensor] = {}
     z: dict[tuple[int, int], Tensor] = {}
+    summaries: dict[int, Tensor] = {}
     for i, (first, second) in enumerate(corrupted):
         weight = params.encoders[names[i]]
-        for copy, view in ((1, first), (2, second)):
-            h[i, copy] = gcn_forward(view, weight)
-            z[i, copy] = project(h[i, copy], params)
-    summaries = {i: readout(h[i, 1]) for i in range(len(corrupted))}
+        h_first = gcn_forward(first, weight)
+        z[i, 1] = project(h_first, params)
+        z[i, 2] = project(gcn_forward(second, weight), params)
+        summaries[i] = project(readout(h_first), params)
 
     terms: list[ContrastTerm] = []
     for m in range(len(corrupted)):
         for n in range(len(corrupted)):
             if m == n:
-                kind = "intra"
-                local = node_node_loss(z[m, 1], z[m, 2], positives, tau)
-                neg = h[m, 2] if literal_eq2 else nm.permute_rows(
-                    h[m, 2], neg_perms[m])
+                kind, other = "intra", z[m, 2]
+                neg = nm.permute_rows(z[m, 2], neg_perms[m])
             else:
-                kind = "inter"
-                local = node_node_loss(z[m, 1], z[n, 1], positives, tau)
-                neg = h[n, 1]
-            glob = node_graph_loss(h[m, 1], neg, summaries[m], params)
-            terms.append(ContrastTerm(m=m, n=n, kind=kind,
-                                      local_loss=local, global_loss=glob))
+                kind, other, neg = "inter", z[n, 1], z[n, 1]
+            terms.append(ContrastTerm(
+                m=m, n=n, kind=kind,
+                local_loss=node_node_loss(z[m, 1], other, positives, tau),
+                global_loss=node_graph_loss(z[m, 1], neg, summaries[m],
+                                            params.disc_b)))
     return terms
 
 
 def total_objective(corrupted, params: ModelParams, positives: PositiveSets,
-                    tau: float, literal_eq2: bool = False, neg_perms=None,
-                    w_local: float = 1.0, w_global: float = 1.0) -> Tensor:
+                    tau: float, neg_perms, w_local: float = 1.0,
+                    w_global: float = 1.0) -> Tensor:
     """Weighted sum of both losses over all ordered view pairs; minimized."""
     total: Tensor | None = None
-    for term in pair_terms(corrupted, params, positives, tau,
-                           literal_eq2=literal_eq2, neg_perms=neg_perms):
+    for term in pair_terms(corrupted, params, positives, tau, neg_perms):
         weighted = nm.add(nm.scale(term.local_loss, w_local),
                           nm.scale(term.global_loss, w_global))
         total = weighted if total is None else nm.add(total, weighted)

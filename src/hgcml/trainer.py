@@ -65,8 +65,11 @@ def _epoch_corruptions(views, augment: AugmentSettings, seed: int, epoch: int):
     return pairs, tick
 
 
-def _shuffle_perms(views, seed: int, tick: int):
-    return [substream(seed, "shuffle", view.metapath.name, tick)
+def _negative_perms(views, seed: int, tick: int, literal_eq2: bool):
+    """Intra negative-branch row shuffles; under literal_eq2 the identity,
+    so the second corruption is scored unshuffled as Eq. 2 is printed."""
+    return [np.arange(view.n_nodes) if literal_eq2
+            else substream(seed, "shuffle", view.metapath.name, tick)
             .permutation(view.n_nodes) for view in views]
 
 
@@ -97,11 +100,10 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
     stale = 0
     for epoch in range(cfg.max_epochs):
         corrupted, tick = _epoch_corruptions(views, augment, seed, epoch)
-        perms = None if cfg.literal_eq2 else _shuffle_perms(views, seed, tick)
+        perms = _negative_perms(views, seed, tick, cfg.literal_eq2)
         try:
             loss_tensor = total_objective(
-                corrupted, params, positives, cfg.tau,
-                literal_eq2=cfg.literal_eq2, neg_perms=perms,
+                corrupted, params, positives, cfg.tau, perms,
                 w_local=cfg.loss_weight_local, w_global=cfg.loss_weight_global)
             loss = loss_tensor.item()
         except NonFiniteResult as exc:
@@ -123,9 +125,7 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
         loss_tensor.backward()
         optimizer.step()
 
-    final = params_from_checkpoint(best_checkpoint,
-                                   [spec.name for spec in metapaths],
-                                   cfg.share_encoder)
+    final = params_from_checkpoint(best_checkpoint, [m.name for m in metapaths])
     embeddings = compute_embeddings(final, views, cfg.fusion)
     return TrainResult(checkpoint=best_checkpoint, embeddings=embeddings,
                        trace=trace, best_epoch=best_epoch)

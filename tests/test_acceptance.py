@@ -191,7 +191,7 @@ def test_criterion_4_loss_identities():
     h = Tensor(rng.standard_normal((5, 4)))
     h_neg = Tensor(rng.standard_normal((5, 4)))
     summary = Tensor(h.data.mean(axis=0, keepdims=True))
-    glob = node_graph_loss(h, h_neg, summary, params).item()
+    glob = node_graph_loss(h, h_neg, summary, params.disc_b).item()
     glob_err = abs(glob - 2.0 * np.log(2.0))
 
     views = [_random_symmetric_view(substream(8, "pair", i), 4, f"v{i}",

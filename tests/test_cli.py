@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import sys
 import warnings
 
 import numpy as np
@@ -206,11 +207,19 @@ def test_unknown_config_key_exits_3(pipeline, tmp_path, capsys):
     ("train", "augment", "resample_every_epoch", "false"),
     ("train", "train", "patience", True),
     ("train", "train", "lr", "0.01"),
+    ("prepare", "data", "nodes", 5),
+    ("prepare", "data", "edges", 5),
+    ("prepare", "data", "features", 5),
+    ("eval", "data", "labels", 5),
+    ("prepare", None, "out", 5),
 ])
 def test_wrongly_typed_config_value_exits_3(pipeline, tmp_path, capsys,
                                             command, section, key, value):
     raw = json.load(open(pipeline["config"], encoding="utf-8"))
-    raw[section] = dict(raw.get(section, {}), **{key: value})
+    if section is None:
+        raw[key] = value
+    else:
+        raw[section] = dict(raw.get(section, {}), **{key: value})
     bad = os.path.join(pipeline["data"], "run_typed.json")
     with open(bad, "w", encoding="utf-8") as fh:
         json.dump(raw, fh)
@@ -219,6 +228,61 @@ def test_wrongly_typed_config_value_exits_3(pipeline, tmp_path, capsys,
     assert main([command, "--config", bad, "--out", out2]) == 3
     err = capsys.readouterr().err
     assert "ConfigError" in err and key in err
+
+
+@pytest.mark.parametrize("path, value, key", [
+    pytest.param(("metapaths", 0, "relations"), "via0", "metapaths[].relations",
+                 id="metapath-relations-string"),
+    pytest.param(("metapaths", 0, "relations"), ["via0", 3],
+                 "metapaths[].relations[]", id="metapath-relation-number"),
+    pytest.param(("metapaths", 0, "name"), 3, "metapaths[].name",
+                 id="metapath-name-number"),
+    pytest.param(("metapaths",), "meta0", "metapaths", id="metapaths-string"),
+    pytest.param(("schema", "types"), "entity", "schema.types",
+                 id="types-string"),
+    pytest.param(("schema", "types"), ["entity", 1, "bridge1"], "schema.types[]",
+                 id="type-number"),
+    pytest.param(("schema", "relations"), "via0", "schema.relations",
+                 id="relations-string"),
+    pytest.param(("schema", "target_type"), 1, "schema.target_type",
+                 id="target-type-number"),
+    pytest.param(("schema", "relations", 0, "name"), None,
+                 "schema.relations[].name", id="relation-name-null"),
+    pytest.param(("schema", "relations", 0, "src"), 1, "schema.relations[].src",
+                 id="relation-src-number"),
+    pytest.param(("schema", "relations", 0, "dst"), ["bridge0"],
+                 "schema.relations[].dst", id="relation-dst-array"),
+])
+def test_schema_value_of_wrong_shape_exits_3(pipeline, tmp_path, capsys,
+                                             path, value, key):
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    *outer, last = path
+    target = raw
+    for part in outer:
+        target = target[part]
+    target[last] = value
+    bad = os.path.join(pipeline["data"], "run_shape.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out = tmp_path / "shape"
+    assert main(["prepare", "--config", bad, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and f"{key} must be" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_console_entry_exits_with_main_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hgcml", "synth", "--out",
+                                      str(tmp_path / "synthetic")])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 0
+    assert (tmp_path / "synthetic" / "config.json").exists()
+    monkeypatch.setattr(sys, "argv", ["hgcml", "prepare"])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 3
+    assert "--config is required" in capsys.readouterr().err
 
 
 def test_bad_tau_exits_3(pipeline, tmp_path, capsys):

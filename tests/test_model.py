@@ -1,4 +1,7 @@
-"""Per-view GCN encoder, shared projector, readout, discriminator, fusion."""
+"""Per-view GCN encoder, shared projector, readout, discriminator, fusion.
+
+The discriminator is nm.bilinear over projected rows and a projected
+summary, as the objective calls it."""
 
 import math
 from collections import OrderedDict
@@ -10,10 +13,9 @@ import scipy.sparse as sp
 import hgcml.numerics as nm
 from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.io import FormatError
-from hgcml.model import (FUSION_MODES, ModeInvalid, ModelParams,
-                         discriminator_logits, fuse, gcn_forward,
-                         gcn_normalize, init_params, params_from_checkpoint,
-                         project, readout)
+from hgcml.model import (FUSION_MODES, ModeInvalid, ModelParams, fuse,
+                         gcn_forward, gcn_normalize, init_params,
+                         params_from_checkpoint, project, readout)
 from hgcml.numerics import ShapeMismatch, Tensor
 from hgcml.rng import substream
 
@@ -108,18 +110,17 @@ def test_discriminator_zero_bilinear_gives_half():
     rng = substream(24, "disc")
     h = Tensor(rng.standard_normal((5, 3)))
     s = Tensor(rng.standard_normal((1, 3)))
-    probs = nm.sigmoid(discriminator_logits(h, s, params))
-    assert np.allclose(probs.data, 0.5, atol=1e-15)
+    logits = nm.bilinear(project(h, params), params.disc_b, project(s, params))
+    assert np.allclose(nm.sigmoid(logits).data, 0.5, atol=1e-15)
 
 
 def test_discriminator_logit_log3_gives_three_quarters():
     params = identity_projector_params(1)
     h = Tensor(np.array([[math.log(3.0)]]))
     s = Tensor(np.array([[1.0]]))
-    assert discriminator_logits(h, s, params).item() == pytest.approx(
-        math.log(3.0), abs=1e-15)
-    assert nm.sigmoid(discriminator_logits(h, s, params)).item() == pytest.approx(
-        0.75, abs=1e-12)
+    logits = nm.bilinear(project(h, params), params.disc_b, project(s, params))
+    assert logits.item() == pytest.approx(math.log(3.0), abs=1e-15)
+    assert nm.sigmoid(logits).item() == pytest.approx(0.75, abs=1e-12)
 
 
 def test_discriminator_transpose_symmetry():
@@ -129,10 +130,9 @@ def test_discriminator_transpose_symmetry():
     b = rng.standard_normal((d, d))
     h = Tensor(rng.uniform(0.1, 1.0, (1, d)))
     s = Tensor(rng.uniform(0.1, 1.0, (1, d)))
-    params.disc_b = Tensor(b.copy(), requires_grad=True)
-    forward = discriminator_logits(h, s, params).item()
-    params.disc_b = Tensor(b.T.copy(), requires_grad=True)
-    backward = discriminator_logits(s, h, params).item()
+    z_h, z_s = project(h, params), project(s, params)
+    forward = nm.bilinear(z_h, Tensor(b.copy()), z_s).item()
+    backward = nm.bilinear(z_s, Tensor(b.T.copy()), z_h).item()
     assert forward == pytest.approx(backward, abs=1e-12)
 
 

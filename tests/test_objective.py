@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hgcml.model
 import hgcml.numerics as nm
+import hgcml.objective
 from conftest import tape_node_node_loss
 from hgcml.augment import corrupt
 from hgcml.hin import MetapathSpec, MetapathView
-from hgcml.model import ModelParams, init_params, readout
+from hgcml.model import ModelParams, gcn_forward, init_params, readout
 from hgcml.numerics import LOG_EPS, NonFiniteResult, Tensor
 from hgcml.objective import (CHUNK, ContrastTerm, TauNonPositive,
                              node_graph_loss, node_node_loss, pair_terms,
@@ -256,7 +258,7 @@ def test_zero_discriminator_gives_two_log_two():
     h = rand_z(4, 3, "disc1", positive=True)
     h_neg = rand_z(4, 3, "disc2", positive=True)
     s = readout(h)
-    loss = node_graph_loss(h, h_neg, s, params)
+    loss = node_graph_loss(h, h_neg, s, params.disc_b)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
@@ -268,7 +270,7 @@ def test_node_graph_loss_numpy_oracle():
     h = rand_z(5, d, "ng1", positive=True)
     h_neg = rand_z(5, d, "ng2", positive=True)
     s = readout(h)
-    loss = node_graph_loss(h, h_neg, s, params).item()
+    loss = node_graph_loss(h, h_neg, s, params.disc_b).item()
     # identity projector keeps positive activations unchanged
     summary = h.data.mean(axis=0, keepdims=True)
     pos = h.data @ b @ summary.T
@@ -314,15 +316,62 @@ def test_total_objective_equals_sum_of_terms():
     assert weighted.item() == pytest.approx(by_hand_w, abs=1e-10)
 
 
-def test_pair_terms_requires_negatives_or_literal_mode():
-    views = make_views(4, 1, 3, seed=70)
-    params = init_params(["v0"], d_in=3, d=4, seed=3)
-    corrupted = corruption_pairs(views, seed=80)
-    ps = PositiveSets.anchor_only(4)
-    with pytest.raises(ValueError):
-        pair_terms(corrupted, params, ps, tau=0.5, neg_perms=None)
-    terms = pair_terms(corrupted, params, ps, tau=0.5, literal_eq2=True)
-    assert len(terms) == 1
+@pytest.mark.parametrize("n_views", [1, 2, 3])
+def test_projector_runs_once_per_corrupted_view_and_summary(monkeypatch,
+                                                            n_views):
+    calls = []
+    for module in (hgcml.model, hgcml.objective):
+        def counted(h, params, original=module.project):
+            calls.append(h.shape)
+            return original(h, params)
+        monkeypatch.setattr(module, "project", counted)
+    views = make_views(5, n_views, 3, seed=100 + n_views)
+    params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=5)
+    perms = [substream(101, "p", i).permutation(5) for i in range(n_views)]
+    total_objective(corruption_pairs(views, seed=102), params,
+                    PositiveSets.anchor_only(5), tau=0.5, neg_perms=perms)
+    # two corruptions and one summary per view
+    assert len(calls) == 3 * n_views
+    assert sorted(calls) == sorted([(5, 4)] * 2 * n_views + [(1, 4)] * n_views)
+
+
+def test_pair_global_losses_match_projected_numpy_oracle():
+    views = make_views(6, 2, 3, seed=110)
+    params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=6)
+    perms = [substream(112, "p", i).permutation(6) for i in range(2)]
+    corrupted = corruption_pairs(views, seed=113)
+    h = {(i, copy): gcn_forward(pair[copy - 1], params.encoders[f"v{i}"]).data
+         for i, pair in enumerate(corrupted) for copy in (1, 2)}
+    # centre each hidden unit on the median row, so the ReLU cuts through
+    # the rows and the projection of the mean is not the mean of projections
+    rows = np.vstack([h[0, 1], h[1, 1]])
+    params.proj_b1.data[:] = -np.median(rows @ params.proj_w1.data, axis=0)
+    rng = substream(111, "ngoracle")
+    params.proj_b2.data[:] = rng.standard_normal(params.proj_b2.shape)
+    params.disc_b.data[:] = rng.standard_normal(params.disc_b.shape)
+    terms = pair_terms(corrupted, params, PositiveSets.anchor_only(6),
+                       tau=0.5, neg_perms=perms)
+
+    def rho(h):
+        hidden = np.maximum(h @ params.proj_w1.data + params.proj_b1.data, 0.0)
+        return hidden @ params.proj_w2.data + params.proj_b2.data
+
+    def softplus(x):
+        return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+    b = params.disc_b.data
+    assert len(terms) == 4
+    for term in terms:
+        m, n = term.m, term.n
+        neg = h[m, 2][perms[m]] if m == n else h[n, 1]
+        summary = rho(h[m, 1].mean(axis=0, keepdims=True))
+        expected = np.mean(softplus(-rho(h[m, 1]) @ b @ summary.T)
+                           + softplus(rho(neg) @ b @ summary.T))
+        assert abs(term.global_loss.item() - expected) <= 1e-12 * abs(expected)
+        mean_of_rho = rho(h[m, 1]).mean(axis=0, keepdims=True)
+        wrong = np.mean(softplus(-rho(h[m, 1]) @ b @ mean_of_rho.T)
+                        + softplus(rho(neg) @ b @ mean_of_rho.T))
+        assert abs(wrong - expected) > 1e-6
 
 
 def test_objective_gradients_flow_to_all_parameters():

@@ -119,6 +119,27 @@ def test_literal_eq2_mode_trains(toy_hin, anchor_positives):
     assert all(np.isfinite(x) for x in result.trace)
 
 
+def test_literal_eq2_negatives_are_the_identity_permutation(
+        toy_hin, anchor_positives, monkeypatch):
+    import hgcml.trainer as trainer
+    seen = []
+    objective = trainer.total_objective
+
+    def spy(corrupted, params, positives, tau, neg_perms, **weights):
+        seen.extend(np.asarray(p).copy() for p in neg_perms)
+        return objective(corrupted, params, positives, tau, neg_perms, **weights)
+
+    monkeypatch.setattr(trainer, "total_objective", spy)
+    identity = np.arange(toy_hin.n_target)
+    train(toy_hin, METAPATHS, anchor_positives,
+          *quick_cfg(literal_eq2=True, max_epochs=3, patience=3))
+    assert len(seen) == 6 and all(np.array_equal(p, identity) for p in seen)
+    seen.clear()
+    train(toy_hin, METAPATHS, anchor_positives,
+          *quick_cfg(max_epochs=3, patience=3))
+    assert len(seen) == 6 and not all(np.array_equal(p, identity) for p in seen)
+
+
 def test_diverged_loss_carries_last_good_checkpoint(toy_hin, anchor_positives):
     cfg = quick_cfg(lr=1e155, max_epochs=10, patience=10)
     with warnings.catch_warnings():
