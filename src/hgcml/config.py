@@ -1,20 +1,24 @@
 """Run configuration: one JSON document drives the whole pipeline.
 
-Unknown keys are rejected at every level so typos fail loudly. Each
-settings section is a frozen dataclass that checks the types and ranges
-of its own values, and the pipeline modules take the sections directly.
-Relative dataset paths resolve against the config file's directory. A
-single top-level seed feeds every random substream.
+Every section is a dataclass whose fields are its JSON keys (a trailing
+underscore, as in `global_`, is dropped from the key). One loader walks
+those dataclasses: it rejects unknown keys, names each missing required
+key, and checks each value against its field's annotation. Each settings
+section also checks its own types and ranges when built, so sections built
+in code obey the same rules, and the pipeline modules take the sections
+directly. Relative dataset paths resolve against the config file's
+directory. A single top-level seed feeds every random substream.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .augment import MASK_MODES
-from .hin import HinError, MetapathSpec, RelationDecl, SchemaConfig
+from .hin import HinError, MetapathSpec, SchemaConfig
 from .model import FUSION_MODES
 from .synth import SynthConfig
 
@@ -23,52 +27,79 @@ class ConfigError(ValueError):
     """The config document is malformed or carries invalid values."""
 
 
-def _section(raw: dict, name: str, allowed) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    unknown = sorted(set(raw) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
-    return raw
+# Accepted Python types per scalar annotation. bool is a subclass of int,
+# so it is rejected wherever a number is expected; ints pass as floats.
+# Any other class (a nested section) must be an instance of itself.
+_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+          bool: (bool, "true or false"), str: (str, "a string")}
 
 
-# Accepted Python types per field annotation (a string, as annotations are
-# postponed in this module). bool is a subclass of int, so it is rejected
-# wherever a number is expected; ints pass as floats. "T | None" also
-# takes null.
-_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-          "bool": (bool, "true or false"), "str": (str, "a string")}
-
-
-def _check_type(name: str, value, kind: str):
-    """`value` if it has the annotated type, else ConfigError."""
-    if kind.endswith(" | None"):
+def _check_type(name: str, value, kind):
+    """`value` if it has the annotated type (`T | None` also takes None),
+    else ConfigError."""
+    options = typing.get_args(kind)
+    if type(None) in options:
         if value is None:
             return value
-        kind = kind[:-len(" | None")]
-    accepted, described = _TYPES[kind]
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, accepted):
+        kind = options[0]
+    accepted, described = _TYPES.get(kind, (kind, f"a {kind.__name__} section"))
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{name} must be {described}, got {value!r}")
     return value
 
 
-def _array(name: str, value) -> list:
-    """A JSON array; a string would otherwise be split into characters."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be an array, got {value!r}")
+def _key(f) -> str:
+    return f.name.rstrip("_")
+
+
+def _load(cls, raw, where: str):
+    """An instance of the dataclass `cls` from the JSON object `raw`.
+
+    `where` is the key path of `raw` ("" for the top level); error messages
+    name keys by it, with `[]` marking an array element.
+    """
+    section = where or "<top>"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"section {section!r} must be an object")
+    keyed = {_key(f): f for f in fields(cls) if f.init}
+    unknown = sorted(set(raw) - set(keyed))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in section {section!r}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, f in keyed.items():
+        if key in raw:
+            path = f"{where}.{key}" if where else key
+            values[f.name] = _value(hints[f.name], raw[key], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {key!r} in section {section!r}")
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except (HinError, ValueError) as exc:  # the schema's and synth's own rules
+        raise ConfigError(str(exc)) from exc
+
+
+def _value(kind, raw, where: str):
+    if is_dataclass(kind):
+        return _load(kind, raw, where)
+    if typing.get_origin(kind) is tuple:  # never a string split into chars
+        if not isinstance(raw, list):
+            raise ConfigError(f"{where} must be an array, got {raw!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_value(item, value, f"{where}[]") for value in raw)
+    return _check_type(where, raw, kind)
+
+
+def _dump(value):
+    """The JSON form of a loaded value; None-valued keys are left out."""
+    if is_dataclass(value):
+        return {_key(f): _dump(getattr(value, f.name)) for f in fields(value)
+                if f.init and getattr(value, f.name) is not None}
+    if isinstance(value, tuple):
+        return [_dump(item) for item in value]
     return value
-
-
-def _names(name: str, value) -> tuple:
-    """A JSON array of strings, as a tuple."""
-    return tuple(_check_type(f"{name}[]", item, "str") for item in _array(name, value))
-
-
-def _strings(name: str, raw: dict) -> dict:
-    """An object whose values are all strings."""
-    for key, value in raw.items():
-        _check_type(f"{name}.{key}", value, "str")
-    return raw
 
 
 class _Settings:
@@ -76,8 +107,8 @@ class _Settings:
     annotation, then each (holds, message) range rule from `_rules()`."""
 
     def __post_init__(self):
-        for f in fields(self):
-            _check_type(f.name, getattr(self, f.name), f.type)
+        for name, kind in typing.get_type_hints(type(self)).items():
+            _check_type(name, getattr(self, name), kind)
         for ok, message in self._rules():
             if not ok:
                 raise ConfigError(message)
@@ -124,6 +155,12 @@ class PositiveSettings(_Settings):
 
 
 @dataclass(frozen=True)
+class LossWeights(_Settings):
+    local: float = 1.0
+    global_: float = 1.0          # key "global"
+
+
+@dataclass(frozen=True)
 class TrainSettings(_Settings):
     lr: float = 1e-3              # paper grid 5e-4..5e-3
     tau: float = 0.5              # paper grid 0.2..0.8
@@ -133,8 +170,7 @@ class TrainSettings(_Settings):
     fusion: str = "sum"
     share_encoder: bool = False
     literal_eq2: bool = False
-    loss_weight_local: float = 1.0
-    loss_weight_global: float = 1.0
+    loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def _rules(self):
         return ((self.lr >= 0, "lr must be >= 0"),
@@ -159,18 +195,35 @@ class EvalSettings(_Settings):
                  "probe_runs and cluster_runs must be >= 1"))
 
 
+# Characters that would put `view_<name>.tsv` outside the output directory,
+# or that no file name can hold.
+_NOT_IN_NAMES = {"/", "\0", os.sep, os.altsep} - {None}
+
+
 @dataclass
 class RunConfig:
     data: DataPaths
     schema: SchemaConfig
-    metapaths: list[MetapathSpec]
+    metapaths: tuple[MetapathSpec, ...]
     augment: AugmentSettings = field(default_factory=AugmentSettings)
     positives: PositiveSettings = field(default_factory=PositiveSettings)
     train: TrainSettings = field(default_factory=TrainSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
     seed: int = 0
     out: str | None = None
-    base_dir: str = "."
+    base_dir: str = field(default=".", init=False)
+
+    def __post_init__(self):
+        names = [m.name for m in self.metapaths]
+        if not names:
+            raise ConfigError("at least one metapath is required")
+        if len(set(names)) != len(names):
+            raise ConfigError("metapath names must be unique")
+        for name in names:
+            if not name or _NOT_IN_NAMES & set(name):
+                raise ConfigError(
+                    "metapaths[].name must be non-empty and hold no path "
+                    f"separator or NUL, got {name!r}")
 
     def path(self, name: str) -> str:
         """Dataset path resolved against the config file's directory."""
@@ -180,69 +233,10 @@ class RunConfig:
         return raw if os.path.isabs(raw) else os.path.join(self.base_dir, raw)
 
 
-def _settings(cls, raw, name: str):
-    return cls(**_section(raw, name, [f.name for f in fields(cls)]))
-
-
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     """Validate a config dict; raises ConfigError on any problem."""
-    top = _section(raw, "<top>", (
-        "data", "schema", "metapaths", "augment", "positives", "train",
-        "eval", "seed", "out"))
-    for required in ("data", "schema", "metapaths"):
-        if required not in top:
-            raise ConfigError(f"missing required section {required!r}")
-    seed = top.get("seed", 0)
-    _check_type("seed", seed, "int")
-    try:
-        data = DataPaths(**_section(top["data"], "data",
-                                    ("nodes", "edges", "features", "labels")))
-        schema_raw = _section(top["schema"], "schema",
-                              ("types", "target_type", "relations"))
-        relations = tuple(
-            RelationDecl(**_strings("schema.relations[]", _section(
-                r, "relations[]", ("name", "src", "dst"))))
-            for r in _array("schema.relations", schema_raw.get("relations", [])))
-        schema = SchemaConfig(
-            types=_names("schema.types", schema_raw["types"]),
-            relations=relations,
-            target_type=_check_type("schema.target_type",
-                                    schema_raw["target_type"], "str"))
-        metapaths = [
-            MetapathSpec(name=_check_type("metapaths[].name", m["name"], "str"),
-                         relations=_names("metapaths[].relations", m["relations"]))
-            for m in (_section(m, "metapaths[]", ("name", "relations"))
-                      for m in _array("metapaths", top["metapaths"]))]
-        train_raw = dict(_section(top.get("train", {}), "train", (
-            "lr", "tau", "dim", "patience", "max_epochs", "fusion",
-            "share_encoder", "literal_eq2", "loss_weights")))
-        weights = _section(train_raw.pop("loss_weights", {}), "loss_weights",
-                           ("local", "global"))
-        train = TrainSettings(
-            loss_weight_local=weights.get("local", 1.0),
-            loss_weight_global=weights.get("global", 1.0),
-            **train_raw)
-        cfg = RunConfig(
-            data=data,
-            schema=schema,
-            metapaths=metapaths,
-            augment=_settings(AugmentSettings, top.get("augment", {}), "augment"),
-            positives=_settings(PositiveSettings, top.get("positives", {}),
-                                "positives"),
-            train=train,
-            eval=_settings(EvalSettings, top.get("eval", {}), "eval"),
-            seed=seed,
-            out=_check_type("out", top.get("out"), "str | None"),
-            base_dir=base_dir)
-    except ConfigError:
-        raise
-    except (HinError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if not cfg.metapaths:
-        raise ConfigError("at least one metapath is required")
-    names = [m.name for m in cfg.metapaths]
-    if len(set(names)) != len(names):
-        raise ConfigError("metapath names must be unique")
+    cfg = _load(RunConfig, raw, "")
+    cfg.base_dir = base_dir
     return cfg
 
 
@@ -263,40 +257,12 @@ def load_config(path) -> RunConfig:
 
 def to_dict(cfg: RunConfig) -> dict:
     """Full canonical dict (every key explicit); inverse of parse_config."""
-    train = asdict(cfg.train)
-    train["loss_weights"] = {"local": train.pop("loss_weight_local"),
-                             "global": train.pop("loss_weight_global")}
-    out = {
-        "data": {k: v for k, v in asdict(cfg.data).items() if v is not None},
-        "schema": {
-            "types": list(cfg.schema.types),
-            "target_type": cfg.schema.target_type,
-            "relations": [{"name": r.name, "src": r.src, "dst": r.dst}
-                          for r in cfg.schema.relations],
-        },
-        "metapaths": [{"name": m.name, "relations": list(m.relations)}
-                      for m in cfg.metapaths],
-        "augment": asdict(cfg.augment),
-        "positives": asdict(cfg.positives),
-        "train": train,
-        "eval": asdict(cfg.eval),
-        "seed": cfg.seed,
-    }
-    if cfg.out is not None:
-        out["out"] = cfg.out
-    return out
+    return _dump(cfg)
 
 
 def parse_synth_config(raw: dict) -> SynthConfig:
     """Standalone document for the fixture generator."""
-    allowed = ("blocks", "block_size", "metapaths", "p_intra", "p_inter",
-               "feature_dim", "feature_shift", "feature_noise", "seed")
-    try:
-        return SynthConfig(**_section(raw, "synth", allowed))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _load(SynthConfig, raw, "synth")
 
 
 def load_synth_config(path) -> SynthConfig:

@@ -81,8 +81,8 @@ class SchemaConfig:
     """Declared node types, relations with endpoints, and the target type."""
 
     types: tuple[str, ...]
-    relations: tuple[RelationDecl, ...]
     target_type: str
+    relations: tuple[RelationDecl, ...] = ()
 
     def __post_init__(self):
         if len(set(self.types)) != len(self.types):

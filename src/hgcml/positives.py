@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .hin import MalformedRecord, MetapathView
+from .hin import MalformedRecord, MetapathView, _read_rows
 from .numerics import ShapeMismatch
 
 
@@ -163,27 +163,20 @@ def save_positives(path, positives: PositiveSets) -> None:
 def load_positives(path, n: int) -> PositiveSets:
     """Read positives.tsv, one sorted set per anchor."""
     sets: list[np.ndarray | None] = [None] * n
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise MalformedRecord(f"{path}:{lineno}: expected 2 fields")
-            try:
-                u = int(fields[0])
-                ids = np.array(sorted(int(v) for v in fields[1].split(",")),
-                               dtype=np.int64)
-            except ValueError as exc:
-                raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
-            if not 0 <= u < n:
-                raise MalformedRecord(f"{path}:{lineno}: anchor {u} out of range")
-            if ids.size == 0 or ids[0] < 0 or ids[-1] >= n or u not in ids:
-                raise MalformedRecord(f"{path}:{lineno}: invalid positive set")
-            if sets[u] is not None:
-                raise MalformedRecord(f"{path}:{lineno}: anchor {u} repeated")
-            sets[u] = ids
+    for lineno, (anchor, members) in _read_rows(path, 2):
+        try:
+            u = int(anchor)
+            ids = np.array(sorted(int(v) for v in members.split(",")),
+                           dtype=np.int64)
+        except ValueError as exc:
+            raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+        if not 0 <= u < n:
+            raise MalformedRecord(f"{path}:{lineno}: anchor {u} out of range")
+        if ids.size == 0 or ids[0] < 0 or ids[-1] >= n or u not in ids:
+            raise MalformedRecord(f"{path}:{lineno}: invalid positive set")
+        if sets[u] is not None:
+            raise MalformedRecord(f"{path}:{lineno}: anchor {u} repeated")
+        sets[u] = ids
     missing = [u for u, ids in enumerate(sets) if ids is None]
     if missing:
         raise MalformedRecord(f"{path}: no positives for anchor {missing[0]}")

@@ -104,7 +104,7 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
         try:
             loss_tensor = total_objective(
                 corrupted, params, positives, cfg.tau, perms,
-                w_local=cfg.loss_weight_local, w_global=cfg.loss_weight_global)
+                w_local=cfg.loss_weights.local, w_global=cfg.loss_weights.global_)
             loss = loss_tensor.item()
         except NonFiniteResult as exc:
             raise DivergedLoss(epoch, best_checkpoint, trace) from exc

@@ -271,6 +271,62 @@ def test_schema_value_of_wrong_shape_exits_3(pipeline, tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("path, key, section", [
+    pytest.param(("data",), "data", "<top>", id="data"),
+    pytest.param(("schema", "types"), "types", "schema", id="schema-types"),
+    pytest.param(("metapaths", 0, "relations"), "relations", "metapaths[]",
+                 id="metapath-relations"),
+    pytest.param(("schema", "relations", 0, "dst"), "dst", "schema.relations[]",
+                 id="relation-dst"),
+])
+def test_missing_config_key_exits_3(pipeline, tmp_path, capsys,
+                                    path, key, section):
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    *outer, last = path
+    target = raw
+    for part in outer:
+        target = target[part]
+    del target[last]
+    bad = os.path.join(pipeline["data"], "run_missing.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out = tmp_path / "missing"
+    assert main(["prepare", "--config", bad, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"ConfigError: missing key {key!r} in section {section!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["", "a/b", "a\u0000b"],
+                         ids=["empty", "slash", "nul"])
+def test_metapath_name_unusable_in_file_name_exits_3(pipeline, tmp_path,
+                                                     capsys, name):
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw["metapaths"][0]["name"] = name
+    bad = os.path.join(pipeline["data"], "run_name.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out = tmp_path / "named"
+    out.mkdir()
+    assert main(["prepare", "--config", bad, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "ConfigError: metapaths[].name must be" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("blocks", 2.5), ("feature_dim", 3.0), ("blocks", True), ("seed", 1.5),
+])
+def test_wrongly_typed_synth_config_exits_3(tmp_path, capsys, key, value):
+    synth_cfg = tmp_path / "synth.json"
+    synth_cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "synthetic"
+    assert main(["synth", "--config", str(synth_cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"ConfigError: synth.{key} must be" in err
+    assert not out.exists()
+
+
 def test_console_entry_exits_with_main_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["hgcml", "synth", "--out",
                                       str(tmp_path / "synthetic")])

@@ -228,6 +228,9 @@ def test_load_positives_validation(tmp_path):
     path.write_text("0\tx\n1\t1\n")
     with pytest.raises(MalformedRecord):
         load_positives(path, 2)
+    path.write_text("0\t0\t1\n1\t1\n")
+    with pytest.raises(MalformedRecord, match="expected 2 tab-separated fields"):
+        load_positives(path, 2)
     path.write_text("0\t0,1\n1\t1\n0\t0\n")
     with pytest.raises(MalformedRecord, match="anchor 0 repeated"):
         load_positives(path, 2)  # a later line must not replace the first
