@@ -13,6 +13,7 @@ directory. A single top-level seed feeds every random substream.
 from __future__ import annotations
 
 import json
+import math
 import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -159,6 +160,12 @@ class LossWeights(_Settings):
     local: float = 1.0
     global_: float = 1.0          # key "global"
 
+    def _rules(self):
+        return tuple((math.isfinite(value) and value >= 0,
+                      f"loss_weights.{name} must be finite and >= 0, got {value}")
+                     for name, value in (("local", self.local),
+                                         ("global", self.global_)))
+
 
 @dataclass(frozen=True)
 class TrainSettings(_Settings):
@@ -240,14 +247,42 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     return cfg
 
 
+class _NonFinite(str):
+    """A NaN, Infinity or -Infinity literal, held until its key is known."""
+
+
+def _non_finite(value, where: str):
+    """(key path, literal) of the first non-finite literal in a parsed
+    document, or None."""
+    if isinstance(value, _NonFinite):
+        return where or "<top>", str(value)
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        path = (f"{where}[{key}]" if isinstance(key, int)
+                else f"{where}.{key}" if where else key)
+        found = _non_finite(child, path)
+        if found:
+            return found
+    return None
+
+
 def _read_json(path):
+    """The JSON document at `path`. Python's json reads the non-standard
+    literals NaN, Infinity and -Infinity as numbers; here they are config
+    errors naming the file, the key and the literal."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh, parse_constant=_NonFinite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    found = _non_finite(raw, "")
+    if found:
+        raise ConfigError(f"{path}: {found[0]} is {found[1]}; "
+                          "non-finite numbers are not allowed")
+    return raw
 
 
 def load_config(path) -> RunConfig:

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from .hin import MalformedRecord, MetapathView, _read_rows
@@ -27,9 +28,18 @@ class NonConvergenceWarning(RuntimeWarning):
     """PPR series hit max_iter before the term dropped below tol."""
 
 
+# The series multiplies by the sparse transition while its nonzeros number
+# at most n*n/16 (6.25% density) and by a dense copy of it above that. On a
+# 2-vCPU x86 machine with one BLAS thread, at n = 600, 900 and 1800, one
+# sparse product took 0.65-0.73x the time of the dense one at 4.9% density,
+# 0.94-1.00x at 6.2%, 0.94-1.24x at 7.8% and 1.41-1.74x at 11%.
+DENSE_ABOVE = 16
+
+
 @dataclass
 class DiffusionMatrix:
-    """Truncated PPR series S = sum_k alpha(1-alpha)^k (A D^-1)^k."""
+    """Truncated PPR series S = sum_k alpha(1-alpha)^k (A D^-1)^k, as a
+    dense (n,n) array."""
 
     values: np.ndarray
     alpha: float
@@ -39,28 +49,43 @@ class DiffusionMatrix:
     converged: bool
 
 
+def _transition(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """Column-stochastic A D^-1 as CSR. A zero-degree node gets an implicit
+    self-loop: its column is the indicator of the node itself."""
+    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
+    degrees = np.asarray(adjacency.sum(axis=0)).ravel()
+    isolated = degrees == 0
+    safe = np.where(isolated, 1.0, degrees)
+    scaled = sp.csr_matrix(
+        (adjacency.data / safe[adjacency.indices], adjacency.indices,
+         adjacency.indptr), shape=adjacency.shape)
+    return (scaled + sp.diags(isolated.astype(np.float64), format="csr")
+            if isolated.any() else scaled)
+
+
 def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
                max_iter: int = 100) -> DiffusionMatrix:
-    """Dense truncated PPR diffusion of one metapath view.
+    """Truncated PPR diffusion of one metapath view, as a dense matrix.
 
-    Zero-degree nodes get an implicit self-loop: their column of the
-    transition matrix is the indicator of the node itself, which keeps
-    every column stochastic.
+    Each term is the transition times the dense previous term. The
+    transition stays sparse unless its density exceeds 1/DENSE_ABOVE, in
+    which case it is densified once and the series runs on BLAS. The
+    series stops when the largest entry of a term drops below `tol`, or
+    after `max_iter` terms.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0,1], got {alpha}")
-    dense = view.adjacency.toarray()
-    n = dense.shape[0]
-    degrees = dense.sum(axis=0)
-    transition = np.divide(dense, np.where(degrees > 0, degrees, 1.0))
-    for j in np.flatnonzero(degrees == 0):
-        transition[j, j] = 1.0
+    transition = _transition(view.adjacency)
+    n = transition.shape[0]
+    if transition.nnz * DENSE_ABOVE > n * n:
+        transition = transition.toarray()
     term = alpha * np.eye(n)
     total = term.copy()
     k = 0
     while np.abs(term).max() >= tol and k < max_iter:
         k += 1
-        term = (1.0 - alpha) * (transition @ term)
+        term = transition @ term
+        term *= 1.0 - alpha
         total += term
     converged = bool(np.abs(term).max() < tol)
     bound = (1.0 - alpha) ** (k + 1)
@@ -125,14 +150,15 @@ class PositiveSets:
         return cls(sets=[np.array([u], dtype=np.int64) for u in range(n)])
 
 
-def _top_k(row: np.ndarray, anchor: int, k: int) -> np.ndarray:
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    candidates = np.delete(np.arange(row.size, dtype=np.int64), anchor)
-    scores = row[candidates]
-    # primary key: score descending; tie-break: node id ascending
-    order = np.lexsort((candidates, -scores))
-    return candidates[order[:k]]
+def _top_k(sim: np.ndarray, k: int) -> np.ndarray:
+    """(n,k) ids of each row's k best other nodes: score descending, then
+    id ascending. The anchor is left out of its row, not masked with a
+    sentinel score, so any finite or infinite score ranks the same way."""
+    n = sim.shape[0]
+    others = sim[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    np.negative(others, out=others)
+    ids = np.argsort(others, axis=1, kind="stable")[:, :k]
+    return ids + (ids >= np.arange(n)[:, None])
 
 
 def select_positives(sim_t: np.ndarray, sim_s: np.ndarray,
@@ -145,12 +171,13 @@ def select_positives(sim_t: np.ndarray, sim_s: np.ndarray,
         raise KTooLarge("k_t and k_s must be non-negative")
     if k_t >= n or k_s >= n:
         raise KTooLarge(f"top-k of {max(k_t, k_s)} needs more than {n} nodes")
-    sets = []
-    for u in range(n):
-        p_t = _top_k(sim_t[u], u, k_t)
-        p_s = _top_k(sim_s[u], u, k_s)
-        merged = np.union1d(np.union1d(p_t, p_s), np.array([u], dtype=np.int64))
-        sets.append(merged.astype(np.int64))
+    chosen = np.eye(n, dtype=bool)
+    rows = np.arange(n)[:, None]
+    for sim, k in ((sim_t, k_t), (sim_s, k_s)):
+        if k:
+            chosen[rows, _top_k(sim, k)] = True
+    _, ids = np.nonzero(chosen)
+    sets = np.split(ids.astype(np.int64), np.cumsum(chosen.sum(axis=1))[:-1])
     return PositiveSets(sets=sets)
 
 

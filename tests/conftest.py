@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import hgcml.numerics as nm
 from hgcml.hin import (HIN, MetapathSpec, RelationDecl, SchemaConfig, load_hin)
 from hgcml.io import write_matrix
+from hgcml.positives import DiffusionMatrix, PositiveSets
 from hgcml.rng import substream
 
 # Small bibliographic network: 4 authors, 5 papers, 3 subjects,
@@ -175,6 +176,49 @@ def random_typed_case(rng):
         spec = MetapathSpec("m", ("R0", "R0", "R0", "R0"))
     features = rng.standard_normal((n_t, 3))
     return build_hin(schema, counts, edges, features), spec
+
+
+def dense_ppr_series(view, alpha, tol=1e-6, max_iter=100):
+    """The PPR series on a densified transition, dense n x n matmul per
+    term: the oracle of `ppr_matrix`. Keeps five n x n arrays alive."""
+    dense = view.adjacency.toarray()
+    n = dense.shape[0]
+    degrees = dense.sum(axis=0)
+    transition = np.divide(dense, np.where(degrees > 0, degrees, 1.0))
+    for j in np.flatnonzero(degrees == 0):
+        transition[j, j] = 1.0
+    term = alpha * np.eye(n)
+    total = term.copy()
+    k = 0
+    while np.abs(term).max() >= tol and k < max_iter:
+        k += 1
+        term = (1.0 - alpha) * (transition @ term)
+        total += term
+    return DiffusionMatrix(values=total, alpha=alpha, metapath=view.metapath.name,
+                           iterations=k, error_bound=(1.0 - alpha) ** (k + 1),
+                           converged=bool(np.abs(term).max() < tol))
+
+
+def per_anchor_top_k(row, anchor, k):
+    """The k best ids of one similarity row, anchor excluded: score
+    descending, then id ascending."""
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    candidates = np.delete(np.arange(row.size, dtype=np.int64), anchor)
+    order = np.lexsort((candidates, -row[candidates]))
+    return candidates[order[:k]]
+
+
+def per_anchor_positives(sim_t, sim_s, k_t, k_s):
+    """One top-k per anchor and channel, then a set union: the oracle of
+    `select_positives`."""
+    sets = []
+    for u in range(sim_t.shape[0]):
+        merged = np.union1d(np.union1d(per_anchor_top_k(sim_t[u], u, k_t),
+                                       per_anchor_top_k(sim_s[u], u, k_s)),
+                            np.array([u], dtype=np.int64))
+        sets.append(merged.astype(np.int64))
+    return PositiveSets(sets=sets)
 
 
 def tape_node_node_loss(z_m, z_n, positives, tau):

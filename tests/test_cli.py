@@ -351,6 +351,47 @@ def test_bad_tau_exits_3(pipeline, tmp_path, capsys):
     assert "tau" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("local", float("nan")), ("local", -1.0), ("global", float("inf")),
+    ("global", -0.5),
+], ids=["local-nan", "local-negative", "global-inf", "global-negative"])
+def test_bad_loss_weight_exits_3(pipeline, tmp_path, capsys, key, value):
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw["train"] = dict(raw["train"], loss_weights={key: value})
+    bad = str(tmp_path / "weights.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)  # writes NaN and Infinity as bare literals
+    out = tmp_path / "o"
+    assert main(["train", "--config", bad, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and f"loss_weights.{key}" in err
+    assert not (out / "model.bin").exists()
+
+
+@pytest.mark.parametrize("command, section, key, literal", [
+    ("train", "train", "tau", "Infinity"),
+    ("positives", "positives", "tol", "Infinity"),
+    ("train", "augment", "p_e", "NaN"),
+    ("synth", None, "p_intra", "-Infinity"),
+])
+def test_non_finite_json_literal_exits_3(pipeline, tmp_path, capsys,
+                                         command, section, key, literal):
+    if section is None:  # a synth config
+        text = f'{{"blocks": 2, "{key}": {literal}}}'
+    else:
+        raw = json.load(open(pipeline["config"], encoding="utf-8"))
+        raw[section] = dict(raw.get(section, {}), **{key: "@"})
+        text = json.dumps(raw).replace('"@"', literal)
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    where = f"{section}.{key}" if section else key
+    assert f"ConfigError: {bad}: {where} is {literal}" in err
+    assert not out.exists()
+
+
 def test_missing_features_exits_2(tmp_path, capsys):
     data_dir, run_cfg = make_workspace(str(tmp_path))
     os.remove(os.path.join(data_dir, "features.bin"))

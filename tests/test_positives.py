@@ -1,12 +1,17 @@
 """Diffusion-based and feature-based positive sampling."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import dense_ppr_series, per_anchor_positives
 from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.numerics import ShapeMismatch
-from hgcml.positives import (DiffusionMatrix, KTooLarge, NonConvergenceWarning,
+from hgcml.positives import (DENSE_ABOVE, DiffusionMatrix, KTooLarge,
+                             NonConvergenceWarning, _transition,
                              PositiveSets, load_positives, ppr_matrix,
                              save_positives, select_positives,
                              semantic_similarity, topology_similarity)
@@ -91,6 +96,69 @@ def test_nonconvergence_warns():
     assert diff.error_bound == pytest.approx(0.95 ** 4)
 
 
+def random_view(rng, n, density, isolated=0):
+    """Random symmetric graph; its last `isolated` nodes have no edges."""
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    dense = (upper | upper.T).astype(np.float64)
+    if isolated:
+        dense[-isolated:, :] = dense[:, -isolated:] = 0.0
+    return view_from_dense(dense)
+
+
+def ring_view(n):
+    ring = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="lil")
+    ring[0, n - 1] = ring[n - 1, 0] = 1.0
+    return MetapathView(adjacency=sp.csr_matrix(ring), features=np.zeros((n, 1)),
+                        metapath=MetapathSpec("ring", ("R", "R")))
+
+
+# (n, edge density, isolated nodes, alpha, max_iter); the dense-side cases
+# hold more than n*n/DENSE_ABOVE transition entries, the sparse ones fewer.
+SERIES_CASES = {
+    "sparse": [(300, 0.02, 0, 0.15, 100), (120, 0.03, 0, 0.85, 100),
+               (200, 0.02, 7, 0.15, 100), (150, 0.02, 0, 0.05, 3),
+               (90, 0.01, 30, 0.5, 100)],
+    "dense": [(60, 0.3, 0, 0.15, 100), (40, 0.5, 0, 0.85, 100),
+              (50, 0.3, 5, 0.15, 100), (45, 0.3, 0, 0.05, 3),
+              (2, 1.0, 0, 0.85, 100)],
+}
+
+
+@pytest.mark.parametrize("side", ["sparse", "dense"])
+def test_series_matches_dense_oracle(side):
+    for trial, (n, density, isolated, alpha, max_iter) in enumerate(SERIES_CASES[side]):
+        view = random_view(substream(trial, "pproracle", side), n, density, isolated)
+        is_dense = _transition(view.adjacency).nnz * DENSE_ABOVE > n * n
+        assert is_dense == (side == "dense"), f"case {trial} on the wrong side"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            got = ppr_matrix(view, alpha, max_iter=max_iter)
+        want = dense_ppr_series(view, alpha, max_iter=max_iter)
+        assert (got.iterations, got.converged, got.error_bound) == (
+            want.iterations, want.converged, want.error_bound), f"case {trial}"
+        assert got.converged == (max_iter > 3), f"case {trial}"
+        if side == "dense":
+            assert np.array_equal(got.values, want.values), f"case {trial}"
+        else:
+            assert np.abs(got.values - want.values).max() <= 1e-15, f"case {trial}"
+
+
+def test_series_peak_memory_on_a_sparse_view():
+    n = 1500
+    view = ring_view(n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        diff = ppr_matrix(view, ALPHA)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert diff.converged
+    arrays = peak / (n * n * 8)
+    assert arrays <= 3.5, f"peak {arrays:.2f} n x n float64 arrays"
+
+
 def test_diffusion_metadata():
     diff = ppr_matrix(view_from_dense([[0, 1], [1, 0]]), ALPHA)
     assert diff.alpha == ALPHA
@@ -169,6 +237,49 @@ def test_anchor_never_selected_as_candidate():
     np.fill_diagonal(sim, 100.0)  # self-similarity must be ignored
     chosen = select_positives(sim, sim, 1, 0)
     assert chosen.sets[0].tolist() == [0, 1]
+
+
+def assert_same_sets(sim_t, sim_s, k_t, k_s):
+    got = select_positives(sim_t, sim_s, k_t, k_s).sets
+    want = per_anchor_positives(sim_t, sim_s, k_t, k_s).sets
+    assert len(got) == len(want)
+    for u, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist(), (
+            f"anchor {u}: {a.tolist()} != {b.tolist()} at k_t={k_t}, k_s={k_s}")
+
+
+def tie_heavy_matrices(n):
+    rng = substream(n, "topkties")
+    integers = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+    constant_rows = np.repeat(rng.integers(-2, 2, size=(n, 1)), n, axis=1) * 1.0
+    infinite = rng.integers(0, 2, size=(n, n)).astype(np.float64)
+    infinite[rng.random((n, n)) < 0.3] = np.inf
+    infinite[rng.random((n, n)) < 0.3] = -np.inf
+    infinite[0] = np.inf
+    infinite[1] = -np.inf
+    return {"integers": integers, "constant-rows": constant_rows,
+            "zeros": np.zeros((n, n)), "infinite": infinite,
+            "negative-zero": np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_select_positives_matches_per_anchor_loop_on_ties(n):
+    matrices = tie_heavy_matrices(n)
+    for name_t, sim_t in matrices.items():
+        for name_s, sim_s in matrices.items():
+            for k_t, k_s in ((0, 0), (1, 1), (n - 1, n - 1), (1, n - 1),
+                             (n - 1, 0), (0, 1)):
+                assert_same_sets(sim_t, sim_s, k_t, k_s)
+
+
+def test_select_positives_matches_per_anchor_loop_on_random_matrices():
+    for trial in range(20):
+        rng = substream(trial, "topkrandom")
+        n = int(rng.integers(2, 40))
+        sim_t = rng.standard_normal((n, n))
+        sim_s = -rng.random((n, n))
+        k_t, k_s = (int(k) for k in rng.integers(0, n, size=2))
+        assert_same_sets(sim_t, sim_s, k_t, k_s)
 
 
 def test_mask_shape_and_diagonal():
