@@ -101,10 +101,11 @@ def cmd_positives(args) -> int:
     hin = _load(cfg)
     out = _out_dir(args, cfg)
     pos_cfg = cfg.positives
-    diffusions = [ppr_matrix(extract_metapath_view(hin, spec), pos_cfg.alpha,
-                             tol=pos_cfg.tol, max_iter=pos_cfg.max_iter)
-                  for spec in cfg.metapaths]
-    sim_t = topology_similarity(diffusions)
+    # the per-view totals are dropped once summed, before the semantic channel
+    sim_t = topology_similarity([
+        ppr_matrix(extract_metapath_view(hin, spec), pos_cfg.alpha,
+                   tol=pos_cfg.tol, max_iter=pos_cfg.max_iter)
+        for spec in cfg.metapaths])
     sim_s = semantic_similarity(hin.features)
     selected = select_positives(sim_t, sim_s, pos_cfg.k_t, pos_cfg.k_s)
     path = os.path.join(out, "positives.tsv")

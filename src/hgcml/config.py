@@ -150,7 +150,8 @@ class PositiveSettings(_Settings):
 
     def _rules(self):
         return ((0.0 < self.alpha <= 1.0, f"alpha must be in (0,1], got {self.alpha}"),
-                (self.tol > 0, "tol must be > 0"),
+                (math.isfinite(self.tol) and self.tol > 0,
+                 f"tol must be finite and > 0, got {self.tol}"),
                 (self.max_iter >= 1, "max_iter must be >= 1"),
                 (min(self.k_t, self.k_s) >= 0, "k_t and k_s must be >= 0"))
 
@@ -180,8 +181,10 @@ class TrainSettings(_Settings):
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def _rules(self):
-        return ((self.lr >= 0, "lr must be >= 0"),
-                (self.tau > 0, "tau must be > 0"),
+        return ((math.isfinite(self.lr) and self.lr >= 0,
+                 f"lr must be finite and >= 0, got {self.lr}"),
+                (math.isfinite(self.tau) and self.tau > 0,
+                 f"tau must be finite and > 0, got {self.tau}"),
                 (self.dim >= 1, "dim must be >= 1"),
                 (self.patience >= 1, "patience must be >= 1"),
                 (self.max_epochs >= 1, "max_epochs must be >= 1"),

@@ -18,11 +18,14 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import io
+
+BLOCK_CHARS = 1 << 16  # characters read per block of node or edge lines
 
 
 class HinError(Exception):
@@ -165,12 +168,15 @@ class HIN:
         return len(self.node_ids.get(type_name, ()))
 
 
-def _read_rows(path, n_fields: int):
+def _open(path):
     try:
-        fh = open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8")
     except FileNotFoundError as exc:
         raise MalformedRecord(f"file not found: {path}") from exc
-    with fh:
+
+
+def _read_rows(path, n_fields: int):
+    with _open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -183,42 +189,167 @@ def _read_rows(path, n_fields: int):
             yield lineno, fields
 
 
+def _blocks(path):
+    """Yield (number of its first line, text) per block of whole lines.
+
+    `text` joins the block's lines with "\n". Reads BLOCK_CHARS characters
+    at a time in text mode, so lines split exactly as iterating the file
+    splits them.
+    """
+    with _open(path) as fh:
+        lineno, parts = 1, []
+        while chunk := fh.read(BLOCK_CHARS):
+            cut = chunk.rfind("\n")
+            if cut < 0:
+                parts.append(chunk)
+                continue
+            parts.append(chunk[:cut])
+            text = "".join(parts)
+            parts = [chunk[cut + 1:]]
+            yield lineno, text
+            lineno += text.count("\n") + 1
+        tail = "".join(parts)
+        if tail:
+            yield lineno, tail
+
+
+def _read_columns(path, n_fields: int):
+    """Yield (line numbers, columns, fault) per block of `_blocks(path)`.
+
+    Blank lines are skipped. `fault` is the MalformedRecord of the block's
+    first line with another field count, or None; the block's columns then
+    stop before that line and no block follows. The caller runs its own
+    checks on the columns first, since an earlier line's fault wins.
+    """
+    for first, text in _blocks(path):
+        # tabs and line lengths from the UTF-8 bytes, where no multi-byte
+        # character holds a tab or newline byte
+        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        ends = np.append(np.flatnonzero(raw == 10), raw.size)
+        tabs = np.diff(np.searchsorted(np.flatnonzero(raw == 9), ends), prepend=0)
+        blank = np.diff(ends, prepend=-1) == 1
+        fault = None
+        count = ends.size
+        wrong = _first((tabs != n_fields - 1) & ~blank)
+        if wrong is not None:
+            fault = MalformedRecord(
+                f"{path}:{first + wrong}: expected {n_fields} tab-separated "
+                f"fields, got {tabs[wrong] + 1}")
+            count = wrong
+        keep = np.flatnonzero(~blank[:count])
+        if keep.size < ends.size:
+            lines = text.split("\n")
+            text = "\n".join(lines[k] for k in keep.tolist())
+        fields = text.replace("\n", "\t").split("\t") if keep.size else []
+        yield first + keep, [fields[j::n_fields] for j in range(n_fields)], fault
+        if fault is not None:
+            return
+
+
+def _codes(keys, table: dict) -> np.ndarray:
+    """table[key] per key, -1 where the key is missing."""
+    return np.fromiter(map(table.get, keys, repeat(-1)), np.intp, len(keys))
+
+
+def _first(mask) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _read_nodes(path, schema: SchemaConfig):
+    """Node ids in input order, their type codes, and id -> position."""
+    type_code = {t: k for k, t in enumerate(schema.types)}
+    position: dict[str, int] = {}
+    ids: list[str] = []
+    types = []
+    for linenos, (block_ids, names), fault in _read_columns(path, 2):
+        codes = _codes(names, type_code)
+        size = len(position)
+        position.update(zip(block_ids, range(size, size + len(block_ids))))
+        unknown = _first(codes < 0)
+        duplicate = None
+        if len(position) < size + len(block_ids):
+            seen = set(ids)
+            for j, node_id in enumerate(block_ids):
+                if node_id in seen:
+                    duplicate = j
+                    break
+                seen.add(node_id)
+        if unknown is not None and (duplicate is None or unknown <= duplicate):
+            raise UnknownType(f"{path}:{linenos[unknown]}: "
+                              f"unknown type {names[unknown]!r}")
+        if duplicate is not None:
+            raise DuplicateNodeId(f"{path}:{linenos[duplicate]}: "
+                                  f"duplicate id {block_ids[duplicate]!r}")
+        if fault is not None:
+            raise fault
+        ids += block_ids
+        types.append(codes)
+    return ids, np.concatenate(types + [np.empty(0, np.intp)]), position
+
+
+def _read_edges(path, schema: SchemaConfig, node_type, position):
+    """Relation code, source and target position of every edge line."""
+    rel_code = {r.name: k for k, r in enumerate(schema.relations)}
+    # endpoint types per relation code and node position; the extra last
+    # entry serves code -1
+    rel_src = np.array([schema.types.index(r.src) for r in schema.relations]
+                       + [-1])
+    rel_dst = np.array([schema.types.index(r.dst) for r in schema.relations]
+                       + [-1])
+    node_type = np.append(node_type, -1)
+    edges = [np.empty((3, 0), dtype=np.intp)]
+    for linenos, (srcs, dsts, rels), fault in _read_columns(path, 3):
+        rel, src, dst = (_codes(rels, rel_code), _codes(srcs, position),
+                         _codes(dsts, position))
+        bad = _first((rel < 0) | (src < 0) | (dst < 0)
+                     | (node_type[src] != rel_src[rel])
+                     | (node_type[dst] != rel_dst[rel]))
+        if bad is not None:
+            where = f"{path}:{linenos[bad]}"
+            if rel[bad] < 0:
+                raise UnknownRelation(f"{where}: unknown relation {rels[bad]!r}")
+            for node, code in ((srcs[bad], src[bad]), (dsts[bad], dst[bad])):
+                if code < 0:
+                    raise UnknownNode(f"{where}: unknown node {node!r}")
+            decl = schema.relations[rel[bad]]
+            raise EndpointTypeMismatch(
+                f"{where}: relation {rels[bad]!r} declared ({decl.src}, "
+                f"{decl.dst}), edge has ({schema.types[node_type[src[bad]]]}, "
+                f"{schema.types[node_type[dst[bad]]]})")
+        if fault is not None:
+            raise fault
+        edges.append(np.stack((rel, src, dst)))
+    return np.concatenate(edges, axis=1)
+
+
 def load_hin(node_file, edge_file, feature_file, label_file,
              schema: SchemaConfig) -> HIN:
-    """Load and validate a HIN from the TSV/binary files."""
-    node_ids: dict[str, list[str]] = {t: [] for t in schema.types}
-    index: dict[str, tuple[str, int]] = {}
-    for lineno, (node_id, type_name) in _read_rows(node_file, 2):
-        if type_name not in node_ids:
-            raise UnknownType(f"{node_file}:{lineno}: unknown type {type_name!r}")
-        if node_id in index:
-            raise DuplicateNodeId(f"{node_file}:{lineno}: duplicate id {node_id!r}")
-        index[node_id] = (type_name, len(node_ids[type_name]))
-        node_ids[type_name].append(node_id)
+    """Load and validate a HIN from the TSV/binary files.
 
-    edges: dict[str, tuple[list[int], list[int]]] = {
-        r.name: ([], []) for r in schema.relations}
-    for lineno, (src, dst, rel_name) in _read_rows(edge_file, 3):
-        if rel_name not in edges:
-            raise UnknownRelation(f"{edge_file}:{lineno}: unknown relation {rel_name!r}")
-        decl = schema.relation(rel_name)
-        for node in (src, dst):
-            if node not in index:
-                raise UnknownNode(f"{edge_file}:{lineno}: unknown node {node!r}")
-        (src_type, src_idx), (dst_type, dst_idx) = index[src], index[dst]
-        if (src_type, dst_type) != (decl.src, decl.dst):
-            raise EndpointTypeMismatch(
-                f"{edge_file}:{lineno}: relation {rel_name!r} declared "
-                f"({decl.src}, {decl.dst}), edge has ({src_type}, {dst_type})")
-        edges[rel_name][0].append(src_idx)
-        edges[rel_name][1].append(dst_idx)
+    Node and edge lines are parsed a block at a time and checked as arrays.
+    A fault is reported for the earliest faulty line, and within one line
+    in the order a per-line reader would check it: field count, then node
+    type and duplicate id, or relation, endpoints known, endpoint types.
+    """
+    ids, node_type, position = _read_nodes(node_file, schema)
+    within = np.empty(len(ids), dtype=np.intp)   # index within its type
+    node_ids: dict[str, list[str]] = {}
+    for k, t in enumerate(schema.types):
+        members = np.flatnonzero(node_type == k)
+        within[members] = np.arange(members.size)
+        node_ids[t] = list(map(ids.__getitem__, members.tolist()))
+    index = dict(zip(ids, zip(map(schema.types.__getitem__, node_type.tolist()),
+                              within.tolist())))
+    rel, src, dst = _read_edges(edge_file, schema, node_type, position)
 
     biadjacency = {}
-    for decl in schema.relations:
-        rows, cols = edges[decl.name]
+    for k, decl in enumerate(schema.relations):
+        mine = rel == k
         shape = (len(node_ids[decl.src]), len(node_ids[decl.dst]))
         mat = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=shape, dtype=np.float64)
+            (np.ones(int(mine.sum())), (within[src[mine]], within[dst[mine]])),
+            shape=shape, dtype=np.float64)
         mat.data[:] = 1.0  # collapse duplicate edge records
         biadjacency[decl.name] = mat
 

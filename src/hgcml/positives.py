@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
 from .hin import MalformedRecord, MetapathView, _read_rows
 from .numerics import ShapeMismatch
@@ -113,6 +112,9 @@ def topology_similarity(diffusions) -> np.ndarray:
 
 def semantic_similarity(features: np.ndarray) -> np.ndarray:
     """Negative pairwise euclidean distance; 0 on the diagonal."""
+    # imported here: scipy.spatial adds ~0.2 s to the start-up of every
+    # stage that imports this module, and only `positives` calls it
+    from scipy.spatial.distance import cdist
     return -cdist(features, features, metric="euclidean")
 
 

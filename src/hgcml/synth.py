@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -42,6 +43,23 @@ class SynthConfig:
             raise ValueError("feature_dim must be >= blocks (one shift axis per block)")
 
 
+def plant_pairs(rng, block_of: np.ndarray, p_intra: float,
+                p_inter: float) -> list[tuple[int, int]]:
+    """The planted pairs (i, j), i < j, in row-major order.
+
+    Each pair takes one uniform draw and is planted when the draw falls
+    below its probability. Row i draws its n-1-i values at once, which
+    yields the same doubles, in the same order, as one scalar draw per pair.
+    """
+    n = block_of.size
+    pairs = []
+    for i in range(n):
+        p = np.where(block_of[i + 1:] == block_of[i], p_intra, p_inter)
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + i + 1
+        pairs += zip(repeat(i), hits.tolist())
+    return pairs
+
+
 def generate(cfg: SynthConfig, out_dir) -> dict[str, str]:
     """Write nodes/edges/features/labels plus a runnable config.json."""
     os.makedirs(out_dir, exist_ok=True)
@@ -52,16 +70,12 @@ def generate(cfg: SynthConfig, out_dir) -> dict[str, str]:
     edge_lines: list[str] = []
     for m in range(cfg.metapaths):
         rng = substream(cfg.seed, "synth", "edges", m)
-        bridge = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                p = cfg.p_intra if block_of[i] == block_of[j] else cfg.p_inter
-                if rng.random() < p:
-                    name = f"b{m}_{bridge}"
-                    bridge += 1
-                    node_lines.append(f"{name}\tbridge{m}")
-                    edge_lines.append(f"e{i}\t{name}\tvia{m}")
-                    edge_lines.append(f"e{j}\t{name}\tvia{m}")
+        pairs = plant_pairs(rng, block_of, cfg.p_intra, cfg.p_inter)
+        for bridge, (i, j) in enumerate(pairs):
+            name = f"b{m}_{bridge}"
+            node_lines.append(f"{name}\tbridge{m}")
+            edge_lines.append(f"e{i}\t{name}\tvia{m}")
+            edge_lines.append(f"e{j}\t{name}\tvia{m}")
 
     feat_rng = substream(cfg.seed, "synth", "features")
     features = cfg.feature_noise * feat_rng.standard_normal((n, cfg.feature_dim))

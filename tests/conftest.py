@@ -7,7 +7,10 @@ import pytest
 import scipy.sparse as sp
 
 import hgcml.numerics as nm
-from hgcml.hin import (HIN, MetapathSpec, RelationDecl, SchemaConfig, load_hin)
+from hgcml.hin import (HIN, DuplicateNodeId, EndpointTypeMismatch, MetapathSpec,
+                       RelationDecl, SchemaConfig, UnknownNode, UnknownRelation,
+                       UnknownType, _load_features, _load_labels, _read_rows,
+                       load_hin)
 from hgcml.io import write_matrix
 from hgcml.positives import DiffusionMatrix, PositiveSets
 from hgcml.rng import substream
@@ -176,6 +179,67 @@ def random_typed_case(rng):
         spec = MetapathSpec("m", ("R0", "R0", "R0", "R0"))
     features = rng.standard_normal((n_t, 3))
     return build_hin(schema, counts, edges, features), spec
+
+
+def reference_load_hin(node_file, edge_file, feature_file, label_file,
+                       schema):
+    """The per-line parser: the oracle of `load_hin`. Checks each line as
+    it is read, so its first error is the earliest faulty line's."""
+    node_ids = {t: [] for t in schema.types}
+    index = {}
+    for lineno, (node_id, type_name) in _read_rows(node_file, 2):
+        if type_name not in node_ids:
+            raise UnknownType(f"{node_file}:{lineno}: unknown type {type_name!r}")
+        if node_id in index:
+            raise DuplicateNodeId(f"{node_file}:{lineno}: duplicate id {node_id!r}")
+        index[node_id] = (type_name, len(node_ids[type_name]))
+        node_ids[type_name].append(node_id)
+
+    edges = {r.name: ([], []) for r in schema.relations}
+    for lineno, (src, dst, rel_name) in _read_rows(edge_file, 3):
+        if rel_name not in edges:
+            raise UnknownRelation(f"{edge_file}:{lineno}: unknown relation {rel_name!r}")
+        decl = schema.relation(rel_name)
+        for node in (src, dst):
+            if node not in index:
+                raise UnknownNode(f"{edge_file}:{lineno}: unknown node {node!r}")
+        (src_type, src_idx), (dst_type, dst_idx) = index[src], index[dst]
+        if (src_type, dst_type) != (decl.src, decl.dst):
+            raise EndpointTypeMismatch(
+                f"{edge_file}:{lineno}: relation {rel_name!r} declared "
+                f"({decl.src}, {decl.dst}), edge has ({src_type}, {dst_type})")
+        edges[rel_name][0].append(src_idx)
+        edges[rel_name][1].append(dst_idx)
+
+    biadjacency = {}
+    for decl in schema.relations:
+        rows, cols = edges[decl.name]
+        shape = (len(node_ids[decl.src]), len(node_ids[decl.dst]))
+        mat = sp.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=shape, dtype=np.float64)
+        mat.data[:] = 1.0
+        biadjacency[decl.name] = mat
+
+    features = _load_features(feature_file, schema, node_ids, index)
+    labels = None
+    if label_file is not None:
+        labels = _load_labels(label_file, schema, index,
+                              len(node_ids[schema.target_type]))
+    return HIN(schema=schema, node_ids=node_ids, biadjacency=biadjacency,
+               features=features, labels=labels, index=index)
+
+
+def reference_plant_pairs(rng, block_of, p_intra, p_inter):
+    """One scalar draw per pair in row-major order: the oracle of
+    `synth.plant_pairs`."""
+    n = block_of.size
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = p_intra if block_of[i] == block_of[j] else p_inter
+            if rng.random() < p:
+                pairs.append((i, j))
+    return pairs
 
 
 def dense_ppr_series(view, alpha, tol=1e-6, max_iter=100):

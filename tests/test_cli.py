@@ -5,8 +5,10 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -137,6 +139,43 @@ def test_positives_k_zero_anchor_only(pipeline, tmp_path):
     assert main(["positives", "--config", cfg2, "--out", out2]) == 0
     lines = open(os.path.join(out2, "positives.tsv"), encoding="utf-8").read().splitlines()
     assert lines == [f"{u}\t{u}" for u in range(30)]
+
+
+def test_positives_drops_ppr_totals_before_the_semantic_channel(
+        pipeline, tmp_path, monkeypatch):
+    totals, alive = [], []
+    ppr_matrix, semantic_similarity = cli.ppr_matrix, cli.semantic_similarity
+
+    def tracked_ppr(*args, **kwargs):
+        diffusion = ppr_matrix(*args, **kwargs)
+        totals.append(weakref.ref(diffusion.values))
+        return diffusion
+
+    def checked_semantic(features):
+        alive.extend(ref() is not None for ref in totals)
+        return semantic_similarity(features)
+
+    monkeypatch.setattr(cli, "ppr_matrix", tracked_ppr)
+    monkeypatch.setattr(cli, "semantic_similarity", checked_semantic)
+    out = str(tmp_path / "out")
+    assert main(["positives", "--config", pipeline["config"], "--out", out]) == 0
+    assert alive == [False, False]
+    with open(os.path.join(out, "positives.tsv"), "rb") as a, \
+            open(os.path.join(pipeline["out"], "positives.tsv"), "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    """Only the positives stage needs scipy.spatial; the others skip its
+    import cost."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hgcml.cli; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_train_artifacts(pipeline):

@@ -1,5 +1,6 @@
 """Typed graph loading, validation, and metapath view extraction."""
 
+import itertools
 import os
 import warnings
 
@@ -13,12 +14,13 @@ from hgcml.hin import (AsymmetricViewWarning, DuplicateNodeId, EmptyViewWarning,
                        SchemaConfig, TypeChainBroken, UnknownNode,
                        UnknownRelation, UnknownType, extract_metapath_view,
                        load_hin, resolve_chain)
+import hgcml.hin as hin_module
 from hgcml.io import write_matrix
 from hgcml.rng import substream
 
 from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_NODES, TOY_SCHEMA,
                       brute_force_view, build_hin, metapath_neighbors,
-                      random_typed_case, write_toy_files)
+                      random_typed_case, reference_load_hin, write_toy_files)
 
 
 def edge_pairs(view):
@@ -251,3 +253,185 @@ def test_views_match_brute_force_enumeration():
             view = extract_metapath_view(hin, spec)
         assert np.array_equal(view.adjacency.toarray(),
                               brute_force_view(hin, spec)), f"trial {trial}"
+
+
+# -- the block parser against the per-line oracle ----------------------------
+
+def typed_lines(hin, rng, prefix=""):
+    """Shuffled node and edge lines of an in-memory HIN, with a few repeated
+    edges; `prefix` renames every node id."""
+    nodes = [f"{prefix}{node_id}\t{t}" for t, ids in hin.node_ids.items()
+             for node_id in ids]
+    edges = []
+    for rel in hin.schema.relations:
+        coo = hin.biadjacency[rel.name].tocoo()
+        src_ids, dst_ids = hin.node_ids[rel.src], hin.node_ids[rel.dst]
+        edges += [f"{prefix}{src_ids[i]}\t{prefix}{dst_ids[j]}\t{rel.name}"
+                  for i, j in zip(coo.row, coo.col)]
+    if edges:
+        edges += [edges[int(k)] for k in rng.integers(len(edges), size=3)]
+    return ([nodes[k] for k in rng.permutation(len(nodes))],
+            [edges[k] for k in rng.permutation(len(edges))])
+
+
+def write_lines(path, lines, rng, crlf=False, final_newline=True, blanks=0):
+    lines = list(lines)
+    for _ in range(blanks):
+        lines.insert(int(rng.integers(len(lines) + 1)), "")
+    eol = "\r\n" if crlf else "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(eol.join(lines) + (eol if final_newline and lines else ""))
+
+
+def write_typed_case(dirpath, hin, nodes, edges, rng, prefix="", **fmt):
+    """The node and edge lines in the input formats, plus the HIN's
+    features and a label for every other target node."""
+    paths = {name: os.path.join(dirpath, f"{name}.tsv")
+             for name in ("nodes", "edges", "labels")}
+    paths["features"] = os.path.join(dirpath, "features.bin")
+    write_lines(paths["nodes"], nodes, rng, **fmt)
+    write_lines(paths["edges"], edges, rng, **fmt)
+    write_matrix(paths["features"], hin.features)
+    write_lines(paths["labels"], [f"{prefix}{node_id}\t{k % 3}" for k, node_id
+                                  in enumerate(hin.node_ids[hin.target_type])
+                                  if k % 2 == 0], rng)
+    return paths
+
+
+def load_outcome(loader, paths, schema):
+    try:
+        return loader(paths["nodes"], paths["edges"], paths["features"],
+                      paths["labels"], schema)
+    except HinError as exc:
+        return exc
+
+
+def assert_same_outcome(paths, schema):
+    """load_hin and the per-line oracle agree: the same graph, or the same
+    exception class and message. Returns the oracle's outcome."""
+    want = load_outcome(reference_load_hin, paths, schema)
+    got = load_outcome(load_hin, paths, schema)
+    if isinstance(want, HinError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return want
+    assert not isinstance(got, HinError), got
+    assert got.node_ids == want.node_ids
+    assert list(got.index.items()) == list(want.index.items())
+    assert got.biadjacency.keys() == want.biadjacency.keys()
+    for name, mat in want.biadjacency.items():
+        mine = got.biadjacency[name]
+        assert mine.shape == mat.shape
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(mine, part), getattr(mat, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
+    assert np.array_equal(got.features, want.features)
+    if want.labels is None:
+        assert got.labels is None
+    else:
+        assert np.array_equal(got.labels, want.labels)
+    return want
+
+
+# Block sizes in characters: every line in one block, one character per
+# read, and blocks of a few lines each.
+BLOCK_SIZES = [hin_module.BLOCK_CHARS, 1, 16]
+
+FAULTS = {"node-fields": MalformedRecord, "node-type": UnknownType,
+          "node-duplicate": DuplicateNodeId, "edge-fields": MalformedRecord,
+          "edge-relation": UnknownRelation, "edge-src": UnknownNode,
+          "edge-dst": UnknownNode, "edge-endpoints": EndpointTypeMismatch,
+          # two faults in one line: the per-line order of checks decides
+          "node-type-and-duplicate": UnknownType,
+          "edge-relation-and-node": UnknownRelation,
+          "edge-src-and-dst": UnknownNode}
+
+
+def case_with_edges(rng, prefix=""):
+    while True:
+        hin, _ = random_typed_case(rng)
+        nodes, edges = typed_lines(hin, rng, prefix)
+        if edges:
+            return hin, nodes, edges
+
+
+def fault_line(kind, nodes, edges, rng):
+    """(file, line) holding one fault of `kind`, made from valid lines."""
+    node_id, node_type = nodes[int(rng.integers(len(nodes)))].split("\t")
+    src, dst, rel = edges[int(rng.integers(len(edges)))].split("\t")
+    choice = int(rng.integers(3))
+    return {
+        "node-fields": ("nodes", [node_id, f"{node_id}\t{node_type}\t",
+                                  f"{node_id}\t{node_type}\tx"][choice]),
+        "node-type": ("nodes", f"{node_id}-new\tnowhere"),
+        "node-duplicate": ("nodes", f"{node_id}\t{node_type}"),
+        "edge-fields": ("edges", [f"{src}\t{dst}", f"{src}\t{dst}\t{rel}\t",
+                                  src][choice]),
+        "edge-relation": ("edges", f"{src}\t{dst}\tnowhere"),
+        "edge-src": ("edges", f"ghost\t{dst}\t{rel}"),
+        "edge-dst": ("edges", f"{src}\tghost\t{rel}"),
+        "edge-endpoints": ("edges", f"{dst}\t{src}\t{rel}"),
+        "node-type-and-duplicate": ("nodes", f"{node_id}\tnowhere"),
+        "edge-relation-and-node": ("edges", f"{src}\tghost\tnowhere"),
+        "edge-src-and-dst": ("edges", f"ghost\tspectre\t{rel}"),
+    }[kind]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_block_parse_matches_per_line_oracle(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
+    for trial in range(24):
+        rng = substream(trial, "parsecase")
+        hin, _ = random_typed_case(rng)
+        prefix = "ñ節-" if trial % 3 == 0 else ""
+        nodes, edges = typed_lines(hin, rng, prefix)
+        dirpath = tmp_path / str(trial)
+        dirpath.mkdir()
+        paths = write_typed_case(dirpath, hin, nodes, edges, rng, prefix,
+                                 crlf=trial % 2 == 1,
+                                 final_newline=trial % 4 != 3,
+                                 blanks=trial % 5)
+        assert not isinstance(assert_same_outcome(paths, hin.schema), HinError)
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+def test_each_fault_reported_like_per_line_oracle(tmp_path, monkeypatch, kind):
+    for block, trial in itertools.product(BLOCK_SIZES, range(6)):
+        monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
+        rng = substream(trial, "faultcase", kind)
+        prefix = "ñ節-" if trial % 3 == 0 else ""
+        hin, nodes, edges = case_with_edges(rng, prefix)
+        lines = {"nodes": nodes, "edges": edges}
+        where, line = fault_line(kind, nodes, edges, rng)
+        lines[where].insert(int(rng.integers(len(lines[where]) + 1)), line)
+        dirpath = tmp_path / f"{block}-{trial}"
+        dirpath.mkdir()
+        paths = write_typed_case(dirpath, hin, lines["nodes"], lines["edges"],
+                                 rng, prefix, crlf=trial % 2 == 1,
+                                 final_newline=trial % 4 != 3, blanks=trial % 3)
+        assert isinstance(assert_same_outcome(paths, hin.schema), FAULTS[kind])
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_earliest_of_two_faults_is_reported(tmp_path, monkeypatch, block):
+    """Every ordered pair of fault kinds, at random lines of one file or of
+    both; the oracle reports the fault of the earlier line."""
+    monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
+    for first, second in itertools.product(sorted(FAULTS), repeat=2):
+        rng = substream(block, "twofaults", first, second)
+        hin, nodes, edges = case_with_edges(rng)
+        faults = [fault_line(kind, nodes, edges, rng) for kind in (first, second)]
+        lines = {"nodes": nodes, "edges": edges}
+        for where, line in faults:
+            lines[where].insert(int(rng.integers(len(lines[where]) + 1)), line)
+        dirpath = tmp_path / f"{first}-{second}"
+        dirpath.mkdir()
+        paths = write_typed_case(dirpath, hin, lines["nodes"], lines["edges"],
+                                 rng, blanks=int(rng.integers(3)))
+        assert isinstance(assert_same_outcome(paths, hin.schema), HinError)
+
+
+def test_missing_node_or_edge_file_reported_like_per_line_oracle(toy_paths):
+    for name in ("edges", "nodes"):
+        os.remove(toy_paths[name])
+        assert isinstance(assert_same_outcome(toy_paths, TOY_SCHEMA),
+                          MalformedRecord)

@@ -187,6 +187,17 @@ def test_train_config_validation():
         AugmentSettings(mask_mode="diagonal")
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section,key", [(TrainSettings, "lr"),
+                                         (TrainSettings, "tau"),
+                                         (PositiveSettings, "tol")],
+                         ids=["lr", "tau", "tol"])
+def test_non_finite_settings_rejected(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        section(**{key: value})
+
+
 def test_train_requires_a_metapath(toy_hin, anchor_positives):
     with pytest.raises(ValueError):
         train(toy_hin, [], anchor_positives, *quick_cfg())
