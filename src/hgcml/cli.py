@@ -38,22 +38,10 @@ from .positives import (KTooLarge, load_positives, ppr_matrix, save_positives,
 from .synth import SynthConfig
 from .trainer import DivergedLoss, export_embeddings, train, write_trace
 
-CONFIG_FAILURES = (ConfigError, KTooLarge)
-DATA_FAILURES = (HinError, FormatError, LengthMismatch, DegenerateSplit,
-                 FileNotFoundError, IsADirectoryError)
-
-
-def _fail(exc) -> None:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-
-
-def _run_config(args):
-    if not args.config:
-        raise ConfigError("--config is required for this command")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+# exit code per failure class; main reports each as one `error:` line
+EXIT_CODES = {ConfigError: 3, KTooLarge: 3, HinError: 2, FormatError: 2,
+              LengthMismatch: 2, DegenerateSplit: 2, FileNotFoundError: 2,
+              IsADirectoryError: 2, DivergedLoss: 4}
 
 
 def _out_dir(args, cfg=None) -> str:
@@ -63,19 +51,28 @@ def _out_dir(args, cfg=None) -> str:
         out = cfg.out if os.path.isabs(cfg.out) else os.path.join(cfg.base_dir, cfg.out)
     else:
         out = "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {out} is not a directory") from exc
     return out
 
 
-def _load(cfg):
-    return load_hin(cfg.path("nodes"), cfg.path("edges"), cfg.path("features"),
-                    cfg.path("labels"), cfg.schema)
+def _stage(args):
+    """(run config, graph, output directory) of a pipeline stage. The
+    directory is made last, so a dataset that fails to load leaves none."""
+    if not args.config:
+        raise ConfigError("--config is required for this command")
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    hin = load_hin(cfg.path("nodes"), cfg.path("edges"), cfg.path("features"),
+                   cfg.path("labels"), cfg.schema)
+    return cfg, hin, _out_dir(args, cfg)
 
 
 def cmd_prepare(args) -> int:
-    cfg = _run_config(args)
-    hin = _load(cfg)
-    out = _out_dir(args, cfg)
+    cfg, hin, out = _stage(args)
     summary = []
     for spec in cfg.metapaths:
         view = extract_metapath_view(hin, spec)
@@ -97,9 +94,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_positives(args) -> int:
-    cfg = _run_config(args)
-    hin = _load(cfg)
-    out = _out_dir(args, cfg)
+    cfg, hin, out = _stage(args)
     pos_cfg = cfg.positives
     # the per-view totals are dropped once summed, before the semantic channel
     sim_t = topology_similarity([
@@ -115,54 +110,43 @@ def cmd_positives(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args)
-    hin = _load(cfg)
-    out = _out_dir(args, cfg)
+    cfg, hin, out = _stage(args)
     pos_path = os.path.join(out, "positives.tsv")
     if not os.path.exists(pos_path):
-        print(f"error: positives file {pos_path} not found; "
-              "run the positives command first", file=sys.stderr)
-        return 2
+        raise HinError(f"positives file {pos_path} not found; "
+                       "run the positives command first")
     positives = load_positives(pos_path, hin.n_target)
     model_path = os.path.join(out, "model.bin")
     trace_path = os.path.join(out, "trace.tsv")
     try:
         result = train(hin, cfg.metapaths, positives, cfg.train, cfg.augment,
                        cfg.seed)
-    except DivergedLoss as exc:
-        write_checkpoint(model_path, exc.checkpoint)
-        write_trace(trace_path, exc.trace)
-        print(f"error: DivergedLoss: non-finite loss at epoch {exc.epoch}; "
-              f"kept best checkpoint in {model_path}", file=sys.stderr)
-        return 4
+    except DivergedLoss as exc:  # keeps the best checkpoint and the trace
+        result = exc
     write_checkpoint(model_path, result.checkpoint)
     write_trace(trace_path, result.trace)
     print(f"wrote {model_path}")
     print(f"wrote {trace_path}")
+    if isinstance(result, DivergedLoss):
+        raise result
     print(f"best epoch {result.best_epoch}, loss {result.best_loss:.6f}")
     return 0
 
 
 def cmd_embed(args) -> int:
-    cfg = _run_config(args)
-    hin = _load(cfg)
-    out = _out_dir(args, cfg)
+    cfg, hin, out = _stage(args)
     checkpoint = read_checkpoint(os.path.join(out, "model.bin"))
+    views = [extract_metapath_view(hin, spec) for spec in cfg.metapaths]
     path = os.path.join(out, "embeddings.bin")
-    write_matrix(path, export_embeddings(checkpoint, hin, cfg.metapaths,
-                                         cfg.train.fusion))
+    write_matrix(path, export_embeddings(checkpoint, views, cfg.train.fusion))
     print(f"wrote {path}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = _run_config(args)
-    hin = _load(cfg)
-    out = _out_dir(args, cfg)
+    cfg, hin, out = _stage(args)
     if hin.labels is None or (hin.labels < 0).any():
-        print("error: HinError: every target node needs a label for eval",
-              file=sys.stderr)
-        return 2
+        raise HinError("every target node needs a label for eval")
     embeddings = read_matrix(os.path.join(out, "embeddings.bin")).astype(np.float64)
     report = evaluate_embeddings(
         embeddings, hin.labels, train_frac=cfg.eval.train_frac,
@@ -187,13 +171,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# name -> (function, help); every function returns 0 or raises
 _COMMANDS = {
-    "prepare": cmd_prepare,
-    "positives": cmd_positives,
-    "train": cmd_train,
-    "embed": cmd_embed,
-    "eval": cmd_eval,
-    "synth": cmd_synth,
+    "prepare": (cmd_prepare, "validate the dataset and write each view's edge list"),
+    "positives": (cmd_positives, "compute diffusion/feature similarities and "
+                                 "freeze positives.tsv"),
+    "train": (cmd_train, "contrastive training; writes model.bin and trace.tsv"),
+    "embed": (cmd_embed, "export fused embeddings from a checkpoint"),
+    "eval": (cmd_eval, "linear probe and clustering report on embeddings.bin"),
+    "synth": (cmd_synth, "generate a planted-block synthetic dataset"),
 }
 
 
@@ -202,16 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hgcml",
         description="Self-supervised node embeddings from metapath views.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "prepare": "validate the dataset and cache extracted metapath views",
-        "positives": "compute diffusion/feature similarities and freeze positives.tsv",
-        "train": "contrastive training; writes model.bin and trace.tsv",
-        "embed": "export fused embeddings from a checkpoint",
-        "eval": "linear probe and clustering report on embeddings.bin",
-        "synth": "generate a planted-block synthetic dataset",
-    }
-    for name, func in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=helps[name])
+    for name, (func, text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", help="path to the JSON run config")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
@@ -224,12 +202,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CONFIG_FAILURES as exc:
-        _fail(exc)
-        return 3
-    except DATA_FAILURES as exc:
-        _fail(exc)
-        return 2
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 def entry() -> None:

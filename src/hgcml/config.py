@@ -279,7 +279,7 @@ def _read_json(path):
             raw = json.load(fh, parse_constant=_NonFinite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     found = _non_finite(raw, "")
     if found:

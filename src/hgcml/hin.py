@@ -16,6 +16,7 @@ the chain from the current node type.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 
 from . import io
 
-BLOCK_CHARS = 1 << 16  # characters read per block of node or edge lines
+BLOCK_CHARS = 1 << 16  # characters read per block of a text input's lines
 
 
 class HinError(Exception):
@@ -168,25 +169,13 @@ class HIN:
         return len(self.node_ids.get(type_name, ()))
 
 
-def _open(path):
-    try:
-        return open(path, "r", encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise MalformedRecord(f"file not found: {path}") from exc
-
-
 def _read_rows(path, n_fields: int):
-    with _open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise MalformedRecord(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}")
-            yield lineno, fields
+    """Yield (line number, fields) per non-blank line, up to the first
+    line with another field count, whose MalformedRecord is then raised."""
+    for linenos, columns, fault in _read_columns(path, n_fields):
+        yield from zip(linenos.tolist(), zip(*columns))
+        if fault is not None:
+            raise fault
 
 
 def _blocks(path):
@@ -196,21 +185,45 @@ def _blocks(path):
     at a time in text mode, so lines split exactly as iterating the file
     splits them.
     """
-    with _open(path) as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise MalformedRecord(f"file not found: {path}") from exc
+    with fh:
         lineno, parts = 1, []
-        while chunk := fh.read(BLOCK_CHARS):
-            cut = chunk.rfind("\n")
-            if cut < 0:
-                parts.append(chunk)
-                continue
-            parts.append(chunk[:cut])
-            text = "".join(parts)
-            parts = [chunk[cut + 1:]]
+        try:
+            while chunk := fh.read(BLOCK_CHARS):
+                cut = chunk.rfind("\n")
+                if cut < 0:
+                    parts.append(chunk)
+                    continue
+                parts.append(chunk[:cut])
+                text = "".join(parts)
+                parts = [chunk[cut + 1:]]
+                yield lineno, text
+                lineno += text.count("\n") + 1
+        except UnicodeDecodeError:
+            text, fault = _undecodable(path, lineno)
             yield lineno, text
-            lineno += text.count("\n") + 1
+            raise fault from None
         tail = "".join(parts)
         if tail:
             yield lineno, tail
+
+
+def _undecodable(path, lineno: int):
+    """The lines from `lineno` up to the first one that is not UTF-8, as
+    `_blocks` text, and that line's MalformedRecord. Newline bytes never
+    sit inside a multi-byte character, so a file is UTF-8 iff its lines are.
+    """
+    with open(path, "rb") as fh:
+        lines = re.split(rb"\r\n|\r|\n", fh.read())[lineno - 1:]
+    for k, line in enumerate(lines):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return b"\n".join(lines[:k]).decode("utf-8"), MalformedRecord(
+                f"{path}:{lineno + k}: not UTF-8 text ({exc.reason})")
 
 
 def _read_columns(path, n_fields: int):

@@ -20,6 +20,7 @@ import numpy as np
 from .augment import corrupt
 from .config import AugmentSettings, TrainSettings
 from .hin import HIN, extract_metapath_view
+from .io import FormatError
 from .model import (ModelParams, fuse, gcn_forward, init_params,
                     params_from_checkpoint)
 from .numerics import AdamState, NonFiniteResult
@@ -125,17 +126,21 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
         loss_tensor.backward()
         optimizer.step()
 
-    final = params_from_checkpoint(best_checkpoint, [m.name for m in metapaths])
-    embeddings = compute_embeddings(final, views, cfg.fusion)
+    embeddings = export_embeddings(best_checkpoint, views, cfg.fusion)
     return TrainResult(checkpoint=best_checkpoint, embeddings=embeddings,
                        trace=trace, best_epoch=best_epoch)
 
 
-def export_embeddings(checkpoint, hin: HIN, metapaths, mode: str) -> np.ndarray:
-    """Recompute fused embeddings from a checkpoint."""
-    metapaths = list(metapaths)
-    params = params_from_checkpoint(checkpoint, [m.name for m in metapaths])
-    views = [extract_metapath_view(hin, spec) for spec in metapaths]
+def export_embeddings(checkpoint, views, mode: str) -> np.ndarray:
+    """Fused embeddings of the uncorrupted views under a checkpoint whose
+    encoders all map the views' feature columns to one width."""
+    names = [view.metapath.name for view in views]
+    params = params_from_checkpoint(checkpoint, names)
+    expected = (views[0].features.shape[1], params.encoders[names[0]].data.shape[1])
+    for name, weight in params.encoders.items():
+        if weight.data.shape != expected:
+            raise FormatError(f"checkpoint tensor 'enc.{name}.W' has shape "
+                              f"{weight.data.shape}, expected {expected}")
     return compute_embeddings(params, views, mode)
 
 

@@ -1,18 +1,21 @@
 """Shared fixtures: toy bibliographic HIN, random typed graphs, oracles."""
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hgcml.hin as hin_module
 import hgcml.numerics as nm
-from hgcml.hin import (HIN, DuplicateNodeId, EndpointTypeMismatch, MetapathSpec,
-                       RelationDecl, SchemaConfig, UnknownNode, UnknownRelation,
-                       UnknownType, _load_features, _load_labels, _read_rows,
-                       load_hin)
+import hgcml.positives as positives_module
+from hgcml.hin import (HIN, DuplicateNodeId, EndpointTypeMismatch,
+                       MalformedRecord, MetapathSpec, RelationDecl,
+                       SchemaConfig, UnknownNode, UnknownRelation, UnknownType,
+                       _load_features, _load_labels, load_hin)
 from hgcml.io import write_matrix
-from hgcml.positives import DiffusionMatrix, PositiveSets
+from hgcml.positives import DiffusionMatrix, PositiveSets, load_positives
 from hgcml.rng import substream
 
 # Small bibliographic network: 4 authors, 5 papers, 3 subjects,
@@ -181,13 +184,41 @@ def random_typed_case(rng):
     return build_hin(schema, counts, edges, features), spec
 
 
+def reference_rows(path, n_fields):
+    """The per-line text reader: the oracle of `hin._read_rows`. Yields
+    (line number, fields) per non-blank line as the file is iterated; a
+    line that is not UTF-8 is a fault of that line."""
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError as exc:
+        raise MalformedRecord(f"file not found: {path}") from exc
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(
+                    f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise MalformedRecord(
+                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                    f"got {len(fields)}")
+            yield lineno, fields
+
+
 def reference_load_hin(node_file, edge_file, feature_file, label_file,
                        schema):
     """The per-line parser: the oracle of `load_hin`. Checks each line as
-    it is read, so its first error is the earliest faulty line's."""
+    it is read, so its first error is the earliest faulty line's. Labels
+    and `features.tsv` go through hin's own checks, fed by the per-line
+    reader."""
     node_ids = {t: [] for t in schema.types}
     index = {}
-    for lineno, (node_id, type_name) in _read_rows(node_file, 2):
+    for lineno, (node_id, type_name) in reference_rows(node_file, 2):
         if type_name not in node_ids:
             raise UnknownType(f"{node_file}:{lineno}: unknown type {type_name!r}")
         if node_id in index:
@@ -196,7 +227,7 @@ def reference_load_hin(node_file, edge_file, feature_file, label_file,
         node_ids[type_name].append(node_id)
 
     edges = {r.name: ([], []) for r in schema.relations}
-    for lineno, (src, dst, rel_name) in _read_rows(edge_file, 3):
+    for lineno, (src, dst, rel_name) in reference_rows(edge_file, 3):
         if rel_name not in edges:
             raise UnknownRelation(f"{edge_file}:{lineno}: unknown relation {rel_name!r}")
         decl = schema.relation(rel_name)
@@ -220,13 +251,20 @@ def reference_load_hin(node_file, edge_file, feature_file, label_file,
         mat.data[:] = 1.0
         biadjacency[decl.name] = mat
 
-    features = _load_features(feature_file, schema, node_ids, index)
-    labels = None
-    if label_file is not None:
-        labels = _load_labels(label_file, schema, index,
-                              len(node_ids[schema.target_type]))
+    with mock.patch.object(hin_module, "_read_rows", reference_rows):
+        features = _load_features(feature_file, schema, node_ids, index)
+        labels = None
+        if label_file is not None:
+            labels = _load_labels(label_file, schema, index,
+                                  len(node_ids[schema.target_type]))
     return HIN(schema=schema, node_ids=node_ids, biadjacency=biadjacency,
                features=features, labels=labels, index=index)
+
+
+def reference_load_positives(path, n):
+    """`load_positives` fed by the per-line reader: its oracle."""
+    with mock.patch.object(positives_module, "_read_rows", reference_rows):
+        return load_positives(path, n)
 
 
 def reference_plant_pairs(rng, block_of, p_intra, p_inter):

@@ -15,7 +15,8 @@ import pytest
 
 import hgcml.cli as cli
 from hgcml.config import load_config, parse_config, to_dict
-from hgcml.io import read_matrix, write_matrix
+from hgcml.io import (read_checkpoint, read_matrix, write_checkpoint,
+                       write_matrix)
 
 
 def main(argv):
@@ -481,6 +482,93 @@ def test_embed_with_mismatched_checkpoint_exits_2(pipeline, tmp_path, capsys):
     assert main(["embed", "--config", renamed, "--out", out2]) == 2
     assert "missing tensors: ['enc.other.W']" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out2, "embeddings.bin"))
+
+
+@pytest.mark.parametrize("change", ["feature-columns", "encoder-width"])
+def test_embed_with_misfitting_checkpoint_exits_2(pipeline, tmp_path, capsys,
+                                                  change):
+    data = str(tmp_path / "data")
+    shutil.copytree(pipeline["data"], data)
+    out2 = str(tmp_path / "misfit")
+    os.makedirs(out2)
+    checkpoint = read_checkpoint(os.path.join(pipeline["out"], "model.bin"))
+    if change == "feature-columns":  # the checkpoint was trained on 16 columns
+        write_matrix(os.path.join(data, "features.bin"), np.ones((30, 20)))
+        tensor, shape, expected = "enc.meta0.W", (16, 8), (20, 8)
+    else:
+        checkpoint["enc.meta1.W"] = checkpoint["enc.meta1.W"][:, :4]
+        tensor, shape, expected = "enc.meta1.W", (16, 4), (16, 8)
+    write_checkpoint(os.path.join(out2, "model.bin"), checkpoint)
+    run_cfg = os.path.join(data, os.path.basename(pipeline["config"]))
+    assert main(["embed", "--config", run_cfg, "--out", out2]) == 2
+    assert (f"FormatError: checkpoint tensor '{tensor}' has shape {shape}, "
+            f"expected {expected}") in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out2, "embeddings.bin"))
+
+
+@pytest.mark.parametrize("name", ["nodes.tsv", "edges.tsv", "labels.tsv"])
+def test_invalid_utf8_in_data_file_exits_2(pipeline, tmp_path, capsys, name):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    line = len((data / name).read_bytes().splitlines()) + 1
+    with open(data / name, "ab") as fh:
+        fh.write(b"\xff\n")
+    out = tmp_path / "o"
+    run_cfg = str(data / os.path.basename(pipeline["config"]))
+    assert main(["prepare", "--config", run_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"MalformedRecord: {data / name}:{line}: not UTF-8 text" in err
+    assert not out.exists()
+
+
+def test_invalid_utf8_in_positives_file_exits_2(pipeline, tmp_path, capsys):
+    out2 = tmp_path / "o"
+    out2.mkdir()
+    blob = open(os.path.join(pipeline["out"], "positives.tsv"), "rb").read()
+    (out2 / "positives.tsv").write_bytes(blob + b"\xff\n")
+    assert main(["train", "--config", pipeline["config"], "--out", str(out2)]) == 2
+    err = capsys.readouterr().err
+    line = len(blob.splitlines()) + 1
+    assert (f"MalformedRecord: {out2 / 'positives.tsv'}:{line}: "
+            "not UTF-8 text") in err
+    assert not (out2 / "model.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "synth"])
+def test_invalid_utf8_in_config_exits_3(pipeline, tmp_path, capsys, command):
+    source = pipeline["config"] if command == "prepare" else None
+    text = (open(source, "rb").read() if source
+            else json.dumps({"blocks": 2}).encode("utf-8"))
+    bad = tmp_path / "config.json"
+    bad.write_bytes(text + b"\xff")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"ConfigError: {bad}: invalid JSON" in err
+    assert "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "flag-below-file", "config-key",
+                                   "synth"])
+def test_out_at_a_file_exits_3(pipeline, tmp_path, capsys, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n", encoding="utf-8")
+    out = str(blocker / "run") if where == "flag-below-file" else str(blocker)
+    argv = ["prepare", "--config", pipeline["config"], "--out", out]
+    if where == "config-key":
+        raw = json.load(open(pipeline["config"], encoding="utf-8"))
+        raw["out"] = out
+        argv = ["prepare", "--config",
+                os.path.join(pipeline["data"], "run_out_file.json")]
+        with open(argv[-1], "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+    elif where == "synth":
+        argv = ["synth", "--out", out]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"ConfigError: output directory {out} is not a directory" in err
+    assert blocker.read_text(encoding="utf-8") == "keep me\n"
 
 
 def test_seed_override_changes_training(pipeline, tmp_path):

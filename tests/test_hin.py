@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import warnings
 
 import numpy as np
@@ -16,11 +17,13 @@ from hgcml.hin import (AsymmetricViewWarning, DuplicateNodeId, EmptyViewWarning,
                        load_hin, resolve_chain)
 import hgcml.hin as hin_module
 from hgcml.io import write_matrix
+from hgcml.positives import load_positives
 from hgcml.rng import substream
 
 from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_NODES, TOY_SCHEMA,
                       brute_force_view, build_hin, metapath_neighbors,
-                      random_typed_case, reference_load_hin, write_toy_files)
+                      random_typed_case, reference_load_hin,
+                      reference_load_positives, write_toy_files)
 
 
 def edge_pairs(view):
@@ -279,7 +282,9 @@ def write_lines(path, lines, rng, crlf=False, final_newline=True, blanks=0):
     for _ in range(blanks):
         lines.insert(int(rng.integers(len(lines) + 1)), "")
     eol = "\r\n" if crlf else "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # a lone surrogate such as "\udcff" writes the byte 0xff: not UTF-8
+    with open(path, "w", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         fh.write(eol.join(lines) + (eol if final_newline and lines else ""))
 
 
@@ -343,7 +348,10 @@ FAULTS = {"node-fields": MalformedRecord, "node-type": UnknownType,
           # two faults in one line: the per-line order of checks decides
           "node-type-and-duplicate": UnknownType,
           "edge-relation-and-node": UnknownRelation,
-          "edge-src-and-dst": UnknownNode}
+          "edge-src-and-dst": UnknownNode,
+          # bytes that are not UTF-8: a bad start byte, a truncated
+          # character at the line end, a bad continuation byte
+          "node-utf8": MalformedRecord, "edge-utf8": MalformedRecord}
 
 
 def case_with_edges(rng, prefix=""):
@@ -373,6 +381,10 @@ def fault_line(kind, nodes, edges, rng):
         "node-type-and-duplicate": ("nodes", f"{node_id}\tnowhere"),
         "edge-relation-and-node": ("edges", f"{src}\tghost\tnowhere"),
         "edge-src-and-dst": ("edges", f"ghost\tspectre\t{rel}"),
+        "node-utf8": ("nodes", f"{node_id}\udcff\t{node_type}"),
+        "edge-utf8": ("edges", [f"{src}\t{dst}\t{rel}\udce2\udc82",
+                                f"\udcc3{src}\t{dst}\t{rel}",
+                                f"{src}\t{dst}\udcff"][choice]),
     }[kind]
 
 
@@ -435,3 +447,165 @@ def test_missing_node_or_edge_file_reported_like_per_line_oracle(toy_paths):
         os.remove(toy_paths[name])
         assert isinstance(assert_same_outcome(toy_paths, TOY_SCHEMA),
                           MalformedRecord)
+
+
+# -- labels, features.tsv and positives.tsv against the per-line oracle ------
+
+def row_lines(hin, rng, prefix=""):
+    """Shuffled lines of labels.tsv, features.tsv and positives.tsv for
+    every target node of an in-memory HIN."""
+    targets = hin.node_ids[hin.target_type]
+    n = len(targets)
+    lines = {
+        "labels": [f"{prefix}{node_id}\t{k % 3}"
+                   for k, node_id in enumerate(targets)],
+        "features": [f"{prefix}{node_id}\t" + ",".join(map(repr, row))
+                     for node_id, row in zip(targets, hin.features.tolist())],
+        "positives": [f"{u}\t" + ",".join(map(str, np.union1d(
+            rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False), [u])))
+            for u in range(n)],
+    }
+    return {name: [rows[k] for k in rng.permutation(n)]
+            for name, rows in lines.items()}
+
+
+def write_row_case(dirpath, rng, prefix="", fault=None, **fmt):
+    """A random typed case whose labels and features are TSV row files,
+    plus its positives.tsv, with one fault of the kind `fault` in them;
+    returns the HIN and the file paths."""
+    hin, nodes, edges = case_with_edges(rng, prefix)
+    paths = write_typed_case(dirpath, hin, nodes, edges, rng, prefix)
+    rows = row_lines(hin, rng, prefix)
+    if fault is not None:
+        where, line = row_fault_line(fault, hin, rng, prefix)
+        at = int(rng.integers(len(rows[where]) + (line is not None)))
+        if line is None:
+            del rows[where][at]
+        else:
+            rows[where].insert(at, line)
+    for name, lines in rows.items():
+        paths[name] = os.path.join(dirpath, f"{name}.tsv")
+        write_lines(paths[name], lines, rng, **fmt)
+    return hin, paths
+
+
+def assert_same_positives(path, n):
+    """load_positives and its per-line oracle agree: the same sets, or the
+    same exception class and message. Returns the oracle's outcome."""
+    outcomes = []
+    for loader in (reference_load_positives, load_positives):
+        try:
+            outcomes.append(loader(path, n))
+        except HinError as exc:
+            outcomes.append(exc)
+    want, got = outcomes
+    if isinstance(want, HinError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return want
+    assert not isinstance(got, HinError), got
+    assert len(got.sets) == len(want.sets)
+    for mine, theirs in zip(got.sets, want.sets):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    return want
+
+
+ROW_FAULTS = {"labels-fields": MalformedRecord, "labels-node": UnknownNode,
+              "labels-class": MalformedRecord,
+              "features-fields": MalformedRecord, "features-node": UnknownNode,
+              "features-value": MalformedRecord,
+              "features-length": MalformedRecord,
+              "features-missing": FeatureRowMissing,
+              "positives-fields": MalformedRecord,
+              "positives-anchor": MalformedRecord,
+              "positives-range": MalformedRecord,
+              "positives-set": MalformedRecord,
+              "positives-repeated": MalformedRecord,
+              "positives-missing": MalformedRecord,
+              "labels-utf8": MalformedRecord, "features-utf8": MalformedRecord,
+              "positives-utf8": MalformedRecord}
+
+
+def row_fault_line(kind, hin, rng, prefix=""):
+    """(file, line) holding one fault of `kind`; line None deletes one."""
+    targets = hin.node_ids[hin.target_type]
+    n = len(targets)
+    u = int(rng.integers(n))
+    node = f"{prefix}{targets[u]}"
+    values = ",".join(["0.5"] * hin.features.shape[1])
+    return {
+        "labels-fields": ("labels", f"{node}\t1\t"),
+        "labels-node": ("labels", f"{prefix}{hin.node_ids['u'][0]}\t1"),
+        "labels-class": ("labels", f"{node}\tone"),
+        "features-fields": ("features", node),
+        "features-node": ("features", f"ghost\t{values}"),
+        "features-value": ("features", f"{node}\t{values[:-3]}x"),
+        "features-length": ("features", f"{node}\t{values},1.0"),
+        "features-missing": ("features", None),
+        "positives-fields": ("positives", f"{u}\t{u}\t"),
+        "positives-anchor": ("positives", f"u{u}\t{u}"),
+        "positives-range": ("positives", f"{n}\t{n}"),
+        "positives-set": ("positives", f"{u}\t{(u + 1) % n}"),
+        "positives-repeated": ("positives", f"{u}\t{u}"),
+        "positives-missing": ("positives", None),
+        "labels-utf8": ("labels", f"{node}\udcff\t1"),
+        "features-utf8": ("features", f"{node}\t{values}\udce2\udc82"),
+        "positives-utf8": ("positives", f"{u}\t\udcc3{u}"),
+    }[kind]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_row_files_match_per_line_oracle(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
+    for trial in range(12):
+        rng = substream(trial, "rowcase")
+        prefix = "ñ節-" if trial % 3 == 0 else ""
+        dirpath = tmp_path / str(trial)
+        dirpath.mkdir()
+        hin, paths = write_row_case(dirpath, rng, prefix, crlf=trial % 2 == 1,
+                                    final_newline=trial % 4 != 3,
+                                    blanks=trial % 5)
+        got = assert_same_outcome(paths, hin.schema)
+        row_of = {f"{prefix}{node_id}": k for k, node_id
+                  in enumerate(hin.node_ids[hin.target_type])}
+        order = [row_of[node_id] for node_id in got.node_ids[hin.target_type]]
+        assert np.array_equal(got.features, hin.features[order])
+        assert not isinstance(assert_same_positives(paths["positives"],
+                                                    hin.n_target), HinError)
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_FAULTS))
+def test_each_row_file_fault_reported_like_per_line_oracle(tmp_path,
+                                                           monkeypatch, kind):
+    for block, trial in itertools.product(BLOCK_SIZES, range(4)):
+        monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
+        rng = substream(trial, "rowfault", kind)
+        prefix = "ñ節-" if trial % 3 == 0 else ""
+        dirpath = tmp_path / f"{block}-{trial}"
+        dirpath.mkdir()
+        hin, paths = write_row_case(dirpath, rng, prefix, fault=kind,
+                                    crlf=trial % 2 == 1,
+                                    final_newline=trial % 4 != 3,
+                                    blanks=trial % 3)
+        if kind.startswith("positives"):
+            outcome = assert_same_positives(paths["positives"], hin.n_target)
+        else:
+            outcome = assert_same_outcome(paths, hin.schema)
+        assert isinstance(outcome, ROW_FAULTS[kind])
+
+
+@pytest.mark.parametrize("name", ["nodes", "edges", "labels", "features",
+                                  "positives"])
+def test_invalid_utf8_in_a_text_input_names_the_file(tmp_path, name):
+    hin, paths = write_row_case(tmp_path, substream(0, "utf8", name))
+    with open(paths[name], "rb") as fh:
+        line = len(fh.read().splitlines()) + 1
+    with open(paths[name], "ab") as fh:
+        fh.write(b"ok\t\xff\n")
+    message = f"^{re.escape(paths[name])}:{line}: not UTF-8 text"
+    if name == "positives":
+        with pytest.raises(MalformedRecord, match=message):
+            load_positives(paths["positives"], hin.n_target)
+    else:
+        with pytest.raises(MalformedRecord, match=message):
+            load_hin(paths["nodes"], paths["edges"], paths["features"],
+                     paths["labels"], hin.schema)

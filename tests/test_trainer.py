@@ -94,14 +94,15 @@ def test_embeddings_come_from_best_checkpoint(toy_hin, anchor_positives):
 def test_export_embeddings_round_trip(toy_hin, anchor_positives, tmp_path):
     result = train(toy_hin, METAPATHS, anchor_positives, *quick_cfg(dim=8))
     out = tmp_path / "embeddings.bin"
-    exported = export_embeddings(result.checkpoint, toy_hin, METAPATHS, "sum")
+    views = [extract_metapath_view(toy_hin, spec) for spec in METAPATHS]
+    exported = export_embeddings(result.checkpoint, views, "sum")
     assert np.array_equal(exported, result.embeddings)
     write_matrix(str(out), exported)
     stored = read_matrix(str(out))
     assert stored.shape == (4, 8)
     assert np.allclose(stored, result.embeddings.astype(np.float32), atol=0)
     write_matrix(str(tmp_path / "again.bin"), export_embeddings(
-        result.checkpoint, toy_hin, METAPATHS, "sum"))
+        result.checkpoint, views, "sum"))
     assert (tmp_path / "again.bin").read_bytes() == out.read_bytes()
 
 
