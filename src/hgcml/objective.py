@@ -4,10 +4,10 @@ Node-node: per anchor u the positive mass is the cross-view similarity
 to its positive set P_u; negatives are the same-view and cross-view
 similarities to everything outside P_u (u itself sits in P_u, so the
 anchor's self-similarity never appears as a negative). It is one tape
-node with a hand-derived backward: anchors stream through in blocks of
-CHUNK rows, forward keeps only per-anchor masses, and backward recomputes
-each block's exponentials. Memory is O(CHUNK*n) floats plus the n^2-byte
-boolean positive mask, with no n x n float array alive at any time.
+node whose one pass over blocks of CHUNK anchor rows forms the loss and
+both input gradients; backward only scales them. Positives are gathered
+from a CSR mask. Memory is O(CHUNK*n) floats, with no n x n array of any
+dtype alive at any time.
 
 Node-graph: a bilinear discriminator scores projected rows against the
 projected mean summary, positive branch vs a negative branch.
@@ -45,8 +45,9 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms, norms
 
 
-def _logits(anchors: np.ndarray, keys: np.ndarray, inv_tau: float) -> np.ndarray:
-    out = anchors @ keys.T
+def _logits(anchors: np.ndarray, keys: np.ndarray, inv_tau: float,
+            out: np.ndarray | None = None) -> np.ndarray:
+    out = np.matmul(anchors, keys.T, out=out)
     out *= inv_tau
     return out
 
@@ -62,10 +63,15 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     both logit rows outside P_i; the loss is mean_i log D_i - log P_i with
     both logs clamped at LOG_EPS.
 
-    Anchors stream through in blocks of CHUNK rows. The forward pass keeps
-    only the unit rows, norms, shifts, P and D (O(n*d)); the backward pass
-    recomputes each block's exponentials from them, so peak memory is
-    O(CHUNK*n) floats plus the n^2-byte mask from `positives.mask()`.
+    Anchors stream through in blocks of CHUNK rows, one logits matmul and
+    one exp per block. P_i is gathered from the CSR positives of
+    `positives.mask()`, and D_i is P_i plus the row sum left once the
+    positives of both halves are zeroed: never a full row sum minus the
+    positives, which would cancel against the anchor's dominant self term.
+    As the output is a scalar, the same pass turns each block into dL/dS
+    for g = 1 and adds its share to both input gradients; backward only
+    scales them by g.
+    Peak memory is O(CHUNK*n) floats, with no n x n array of any dtype.
     Raises NonFiniteResult when an exponential is not finite.
     """
     if tau <= 0:
@@ -76,58 +82,72 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
     mask = positives.mask()
+    needs_grad = z_m.requires_grad or z_n.requires_grad
     inv_tau = 1.0 / tau
+    g0 = 1.0 / n
     unit_m, norms_m = _unit_rows(z_m.data)
     unit_n, norms_n = _unit_rows(z_n.data)
     # key rows: columns [0,n) of a logit block are S_mn, [n,2n) are S_mm
     keys = np.concatenate([unit_n, unit_m])
-    blocks = [slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+    grad_unit_m = np.empty_like(unit_m) if needs_grad else None
+    grad_keys = np.zeros_like(keys) if needs_grad else None
 
-    shift = np.empty((n, 1))
     pos_mass = np.empty((n, 1))
     denominator = np.empty((n, 1))
-    for rows in blocks:
-        exps = _logits(unit_m[rows], keys, inv_tau)
-        # log-sum-exp shift, detached: the true gradient is unchanged by it
-        shift[rows] = exps.max(axis=1, keepdims=True)
-        exps -= shift[rows]
-        np.exp(exps, out=exps)
-        if not np.all(np.isfinite(exps)):
+    # one logits buffer for every block, so no two blocks are ever alive
+    block = np.empty((min(CHUNK, n), 2 * n))
+    for lo in range(0, n, CHUNK):
+        rows = slice(lo, min(lo + CHUNK, n))
+        exps = _logits(unit_m[rows], keys, inv_tau, out=block[:rows.stop - lo])
+        # log-sum-exp shift, detached: the true gradient is unchanged by it.
+        # Every entry is at most its row max and NaN survives max, so a
+        # finite max means a finite exponential row.
+        shift = exps.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(shift)):
             raise NonFiniteResult("exp overflow")
-        pos, neg = mask[rows], ~mask[rows]
-        exp_mn, exp_mm = exps[:, :n], exps[:, n:]
-        pos_mass[rows, 0] = (exp_mn * pos).sum(axis=1)
-        denominator[rows, 0] = pos_mass[rows, 0] + (
-            (exp_mm * neg).sum(axis=1) + (exp_mn * neg).sum(axis=1))
+        exps -= shift
+        np.exp(exps, out=exps)
+        # flat offsets of the block's positives in its S_mn half
+        lo_ptr, hi_ptr = mask.indptr[lo], mask.indptr[rows.stop]
+        local = np.repeat(np.arange(rows.stop - lo),
+                          np.diff(mask.indptr[lo:rows.stop + 1]))
+        at_mn = local * (2 * n) + mask.indices[lo_ptr:hi_ptr]
+        flat = exps.reshape(-1)
+        pos_exps = flat[at_mn]
+        pos = np.bincount(local, weights=pos_exps,
+                          minlength=rows.stop - lo)[:, None]
+        # what is left once both halves' positives are zeroed is the
+        # negative mass; P_i + that is exactly P_i when nothing is left
+        flat[at_mn] = 0.0
+        flat[at_mn + n] = 0.0
+        den = pos + exps.sum(axis=1, keepdims=True)
+        pos_mass[rows], denominator[rows] = pos, den
+        if not needs_grad:
+            continue
+        # d/dD and d/dP of the mean; zero where a LOG_EPS clamp is active
+        g_den = np.where(den > LOG_EPS, g0 / np.maximum(den, LOG_EPS), 0.0)
+        g_pos = g_den - np.where(pos > LOG_EPS, g0 / np.maximum(pos, LOG_EPS), 0.0)
+        # dL/dS = exp * dL/dexp / tau, in place over the block
+        exps *= g_den
+        flat[at_mn] = pos_exps * g_pos[local, 0]
+        exps *= inv_tau
+        grad_unit_m[rows] = exps @ keys
+        grad_keys += exps.T @ unit_m[rows]
     per_anchor = (np.log(np.maximum(denominator, LOG_EPS))
                   - np.log(np.maximum(pos_mass, LOG_EPS)))
 
-    def grad_fn(g):
-        g0 = g[0, 0] / n
-        # d/dD and d/dP of the mean; zero where a LOG_EPS clamp is active
-        g_den = np.where(denominator > LOG_EPS,
-                         g0 / np.maximum(denominator, LOG_EPS), 0.0)
-        g_pos = g_den - np.where(pos_mass > LOG_EPS,
-                                 g0 / np.maximum(pos_mass, LOG_EPS), 0.0)
-        grad_unit_m = np.zeros_like(unit_m)
-        grad_keys = np.zeros_like(keys)
-        for rows in blocks:
-            exps = _logits(unit_m[rows], keys, inv_tau)
-            exps -= shift[rows]
-            np.exp(exps, out=exps)
-            pos = mask[rows]
-            # dL/dS = exp * dL/dexp / tau, in place over the block
-            exps[:, :n] *= np.where(pos, g_pos[rows], g_den[rows])
-            exps[:, n:] *= np.where(pos, 0.0, g_den[rows])
-            exps *= inv_tau
-            grad_unit_m[rows] += exps @ keys
-            grad_keys += exps.T @ unit_m[rows]
+    grads = []
+    if needs_grad:
         grad_unit_m += grad_keys[n:]
         for z, unit, norms, grad_unit in ((z_m, unit_m, norms_m, grad_unit_m),
                                           (z_n, unit_n, norms_n, grad_keys[:n])):
             if z.requires_grad:
                 inner = (grad_unit * unit).sum(axis=1, keepdims=True)
-                z._accumulate((grad_unit - inner * unit) / norms)
+                grads.append((z, (grad_unit - inner * unit) / norms))
+
+    def grad_fn(g):
+        for z, grad in grads:
+            z._accumulate(g[0, 0] * grad)
 
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
 

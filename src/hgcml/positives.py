@@ -123,15 +123,16 @@ class PositiveSets:
     """Per-anchor positive ids. P_u always contains u; ids are sorted."""
 
     sets: list[np.ndarray]
-    _mask: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    _mask: sp.csr_array | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def n(self) -> int:
         return len(self.sets)
 
-    def mask(self) -> np.ndarray:
-        """Boolean (n,n) matrix, mask[u,v] = v in P_u.
+    def mask(self) -> sp.csr_array:
+        """Boolean (n,n) CSR matrix, mask[u,v] = v in P_u, with unique,
+        sorted column ids per row (a set built in code may repeat an id).
 
         Built on the first call and returned read-only on every later
         one, so `sets` must not change after the first call.
@@ -141,9 +142,11 @@ class PositiveSets:
             rows = np.repeat(np.arange(self.n), sizes)
             cols = (np.concatenate(self.sets) if self.sets
                     else np.empty(0, dtype=np.int64))
-            out = np.zeros((self.n, self.n), dtype=bool)
-            out[rows, cols] = True
-            out.flags.writeable = False
+            out = sp.csr_array((np.ones(rows.size, dtype=bool), (rows, cols)),
+                               shape=(self.n, self.n))
+            out.sum_duplicates()  # sorted, unique ids per row
+            for part in (out.data, out.indices, out.indptr):
+                part.flags.writeable = False
             self._mask = out
         return self._mask
 
@@ -203,6 +206,9 @@ def load_positives(path, n: int) -> PositiveSets:
             raise MalformedRecord(f"{path}:{lineno}: anchor {u} out of range")
         if ids.size == 0 or ids[0] < 0 or ids[-1] >= n or u not in ids:
             raise MalformedRecord(f"{path}:{lineno}: invalid positive set")
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise MalformedRecord(f"{path}:{lineno}: id {repeated[0]} repeated")
         if sets[u] is not None:
             raise MalformedRecord(f"{path}:{lineno}: anchor {u} repeated")
         sets[u] = ids

@@ -9,12 +9,14 @@ import scipy.sparse as sp
 
 import hgcml.hin as hin_module
 import hgcml.numerics as nm
+import hgcml.objective as objective_module
 import hgcml.positives as positives_module
 from hgcml.hin import (HIN, DuplicateNodeId, EndpointTypeMismatch,
                        MalformedRecord, MetapathSpec, RelationDecl,
                        SchemaConfig, UnknownNode, UnknownRelation, UnknownType,
                        _load_features, _load_labels, load_hin)
 from hgcml.io import write_matrix
+from hgcml.numerics import LOG_EPS, NonFiniteResult
 from hgcml.positives import DiffusionMatrix, PositiveSets, load_positives
 from hgcml.rng import substream
 
@@ -330,7 +332,7 @@ def tape_node_node_loss(z_m, z_n, positives, tau):
     small n only.
     """
     n = z_m.shape[0]
-    pos_mask = positives.mask().astype(np.float64)
+    pos_mask = positives.mask().toarray().astype(np.float64)
     neg_mask = 1.0 - pos_mask
 
     norm_m = nm.row_l2_normalize(z_m)
@@ -350,6 +352,66 @@ def tape_node_node_loss(z_m, z_n, positives, tau):
     denominator = nm.add(positive_mass, negative_mass)
     per_anchor = nm.sub(nm.log(denominator), nm.log(positive_mass))
     return nm.mean_all(per_anchor)
+
+
+def two_pass_node_node_loss(z_m, z_n, positives, tau):
+    """The chunked node-node op with a dense positive mask, whose backward
+    recomputes every block's logits and exponentials: the one-pass
+    kernel's oracle. Holds an n x n boolean mask, so use it on small n.
+    """
+    n = z_m.shape[0]
+    mask = positives.mask().toarray()
+    inv_tau = 1.0 / tau
+    unit_m, norms_m = objective_module._unit_rows(z_m.data)
+    unit_n, norms_n = objective_module._unit_rows(z_n.data)
+    keys = np.concatenate([unit_n, unit_m])
+    chunk = objective_module.CHUNK
+    blocks = [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+    shift = np.empty((n, 1))
+    pos_mass = np.empty((n, 1))
+    denominator = np.empty((n, 1))
+    for rows in blocks:
+        exps = objective_module._logits(unit_m[rows], keys, inv_tau)
+        shift[rows] = exps.max(axis=1, keepdims=True)
+        exps -= shift[rows]
+        np.exp(exps, out=exps)
+        if not np.all(np.isfinite(exps)):
+            raise NonFiniteResult("exp overflow")
+        pos, neg = mask[rows], ~mask[rows]
+        exp_mn, exp_mm = exps[:, :n], exps[:, n:]
+        pos_mass[rows, 0] = (exp_mn * pos).sum(axis=1)
+        denominator[rows, 0] = pos_mass[rows, 0] + (
+            (exp_mm * neg).sum(axis=1) + (exp_mn * neg).sum(axis=1))
+    per_anchor = (np.log(np.maximum(denominator, LOG_EPS))
+                  - np.log(np.maximum(pos_mass, LOG_EPS)))
+
+    def grad_fn(g):
+        g0 = g[0, 0] / n
+        g_den = np.where(denominator > LOG_EPS,
+                         g0 / np.maximum(denominator, LOG_EPS), 0.0)
+        g_pos = g_den - np.where(pos_mass > LOG_EPS,
+                                 g0 / np.maximum(pos_mass, LOG_EPS), 0.0)
+        grad_unit_m = np.zeros_like(unit_m)
+        grad_keys = np.zeros_like(keys)
+        for rows in blocks:
+            exps = objective_module._logits(unit_m[rows], keys, inv_tau)
+            exps -= shift[rows]
+            np.exp(exps, out=exps)
+            pos = mask[rows]
+            exps[:, :n] *= np.where(pos, g_pos[rows], g_den[rows])
+            exps[:, n:] *= np.where(pos, 0.0, g_den[rows])
+            exps *= inv_tau
+            grad_unit_m[rows] += exps @ keys
+            grad_keys += exps.T @ unit_m[rows]
+        grad_unit_m += grad_keys[n:]
+        for z, unit, norms, grad_unit in ((z_m, unit_m, norms_m, grad_unit_m),
+                                          (z_n, unit_n, norms_n, grad_keys[:n])):
+            if z.requires_grad:
+                inner = (grad_unit * unit).sum(axis=1, keepdims=True)
+                z._accumulate((grad_unit - inner * unit) / norms)
+
+    return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
 
 
 def numerics_grad_cases():

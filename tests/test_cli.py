@@ -223,6 +223,21 @@ def test_train_with_repeated_positives_anchor_exits_2(pipeline, tmp_path,
     assert "anchor 0 repeated" in capsys.readouterr().err
 
 
+def test_train_with_repeated_id_in_a_positive_set_exits_2(pipeline, tmp_path,
+                                                          capsys):
+    out2 = tmp_path / "dup"
+    out2.mkdir()
+    with open(os.path.join(pipeline["out"], "positives.tsv"),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[1] = "1\t0,1,1"
+    path = out2 / "positives.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["train", "--config", pipeline["config"], "--out", str(out2)]) == 2
+    assert f"MalformedRecord: {path}:2: id 1 repeated" in capsys.readouterr().err
+    assert not (out2 / "model.bin").exists()
+
+
 def test_missing_config_flag_exits_3(capsys):
     assert main(["prepare"]) == 3
     assert "ConfigError" in capsys.readouterr().err

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import hgcml.model
 import hgcml.numerics as nm
 import hgcml.objective
-from conftest import tape_node_node_loss
+from conftest import tape_node_node_loss, two_pass_node_node_loss
 from hgcml.augment import corrupt
 from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.model import ModelParams, gcn_forward, init_params, readout
@@ -178,7 +178,7 @@ def positive_mass(z_m, z_n, positives, tau):
     um, un = unit(z_m), unit(z_n)
     s_mn, s_mm = um @ un.T / tau, um @ um.T / tau
     shift = np.maximum(s_mn.max(axis=1), s_mm.max(axis=1))[:, None]
-    return (np.exp(s_mn - shift) * positives.mask()).sum(axis=1)
+    return (np.exp(s_mn - shift) * positives.mask().toarray()).sum(axis=1)
 
 
 AGREEMENT_CASES = (
@@ -191,8 +191,8 @@ AGREEMENT_CASES = (
        pytest.param("clamped", CHUNK + 1, 1 / 15, id="positive-mass-clamped")])
 
 
-@pytest.mark.parametrize("kind,n,tau", AGREEMENT_CASES)
-def test_fused_loss_matches_tape_oracle(kind, n, tau):
+def agreement_inputs(kind, n, tau):
+    """Rows of both views and the positive sets of one agreement case."""
     d = 5
     a = rand_z(n, d, f"agree-m-{n}").data
     b = rand_z(n, d, f"agree-n-{n}").data
@@ -212,18 +212,99 @@ def test_fused_loss_matches_tape_oracle(kind, n, tau):
         assert np.mean(positive_mass(a, b, positives, tau) < LOG_EPS) > 0.9
     else:
         positives = sampled_positives(n, f"agree-{n}")
+    return a, b, positives
 
-    results = []
-    for loss_fn in (tape_node_node_loss, node_node_loss):
-        z_m = Tensor(a.copy(), requires_grad=True)
-        z_n = z_m if kind == "same_tensor" else Tensor(b.copy(), requires_grad=True)
-        loss = loss_fn(z_m, z_n, positives, tau)
-        loss.backward()
-        results.append((loss.item(), z_m.grad, z_n.grad))
+
+def loss_and_grads(loss_fn, a, b, positives, tau, same_tensor=False, w=1.0):
+    z_m = Tensor(a.copy(), requires_grad=True)
+    z_n = z_m if same_tensor else Tensor(b.copy(), requires_grad=True)
+    loss = nm.scale(loss_fn(z_m, z_n, positives, tau), w)
+    loss.backward()
+    return loss.item(), z_m.grad, z_n.grad
+
+
+@pytest.mark.parametrize("kind,n,tau", AGREEMENT_CASES)
+def test_fused_loss_matches_tape_oracle(kind, n, tau):
+    a, b, positives = agreement_inputs(kind, n, tau)
+    results = [loss_and_grads(loss_fn, a, b, positives, tau,
+                              same_tensor=kind == "same_tensor")
+               for loss_fn in (tape_node_node_loss, node_node_loss)]
     (want, want_m, want_n), (got, got_m, got_n) = results
     assert abs(got - want) <= 1e-10
     assert np.abs(got_m - want_m).max() <= 1e-10
     assert np.abs(got_n - want_n).max() <= 1e-10
+
+
+def relative_error(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+def assert_matches_two_pass(inputs, tau, w, same_tensor=False, oracle_sets=None):
+    a, b, positives = inputs
+    want = loss_and_grads(two_pass_node_node_loss, a, b,
+                          oracle_sets or positives, tau, same_tensor, w)
+    got = loss_and_grads(node_node_loss, a, b, positives, tau, same_tensor, w)
+    for got_part, want_part in zip(got, want):
+        assert relative_error(got_part, want_part) <= 1e-12
+
+
+@pytest.mark.parametrize("w", [1.0, 0.3, 2.5])
+@pytest.mark.parametrize("kind,n,tau", AGREEMENT_CASES)
+def test_one_pass_kernel_matches_two_pass_oracle(kind, n, tau, w):
+    assert_matches_two_pass(agreement_inputs(kind, n, tau), tau, w,
+                            same_tensor=kind == "same_tensor")
+
+
+@pytest.mark.parametrize("w", [1.0, 0.3, 2.5])
+def test_one_pass_kernel_counts_a_repeated_positive_once(w):
+    n = CHUNK + 1
+    a, b, clean = agreement_inputs("sampled", n, 0.5)
+    repeated = PositiveSets(sets=[np.concatenate([ids, ids[:1]])
+                                  for ids in clean.sets])
+    assert_matches_two_pass((a, b, repeated), 0.5, w, oracle_sets=clean)
+
+
+def test_one_pass_kernel_computes_logits_once_per_block(monkeypatch):
+    n = 2 * CHUNK + 3
+    calls = []
+    logits = hgcml.objective._logits
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return logits(*args, **kwargs)
+
+    monkeypatch.setattr(hgcml.objective, "_logits", counting)
+    z_m, z_n = rand_z(n, 4, "once-m"), rand_z(n, 4, "once-n")
+    node_node_loss(z_m, z_n, sampled_positives(n, "once"), 0.5).backward()
+    assert len(calls) == math.ceil(n / CHUNK)
+
+
+def test_one_pass_kernel_without_grad_inputs_matches():
+    n = CHUNK + 1
+    a, b, positives = agreement_inputs("sampled", n, 0.5)
+    frozen = node_node_loss(Tensor(a), Tensor(b), positives, 0.5)
+    assert not frozen.requires_grad
+    assert frozen.item() == loss_and_grads(node_node_loss, a, b, positives, 0.5)[0]
+
+
+def test_one_pass_kernel_peak_memory_is_below_a_dense_mask(monkeypatch):
+    # a logits block of 32 x 2n floats is n^2 / 4 bytes at n = 2048, so the
+    # bound leaves room for the block but not for an n x n boolean mask
+    monkeypatch.setattr(hgcml.objective, "CHUNK", 32)
+    n, d = 2048, 8
+    rng = substream(17, "obj", "sparse-mem")
+    a, b = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    sets = [np.union1d(rng.integers(0, n, 5), [u]) for u in range(n)]
+    z_m, z_n = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    tracemalloc.start()
+    try:
+        # a fresh PositiveSets, so the mask is built inside the measurement
+        node_node_loss(z_m, z_n, PositiveSets(sets=sets), 0.5).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, peak
 
 
 def test_fused_loss_nan_row_raises_non_finite():

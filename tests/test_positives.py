@@ -296,18 +296,29 @@ def test_mask_is_memoized_read_only_and_matches_sets():
     chosen = select_positives(sim_t, sim_s, 3, 2)
     first = chosen.mask()
     assert chosen.mask() is first
-    assert not first.flags.writeable
+    assert not any(part.flags.writeable
+                   for part in (first.data, first.indices, first.indptr))
     brute = np.zeros((9, 9), dtype=bool)
     for u, ids in enumerate(chosen.sets):
         for v in ids:
             brute[u, v] = True
-    assert np.array_equal(first, brute)
+    assert np.array_equal(first.toarray(), brute)
+
+
+def test_mask_deduplicates_sets_built_in_code():
+    ps = PositiveSets(sets=[np.array([2, 0, 2], dtype=np.int64),
+                            np.array([1, 1], dtype=np.int64),
+                            np.array([2], dtype=np.int64)])
+    mask = ps.mask()
+    assert mask.indptr.tolist() == [0, 2, 3, 4]
+    assert mask.indices.tolist() == [0, 2, 1, 2]
+    assert mask.data.all()
 
 
 def test_anchor_only_constructor():
     ps = PositiveSets.anchor_only(4)
     assert [s.tolist() for s in ps.sets] == [[0], [1], [2], [3]]
-    assert np.array_equal(ps.mask(), np.eye(4, dtype=bool))
+    assert np.array_equal(ps.mask().toarray(), np.eye(4, dtype=bool))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -345,3 +356,6 @@ def test_load_positives_validation(tmp_path):
     path.write_text("0\t0,1\n1\t1\n0\t0\n")
     with pytest.raises(MalformedRecord, match="anchor 0 repeated"):
         load_positives(path, 2)  # a later line must not replace the first
+    path.write_text("0\t0,1\n1\t0,1,1\n")
+    with pytest.raises(MalformedRecord, match=":2: id 1 repeated"):
+        load_positives(path, 2)  # a gather would count id 1 twice
