@@ -30,8 +30,10 @@ from . import synth
 from .config import (ConfigError, load_config, load_synth_config)
 from .evaluate import (DegenerateSplit, LengthMismatch, evaluate_embeddings,
                        write_report)
-from .hin import HinError, extract_metapath_view, load_hin
-from .io import FormatError, read_checkpoint, read_matrix, write_checkpoint, write_matrix
+from .hin import (HinError, extract_metapath_view, graph_key, load_hin,
+                  read_graph, write_graph)
+from .io import (FormatError, atomic_open, read_checkpoint, read_matrix,
+                 write_checkpoint, write_matrix)
 from .positives import (KTooLarge, load_positives, ppr_matrix, save_positives,
                         select_positives, semantic_similarity,
                         topology_similarity)
@@ -42,15 +44,18 @@ from .trainer import DivergedLoss, export_embeddings, train, write_trace
 EXIT_CODES = {ConfigError: 3, KTooLarge: 3, HinError: 2, FormatError: 2,
               LengthMismatch: 2, DegenerateSplit: 2, FileNotFoundError: 2,
               IsADirectoryError: 2, DivergedLoss: 4}
+GRAPH_CACHE = "graph.bin"  # the graph prepare parsed, in the output directory
 
 
-def _out_dir(args, cfg=None) -> str:
+def _out_path(args, cfg=None) -> str:
     if args.out:
-        out = args.out
-    elif cfg is not None and cfg.out:
-        out = cfg.out if os.path.isabs(cfg.out) else os.path.join(cfg.base_dir, cfg.out)
-    else:
-        out = "."
+        return args.out
+    if cfg is not None and cfg.out:
+        return cfg.out if os.path.isabs(cfg.out) else os.path.join(cfg.base_dir, cfg.out)
+    return "."
+
+
+def _make_dir(out: str) -> str:
     try:
         os.makedirs(out, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
@@ -58,43 +63,62 @@ def _out_dir(args, cfg=None) -> str:
     return out
 
 
-def _stage(args):
-    """(run config, graph, output directory) of a pipeline stage. The
-    directory is made last, so a dataset that fails to load leaves none."""
+def _stage(args, cached: bool = True):
+    """(run config, graph, output directory, graph key) of a pipeline stage.
+
+    With `cached`, the graph comes from the output directory's graph cache
+    when its key matches the dataset's; otherwise it is parsed. The key is
+    None when a data file cannot be read, and `load_hin` then reports that
+    file. The directory is made last, so a dataset that fails to load
+    leaves none.
+    """
     if not args.config:
         raise ConfigError("--config is required for this command")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    hin = load_hin(cfg.path("nodes"), cfg.path("edges"), cfg.path("features"),
-                   cfg.path("labels"), cfg.schema)
-    return cfg, hin, _out_dir(args, cfg)
+    files = [cfg.path(name) for name in ("nodes", "edges", "features", "labels")]
+    try:
+        key = graph_key(*files, cfg.schema)
+    except OSError:
+        key = None
+    out = _out_path(args, cfg)
+    hin = None
+    if cached and key is not None:
+        hin = read_graph(os.path.join(out, GRAPH_CACHE), key, cfg.schema)
+    if hin is None:
+        hin = load_hin(*files, cfg.schema)
+    return cfg, hin, _make_dir(out), key
 
 
 def cmd_prepare(args) -> int:
-    cfg, hin, out = _stage(args)
+    cfg, hin, out, key = _stage(args, cached=False)
     summary = []
     for spec in cfg.metapaths:
         view = extract_metapath_view(hin, spec)
         upper = sp.triu(view.adjacency, k=1).tocoo()
         order = np.lexsort((upper.col, upper.row))
         path = os.path.join(out, f"view_{spec.name}.tsv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             for i, j in zip(upper.row[order], upper.col[order]):
                 fh.write(f"{i}\t{j}\n")
         summary.append((spec.name, view.n_nodes, view.n_edges))
         print(f"wrote {path}")
     summary_path = os.path.join(out, "views.tsv")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("view\tnodes\tedges\n")
         for name, nodes, edges in summary:
             fh.write(f"{name}\t{nodes}\t{edges}\n")
     print(f"wrote {summary_path}")
+    if key is not None:  # None only if a file became unreadable mid-stage
+        cache_path = os.path.join(out, GRAPH_CACHE)
+        write_graph(cache_path, hin, key)
+        print(f"wrote {cache_path}")
     return 0
 
 
 def cmd_positives(args) -> int:
-    cfg, hin, out = _stage(args)
+    cfg, hin, out, _ = _stage(args)
     pos_cfg = cfg.positives
     # the per-view totals are dropped once summed, before the semantic channel
     sim_t = topology_similarity([
@@ -110,7 +134,7 @@ def cmd_positives(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, hin, out = _stage(args)
+    cfg, hin, out, _ = _stage(args)
     pos_path = os.path.join(out, "positives.tsv")
     if not os.path.exists(pos_path):
         raise HinError(f"positives file {pos_path} not found; "
@@ -134,7 +158,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    cfg, hin, out = _stage(args)
+    cfg, hin, out, _ = _stage(args)
     checkpoint = read_checkpoint(os.path.join(out, "model.bin"))
     views = [extract_metapath_view(hin, spec) for spec in cfg.metapaths]
     path = os.path.join(out, "embeddings.bin")
@@ -144,7 +168,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, hin, out = _stage(args)
+    cfg, hin, out, _ = _stage(args)
     if hin.labels is None or (hin.labels < 0).any():
         raise HinError("every target node needs a label for eval")
     embeddings = read_matrix(os.path.join(out, "embeddings.bin")).astype(np.float64)
@@ -164,7 +188,7 @@ def cmd_synth(args) -> int:
     cfg = load_synth_config(args.config) if args.config else SynthConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = _out_dir(args)
+    out = _make_dir(_out_path(args))
     paths = synth.generate(cfg, out)
     for path in paths.values():
         print(f"wrote {path}")
@@ -173,7 +197,8 @@ def cmd_synth(args) -> int:
 
 # name -> (function, help); every function returns 0 or raises
 _COMMANDS = {
-    "prepare": (cmd_prepare, "validate the dataset and write each view's edge list"),
+    "prepare": (cmd_prepare, "validate the dataset, write each view's edge "
+                             "list and the graph cache the later stages read"),
     "positives": (cmd_positives, "compute diffusion/feature similarities and "
                                  "freeze positives.tsv"),
     "train": (cmd_train, "contrastive training; writes model.bin and trace.tsv"),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import atomic_open
 from .numerics import AdamState, Tensor
 from .rng import derive_key, substream
 
@@ -195,6 +196,6 @@ def evaluate_embeddings(embeddings, labels, train_frac: float = 0.2,
 
 def write_report(path, report: EvalReport) -> None:
     """report.tsv: metric<TAB>mean<TAB>std<TAB>runs."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for metric, mean, std, runs in report.rows():
             fh.write(f"{metric}\t{mean:.6f}\t{std:.6f}\t{runs}\n")

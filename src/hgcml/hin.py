@@ -11,10 +11,17 @@ connect endpoints of at least one path instance of the metapath. It is
 computed as the binarized product of per-relation biadjacency matrices;
 each step traverses its relation forward or backward, whichever continues
 the chain from the current node type.
+
+`prepare` also writes the parsed graph to a cache (`write_graph`) keyed by
+`graph_key`, the SHA-256 of everything `load_hin` reads; later stages take
+the graph from `read_graph` only when the key matches and parse otherwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import os
 import re
 import warnings
@@ -27,6 +34,7 @@ import scipy.sparse as sp
 from . import io
 
 BLOCK_CHARS = 1 << 16  # characters read per block of a text input's lines
+CACHE_TAG = b"hgcml graph cache 1\n"  # first bytes hashed into every key
 
 
 class HinError(Exception):
@@ -150,6 +158,9 @@ class MetapathView:
 
 @dataclass
 class HIN:
+    """A typed graph. `node_ids` and `index` are filled by `load_hin` only;
+    a graph read back from the cache has neither."""
+
     schema: SchemaConfig
     node_ids: dict[str, list[str]]            # type -> original ids, input order
     biadjacency: dict[str, sp.csr_matrix]     # relation -> (N_src, N_dst) binary
@@ -163,7 +174,7 @@ class HIN:
 
     @property
     def n_target(self) -> int:
-        return len(self.node_ids[self.schema.target_type])
+        return self.features.shape[0]
 
     def count(self, type_name: str) -> int:
         return len(self.node_ids.get(type_name, ()))
@@ -426,6 +437,82 @@ def _load_labels(path, schema, index, n_target) -> np.ndarray:
         except ValueError as exc:
             raise MalformedRecord(f"{path}:{lineno}: non-integer class id") from exc
     return labels
+
+
+def graph_key(node_file, edge_file, feature_file, label_file,
+              schema: SchemaConfig) -> bytes:
+    """SHA-256 of what `load_hin` reads: a format tag, the schema as
+    canonical JSON, each data file's content digest with how it is parsed
+    (the features file by its suffix), and a marker for absent labels.
+    Raises OSError when a file cannot be read."""
+    key = hashlib.sha256(CACHE_TAG)
+    key.update(json.dumps(dataclasses.asdict(schema), sort_keys=True).encode())
+    features_as = "tsv" if str(feature_file).endswith(".tsv") else "binary"
+    for role, path in (("nodes", node_file), ("edges", edge_file),
+                       (f"features {features_as}", feature_file),
+                       ("labels", label_file)):
+        key.update(f"\n{role}\n".encode())
+        key.update(b"absent" if path is None else _file_digest(path))
+    return key.digest()
+
+
+def _file_digest(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def write_graph(path, hin: HIN, key: bytes) -> None:
+    """The graph cache: HGM1 tensors `key` (1x32 bytes), `features`,
+    `labels` (1xN, when present) and per relation `<name>.indptr`,
+    `<name>.indices` (1xK each) and `<name>.shape` (1x2). Integers are
+    stored as float64, which is exact below 2**53."""
+    tensors = {"key": np.frombuffer(key, np.uint8)[None], "features": hin.features}
+    if hin.labels is not None:
+        tensors["labels"] = hin.labels[None]
+    for name, mat in hin.biadjacency.items():
+        tensors[f"{name}.indptr"] = mat.indptr[None]
+        tensors[f"{name}.indices"] = mat.indices[None]
+        tensors[f"{name}.shape"] = np.array([mat.shape])
+    io.write_checkpoint(path, tensors)
+
+
+def read_graph(path, key: bytes, schema: SchemaConfig) -> HIN | None:
+    """The graph `write_graph` stored at `path`, or None when there is no
+    such file, it does not read cleanly, or its key is not `key`."""
+    try:
+        tensors = io.read_checkpoint(path)
+    except (OSError, io.FormatError):
+        return None
+    if not np.array_equal(tensors.pop("key", None), np.frombuffer(key, np.uint8)[None]):
+        return None
+    try:
+        features = tensors.pop("features")
+        labels = tensors.pop("labels", None)
+        if labels is not None:
+            (labels,) = labels.astype(np.int64)
+        biadjacency = {rel.name: _cached_csr(tensors, rel.name)
+                       for rel in schema.relations}
+    except (KeyError, ValueError):
+        return None
+    if tensors:  # a tensor no relation of the schema claims
+        return None
+    return HIN(schema=schema, node_ids={}, biadjacency=biadjacency,
+               features=features, labels=labels)
+
+
+def _cached_csr(tensors, name: str) -> sp.csr_matrix:
+    """One relation's CSR from its cache tensors, with the index dtype and
+    `indices` order `load_hin` produced."""
+    (rows, cols), = tensors.pop(f"{name}.shape").astype(np.int64)
+    indptr, indices = (tensors.pop(f"{name}.{part}").reshape(-1).astype(np.int64)
+                       for part in ("indptr", "indices"))
+    mat = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                        shape=(rows, cols))
+    mat.check_format(full_check=True)
+    return mat
 
 
 def resolve_chain(schema: SchemaConfig, spec: MetapathSpec) -> list[tuple[str, bool]]:

@@ -6,10 +6,15 @@ then rows*cols f32-LE values row-major.
 HGM1 (checkpoints): magic "HGM1", count u32-LE, then per tensor:
 name length u16-LE, name bytes (UTF-8), rows u32-LE, cols u32-LE,
 rows*cols f64-LE values row-major.
+
+The pipeline stages write every artifact through `atomic_open`, so a
+killed stage leaves the previous file or none, never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from collections import OrderedDict
 
@@ -23,11 +28,27 @@ class FormatError(ValueError):
     """A binary file does not match its declared layout."""
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file next to `path` for writing and move it onto
+    `path` with `os.replace` once the block ends. If the block raises, the
+    temporary file is removed and `path` is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_matrix(path, array) -> None:
     arr = np.ascontiguousarray(np.asarray(array, dtype=np.float32))
     if arr.ndim != 2:
         raise FormatError(f"matrix file needs a 2-D array, got shape {arr.shape}")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC_MATRIX)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
         fh.write(arr.tobytes(order="C"))
@@ -51,7 +72,7 @@ def read_matrix(path) -> np.ndarray:
 def write_checkpoint(path, named_arrays) -> None:
     """Write an ordered mapping of name -> 2-D float64 array."""
     items = list(named_arrays.items())
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC_CHECKPOINT)
         fh.write(struct.pack("<I", len(items)))
         for name, array in items:

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hin import MalformedRecord, MetapathView, _read_rows
+from .io import atomic_open
 from .numerics import ShapeMismatch
 
 
@@ -187,7 +188,7 @@ def select_positives(sim_t: np.ndarray, sim_s: np.ndarray,
 
 
 def save_positives(path, positives: PositiveSets) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for u, ids in enumerate(positives.sets):
             fh.write(f"{u}\t{','.join(str(int(v)) for v in ids)}\n")
 

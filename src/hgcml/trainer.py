@@ -20,7 +20,7 @@ import numpy as np
 from .augment import corrupt
 from .config import AugmentSettings, TrainSettings
 from .hin import HIN, extract_metapath_view
-from .io import FormatError
+from .io import FormatError, atomic_open
 from .model import (ModelParams, fuse, gcn_forward, init_params,
                     params_from_checkpoint)
 from .numerics import AdamState, NonFiniteResult
@@ -146,6 +146,6 @@ def export_embeddings(checkpoint, views, mode: str) -> np.ndarray:
 
 def write_trace(path, trace) -> None:
     """trace.tsv: epoch<TAB>loss, full float precision."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for epoch, loss in enumerate(trace):
             fh.write(f"{epoch}\t{loss!r}\n")

@@ -637,3 +637,151 @@ def test_thread_cap_env(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "8"
     for var in vars_[1:]:
         assert os.environ[var] == "2"
+
+
+# -- the graph cache prepare writes ---------------------------------------------
+
+STAGES = ("prepare", "positives", "train", "embed", "eval")
+LATER_ARTIFACTS = ("positives.tsv", "trace.tsv", "model.bin", "embeddings.bin",
+                   "report.tsv")
+ARTIFACTS = ("view_meta0.tsv", "view_meta1.tsv", "views.tsv") + LATER_ARTIFACTS
+
+
+def count_load_hin(monkeypatch):
+    """A list that grows by one entry per cli.load_hin call."""
+    calls, load_hin = [], cli.load_hin
+
+    def counted(*args):
+        calls.append(args)
+        return load_hin(*args)
+
+    monkeypatch.setattr(cli, "load_hin", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def cache_and_parse_runs(tmp_path_factory):
+    """The five stages on the default synth fixture: once reading the graph
+    cache, once with the cache deleted before each stage. Maps each mode
+    to (output directory, cli.load_hin calls)."""
+    root = tmp_path_factory.mktemp("graphcache")
+    assert main(["synth", "--out", str(root / "data")]) == 0
+    config = str(root / "data" / "config.json")
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for mode in ("cache", "parse"):
+            calls = count_load_hin(mp)
+            out = root / mode
+            for stage in STAGES:
+                if mode == "parse":
+                    (out / cli.GRAPH_CACHE).unlink(missing_ok=True)
+                assert main([stage, "--config", config, "--out", str(out)]) == 0
+            runs[mode] = (out, len(calls))
+    return runs
+
+
+def test_cache_path_artifacts_match_parse_path(cache_and_parse_runs):
+    cached, parsed = cache_and_parse_runs["cache"][0], cache_and_parse_runs["parse"][0]
+    assert (cached / cli.GRAPH_CACHE).exists()
+    for name in ARTIFACTS:
+        assert (cached / name).read_bytes() == (parsed / name).read_bytes(), name
+
+
+def test_load_hin_runs_once_with_the_cache_and_per_stage_without(
+        cache_and_parse_runs):
+    assert cache_and_parse_runs["cache"][1] == 1
+    assert cache_and_parse_runs["parse"][1] == len(STAGES)
+
+
+def prepared_copy(pipeline, tmp_path):
+    """(data directory, run config, output directory) of a copy of the
+    dataset on which prepare has run."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    run_cfg = str(data / os.path.basename(pipeline["config"]))
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", run_cfg, "--out", str(out)]) == 0
+    assert (out / cli.GRAPH_CACHE).exists()
+    return data, run_cfg, out
+
+
+@pytest.mark.parametrize("command", ["positives", "train"])
+def test_edge_appended_after_prepare_exits_2_naming_its_line(
+        pipeline, tmp_path, capsys, command):
+    data, run_cfg, out = prepared_copy(pipeline, tmp_path)
+    shutil.copy(os.path.join(pipeline["out"], "positives.tsv"), out)
+    before = (out / "positives.tsv").read_bytes()
+    with open(data / "edges.tsv", "a", encoding="utf-8") as fh:
+        fh.write("e0\tnowhere\tvia0\n")
+    line = len((data / "edges.tsv").read_bytes().splitlines())
+    assert main([command, "--config", run_cfg, "--out", str(out)]) == 2
+    assert (f"UnknownNode: {data / 'edges.tsv'}:{line}: unknown node "
+            "'nowhere'") in capsys.readouterr().err
+    assert (out / "positives.tsv").read_bytes() == before
+    assert not (out / "model.bin").exists()
+
+
+def flip_first_label(data, run_cfg, out):
+    blob = (data / "labels.tsv").read_bytes()
+    at = blob.index(b"\t") + 1
+    label = (int(blob[at:at + 1]) + 1) % 3
+    (data / "labels.tsv").write_bytes(blob[:at] + b"%d" % label + blob[at + 1:])
+
+
+def flip_a_feature_bit(data, run_cfg, out):
+    blob = bytearray((data / "features.bin").read_bytes())
+    blob[12] ^= 1  # lowest mantissa bit of the first value
+    (data / "features.bin").write_bytes(bytes(blob))
+
+
+def edit_config(run_cfg, edit):
+    with open(run_cfg, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    edit(raw)
+    with open(run_cfg, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+
+
+def add_a_spare_type(data, run_cfg, out):
+    edit_config(run_cfg, lambda raw: raw["schema"]["types"].append("spare"))
+
+
+def features_as_tsv(data, run_cfg, out):
+    rows = read_matrix(data / "features.bin").astype(np.float64)
+    (data / "features.tsv").write_text("".join(
+        f"e{i}\t{','.join(map(repr, row.tolist()))}\n"
+        for i, row in enumerate(rows)), encoding="utf-8")
+    edit_config(run_cfg, lambda raw: raw["data"].update(features="features.tsv"))
+
+
+def truncate_cache(data, run_cfg, out):
+    blob = (out / cli.GRAPH_CACHE).read_bytes()
+    (out / cli.GRAPH_CACHE).write_bytes(blob[:len(blob) // 2])
+
+
+def garbage_cache(data, run_cfg, out):
+    (out / cli.GRAPH_CACHE).write_bytes(b"\x00garbage\n" * 7)
+
+
+def change_cache_key(data, run_cfg, out):
+    tensors = read_checkpoint(out / cli.GRAPH_CACHE)
+    tensors["key"][0, -1] = (tensors["key"][0, -1] + 1) % 256
+    write_checkpoint(out / cli.GRAPH_CACHE, tensors)
+
+
+@pytest.mark.parametrize("change", [
+    flip_a_feature_bit, flip_first_label, add_a_spare_type, features_as_tsv,
+    truncate_cache, garbage_cache, change_cache_key],
+    ids=lambda change: change.__name__)
+def test_stale_or_broken_cache_is_parsed_again(pipeline, tmp_path,
+                                               monkeypatch, change):
+    data, run_cfg, out = prepared_copy(pipeline, tmp_path)
+    change(data, run_cfg, out)
+    calls = count_load_hin(monkeypatch)
+    fresh = tmp_path / "fresh"  # no cache: the parse path
+    for target in (out, fresh):
+        for stage in STAGES[1:]:
+            assert main([stage, "--config", run_cfg, "--out", str(target)]) == 0
+    assert len(calls) == 2 * len(STAGES[1:])
+    for name in LATER_ARTIFACTS:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name

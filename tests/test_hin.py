@@ -14,9 +14,10 @@ from hgcml.hin import (AsymmetricViewWarning, DuplicateNodeId, EmptyViewWarning,
                        MalformedRecord, MetapathSpec, RelationDecl,
                        SchemaConfig, TypeChainBroken, UnknownNode,
                        UnknownRelation, UnknownType, extract_metapath_view,
-                       load_hin, resolve_chain)
+                       graph_key, load_hin, read_graph, resolve_chain,
+                       write_graph)
 import hgcml.hin as hin_module
-from hgcml.io import write_matrix
+from hgcml.io import read_checkpoint, write_checkpoint, write_matrix
 from hgcml.positives import load_positives
 from hgcml.rng import substream
 
@@ -322,6 +323,12 @@ def assert_same_outcome(paths, schema):
     assert not isinstance(got, HinError), got
     assert got.node_ids == want.node_ids
     assert list(got.index.items()) == list(want.index.items())
+    assert_same_arrays(got, want)
+    return want
+
+
+def assert_same_arrays(got, want):
+    """Every CSR array with its dtype, the feature bits and the labels."""
     assert got.biadjacency.keys() == want.biadjacency.keys()
     for name, mat in want.biadjacency.items():
         mine = got.biadjacency[name]
@@ -329,12 +336,15 @@ def assert_same_outcome(paths, schema):
         for part in ("indptr", "indices", "data"):
             a, b = getattr(mine, part), getattr(mat, part)
             assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
-    assert np.array_equal(got.features, want.features)
+    assert got.features.dtype == want.features.dtype
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.n_target == want.n_target
     if want.labels is None:
         assert got.labels is None
     else:
+        assert got.labels.dtype == want.labels.dtype
         assert np.array_equal(got.labels, want.labels)
-    return want
 
 
 # Block sizes in characters: every line in one block, one character per
@@ -388,21 +398,121 @@ def fault_line(kind, nodes, edges, rng):
     }[kind]
 
 
+def parse_case(tmp_path, trial):
+    """(paths, schema, metapath) of the random typed case `trial`, written
+    with its own mix of id prefix, line ends and blank lines."""
+    rng = substream(trial, "parsecase")
+    hin, spec = random_typed_case(rng)
+    prefix = "ñ節-" if trial % 3 == 0 else ""
+    nodes, edges = typed_lines(hin, rng, prefix)
+    dirpath = tmp_path / str(trial)
+    dirpath.mkdir()
+    paths = write_typed_case(dirpath, hin, nodes, edges, rng, prefix,
+                             crlf=trial % 2 == 1,
+                             final_newline=trial % 4 != 3,
+                             blanks=trial % 5)
+    return paths, hin.schema, spec
+
+
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 def test_block_parse_matches_per_line_oracle(tmp_path, monkeypatch, block):
     monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
     for trial in range(24):
-        rng = substream(trial, "parsecase")
-        hin, _ = random_typed_case(rng)
-        prefix = "ñ節-" if trial % 3 == 0 else ""
-        nodes, edges = typed_lines(hin, rng, prefix)
-        dirpath = tmp_path / str(trial)
-        dirpath.mkdir()
-        paths = write_typed_case(dirpath, hin, nodes, edges, rng, prefix,
-                                 crlf=trial % 2 == 1,
-                                 final_newline=trial % 4 != 3,
-                                 blanks=trial % 5)
-        assert not isinstance(assert_same_outcome(paths, hin.schema), HinError)
+        paths, schema, _ = parse_case(tmp_path, trial)
+        assert not isinstance(assert_same_outcome(paths, schema), HinError)
+
+
+# -- the graph cache ------------------------------------------------------------
+
+def key_of(paths, schema):
+    return graph_key(paths["nodes"], paths["edges"], paths["features"],
+                     paths["labels"], schema)
+
+
+def test_cached_graph_equals_parsed_graph(tmp_path):
+    for trial in range(24):
+        paths, schema, spec = parse_case(tmp_path, trial)
+        if trial % 2:
+            paths["labels"] = None
+        parsed = load_hin(paths["nodes"], paths["edges"], paths["features"],
+                          paths["labels"], schema)
+        cache = tmp_path / str(trial) / "graph.bin"
+        write_graph(cache, parsed, key_of(paths, schema))
+        cached = read_graph(cache, key_of(paths, schema), schema)
+        assert cached is not None, f"trial {trial}"
+        assert_same_arrays(cached, parsed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mine, want = (extract_metapath_view(g, spec).adjacency
+                          for g in (cached, parsed))
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(mine, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (trial, part)
+
+
+def test_graph_key_covers_schema_and_every_input(tmp_path):
+    toy_paths = write_toy_files(str(tmp_path), labels=[0, 1, 0, 1])
+    base = key_of(toy_paths, TOY_SCHEMA)
+    assert len(base) == 32 and key_of(toy_paths, TOY_SCHEMA) == base
+    keys = {base}
+    for name in ("nodes", "edges", "features", "labels"):
+        path = toy_paths[name]
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:  # one byte changed
+            fh.write(blob[:-1] + bytes([blob[-1] ^ 1]))
+        keys.add(key_of(toy_paths, TOY_SCHEMA))
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    keys.add(key_of(dict(toy_paths, labels=None), TOY_SCHEMA))
+    empty = tmp_path / "no_labels.tsv"
+    empty.write_bytes(b"")
+    keys.add(key_of(dict(toy_paths, labels=str(empty)), TOY_SCHEMA))
+    # the same bytes under a .tsv name are parsed as text
+    renamed = tmp_path / "features.tsv"
+    renamed.write_bytes(open(toy_paths["features"], "rb").read())
+    keys.add(key_of(dict(toy_paths, features=str(renamed)), TOY_SCHEMA))
+    spare = SchemaConfig(types=TOY_SCHEMA.types + ("spare",),
+                         relations=TOY_SCHEMA.relations,
+                         target_type=TOY_SCHEMA.target_type)
+    keys.add(key_of(toy_paths, spare))
+    assert len(keys) == 9
+    assert key_of(toy_paths, TOY_SCHEMA) == base
+
+
+def test_graph_key_raises_for_an_unreadable_file(toy_paths):
+    with pytest.raises(FileNotFoundError):
+        key_of(dict(toy_paths, edges=toy_paths["edges"] + ".gone"), TOY_SCHEMA)
+
+
+@pytest.mark.parametrize("fault", ["missing", "truncated", "garbage",
+                                   "wrong-key", "no-key", "extra-tensor",
+                                   "missing-relation", "index-out-of-range"])
+def test_graph_cache_not_trusted(toy_hin, toy_paths, tmp_path, fault):
+    key = key_of(toy_paths, TOY_SCHEMA)
+    cache = tmp_path / "graph.bin"
+    write_graph(cache, toy_hin, key)
+    assert_same_arrays(read_graph(cache, key, TOY_SCHEMA), toy_hin)
+    blob = cache.read_bytes()
+    tensors = read_checkpoint(cache)
+    if fault == "missing":
+        cache.unlink()
+    elif fault == "truncated":
+        cache.write_bytes(blob[:len(blob) // 2])
+    elif fault == "garbage":
+        cache.write_bytes(b"not a graph cache\n")
+    else:
+        if fault == "wrong-key":
+            tensors["key"][0, 0] = (tensors["key"][0, 0] + 1) % 256
+        elif fault == "no-key":
+            del tensors["key"]
+        elif fault == "extra-tensor":
+            tensors["stray.indptr"] = np.zeros((1, 1))
+        elif fault == "missing-relation":
+            del tensors["AP.indices"]
+        else:
+            tensors["AP.indices"][0, 0] = 99
+        write_checkpoint(cache, tensors)
+    assert read_graph(cache, key, TOY_SCHEMA) is None
 
 
 @pytest.mark.parametrize("kind", sorted(FAULTS))
