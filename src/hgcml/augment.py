@@ -1,7 +1,7 @@
 """Stochastic corruption of metapath views: edge dropping, feature masking.
 
 Both corruptions are pure functions of (view, probabilities, stream);
-the probabilities are range-checked once, in `config.AugmentSettings`.
+the settings are range-checked once, in `config.AugmentSettings`.
 Each undirected edge is one Bernoulli trial, so symmetry survives
 dropping; feature masking zeroes whole columns by default (`mask_mode =
 "columns"`) or independent entries (`"entries"`).
@@ -14,8 +14,6 @@ import scipy.sparse as sp
 
 from .hin import MetapathView
 from .rng import substream
-
-MASK_MODES = ("columns", "entries")
 
 
 def drop_edges(view: MetapathView, p_e: float, rng: np.random.Generator) -> MetapathView:
@@ -36,8 +34,6 @@ def drop_edges(view: MetapathView, p_e: float, rng: np.random.Generator) -> Meta
 def mask_features(view: MetapathView, p_f: float, rng: np.random.Generator,
                   mask_mode: str = "columns") -> MetapathView:
     """Zero masked feature dimensions (or entries) across all nodes."""
-    if mask_mode not in MASK_MODES:
-        raise ValueError(f"mask_mode must be one of {MASK_MODES}")
     features = view.features.copy()
     if mask_mode == "columns":
         masked = rng.random(features.shape[1]) < p_f

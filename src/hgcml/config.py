@@ -6,7 +6,8 @@ those dataclasses: it rejects unknown keys, names each missing required
 key, and checks each value against its field's annotation. Each settings
 section also checks its own types and ranges when built, so sections built
 in code obey the same rules, and the pipeline modules take the sections
-directly. Relative dataset paths resolve against the config file's
+directly. These are the only range checks: library functions take their
+values as given. Relative dataset paths resolve against the config file's
 directory. A single top-level seed feeds every random substream.
 """
 
@@ -18,10 +19,11 @@ import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-from .augment import MASK_MODES
 from .hin import HinError, MetapathSpec, SchemaConfig
-from .model import FUSION_MODES
 from .synth import SynthConfig
+
+MASK_MODES = ("columns", "entries")
+FUSION_MODES = ("sum", "concat")
 
 
 class ConfigError(ValueError):
@@ -208,6 +210,9 @@ class EvalSettings(_Settings):
 # Characters that would put `view_<name>.tsv` outside the output directory,
 # or that no file name can hold.
 _NOT_IN_NAMES = {"/", "\0", os.sep, os.altsep} - {None}
+# Longest metapath name in UTF-8 bytes, so that `view_<name>.tsv.<pid>.tmp`,
+# the view file's temporary name, fits a 255-byte file name.
+MAX_NAME_BYTES = 200
 
 
 @dataclass
@@ -234,6 +239,10 @@ class RunConfig:
                 raise ConfigError(
                     "metapaths[].name must be non-empty and hold no path "
                     f"separator or NUL, got {name!r}")
+            size = len(name.encode("utf-8", "surrogatepass"))
+            if size > MAX_NAME_BYTES:
+                raise ConfigError(f"metapaths[].name must be at most "
+                                  f"{MAX_NAME_BYTES} bytes of UTF-8, got {size}")
 
     def path(self, name: str) -> str:
         """Dataset path resolved against the config file's directory."""

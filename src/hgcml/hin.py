@@ -25,7 +25,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -158,26 +158,16 @@ class MetapathView:
 
 @dataclass
 class HIN:
-    """A typed graph. `node_ids` and `index` are filled by `load_hin` only;
-    a graph read back from the cache has neither."""
+    """A typed graph; the input's string ids exist only while parsing."""
 
     schema: SchemaConfig
-    node_ids: dict[str, list[str]]            # type -> original ids, input order
     biadjacency: dict[str, sp.csr_matrix]     # relation -> (N_src, N_dst) binary
     features: np.ndarray                      # (N_target, d_in) float64
     labels: np.ndarray | None = None          # (N_target,) int64, -1 = unlabeled
-    index: dict[str, tuple[str, int]] = field(default_factory=dict)
-
-    @property
-    def target_type(self) -> str:
-        return self.schema.target_type
 
     @property
     def n_target(self) -> int:
         return self.features.shape[0]
-
-    def count(self, type_name: str) -> int:
-        return len(self.node_ids.get(type_name, ()))
 
 
 def _read_rows(path, n_fields: int):
@@ -358,36 +348,32 @@ def load_hin(node_file, edge_file, feature_file, label_file,
     """
     ids, node_type, position = _read_nodes(node_file, schema)
     within = np.empty(len(ids), dtype=np.intp)   # index within its type
-    node_ids: dict[str, list[str]] = {}
+    size = {}
     for k, t in enumerate(schema.types):
         members = np.flatnonzero(node_type == k)
         within[members] = np.arange(members.size)
-        node_ids[t] = list(map(ids.__getitem__, members.tolist()))
-    index = dict(zip(ids, zip(map(schema.types.__getitem__, node_type.tolist()),
-                              within.tolist())))
+        size[t] = members.size
+        if t == schema.target_type:  # the ids features and labels name
+            row_of = dict(zip(map(ids.__getitem__, members.tolist()),
+                              range(members.size)))
     rel, src, dst = _read_edges(edge_file, schema, node_type, position)
 
     biadjacency = {}
     for k, decl in enumerate(schema.relations):
         mine = rel == k
-        shape = (len(node_ids[decl.src]), len(node_ids[decl.dst]))
         mat = sp.csr_matrix(
             (np.ones(int(mine.sum())), (within[src[mine]], within[dst[mine]])),
-            shape=shape, dtype=np.float64)
+            shape=(size[decl.src], size[decl.dst]), dtype=np.float64)
         mat.data[:] = 1.0  # collapse duplicate edge records
         biadjacency[decl.name] = mat
 
-    features = _load_features(feature_file, schema, node_ids, index)
-    labels = None
-    if label_file is not None:
-        labels = _load_labels(label_file, schema, index,
-                              len(node_ids[schema.target_type]))
-    return HIN(schema=schema, node_ids=node_ids, biadjacency=biadjacency,
-               features=features, labels=labels, index=index)
+    features = _load_features(feature_file, row_of)
+    labels = None if label_file is None else _load_labels(label_file, row_of)
+    return HIN(schema=schema, biadjacency=biadjacency, features=features,
+               labels=labels)
 
 
-def _load_features(path, schema, node_ids, index) -> np.ndarray:
-    targets = node_ids[schema.target_type]
+def _load_features(path, row_of: dict[str, int]) -> np.ndarray:
     path = str(path)
     if not os.path.exists(path):
         raise FeatureRowMissing(f"features file not found: {path}")
@@ -395,8 +381,8 @@ def _load_features(path, schema, node_ids, index) -> np.ndarray:
         rows: dict[int, np.ndarray] = {}
         dim = None
         for lineno, (node_id, values) in _read_rows(path, 2):
-            entry = index.get(node_id)
-            if entry is None or entry[0] != schema.target_type:
+            row = row_of.get(node_id)
+            if row is None:
                 raise UnknownNode(
                     f"{path}:{lineno}: {node_id!r} is not a target-type node")
             try:
@@ -408,32 +394,32 @@ def _load_features(path, schema, node_ids, index) -> np.ndarray:
             elif vec.size != dim:
                 raise MalformedRecord(
                     f"{path}:{lineno}: feature length {vec.size} != {dim}")
-            rows[entry[1]] = vec
-        missing = [targets[i] for i in range(len(targets)) if i not in rows]
+            rows[row] = vec
+        missing = [node_id for node_id, k in row_of.items() if k not in rows]
         if missing:
             raise FeatureRowMissing(f"{path}: no feature row for {missing[0]!r}")
-        matrix = np.vstack([rows[i] for i in range(len(targets))])
+        matrix = np.vstack([rows[i] for i in range(len(row_of))])
     else:
         try:
             matrix = io.read_matrix(path).astype(np.float64)
         except io.FormatError as exc:
             raise MalformedRecord(str(exc)) from exc
-        if matrix.shape[0] != len(targets):
+        if matrix.shape[0] != len(row_of):
             raise FeatureRowMissing(
-                f"{path}: {matrix.shape[0]} rows for {len(targets)} target nodes")
+                f"{path}: {matrix.shape[0]} rows for {len(row_of)} target nodes")
     if not np.all(np.isfinite(matrix)):
         raise MalformedRecord(f"{path}: non-finite feature values")
     return matrix
 
 
-def _load_labels(path, schema, index, n_target) -> np.ndarray:
-    labels = np.full(n_target, -1, dtype=np.int64)
+def _load_labels(path, row_of: dict[str, int]) -> np.ndarray:
+    labels = np.full(len(row_of), -1, dtype=np.int64)
     for lineno, (node_id, class_id) in _read_rows(path, 2):
-        entry = index.get(node_id)
-        if entry is None or entry[0] != schema.target_type:
+        row = row_of.get(node_id)
+        if row is None:
             raise UnknownNode(f"{path}:{lineno}: {node_id!r} is not a target-type node")
         try:
-            labels[entry[1]] = int(class_id)
+            labels[row] = int(class_id)
         except ValueError as exc:
             raise MalformedRecord(f"{path}:{lineno}: non-integer class id") from exc
     return labels
@@ -499,8 +485,8 @@ def read_graph(path, key: bytes, schema: SchemaConfig) -> HIN | None:
         return None
     if tensors:  # a tensor no relation of the schema claims
         return None
-    return HIN(schema=schema, node_ids={}, biadjacency=biadjacency,
-               features=features, labels=labels)
+    return HIN(schema=schema, biadjacency=biadjacency, features=features,
+               labels=labels)
 
 
 def _cached_csr(tensors, name: str) -> sp.csr_matrix:

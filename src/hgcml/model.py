@@ -20,14 +20,8 @@ import scipy.sparse as sp
 from . import numerics as nm
 from .hin import MetapathView
 from .io import FormatError
-from .numerics import ShapeMismatch, SparseMatrix, Tensor
+from .numerics import ShapeMismatch, Tensor
 from .rng import substream
-
-FUSION_MODES = ("sum", "concat")
-
-
-class ModeInvalid(ValueError):
-    """Unknown fusion mode."""
 
 
 @dataclass
@@ -101,14 +95,16 @@ def params_from_checkpoint(checkpoint, metapath_names) -> ModelParams:
     )
 
 
-def gcn_normalize(adjacency: sp.csr_matrix) -> SparseMatrix:
+def gcn_normalize(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     """Symmetric renormalization with self-loops: D^-1/2 (A+I) D^-1/2."""
     n = adjacency.shape[0]
     a_hat = (adjacency + sp.eye(n, format="csr")).tocsr()
     degrees = np.asarray(a_hat.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)  # >= 1 because of the self-loop
     scaling = sp.diags(inv_sqrt)
-    return SparseMatrix(scaling @ a_hat @ scaling)
+    normalized = (scaling @ a_hat @ scaling).tocsr()
+    normalized.sort_indices()  # so spmm sums each row in column order
+    return normalized
 
 
 def gcn_forward(view: MetapathView, weight: Tensor) -> Tensor:
@@ -133,8 +129,6 @@ def readout(h: Tensor) -> Tensor:
 
 def fuse(h_list, mode: str) -> np.ndarray:
     """Late fusion of per-view embeddings: row-wise sum or column concat."""
-    if mode not in FUSION_MODES:
-        raise ModeInvalid(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
     arrays = [np.asarray(h) for h in h_list]
     rows = arrays[0].shape[0]
     if any(a.shape[0] != rows for a in arrays):

@@ -117,19 +117,6 @@ def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     return out
 
 
-class SparseMatrix:
-    """Constant CSR matrix; used on the left of spmm, never differentiated."""
-
-    def __init__(self, matrix):
-        csr = sp.csr_matrix(matrix, dtype=np.float64)
-        csr.sort_indices()
-        self.csr = csr
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-
 # ---------------------------------------------------------------- op suite
 
 
@@ -146,15 +133,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), grad_fn)
 
 
-def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
+def spmm(s: sp.csr_matrix, x: Tensor) -> Tensor:
+    """Constant float64 CSR `s` times `x`; `s` is never differentiated."""
     if s.shape[1] != x.shape[0]:
         raise ShapeMismatch(f"spmm {s.shape} @ {x.shape}")
 
     def grad_fn(g):
         if x.requires_grad:
-            x._accumulate(s.csr.T @ g)
+            x._accumulate(s.T @ g)
 
-    return _make(s.csr @ x.data, (x,), grad_fn)
+    return _make(s @ x.data, (x,), grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

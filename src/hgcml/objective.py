@@ -36,10 +36,6 @@ from .positives import PositiveSets
 CHUNK = 128
 
 
-class TauNonPositive(ValueError):
-    """Temperature must be strictly positive."""
-
-
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), LOG_EPS)
     return x / norms, norms
@@ -74,8 +70,6 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     Peak memory is O(CHUNK*n) floats, with no n x n array of any dtype.
     Raises NonFiniteResult when an exponential is not finite.
     """
-    if tau <= 0:
-        raise TauNonPositive(f"tau must be > 0, got {tau}")
     n = z_m.shape[0]
     if z_n.shape != z_m.shape:
         raise ShapeMismatch(f"projected views differ: {z_m.shape} vs {z_n.shape}")
@@ -189,8 +183,6 @@ def pair_terms(corrupted, params: ModelParams, positives: PositiveSets,
     projection of view n's first corruption.
     """
     corrupted = list(corrupted)
-    if not corrupted:
-        raise ValueError("at least one metapath view is required")
     names = list(params.encoders)
     if len(names) != len(corrupted):
         raise ShapeMismatch(

@@ -42,8 +42,6 @@ class DiffusionMatrix:
     dense (n,n) array."""
 
     values: np.ndarray
-    alpha: float
-    metapath: str
     iterations: int      # K, index of the last added term
     error_bound: float   # entrywise bound (1-alpha)^(K+1)
     converged: bool
@@ -73,8 +71,6 @@ def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
     series stops when the largest entry of a term drops below `tol`, or
     after `max_iter` terms.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0,1], got {alpha}")
     transition = _transition(view.adjacency)
     n = transition.shape[0]
     if transition.nnz * DENSE_ABOVE > n * n:
@@ -94,8 +90,8 @@ def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
             f"PPR for {view.metapath.name!r} stopped at max_iter={max_iter} "
             f"with term {np.abs(term).max():.3e} > tol; error bound {bound:.3e}",
             NonConvergenceWarning, stacklevel=2)
-    return DiffusionMatrix(values=total, alpha=alpha, metapath=view.metapath.name,
-                           iterations=k, error_bound=bound, converged=converged)
+    return DiffusionMatrix(values=total, iterations=k, error_bound=bound,
+                           converged=converged)
 
 
 def topology_similarity(diffusions) -> np.ndarray:
@@ -173,8 +169,6 @@ def select_positives(sim_t: np.ndarray, sim_s: np.ndarray,
     if sim_t.shape != sim_s.shape:
         raise ShapeMismatch(f"similarity shapes differ: {sim_t.shape} vs {sim_s.shape}")
     n = sim_t.shape[0]
-    if k_t < 0 or k_s < 0:
-        raise KTooLarge("k_t and k_s must be non-negative")
     if k_t >= n or k_s >= n:
         raise KTooLarge(f"top-k of {max(k_t, k_s)} needs more than {n} nodes")
     chosen = np.eye(n, dtype=bool)

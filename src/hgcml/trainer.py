@@ -86,8 +86,6 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
           augment: AugmentSettings, seed: int) -> TrainResult:
     """Train on all metapath views; returns checkpoint, embeddings, trace."""
     metapaths = list(metapaths)
-    if not metapaths:
-        raise ValueError("at least one metapath is required")
     views = [extract_metapath_view(hin, spec) for spec in metapaths]
     d_in = hin.features.shape[1]
     params = init_params([spec.name for spec in metapaths], d_in, cfg.dim,

@@ -83,7 +83,9 @@ def toy_hin(toy_paths):
 
 
 def build_hin(schema, counts, edges, features, labels=None):
-    """Assemble a HIN in memory: edges are (relation, src_idx, dst_idx)."""
+    """Assemble a HIN in memory: edges are (relation, src_idx, dst_idx).
+    Returns the HIN and the string ids of each type, in index order, that
+    its input files would use."""
     node_ids = {t: [f"{t}{i}" for i in range(counts.get(t, 0))]
                 for t in schema.types}
     biadjacency = {}
@@ -95,8 +97,9 @@ def build_hin(schema, counts, edges, features, labels=None):
             shape=(counts[rel.src], counts[rel.dst]), dtype=np.float64)
         mat.data[:] = 1.0
         biadjacency[rel.name] = mat
-    return HIN(schema=schema, node_ids=node_ids, biadjacency=biadjacency,
-               features=np.asarray(features, dtype=np.float64), labels=labels)
+    return HIN(schema=schema, biadjacency=biadjacency,
+               features=np.asarray(features, dtype=np.float64),
+               labels=labels), node_ids
 
 
 def brute_force_view(hin, spec):
@@ -140,7 +143,8 @@ def metapath_neighbors(view, node):
 
 
 def random_typed_case(rng):
-    """A random small typed graph plus a type-correct metapath."""
+    """A random small typed graph, its string ids as `build_hin` returns
+    them, and a type-correct metapath."""
     variant = rng.integers(4)
     n_t = int(rng.integers(2, 21))
     n_u = int(rng.integers(1, 16))
@@ -183,7 +187,7 @@ def random_typed_case(rng):
         edges = bernoulli_edges("R0", n_t, n_u)
         spec = MetapathSpec("m", ("R0", "R0", "R0", "R0"))
     features = rng.standard_normal((n_t, 3))
-    return build_hin(schema, counts, edges, features), spec
+    return (*build_hin(schema, counts, edges, features), spec)
 
 
 def reference_rows(path, n_fields):
@@ -217,7 +221,8 @@ def reference_load_hin(node_file, edge_file, feature_file, label_file,
     """The per-line parser: the oracle of `load_hin`. Checks each line as
     it is read, so its first error is the earliest faulty line's. Labels
     and `features.tsv` go through hin's own checks, fed by the per-line
-    reader."""
+    reader. Returns the HIN and the string ids of each type in index
+    order."""
     node_ids = {t: [] for t in schema.types}
     index = {}
     for lineno, (node_id, type_name) in reference_rows(node_file, 2):
@@ -253,14 +258,15 @@ def reference_load_hin(node_file, edge_file, feature_file, label_file,
         mat.data[:] = 1.0
         biadjacency[decl.name] = mat
 
+    row_of = {node_id: k for k, node_id
+              in enumerate(node_ids[schema.target_type])}
     with mock.patch.object(hin_module, "_read_rows", reference_rows):
-        features = _load_features(feature_file, schema, node_ids, index)
+        features = _load_features(feature_file, row_of)
         labels = None
         if label_file is not None:
-            labels = _load_labels(label_file, schema, index,
-                                  len(node_ids[schema.target_type]))
-    return HIN(schema=schema, node_ids=node_ids, biadjacency=biadjacency,
-               features=features, labels=labels, index=index)
+            labels = _load_labels(label_file, row_of)
+    return HIN(schema=schema, biadjacency=biadjacency, features=features,
+               labels=labels), node_ids
 
 
 def reference_load_positives(path, n):
@@ -298,8 +304,8 @@ def dense_ppr_series(view, alpha, tol=1e-6, max_iter=100):
         k += 1
         term = (1.0 - alpha) * (transition @ term)
         total += term
-    return DiffusionMatrix(values=total, alpha=alpha, metapath=view.metapath.name,
-                           iterations=k, error_bound=(1.0 - alpha) ** (k + 1),
+    return DiffusionMatrix(values=total, iterations=k,
+                           error_bound=(1.0 - alpha) ** (k + 1),
                            converged=bool(np.abs(term).max() < tol))
 
 
@@ -438,7 +444,7 @@ def numerics_grad_cases():
 
     def c_spmm():
         dense = (substream(7, "gradcase", "sp").random((4, 4)) < 0.5) * 1.0
-        s = nm.SparseMatrix(sp.csr_matrix(dense))
+        s = sp.csr_matrix(dense)
         x = param((4, 3), "sp_x")
         return lambda: nm.mean_all(nm.spmm(s, x)), [x]
     case("spmm", c_spmm)

@@ -169,7 +169,7 @@ def test_criterion_3_metapath_view_oracle():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(100):
-            case_hin, spec = random_typed_case(rng)
+            case_hin, _, spec = random_typed_case(rng)
             view = extract_metapath_view(case_hin, spec)
             if not np.array_equal(view.adjacency.toarray(),
                                   brute_force_view(case_hin, spec)):

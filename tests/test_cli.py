@@ -352,10 +352,15 @@ def test_missing_config_key_exits_3(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["", "a/b", "a\u0000b"],
-                         ids=["empty", "slash", "nul"])
+@pytest.mark.parametrize("name, problem", [
+    ("", "non-empty"), ("a/b", "no path separator"),
+    ("a\u0000b", "no path separator"),
+    # too long for `view_<name>.tsv.<pid>.tmp` to be a file name
+    ("m" * 300, "at most 200 bytes of UTF-8, got 300"),
+    ("\u00e9" * 101, "at most 200 bytes of UTF-8, got 202"),
+], ids=["empty", "slash", "nul", "300-bytes", "202-bytes-in-101-chars"])
 def test_metapath_name_unusable_in_file_name_exits_3(pipeline, tmp_path,
-                                                     capsys, name):
+                                                     capsys, name, problem):
     raw = json.load(open(pipeline["config"], encoding="utf-8"))
     raw["metapaths"][0]["name"] = name
     bad = os.path.join(pipeline["data"], "run_name.json")
@@ -365,8 +370,33 @@ def test_metapath_name_unusable_in_file_name_exits_3(pipeline, tmp_path,
     out.mkdir()
     assert main(["prepare", "--config", bad, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "ConfigError: metapaths[].name must be" in err
+    assert "ConfigError: metapaths[].name must be" in err and problem in err
     assert not any(out.iterdir())
+
+
+def test_metapath_name_of_the_longest_length_is_written(pipeline, tmp_path):
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    name = "a" * 200
+    raw["metapaths"][0]["name"] = name
+    longest = os.path.join(pipeline["data"], "run_longest_name.json")
+    with open(longest, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out = tmp_path / "named"
+    assert main(["prepare", "--config", longest, "--out", str(out)]) == 0
+    assert (out / f"view_{name}.tsv").exists()
+
+
+def test_config_without_a_metapath_exits_3(pipeline, tmp_path, capsys):
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw["metapaths"] = []
+    bad = str(tmp_path / "no_metapath.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out = tmp_path / "o"
+    assert main(["train", "--config", bad, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "ConfigError: at least one metapath is required" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,5 +1,6 @@
 """Typed graph loading, validation, and metapath view extraction."""
 
+import dataclasses
 import itertools
 import os
 import re
@@ -9,13 +10,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hgcml.hin import (AsymmetricViewWarning, DuplicateNodeId, EmptyViewWarning,
-                       EndpointTypeMismatch, FeatureRowMissing, HinError,
-                       MalformedRecord, MetapathSpec, RelationDecl,
-                       SchemaConfig, TypeChainBroken, UnknownNode,
-                       UnknownRelation, UnknownType, extract_metapath_view,
-                       graph_key, load_hin, read_graph, resolve_chain,
-                       write_graph)
+from hgcml.hin import (HIN, AsymmetricViewWarning, DuplicateNodeId,
+                       EmptyViewWarning, EndpointTypeMismatch,
+                       FeatureRowMissing, HinError, MalformedRecord,
+                       MetapathSpec, RelationDecl, SchemaConfig,
+                       TypeChainBroken, UnknownNode, UnknownRelation,
+                       UnknownType, extract_metapath_view, graph_key,
+                       load_hin, read_graph, resolve_chain, write_graph)
 import hgcml.hin as hin_module
 from hgcml.io import read_checkpoint, write_checkpoint, write_matrix
 from hgcml.positives import load_positives
@@ -36,16 +37,31 @@ def test_toy_counts(toy_hin):
     assert len(toy_hin.schema.types) == 4
     assert len(toy_hin.schema.relations) == 3
     assert toy_hin.n_target == 4
-    assert toy_hin.count("paper") == 5
-    assert toy_hin.count("subject") == 3
-    assert toy_hin.count("conference") == 2
+    # (authors, papers), (papers, subjects), (papers, conferences)
+    assert {name: mat.shape for name, mat in toy_hin.biadjacency.items()} == {
+        "AP": (4, 5), "PS": (5, 3), "PC": (5, 2)}
     assert toy_hin.features.shape == (4, 2)
 
 
-def test_target_remap_preserves_input_order(toy_hin):
-    assert toy_hin.node_ids["author"] == ["a1", "a2", "a3", "a4"]
-    assert toy_hin.index["a3"] == ("author", 2)
-    assert toy_hin.index["p5"] == ("paper", 4)
+def test_target_remap_preserves_input_order(toy_paths):
+    """Rows and columns follow nodes.tsv, whatever order the files keyed
+    by id are in."""
+    dirpath = os.path.dirname(toy_paths["nodes"])
+    features, labels = (os.path.join(dirpath, name)
+                        for name in ("features.tsv", "labels.tsv"))
+    with open(features, "w", encoding="utf-8") as fh:
+        fh.writelines(f"a{k + 1}\t{k}.0,{k}.5\n" for k in (2, 0, 3, 1))
+    with open(labels, "w", encoding="utf-8") as fh:
+        fh.writelines(f"a{k + 1}\t{10 + k}\n" for k in (3, 1, 0, 2))
+    hin = load_hin(toy_paths["nodes"], toy_paths["edges"], features, labels,
+                   TOY_SCHEMA)
+    assert hin.features.tolist() == [[k, k + 0.5] for k in range(4)]
+    assert hin.labels.tolist() == [10, 11, 12, 13]
+    # a3 is author 2 and wrote p3 and p5, papers 2 and 4; p5 is in s2,
+    # subject 1, and at c2, conference 1
+    assert sorted(hin.biadjacency["AP"][2].indices.tolist()) == [2, 4]
+    assert hin.biadjacency["PS"][4].indices.tolist() == [1]
+    assert hin.biadjacency["PC"][4].indices.tolist() == [1]
 
 
 def test_coauthor_view_neighbors(toy_hin):
@@ -68,9 +84,9 @@ def test_three_node_chain_not_transitive():
     schema = SchemaConfig(types=("author", "paper"),
                           relations=(RelationDecl("AP", "author", "paper"),),
                           target_type="author")
-    hin = build_hin(schema, {"author": 3, "paper": 2},
-                    [("AP", 0, 0), ("AP", 1, 0), ("AP", 1, 1), ("AP", 2, 1)],
-                    np.zeros((3, 1)))
+    hin, _ = build_hin(schema, {"author": 3, "paper": 2},
+                       [("AP", 0, 0), ("AP", 1, 0), ("AP", 1, 1),
+                        ("AP", 2, 1)], np.zeros((3, 1)))
     view = extract_metapath_view(hin, MetapathSpec("APA", ("AP", "AP")))
     assert edge_pairs(view) == {(0, 1), (1, 2)}
 
@@ -240,8 +256,8 @@ def test_asymmetric_product_symmetrized():
                                      RelationDecl("R1", "u", "t")),
                           target_type="t")
     # one directed chain t0 -R0-> u0 -R1-> t1 and nothing back
-    hin = build_hin(schema, {"t": 2, "u": 1},
-                    [("R0", 0, 0), ("R1", 0, 1)], np.zeros((2, 1)))
+    hin, _ = build_hin(schema, {"t": 2, "u": 1},
+                       [("R0", 0, 0), ("R1", 0, 1)], np.zeros((2, 1)))
     with pytest.warns(AsymmetricViewWarning):
         view = extract_metapath_view(hin, MetapathSpec("m", ("R0", "R1")))
     assert edge_pairs(view) == {(0, 1)}
@@ -251,7 +267,7 @@ def test_asymmetric_product_symmetrized():
 def test_views_match_brute_force_enumeration():
     for trial in range(30):
         rng = substream(trial, "viewcase")
-        hin, spec = random_typed_case(rng)
+        hin, _, spec = random_typed_case(rng)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             view = extract_metapath_view(hin, spec)
@@ -261,15 +277,15 @@ def test_views_match_brute_force_enumeration():
 
 # -- the block parser against the per-line oracle ----------------------------
 
-def typed_lines(hin, rng, prefix=""):
-    """Shuffled node and edge lines of an in-memory HIN, with a few repeated
-    edges; `prefix` renames every node id."""
-    nodes = [f"{prefix}{node_id}\t{t}" for t, ids in hin.node_ids.items()
+def typed_lines(hin, node_ids, rng, prefix=""):
+    """Shuffled node and edge lines of an in-memory HIN with the string ids
+    `node_ids`, with a few repeated edges; `prefix` renames every node id."""
+    nodes = [f"{prefix}{node_id}\t{t}" for t, ids in node_ids.items()
              for node_id in ids]
     edges = []
     for rel in hin.schema.relations:
         coo = hin.biadjacency[rel.name].tocoo()
-        src_ids, dst_ids = hin.node_ids[rel.src], hin.node_ids[rel.dst]
+        src_ids, dst_ids = node_ids[rel.src], node_ids[rel.dst]
         edges += [f"{prefix}{src_ids[i]}\t{prefix}{dst_ids[j]}\t{rel.name}"
                   for i, j in zip(coo.row, coo.col)]
     if edges:
@@ -289,18 +305,19 @@ def write_lines(path, lines, rng, crlf=False, final_newline=True, blanks=0):
         fh.write(eol.join(lines) + (eol if final_newline and lines else ""))
 
 
-def write_typed_case(dirpath, hin, nodes, edges, rng, prefix="", **fmt):
+def write_typed_case(dirpath, hin, node_ids, nodes, edges, rng, prefix="",
+                     **fmt):
     """The node and edge lines in the input formats, plus the HIN's
-    features and a label for every other target node."""
+    features and a label for every other target node of `node_ids`."""
     paths = {name: os.path.join(dirpath, f"{name}.tsv")
              for name in ("nodes", "edges", "labels")}
     paths["features"] = os.path.join(dirpath, "features.bin")
     write_lines(paths["nodes"], nodes, rng, **fmt)
     write_lines(paths["edges"], edges, rng, **fmt)
     write_matrix(paths["features"], hin.features)
+    targets = node_ids[hin.schema.target_type]
     write_lines(paths["labels"], [f"{prefix}{node_id}\t{k % 3}" for k, node_id
-                                  in enumerate(hin.node_ids[hin.target_type])
-                                  if k % 2 == 0], rng)
+                                  in enumerate(targets) if k % 2 == 0], rng)
     return paths
 
 
@@ -314,37 +331,42 @@ def load_outcome(loader, paths, schema):
 
 def assert_same_outcome(paths, schema):
     """load_hin and the per-line oracle agree: the same graph, or the same
-    exception class and message. Returns the oracle's outcome."""
+    exception class and message. Returns the oracle's outcome: its graph
+    and string ids, or its exception."""
     want = load_outcome(reference_load_hin, paths, schema)
     got = load_outcome(load_hin, paths, schema)
     if isinstance(want, HinError):
         assert (type(got), str(got)) == (type(want), str(want))
         return want
     assert not isinstance(got, HinError), got
-    assert got.node_ids == want.node_ids
-    assert list(got.index.items()) == list(want.index.items())
-    assert_same_arrays(got, want)
+    assert_same_graph(got, want[0])
     return want
 
 
-def assert_same_arrays(got, want):
-    """Every CSR array with its dtype, the feature bits and the labels."""
-    assert got.biadjacency.keys() == want.biadjacency.keys()
-    for name, mat in want.biadjacency.items():
-        mine = got.biadjacency[name]
-        assert mine.shape == mat.shape
+def assert_same_value(got, want, where):
+    """`got` equals `want`: dicts key by key in order, CSR matrices array by
+    array, arrays in dtype, shape and bits."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_value(got[key], want[key], f"{where}[{key!r}]")
+    elif sp.issparse(want):
+        assert got.shape == want.shape, where
         for part in ("indptr", "indices", "data"):
-            a, b = getattr(mine, part), getattr(mat, part)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
-    assert got.features.dtype == want.features.dtype
-    assert got.features.shape == want.features.shape
-    assert got.features.tobytes() == want.features.tobytes()
-    assert got.n_target == want.n_target
-    if want.labels is None:
-        assert got.labels is None
+            assert_same_value(getattr(got, part), getattr(want, part),
+                              f"{where}.{part}")
+    elif isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
     else:
-        assert got.labels.dtype == want.labels.dtype
-        assert np.array_equal(got.labels, want.labels)
+        assert got == want, where
+
+
+def assert_same_graph(got, want):
+    """Every field of two HINs is the same value."""
+    for f in dataclasses.fields(HIN):
+        assert_same_value(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
 # Block sizes in characters: every line in one block, one character per
@@ -366,10 +388,10 @@ FAULTS = {"node-fields": MalformedRecord, "node-type": UnknownType,
 
 def case_with_edges(rng, prefix=""):
     while True:
-        hin, _ = random_typed_case(rng)
-        nodes, edges = typed_lines(hin, rng, prefix)
+        hin, node_ids, _ = random_typed_case(rng)
+        nodes, edges = typed_lines(hin, node_ids, rng, prefix)
         if edges:
-            return hin, nodes, edges
+            return hin, node_ids, nodes, edges
 
 
 def fault_line(kind, nodes, edges, rng):
@@ -402,12 +424,12 @@ def parse_case(tmp_path, trial):
     """(paths, schema, metapath) of the random typed case `trial`, written
     with its own mix of id prefix, line ends and blank lines."""
     rng = substream(trial, "parsecase")
-    hin, spec = random_typed_case(rng)
+    hin, node_ids, spec = random_typed_case(rng)
     prefix = "ñ節-" if trial % 3 == 0 else ""
-    nodes, edges = typed_lines(hin, rng, prefix)
+    nodes, edges = typed_lines(hin, node_ids, rng, prefix)
     dirpath = tmp_path / str(trial)
     dirpath.mkdir()
-    paths = write_typed_case(dirpath, hin, nodes, edges, rng, prefix,
+    paths = write_typed_case(dirpath, hin, node_ids, nodes, edges, rng, prefix,
                              crlf=trial % 2 == 1,
                              final_newline=trial % 4 != 3,
                              blanks=trial % 5)
@@ -440,14 +462,12 @@ def test_cached_graph_equals_parsed_graph(tmp_path):
         write_graph(cache, parsed, key_of(paths, schema))
         cached = read_graph(cache, key_of(paths, schema), schema)
         assert cached is not None, f"trial {trial}"
-        assert_same_arrays(cached, parsed)
+        assert_same_graph(cached, parsed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             mine, want = (extract_metapath_view(g, spec).adjacency
                           for g in (cached, parsed))
-        for part in ("indptr", "indices", "data"):
-            a, b = getattr(mine, part), getattr(want, part)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (trial, part)
+        assert_same_value(mine, want, f"trial {trial} view")
 
 
 def test_graph_key_covers_schema_and_every_input(tmp_path):
@@ -491,7 +511,7 @@ def test_graph_cache_not_trusted(toy_hin, toy_paths, tmp_path, fault):
     key = key_of(toy_paths, TOY_SCHEMA)
     cache = tmp_path / "graph.bin"
     write_graph(cache, toy_hin, key)
-    assert_same_arrays(read_graph(cache, key, TOY_SCHEMA), toy_hin)
+    assert_same_graph(read_graph(cache, key, TOY_SCHEMA), toy_hin)
     blob = cache.read_bytes()
     tensors = read_checkpoint(cache)
     if fault == "missing":
@@ -521,14 +541,15 @@ def test_each_fault_reported_like_per_line_oracle(tmp_path, monkeypatch, kind):
         monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
         rng = substream(trial, "faultcase", kind)
         prefix = "ñ節-" if trial % 3 == 0 else ""
-        hin, nodes, edges = case_with_edges(rng, prefix)
+        hin, node_ids, nodes, edges = case_with_edges(rng, prefix)
         lines = {"nodes": nodes, "edges": edges}
         where, line = fault_line(kind, nodes, edges, rng)
         lines[where].insert(int(rng.integers(len(lines[where]) + 1)), line)
         dirpath = tmp_path / f"{block}-{trial}"
         dirpath.mkdir()
-        paths = write_typed_case(dirpath, hin, lines["nodes"], lines["edges"],
-                                 rng, prefix, crlf=trial % 2 == 1,
+        paths = write_typed_case(dirpath, hin, node_ids, lines["nodes"],
+                                 lines["edges"], rng, prefix,
+                                 crlf=trial % 2 == 1,
                                  final_newline=trial % 4 != 3, blanks=trial % 3)
         assert isinstance(assert_same_outcome(paths, hin.schema), FAULTS[kind])
 
@@ -540,15 +561,16 @@ def test_earliest_of_two_faults_is_reported(tmp_path, monkeypatch, block):
     monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
     for first, second in itertools.product(sorted(FAULTS), repeat=2):
         rng = substream(block, "twofaults", first, second)
-        hin, nodes, edges = case_with_edges(rng)
+        hin, node_ids, nodes, edges = case_with_edges(rng)
         faults = [fault_line(kind, nodes, edges, rng) for kind in (first, second)]
         lines = {"nodes": nodes, "edges": edges}
         for where, line in faults:
             lines[where].insert(int(rng.integers(len(lines[where]) + 1)), line)
         dirpath = tmp_path / f"{first}-{second}"
         dirpath.mkdir()
-        paths = write_typed_case(dirpath, hin, lines["nodes"], lines["edges"],
-                                 rng, blanks=int(rng.integers(3)))
+        paths = write_typed_case(dirpath, hin, node_ids, lines["nodes"],
+                                 lines["edges"], rng,
+                                 blanks=int(rng.integers(3)))
         assert isinstance(assert_same_outcome(paths, hin.schema), HinError)
 
 
@@ -561,10 +583,10 @@ def test_missing_node_or_edge_file_reported_like_per_line_oracle(toy_paths):
 
 # -- labels, features.tsv and positives.tsv against the per-line oracle ------
 
-def row_lines(hin, rng, prefix=""):
+def row_lines(hin, node_ids, rng, prefix=""):
     """Shuffled lines of labels.tsv, features.tsv and positives.tsv for
-    every target node of an in-memory HIN."""
-    targets = hin.node_ids[hin.target_type]
+    every target node of an in-memory HIN with the string ids `node_ids`."""
+    targets = node_ids[hin.schema.target_type]
     n = len(targets)
     lines = {
         "labels": [f"{prefix}{node_id}\t{k % 3}"
@@ -582,12 +604,12 @@ def row_lines(hin, rng, prefix=""):
 def write_row_case(dirpath, rng, prefix="", fault=None, **fmt):
     """A random typed case whose labels and features are TSV row files,
     plus its positives.tsv, with one fault of the kind `fault` in them;
-    returns the HIN and the file paths."""
-    hin, nodes, edges = case_with_edges(rng, prefix)
-    paths = write_typed_case(dirpath, hin, nodes, edges, rng, prefix)
-    rows = row_lines(hin, rng, prefix)
+    returns the HIN, its string ids and the file paths."""
+    hin, node_ids, nodes, edges = case_with_edges(rng, prefix)
+    paths = write_typed_case(dirpath, hin, node_ids, nodes, edges, rng, prefix)
+    rows = row_lines(hin, node_ids, rng, prefix)
     if fault is not None:
-        where, line = row_fault_line(fault, hin, rng, prefix)
+        where, line = row_fault_line(fault, hin, node_ids, rng, prefix)
         at = int(rng.integers(len(rows[where]) + (line is not None)))
         if line is None:
             del rows[where][at]
@@ -596,7 +618,7 @@ def write_row_case(dirpath, rng, prefix="", fault=None, **fmt):
     for name, lines in rows.items():
         paths[name] = os.path.join(dirpath, f"{name}.tsv")
         write_lines(paths[name], lines, rng, **fmt)
-    return hin, paths
+    return hin, node_ids, paths
 
 
 def assert_same_positives(path, n):
@@ -635,16 +657,16 @@ ROW_FAULTS = {"labels-fields": MalformedRecord, "labels-node": UnknownNode,
               "positives-utf8": MalformedRecord}
 
 
-def row_fault_line(kind, hin, rng, prefix=""):
+def row_fault_line(kind, hin, node_ids, rng, prefix=""):
     """(file, line) holding one fault of `kind`; line None deletes one."""
-    targets = hin.node_ids[hin.target_type]
+    targets = node_ids[hin.schema.target_type]
     n = len(targets)
     u = int(rng.integers(n))
     node = f"{prefix}{targets[u]}"
     values = ",".join(["0.5"] * hin.features.shape[1])
     return {
         "labels-fields": ("labels", f"{node}\t1\t"),
-        "labels-node": ("labels", f"{prefix}{hin.node_ids['u'][0]}\t1"),
+        "labels-node": ("labels", f"{prefix}{node_ids['u'][0]}\t1"),
         "labels-class": ("labels", f"{node}\tone"),
         "features-fields": ("features", node),
         "features-node": ("features", f"ghost\t{values}"),
@@ -671,14 +693,15 @@ def test_row_files_match_per_line_oracle(tmp_path, monkeypatch, block):
         prefix = "ñ節-" if trial % 3 == 0 else ""
         dirpath = tmp_path / str(trial)
         dirpath.mkdir()
-        hin, paths = write_row_case(dirpath, rng, prefix, crlf=trial % 2 == 1,
-                                    final_newline=trial % 4 != 3,
-                                    blanks=trial % 5)
-        got = assert_same_outcome(paths, hin.schema)
-        row_of = {f"{prefix}{node_id}": k for k, node_id
-                  in enumerate(hin.node_ids[hin.target_type])}
-        order = [row_of[node_id] for node_id in got.node_ids[hin.target_type]]
-        assert np.array_equal(got.features, hin.features[order])
+        hin, node_ids, paths = write_row_case(
+            dirpath, rng, prefix, crlf=trial % 2 == 1,
+            final_newline=trial % 4 != 3, blanks=trial % 5)
+        parsed, parsed_ids = assert_same_outcome(paths, hin.schema)
+        target = hin.schema.target_type
+        row_of = {f"{prefix}{node_id}": k
+                  for k, node_id in enumerate(node_ids[target])}
+        order = [row_of[node_id] for node_id in parsed_ids[target]]
+        assert np.array_equal(parsed.features, hin.features[order])
         assert not isinstance(assert_same_positives(paths["positives"],
                                                     hin.n_target), HinError)
 
@@ -692,10 +715,10 @@ def test_each_row_file_fault_reported_like_per_line_oracle(tmp_path,
         prefix = "ñ節-" if trial % 3 == 0 else ""
         dirpath = tmp_path / f"{block}-{trial}"
         dirpath.mkdir()
-        hin, paths = write_row_case(dirpath, rng, prefix, fault=kind,
-                                    crlf=trial % 2 == 1,
-                                    final_newline=trial % 4 != 3,
-                                    blanks=trial % 3)
+        hin, _, paths = write_row_case(dirpath, rng, prefix, fault=kind,
+                                       crlf=trial % 2 == 1,
+                                       final_newline=trial % 4 != 3,
+                                       blanks=trial % 3)
         if kind.startswith("positives"):
             outcome = assert_same_positives(paths["positives"], hin.n_target)
         else:
@@ -706,7 +729,7 @@ def test_each_row_file_fault_reported_like_per_line_oracle(tmp_path,
 @pytest.mark.parametrize("name", ["nodes", "edges", "labels", "features",
                                   "positives"])
 def test_invalid_utf8_in_a_text_input_names_the_file(tmp_path, name):
-    hin, paths = write_row_case(tmp_path, substream(0, "utf8", name))
+    hin, _, paths = write_row_case(tmp_path, substream(0, "utf8", name))
     with open(paths[name], "rb") as fh:
         line = len(fh.read().splitlines()) + 1
     with open(paths[name], "ab") as fh:

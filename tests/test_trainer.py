@@ -172,6 +172,8 @@ def test_train_config_validation():
         TrainSettings(fusion="avg")
     with pytest.raises(ConfigError, match="tau"):
         TrainSettings(tau=0.0)
+    with pytest.raises(ConfigError, match="tau"):
+        TrainSettings(tau=-1.0)
     with pytest.raises(ConfigError, match="lr"):
         TrainSettings(lr=-1e-3)
     with pytest.raises(ConfigError, match="p_e"):
@@ -184,6 +186,12 @@ def test_train_config_validation():
         TrainSettings(dim=0)
     with pytest.raises(ConfigError, match="k_t"):
         PositiveSettings(k_t=-1)
+    with pytest.raises(ConfigError, match="k_s"):
+        PositiveSettings(k_s=-1)
+    PositiveSettings(alpha=1.0)  # the series is then its first term
+    for alpha in (0.0, -0.1, 1.5):
+        with pytest.raises(ConfigError, match="alpha"):
+            PositiveSettings(alpha=alpha)
     with pytest.raises(ConfigError, match="mask_mode"):
         AugmentSettings(mask_mode="diagonal")
 
@@ -197,8 +205,3 @@ def test_train_config_validation():
 def test_non_finite_settings_rejected(section, key, value):
     with pytest.raises(ConfigError, match=key):
         section(**{key: value})
-
-
-def test_train_requires_a_metapath(toy_hin, anchor_positives):
-    with pytest.raises(ValueError):
-        train(toy_hin, [], anchor_positives, *quick_cfg())
