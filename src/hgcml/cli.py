@@ -120,11 +120,12 @@ def cmd_prepare(args) -> int:
 def cmd_positives(args) -> int:
     cfg, hin, out, _ = _stage(args)
     pos_cfg = cfg.positives
-    # the per-view totals are dropped once summed, before the semantic channel
-    sim_t = topology_similarity([
+    # a generator: each view's series runs only once the previous view's
+    # total has been added to the sum and let go
+    sim_t = topology_similarity(
         ppr_matrix(extract_metapath_view(hin, spec), pos_cfg.alpha,
                    tol=pos_cfg.tol, max_iter=pos_cfg.max_iter)
-        for spec in cfg.metapaths])
+        for spec in cfg.metapaths)
     sim_s = semantic_similarity(hin.features)
     selected = select_positives(sim_t, sim_s, pos_cfg.k_t, pos_cfg.k_s)
     path = os.path.join(out, "positives.tsv")

@@ -239,7 +239,12 @@ class RunConfig:
                 raise ConfigError(
                     "metapaths[].name must be non-empty and hold no path "
                     f"separator or NUL, got {name!r}")
-            size = len(name.encode("utf-8", "surrogatepass"))
+            try:
+                size = len(name.encode("utf-8"))
+            except UnicodeEncodeError:  # a lone surrogate, e.g. JSON "\ud800"
+                raise ConfigError(
+                    "metapaths[].name must be valid UTF-8 text, got "
+                    f"{name!r}") from None
             if size > MAX_NAME_BYTES:
                 raise ConfigError(f"metapaths[].name must be at most "
                                   f"{MAX_NAME_BYTES} bytes of UTF-8, got {size}")

@@ -34,6 +34,17 @@ class NonConvergenceWarning(RuntimeWarning):
 # sparse product took 0.65-0.73x the time of the dense one at 4.9% density,
 # 0.94-1.00x at 6.2%, 0.94-1.24x at 7.8% and 1.41-1.74x at 11%.
 DENSE_ABOVE = 16
+# On the sparse path the series runs on column blocks this wide, so each
+# product's dense operand stays in cache. One view of the n = 5000 synth
+# graph (0.58% density), one BLAS thread: 3.2-3.3 s with 64 or 128 columns,
+# 3.6 s with 256 and 6.1 s unblocked. The dense path keeps one block of
+# width n, since narrow blocks slowed BLAS down there.
+BLOCK_COLUMNS = 128
+# The semantic channel and the top-k work on n x n arrays a block of rows
+# at a time, each block about this many bytes of float64, so the rows at
+# work stay in cache and no second n x n temporary is made. At n = 900,
+# 1800 and 5000 this took 0.35-0.6x the time of whole-array passes.
+ROW_BLOCK_BYTES = 1 << 19
 
 
 @dataclass
@@ -67,52 +78,90 @@ def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
 
     Each term is the transition times the dense previous term. The
     transition stays sparse unless its density exceeds 1/DENSE_ABOVE, in
-    which case it is densified once and the series runs on BLAS. The
-    series stops when the largest entry of a term drops below `tol`, or
-    after `max_iter` terms.
+    which case it is densified once and the series runs on BLAS. On the
+    sparse path the term is held as column blocks BLOCK_COLUMNS wide, all
+    advanced in lockstep; each output entry is the same sum over one row
+    of the transition either way, so the bits do not depend on the width.
+    The series stops when the largest entry of a term, over all blocks,
+    drops below `tol`, or after `max_iter` terms. Every term is
+    nonnegative, so its largest entry is also its largest magnitude.
     """
     transition = _transition(view.adjacency)
     n = transition.shape[0]
+    width = BLOCK_COLUMNS
     if transition.nnz * DENSE_ABOVE > n * n:
         transition = transition.toarray()
-    term = alpha * np.eye(n)
-    total = term.copy()
+        width = n
+    total = alpha * np.eye(n)
+    starts = range(0, n, width)
+    blocks = [total[:, start:start + width].copy() for start in starts]
+    largest = alpha
     k = 0
-    while np.abs(term).max() >= tol and k < max_iter:
+    while largest >= tol and k < max_iter:
         k += 1
-        term = transition @ term
-        term *= 1.0 - alpha
-        total += term
-    converged = bool(np.abs(term).max() < tol)
+        largest = 0.0
+        for i, start in enumerate(starts):
+            term = transition @ blocks[i]
+            term *= 1.0 - alpha
+            total[:, start:start + term.shape[1]] += term
+            largest = max(largest, term.max())
+            blocks[i] = term
+    converged = bool(largest < tol)
     bound = (1.0 - alpha) ** (k + 1)
     if not converged:
         warnings.warn(
             f"PPR for {view.metapath.name!r} stopped at max_iter={max_iter} "
-            f"with term {np.abs(term).max():.3e} > tol; error bound {bound:.3e}",
+            f"with term {largest:.3e} > tol; error bound {bound:.3e}",
             NonConvergenceWarning, stacklevel=2)
     return DiffusionMatrix(values=total, iterations=k, error_bound=bound,
                            converged=converged)
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an (n,n) float64 array, ROW_BLOCK_BYTES or so each."""
+    rows = max(1, ROW_BLOCK_BYTES // (8 * n)) if n else 1
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
 def topology_similarity(diffusions) -> np.ndarray:
-    """Elementwise sum of PPR matrices across views."""
-    diffusions = list(diffusions)
-    shape = diffusions[0].values.shape
-    for d in diffusions[1:]:
-        if d.values.shape != shape:
-            raise ShapeMismatch(f"PPR shapes differ: {shape} vs {d.values.shape}")
-    out = np.zeros(shape)
+    """Elementwise sum of PPR matrices across views, from zeros in the
+    given order. `diffusions` may be a generator: each view is added as it
+    arrives and let go, so at most one view's matrix is alive beside the
+    sum."""
+    out = None
     for d in diffusions:
+        if out is None:
+            out = np.zeros(d.values.shape)
+        elif d.values.shape != out.shape:
+            raise ShapeMismatch(f"PPR shapes differ: {out.shape} vs {d.values.shape}")
         out += d.values
+        del d  # before the generator builds the next view
+    if out is None:
+        raise ValueError("topology_similarity needs at least one view")
     return out
 
 
 def semantic_similarity(features: np.ndarray) -> np.ndarray:
-    """Negative pairwise euclidean distance; 0 on the diagonal."""
-    # imported here: scipy.spatial adds ~0.2 s to the start-up of every
-    # stage that imports this module, and only `positives` calls it
-    from scipy.spatial.distance import cdist
-    return -cdist(features, features, metric="euclidean")
+    """Negative pairwise euclidean distance; -0.0 on the diagonal.
+
+    The squared differences are added one feature column at a time, in
+    column order, as scipy's `cdist` does, so the bits equal
+    `-cdist(features, features)`, overflow to -inf included.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    columns = x.T.copy()
+    out = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for rows in _row_blocks(n):
+            block = out[rows]
+            diff = np.empty_like(block)
+            for column in columns:
+                np.subtract(column[rows, None], column, out=diff)
+                np.multiply(diff, diff, out=diff)
+                block += diff
+    np.sqrt(out, out=out)
+    return np.negative(out, out=out)
 
 
 @dataclass
@@ -155,12 +204,29 @@ class PositiveSets:
 def _top_k(sim: np.ndarray, k: int) -> np.ndarray:
     """(n,k) ids of each row's k best other nodes: score descending, then
     id ascending. The anchor is left out of its row, not masked with a
-    sentinel score, so any finite or infinite score ranks the same way."""
+    sentinel score, so any finite or infinite score ranks the same way,
+    and -0.0 ties with 0.0.
+
+    Each row's k-th best score comes from a partition; only the candidates
+    scoring at least that much are then sorted, by (score, id). NaN cannot
+    reach here: features are checked finite at load and the PPR series of
+    a finite transition is finite.
+    """
     n = sim.shape[0]
-    others = sim[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    np.negative(others, out=others)
-    ids = np.argsort(others, axis=1, kind="stable")[:, :k]
-    return ids + (ids >= np.arange(n)[:, None])
+    ids = np.empty((n, k), dtype=np.int64)
+    for rows in _row_blocks(n):
+        anchors = np.arange(rows.start, rows.stop)
+        m = anchors.size
+        keep = np.ones((m, n), dtype=bool)
+        keep[np.arange(m), anchors] = False
+        others = -sim[rows][keep].reshape(m, n - 1)  # ascending: best first
+        kth = np.partition(others, k - 1, axis=1)[:, k - 1, None]
+        row, col = np.nonzero(others <= kth)  # row-major: ids ascend per row
+        order = np.lexsort((col, others[row, col], row))
+        best = col[order[np.searchsorted(row, np.arange(m))[:, None]
+                         + np.arange(k)]]
+        ids[rows] = best + (best >= anchors[:, None])
+    return ids
 
 
 def select_positives(sim_t: np.ndarray, sim_s: np.ndarray,

@@ -166,9 +166,30 @@ def test_positives_drops_ppr_totals_before_the_semantic_channel(
         assert a.read() == b.read()
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    """Only the positives stage needs scipy.spatial; the others skip its
-    import cost."""
+def test_positives_streams_the_view_sum(pipeline, tmp_path, monkeypatch):
+    """Each view's series starts only after the previous view's total has
+    been added to the sum and let go."""
+    totals, alive = [], []
+    ppr_matrix = cli.ppr_matrix
+
+    def tracked_ppr(*args, **kwargs):
+        alive.append([ref() is not None for ref in totals])
+        diffusion = ppr_matrix(*args, **kwargs)
+        totals.append(weakref.ref(diffusion.values))
+        return diffusion
+
+    monkeypatch.setattr(cli, "ppr_matrix", tracked_ppr)
+    out = str(tmp_path / "out")
+    assert main(["positives", "--config", pipeline["config"], "--out", out]) == 0
+    assert alive == [[], [False]]
+    with open(os.path.join(out, "positives.tsv"), "rb") as a, \
+            open(os.path.join(pipeline["out"], "positives.tsv"), "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded(pipeline, tmp_path):
+    """No stage needs scipy.spatial, so none pays its import cost: neither
+    importing the CLI nor running `prepare` and `positives` loads it."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -177,6 +198,19 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
          "import sys, hgcml.cli; print('scipy.spatial' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+    stages = ("import sys\n"
+              "from hgcml.cli import main\n"
+              "for stage in ('prepare', 'positives'):\n"
+              "    assert main([stage, '--config', sys.argv[1],"
+              " '--out', sys.argv[2]]) == 0\n"
+              "print('scipy.spatial' in sys.modules)\n")
+    out = tmp_path / "stages"
+    result = subprocess.run(
+        [sys.executable, "-c", stages, pipeline["config"], str(out)],
+        env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "False"
+    assert (out / "positives.tsv").read_bytes() == open(
+        os.path.join(pipeline["out"], "positives.tsv"), "rb").read()
 
 
 def test_train_artifacts(pipeline):
@@ -358,7 +392,10 @@ def test_missing_config_key_exits_3(pipeline, tmp_path, capsys,
     # too long for `view_<name>.tsv.<pid>.tmp` to be a file name
     ("m" * 300, "at most 200 bytes of UTF-8, got 300"),
     ("\u00e9" * 101, "at most 200 bytes of UTF-8, got 202"),
-], ids=["empty", "slash", "nul", "300-bytes", "202-bytes-in-101-chars"])
+    # JSON "\\ud800" reads as a lone surrogate, which has no UTF-8 encoding
+    ("a\ud800", "valid UTF-8 text"),
+], ids=["empty", "slash", "nul", "300-bytes", "202-bytes-in-101-chars",
+        "lone-surrogate"])
 def test_metapath_name_unusable_in_file_name_exits_3(pipeline, tmp_path,
                                                      capsys, name, problem):
     raw = json.load(open(pipeline["config"], encoding="utf-8"))

@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
-from conftest import dense_ppr_series, per_anchor_positives
+import hgcml.positives as positives
+from conftest import dense_ppr_series, per_anchor_positives, per_anchor_top_k
 from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.numerics import ShapeMismatch
 from hgcml.positives import (DENSE_ABOVE, DiffusionMatrix, KTooLarge,
-                             NonConvergenceWarning, _transition,
+                             NonConvergenceWarning, _top_k, _transition,
                              PositiveSets, load_positives, ppr_matrix,
                              save_positives, select_positives,
                              semantic_similarity, topology_similarity)
@@ -156,7 +158,74 @@ def test_series_peak_memory_on_a_sparse_view():
         tracemalloc.stop()
     assert diff.converged
     arrays = peak / (n * n * 8)
-    assert arrays <= 3.5, f"peak {arrays:.2f} n x n float64 arrays"
+    assert arrays <= 2.5, f"peak {arrays:.2f} n x n float64 arrays"
+
+
+def series(view, alpha, width, max_iter=100):
+    """`ppr_matrix` with the sparse path's blocks `width` columns wide."""
+    saved = positives.BLOCK_COLUMNS
+    positives.BLOCK_COLUMNS = width
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            return ppr_matrix(view, alpha, max_iter=max_iter)
+    finally:
+        positives.BLOCK_COLUMNS = saved
+
+
+@pytest.mark.parametrize("trial", range(len(SERIES_CASES["sparse"])))
+def test_blocked_series_equals_one_block(trial):
+    """Narrow blocks, the last one ragged, give the bits of one block of
+    width n and the oracle's stopping point."""
+    n, density, isolated, alpha, max_iter = SERIES_CASES["sparse"][trial]
+    view = random_view(substream(trial, "pproracle", "sparse"), n, density, isolated)
+    assert n % 7, "the last block should be ragged"
+    blocked = series(view, alpha, 7, max_iter)
+    whole = series(view, alpha, n, max_iter)
+    want = dense_ppr_series(view, alpha, max_iter=max_iter)
+    assert blocked.values.tobytes() == whole.values.tobytes()
+    assert (blocked.iterations, blocked.converged, blocked.error_bound) == (
+        want.iterations, want.converged, want.error_bound)
+
+
+def pair_and_ring_view(ring):
+    """Nodes 0-1 form a 2-node component; nodes 2.. form a ring."""
+    n = ring + 2
+    links = [(0, 1)] + [(2 + i, 2 + (i + 1) % ring) for i in range(ring)]
+    rows, cols = np.array(links).T
+    adjacency = sp.csr_matrix((np.ones(2 * len(links)),
+                               (np.r_[rows, cols], np.r_[cols, rows])),
+                              shape=(n, n))
+    return MetapathView(adjacency=adjacency, features=np.zeros((n, 1)),
+                        metapath=MetapathSpec("pair+ring", ("R", "R")))
+
+
+def test_blocks_that_would_stop_at_different_terms_run_in_lockstep():
+    """A pair's term decays as alpha(1-alpha)^k, a long ring's faster, so
+    a block of ring columns alone would stop earlier than the block that
+    holds the pair. The series must run every block to the same term."""
+    alpha, ring = 0.15, 200
+    view = pair_and_ring_view(ring)
+    assert _transition(view.adjacency).nnz * DENSE_ABOVE <= (ring + 2) ** 2
+    ring_alone = series(ring_view(ring), alpha, 7)
+    blocked = series(view, alpha, 7)
+    want = dense_ppr_series(view, alpha)
+    assert ring_alone.iterations < want.iterations
+    assert (blocked.iterations, blocked.converged, blocked.error_bound) == (
+        want.iterations, want.converged, want.error_bound)
+    assert blocked.values.tobytes() == series(view, alpha, ring + 2).values.tobytes()
+    assert np.abs(blocked.values - want.values).max() <= 1e-15
+
+
+def test_blocked_series_warns_on_nonconvergence(monkeypatch):
+    view = ring_view(50)
+    assert _transition(view.adjacency).nnz * DENSE_ABOVE <= 50 * 50
+    monkeypatch.setattr(positives, "BLOCK_COLUMNS", 7)
+    with pytest.warns(NonConvergenceWarning, match="max_iter=3"):
+        diff = ppr_matrix(view, 0.05, tol=1e-12, max_iter=3)
+    assert not diff.converged
+    assert diff.iterations == 3
+    assert diff.error_bound == pytest.approx(0.95 ** 4)
 
 
 def test_diffusion_metadata():
@@ -177,6 +246,8 @@ def test_topology_similarity_sums_views():
                         converged=True)
     with pytest.raises(ShapeMismatch):
         topology_similarity([a, c])
+    with pytest.raises(ValueError):
+        topology_similarity(iter([]))
 
 
 def test_semantic_similarity_is_negative_distance():
@@ -184,6 +255,40 @@ def test_semantic_similarity_is_negative_distance():
     assert sims[0, 1] == pytest.approx(-5.0, abs=1e-12)
     assert sims[1, 0] == pytest.approx(-5.0, abs=1e-12)
     assert sims[0, 0] == 0.0
+
+
+def semantic_cases():
+    rng = substream(0, "semantic")
+    duplicates = rng.standard_normal((6, 4))
+    duplicates[3] = duplicates[1]
+    cases = {"n=1": rng.standard_normal((1, 3)),
+             "d=1": rng.standard_normal((7, 1)),
+             "duplicate-rows": duplicates,
+             "large": rng.standard_normal((9, 5)) * 1e150,
+             "overflow": rng.standard_normal((5, 3)) * 1e200,
+             "tiny": rng.standard_normal((5, 3)) * 1e-170,
+             "mixed-scales": rng.standard_normal((8, 6))
+             * 10.0 ** rng.integers(-8, 9, size=(8, 6))}
+    for trial in range(5):
+        n, d = (int(v) for v in rng.integers(1, 60, size=2))
+        cases[f"random-{n}x{d}"] = rng.standard_normal((n, d)) * rng.random() * 100
+    return cases
+
+
+SEMANTIC_CASES = semantic_cases()
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3])
+@pytest.mark.parametrize("name", list(SEMANTIC_CASES))
+def test_semantic_similarity_equals_negative_cdist_bits(name, block_rows,
+                                                        monkeypatch):
+    features = SEMANTIC_CASES[name]
+    if block_rows:  # blocks of this many rows, the last one ragged
+        monkeypatch.setattr(positives, "ROW_BLOCK_BYTES",
+                            8 * features.shape[0] * block_rows)
+    got = semantic_similarity(features)
+    assert got.tobytes() == (-cdist(features, features, "euclidean")).tobytes()
+    assert np.signbit(np.diagonal(got)).all()  # -0.0 on the diagonal
 
 
 def test_select_positives_takes_top_k_union():
@@ -278,6 +383,42 @@ def test_select_positives_matches_per_anchor_loop_on_random_matrices():
         sim_s = -rng.random((n, n))
         k_t, k_s = (int(k) for k in rng.integers(0, n, size=2))
         assert_same_sets(sim_t, sim_s, k_t, k_s)
+
+
+def top_k_cases(n):
+    """Rows that stress a partition top-k: ties at the k-th score, the
+    anchor scoring the k-th, and rows of infinities and signed zeros."""
+    rng = substream(n, "topkpartition")
+    tied = np.ones((n, n))  # three distinct leaders, then one long tie
+    tied[:, :3] = [5.0, 4.0, 3.0]
+    few_values = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+    anchor_at_kth = rng.standard_normal((n, n)).round(1)
+    for u in range(n):  # the anchor scores exactly its row's 5th best
+        anchor_at_kth[u, u] = np.sort(np.delete(anchor_at_kth[u], u))[-5]
+    infinite = rng.choice([-np.inf, np.inf, 0.0, -0.0, 1.0], size=(n, n))
+    infinite[0], infinite[1] = np.inf, -np.inf
+    infinite[2] = np.where(rng.random(n) < 0.5, np.inf, -np.inf)
+    zeros = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+    zeros[3] = -0.0
+    return {"tied-at-kth": tied, "few-values": few_values,
+            "anchor-at-kth": anchor_at_kth, "infinite": infinite,
+            "signed-zeros": zeros, "random": rng.standard_normal((n, n))}
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 7])
+@pytest.mark.parametrize("n", [40, 57])
+@pytest.mark.parametrize("case", ["tied-at-kth", "few-values", "anchor-at-kth",
+                                  "infinite", "signed-zeros", "random"])
+def test_top_k_matches_per_anchor_oracle(n, case, block_rows, monkeypatch):
+    sim = top_k_cases(n)[case]
+    if block_rows:  # blocks of this many rows, the last one ragged
+        monkeypatch.setattr(positives, "ROW_BLOCK_BYTES", 8 * n * block_rows)
+    for k in (1, 2, 5, 6, n // 2, n - 2, n - 1):
+        got = _top_k(sim, k)
+        assert got.shape == (n, k)
+        for u in range(n):
+            want = per_anchor_top_k(sim[u], u, k)
+            assert got[u].tolist() == want.tolist(), f"anchor {u}, k={k}"
 
 
 def test_mask_shape_and_diagonal():
