@@ -10,7 +10,6 @@ dropping; feature masking zeroes whole columns by default (`mask_mode =
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hin import MetapathView
 from .rng import substream
@@ -18,6 +17,8 @@ from .rng import substream
 
 def drop_edges(view: MetapathView, p_e: float, rng: np.random.Generator) -> MetapathView:
     """Remove each undirected edge with probability p_e."""
+    import scipy.sparse as sp
+
     n = view.n_nodes
     upper = sp.triu(view.adjacency, k=1).tocoo()
     keep = rng.random(upper.nnz) >= p_e

@@ -73,30 +73,55 @@ def nmi(part_a, part_b) -> float:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _fit_softmax_regression(x: np.ndarray, y: np.ndarray, classes: int,
-                            epochs: int = 300, lr: float = 1e-2):
-    weight = Tensor(np.zeros((x.shape[1], classes)), requires_grad=True)
-    bias = Tensor(np.zeros((1, classes)), requires_grad=True)
+def _fit_softmax_regressions(x: np.ndarray, y: np.ndarray, classes: int,
+                             epochs: int = 300, lr: float = 1e-2):
+    """Softmax regressions fitted side by side, one per run: `x` is
+    (runs, m, d) and `y` (runs, m) class ids. Returns the weights
+    (runs, d, classes) and biases (runs, 1, classes).
+
+    Each run gets the bits of a fit on its own: products and sums run per
+    run slice, and one AdamState steps all runs' parameters elementwise,
+    held as 2-D tensors that the loop reads through 3-D views.
+    """
+    runs, m, d = x.shape
+    weight = Tensor(np.zeros((runs * d, classes)), requires_grad=True)
+    bias = Tensor(np.zeros((runs, classes)), requires_grad=True)
+    # views: the optimizer updates the tensors' data in place
+    weights = weight.data.reshape(runs, d, classes)
+    biases = bias.data.reshape(runs, 1, classes)
     optimizer = AdamState([weight, bias], lr=lr)
-    onehot = np.zeros((y.size, classes))
-    onehot[np.arange(y.size), y] = 1.0
+    onehot = np.zeros((runs, m, classes))
+    onehot[np.arange(runs)[:, None], np.arange(m), y] = 1.0
+    x_t = x.transpose(0, 2, 1)
     for _ in range(epochs):
-        probs = _softmax(x @ weight.data + bias.data)
-        residual = (probs - onehot) / y.size
-        weight.grad = x.T @ residual
-        bias.grad = residual.sum(axis=0, keepdims=True)
+        probs = _softmax(x @ weights + biases)
+        residual = (probs - onehot) / m
+        weight.grad = (x_t @ residual).reshape(runs * d, classes)
+        bias.grad = residual.sum(axis=1)
         optimizer.step()
-    return weight.data, bias.data
+    return weights, biases
+
+
+def _split(y: np.ndarray, n_train: int, classes: int, seed):
+    """(train ids, test ids) of the first of 10 candidate permutations
+    whose train part holds every class."""
+    for attempt in range(10):
+        perm = substream(seed, "split", attempt).permutation(y.size)
+        if np.unique(y[perm[:n_train]]).size == classes:
+            return perm[:n_train], perm[n_train:]
+    raise DegenerateSplit(
+        f"seed {seed}: some class missing from every candidate split")
 
 
 def linear_probe(embeddings, labels, train_frac: float = 0.2,
                  seeds=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)) -> list[float]:
-    """Held-out micro-F1 of a softmax probe, one score per seed."""
+    """Held-out micro-F1 of a softmax probe, one score per seed. Every
+    seed's split is drawn first; the probes are then fitted together."""
     x = np.asarray(embeddings, dtype=np.float64)
     y_raw = np.asarray(labels)
     if x.shape[0] != y_raw.size:
@@ -105,20 +130,12 @@ def linear_probe(embeddings, labels, train_frac: float = 0.2,
     classes = int(y.max()) + 1
     n = y.size
     n_train = min(max(1, int(round(train_frac * n))), n - 1)
+    splits = [_split(y, n_train, classes, seed) for seed in seeds]
+    train = np.array([train_idx for train_idx, _ in splits],
+                     dtype=np.intp).reshape(len(splits), n_train)
+    weights, biases = _fit_softmax_regressions(x[train], y[train], classes)
     scores = []
-    for seed in seeds:
-        split = None
-        for attempt in range(10):
-            perm = substream(seed, "split", attempt).permutation(n)
-            train_idx, test_idx = perm[:n_train], perm[n_train:]
-            if np.unique(y[train_idx]).size == classes:
-                split = (train_idx, test_idx)
-                break
-        if split is None:
-            raise DegenerateSplit(
-                f"seed {seed}: some class missing from every candidate split")
-        train_idx, test_idx = split
-        weight, bias = _fit_softmax_regression(x[train_idx], y[train_idx], classes)
+    for (_, test_idx), weight, bias in zip(splits, weights, biases):
         pred = np.argmax(x[test_idx] @ weight + bias, axis=1)
         scores.append(micro_f1(pred, y[test_idx]))
     return scores

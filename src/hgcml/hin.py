@@ -15,6 +15,10 @@ the chain from the current node type.
 `prepare` also writes the parsed graph to a cache (`write_graph`) keyed by
 `graph_key`, the SHA-256 of everything `load_hin` reads; later stages take
 the graph from `read_graph` only when the key matches and parse otherwise.
+
+`scipy.sparse` is imported only by the functions that build relation or
+view matrices, so a process that never builds one (`synth`, and `eval` on
+a valid cache) never pays for its import.
 """
 
 from __future__ import annotations
@@ -27,11 +31,14 @@ import re
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import io
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BLOCK_CHARS = 1 << 16  # characters read per block of a text input's lines
 CACHE_TAG = b"hgcml graph cache 1\n"  # first bytes hashed into every key
@@ -346,6 +353,8 @@ def load_hin(node_file, edge_file, feature_file, label_file,
     in the order a per-line reader would check it: field count, then node
     type and duplicate id, or relation, endpoints known, endpoint types.
     """
+    import scipy.sparse as sp
+
     ids, node_type, position = _read_nodes(node_file, schema)
     within = np.empty(len(ids), dtype=np.intp)   # index within its type
     size = {}
@@ -465,9 +474,16 @@ def write_graph(path, hin: HIN, key: bytes) -> None:
     io.write_checkpoint(path, tensors)
 
 
-def read_graph(path, key: bytes, schema: SchemaConfig) -> HIN | None:
+def read_graph(path, key: bytes, schema: SchemaConfig,
+               relations: bool = True) -> HIN | None:
     """The graph `write_graph` stored at `path`, or None when there is no
-    such file, it does not read cleanly, or its key is not `key`."""
+    such file, it does not read cleanly, or its key is not `key`.
+
+    Every relation's tensors are checked to form a valid CSR either way.
+    With `relations` false the graph carries no relation matrices (an
+    empty `biadjacency`), for a caller that needs only the features and
+    labels; no relation matrix is built and `scipy.sparse` is not imported.
+    """
     try:
         tensors = io.read_checkpoint(path)
     except (OSError, io.FormatError):
@@ -479,26 +495,41 @@ def read_graph(path, key: bytes, schema: SchemaConfig) -> HIN | None:
         labels = tensors.pop("labels", None)
         if labels is not None:
             (labels,) = labels.astype(np.int64)
-        biadjacency = {rel.name: _cached_csr(tensors, rel.name)
-                       for rel in schema.relations}
+            if labels.size != features.shape[0]:
+                return None
+        parts = {rel.name: _cached_parts(tensors, rel.name)
+                 for rel in schema.relations}
+        if tensors:  # a tensor no relation of the schema claims
+            return None
+        biadjacency = ({name: _cached_csr(*csr) for name, csr in parts.items()}
+                       if relations else {})
     except (KeyError, ValueError):
-        return None
-    if tensors:  # a tensor no relation of the schema claims
         return None
     return HIN(schema=schema, biadjacency=biadjacency, features=features,
                labels=labels)
 
 
-def _cached_csr(tensors, name: str) -> sp.csr_matrix:
-    """One relation's CSR from its cache tensors, with the index dtype and
-    `indices` order `load_hin` produced."""
+def _cached_parts(tensors, name: str):
+    """(indptr, indices, shape) of one relation from its cache tensors.
+    Raises ValueError unless they form a CSR with `shape`: indptr of
+    rows + 1 entries from 0 to the number of indices, never decreasing,
+    and every index in [0, cols)."""
     (rows, cols), = tensors.pop(f"{name}.shape").astype(np.int64)
     indptr, indices = (tensors.pop(f"{name}.{part}").reshape(-1).astype(np.int64)
                        for part in ("indptr", "indices"))
-    mat = sp.csr_matrix((np.ones(indices.size), indices, indptr),
-                        shape=(rows, cols))
-    mat.check_format(full_check=True)
-    return mat
+    if (rows < 0 or cols < 0 or indptr.size != rows + 1 or indptr[0] != 0
+            or indptr[-1] != indices.size or (np.diff(indptr) < 0).any()
+            or (indices.size and not 0 <= indices.min() <= indices.max() < cols)):
+        raise ValueError(f"relation {name!r} is not a valid CSR")
+    return indptr, indices, (int(rows), int(cols))
+
+
+def _cached_csr(indptr, indices, shape) -> sp.csr_matrix:
+    """One relation's CSR from checked cache parts, with the index dtype
+    and `indices` order `load_hin` produced."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=shape)
 
 
 def resolve_chain(schema: SchemaConfig, spec: MetapathSpec) -> list[tuple[str, bool]]:
@@ -533,6 +564,8 @@ def resolve_chain(schema: SchemaConfig, spec: MetapathSpec) -> list[tuple[str, b
 
 def extract_metapath_view(hin: HIN, spec: MetapathSpec) -> MetapathView:
     """Binarized metapath product over target nodes; zero diagonal, symmetric."""
+    import scipy.sparse as sp
+
     steps = resolve_chain(hin.schema, spec)
     product = None
     for rel_name, reverse in steps:

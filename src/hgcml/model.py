@@ -13,15 +13,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import numerics as nm
 from .hin import MetapathView
 from .io import FormatError
 from .numerics import ShapeMismatch, Tensor
 from .rng import substream
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -97,6 +100,8 @@ def params_from_checkpoint(checkpoint, metapath_names) -> ModelParams:
 
 def gcn_normalize(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     """Symmetric renormalization with self-loops: D^-1/2 (A+I) D^-1/2."""
+    import scipy.sparse as sp
+
     n = adjacency.shape[0]
     a_hat = (adjacency + sp.eye(n, format="csr")).tocsr()
     degrees = np.asarray(a_hat.sum(axis=1)).ravel()

@@ -11,9 +11,12 @@ runs are bit-identical.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LOG_EPS = 1e-12
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hin import MalformedRecord, MetapathView, _read_rows
 from .io import atomic_open
 from .numerics import ShapeMismatch
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class KTooLarge(ValueError):
@@ -61,6 +64,8 @@ class DiffusionMatrix:
 def _transition(adjacency: sp.spmatrix) -> sp.csr_matrix:
     """Column-stochastic A D^-1 as CSR. A zero-degree node gets an implicit
     self-loop: its column is the indicator of the node itself."""
+    import scipy.sparse as sp
+
     adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
     degrees = np.asarray(adjacency.sum(axis=0)).ravel()
     isolated = degrees == 0
@@ -184,6 +189,8 @@ class PositiveSets:
         one, so `sets` must not change after the first call.
         """
         if self._mask is None:
+            import scipy.sparse as sp
+
             sizes = [len(ids) for ids in self.sets]
             rows = np.repeat(np.arange(self.n), sizes)
             cols = (np.concatenate(self.sets) if self.sets

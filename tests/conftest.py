@@ -1,12 +1,15 @@
 """Shared fixtures: toy bibliographic HIN, random typed graphs, oracles."""
 
+import importlib.util
 import os
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hgcml.evaluate as evaluate_module
 import hgcml.hin as hin_module
 import hgcml.numerics as nm
 import hgcml.objective as objective_module
@@ -19,6 +22,8 @@ from hgcml.io import write_matrix
 from hgcml.numerics import LOG_EPS, NonFiniteResult
 from hgcml.positives import DiffusionMatrix, PositiveSets, load_positives
 from hgcml.rng import substream
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Small bibliographic network: 4 authors, 5 papers, 3 subjects,
 # 2 conferences. a1 co-authors p1 with a2; a3 and a4 share p5.
@@ -418,6 +423,61 @@ def two_pass_node_node_loss(z_m, z_n, positives, tau):
                 z._accumulate((grad_unit - inner * unit) / norms)
 
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
+
+
+def load_pipebench(name):
+    """The benchmark harness module pipebench/<name>.py, loaded by path."""
+    module_name = f"pipebench_{name}"
+    if module_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            module_name, os.path.join(REPO, "pipebench", f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module  # dataclasses look the module up
+        spec.loader.exec_module(module)
+    return sys.modules[module_name]
+
+
+def per_run_softmax_regression(x, y, classes, epochs=300, lr=1e-2):
+    """One probe fitted on its own: the oracle of
+    `evaluate._fit_softmax_regressions`, per run."""
+    weight = nm.Tensor(np.zeros((x.shape[1], classes)), requires_grad=True)
+    bias = nm.Tensor(np.zeros((1, classes)), requires_grad=True)
+    optimizer = nm.AdamState([weight, bias], lr=lr)
+    onehot = np.zeros((y.size, classes))
+    onehot[np.arange(y.size), y] = 1.0
+    for _ in range(epochs):
+        logits = x @ weight.data + bias.data
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        residual = (probs - onehot) / y.size
+        weight.grad = x.T @ residual
+        bias.grad = residual.sum(axis=0, keepdims=True)
+        optimizer.step()
+    return weight.data, bias.data
+
+
+def per_run_linear_probe(embeddings, labels, train_frac, seeds):
+    """Draw a seed's split, fit its probe, score it, then the next seed:
+    the oracle of `evaluate.linear_probe`."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    _, y = np.unique(np.asarray(labels), return_inverse=True)
+    classes = int(y.max()) + 1
+    n_train = min(max(1, int(round(train_frac * y.size))), y.size - 1)
+    scores = []
+    for seed in seeds:
+        for attempt in range(10):
+            perm = substream(seed, "split", attempt).permutation(y.size)
+            train_idx, test_idx = perm[:n_train], perm[n_train:]
+            if np.unique(y[train_idx]).size == classes:
+                break
+        else:
+            raise evaluate_module.DegenerateSplit(
+                f"seed {seed}: some class missing from every candidate split")
+        weight, bias = per_run_softmax_regression(x[train_idx], y[train_idx],
+                                                  classes)
+        pred = np.argmax(x[test_idx] @ weight + bias, axis=1)
+        scores.append(evaluate_module.micro_f1(pred, y[test_idx]))
+    return scores
 
 
 def numerics_grad_cases():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hgcml.cli as cli
+from conftest import load_pipebench
 from hgcml.config import load_config, parse_config, to_dict
 from hgcml.io import (read_checkpoint, read_matrix, write_checkpoint,
                        write_matrix)
@@ -211,6 +212,81 @@ def test_cli_import_leaves_scipy_spatial_unloaded(pipeline, tmp_path):
     assert result.stdout.strip().splitlines()[-1] == "False"
     assert (out / "positives.tsv").read_bytes() == open(
         os.path.join(pipeline["out"], "positives.tsv"), "rb").read()
+
+
+SCIPY_PROBE = """\
+import contextlib, io, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from hgcml.cli import main
+print("loaded", scipy_loaded())
+for argv in (["synth", "--out", sys.argv[1]],
+             ["eval", "--config", sys.argv[2], "--out", sys.argv[3]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    print("loaded", scipy_loaded())
+"""
+
+
+def test_synth_and_cached_eval_leave_scipy_unloaded(pipeline, tmp_path):
+    """`synth` never calls scipy and `eval` needs only the labels, which a
+    valid graph cache holds: importing the CLI, then running both, loads
+    no scipy module. `eval` without the cache parses the dataset and
+    writes the same report."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cached, parsed = tmp_path / "cached", tmp_path / "parsed"
+    for run in (cached, parsed):
+        run.mkdir()
+        shutil.copy(os.path.join(pipeline["out"], "embeddings.bin"), run)
+    shutil.copy(os.path.join(pipeline["out"], cli.GRAPH_CACHE), cached)
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "synth"),
+         pipeline["config"], str(cached)],
+        env=env, capture_output=True, text=True, check=True)
+    loaded = [line for line in result.stdout.splitlines()
+              if line.startswith("loaded")]
+    assert loaded == ["loaded []"] * 3
+    assert main(["eval", "--config", pipeline["config"], "--out", str(parsed)]) == 0
+    report = open(os.path.join(pipeline["out"], "report.tsv"), "rb").read()
+    for run in (cached, parsed):
+        assert (run / "report.tsv").read_bytes() == report
+
+
+def site_names(module):
+    """Every global name the module's functions and methods look up."""
+    names, codes = set(), [value.__code__ for value in vars(module).values()
+                           if hasattr(value, "__code__")]
+    codes += [member.__code__ for value in vars(module).values()
+              if isinstance(value, type) for member in vars(value).values()
+              if hasattr(member, "__code__")]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes += [const for const in code.co_consts if hasattr(const, "co_names")]
+    return names
+
+
+def test_tracer_patch_sites_resolve():
+    """Every site the benchmark's tracer patches is an attribute of its
+    hgcml module or class and holds a function of the layer's module under
+    its own name, not a wrapper left behind. A site that imports the
+    function into another module must be a name that module's code looks
+    up at call time, so that wrapping it intercepts the calls."""
+    tracing = load_pipebench("tracing")
+    sites = [(layer.name, site) for layer in tracing.LAYERS for site in layer.sites]
+    sites += [(None, tracing.EPOCH_START), (None, tracing.TRAIN_END)]
+    for name, site in sites:
+        owner, attr = tracing._resolve(site)
+        assert attr in vars(owner), site
+        target = vars(owner)[attr]
+        assert callable(target), site
+        assert target.__name__ == attr, site
+        if name is not None:
+            assert target.__module__ == f"hgcml.{name.split('.')[0]}", site
+        if "." not in site[1] and target.__module__ != owner.__name__:
+            assert attr in site_names(owner), site
 
 
 def test_train_artifacts(pipeline):
@@ -836,9 +912,31 @@ def change_cache_key(data, run_cfg, out):
     write_checkpoint(out / cli.GRAPH_CACHE, tensors)
 
 
+def add_a_stray_tensor(data, run_cfg, out):
+    tensors = read_checkpoint(out / cli.GRAPH_CACHE)
+    tensors["stray.indptr"] = np.zeros((1, 1))
+    write_checkpoint(out / cli.GRAPH_CACHE, tensors)
+
+
+def index_out_of_range(data, run_cfg, out):
+    """A relation index one past its relation's column count."""
+    tensors = read_checkpoint(out / cli.GRAPH_CACHE)
+    name = next(key for key in tensors if key.endswith(".indices"))
+    cols = tensors[name.replace(".indices", ".shape")][0, 1]
+    tensors[name][0, -1] = cols
+    write_checkpoint(out / cli.GRAPH_CACHE, tensors)
+
+
+def drop_a_cached_label(data, run_cfg, out):
+    tensors = read_checkpoint(out / cli.GRAPH_CACHE)
+    tensors["labels"] = tensors["labels"][:, :-1]
+    write_checkpoint(out / cli.GRAPH_CACHE, tensors)
+
+
 @pytest.mark.parametrize("change", [
     flip_a_feature_bit, flip_first_label, add_a_spare_type, features_as_tsv,
-    truncate_cache, garbage_cache, change_cache_key],
+    truncate_cache, garbage_cache, change_cache_key, add_a_stray_tensor,
+    index_out_of_range, drop_a_cached_label],
     ids=lambda change: change.__name__)
 def test_stale_or_broken_cache_is_parsed_again(pipeline, tmp_path,
                                                monkeypatch, change):

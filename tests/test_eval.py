@@ -1,12 +1,23 @@
 """Evaluation protocol: micro-F1, NMI, probe and clustering behavior."""
 
+import contextlib
+import io
+import json
+import os
+
 import numpy as np
 import pytest
 
+from conftest import (load_pipebench, per_run_linear_probe,
+                      per_run_softmax_regression)
+from hgcml import cli
+from hgcml.config import load_config
 from hgcml.evaluate import (DegenerateSplit, EvalReport, LengthMismatch,
+                            _fit_softmax_regressions, _split,
                             evaluate_embeddings, kmeans, kmeans_nmi,
                             linear_probe, micro_f1, nmi, write_report)
-from hgcml.rng import substream
+from hgcml.io import read_matrix
+from hgcml.rng import derive_key, substream
 
 
 def blob_data(seed, per_class=30, classes=3, dim=6, spread=10.0, noise=0.5):
@@ -179,3 +190,104 @@ def test_write_report_round_trip(tmp_path):
     write_report(path, report)
     lines = path.read_text().splitlines()
     assert lines == ["micro_f1\t0.912500\t0.012500\t10", "nmi\t0.800000\t0.025000\t7"]
+
+
+# -- the probes fitted side by side ---------------------------------------------
+
+def assert_fits_bit_equal(x, y, classes, epochs=300):
+    """Stacked fit of runs x[r], y[r] against a fit per run, bit for bit."""
+    weights, biases = _fit_softmax_regressions(x, y, classes, epochs=epochs)
+    assert weights.shape == (x.shape[0], x.shape[2], classes)
+    assert biases.shape == (x.shape[0], 1, classes)
+    for r in range(x.shape[0]):
+        weight, bias = per_run_softmax_regression(x[r], y[r], classes,
+                                                  epochs=epochs)
+        assert np.array_equal(weights[r], weight), f"run {r} weights"
+        assert np.array_equal(biases[r], bias), f"run {r} bias"
+
+
+def test_stacked_probe_fits_bit_equal_per_run_fits():
+    rng = substream(31, "stacked")
+    for trial in range(30):
+        runs, m = int(rng.integers(1, 7)), int(rng.integers(2, 60))
+        d, classes = int(rng.integers(1, 20)), int(rng.integers(2, 6))
+        scale = float(10.0 ** rng.uniform(-2, 2))
+        x = scale * rng.standard_normal((runs, m, d))
+        y = rng.integers(0, classes, (runs, m))
+        assert_fits_bit_equal(x, y, classes,
+                              epochs=300 if trial < 3 else int(rng.integers(1, 40)))
+
+
+def test_linear_probe_matches_per_run_probe():
+    rng = substream(32, "probe")
+    for _ in range(12):
+        n, d = int(rng.integers(8, 120)), int(rng.integers(1, 10))
+        classes = int(rng.integers(2, 5))
+        x = rng.standard_normal((n, d)) * 3.0
+        y = np.concatenate([np.arange(classes),
+                            rng.integers(0, classes, n - classes)])
+        seeds = [int(s) for s in rng.integers(0, 1000, int(rng.integers(1, 8)))]
+        train_frac = float(rng.uniform(0.1, 0.6))
+        try:
+            want = per_run_linear_probe(x, y, train_frac, seeds)
+        except DegenerateSplit:
+            continue
+        assert linear_probe(x, y, train_frac, seeds) == want
+
+
+def test_degenerate_split_names_the_same_seed():
+    """One rare class: some seeds find a split holding it, some do not.
+    The stacked probe draws every split before fitting and reports the
+    first seed without one, as the per-run probe does."""
+    x = np.arange(40.0).reshape(20, 2)
+    y = [0] * 19 + [1]
+    seeds = list(range(12))
+    with pytest.raises(DegenerateSplit) as want:
+        per_run_linear_probe(x, y, 0.1, seeds)
+    failing = int(str(want.value).split(":")[0].split()[1])
+    assert failing != seeds[0]  # an earlier seed's probe was fitted
+    with pytest.raises(DegenerateSplit) as got:
+        linear_probe(x, y, 0.1, seeds)
+    assert str(got.value) == str(want.value)
+
+
+def test_linear_probe_without_seeds_scores_nothing():
+    x, y = blob_data(27)
+    assert linear_probe(x, y, seeds=[]) == []
+
+
+@pytest.fixture(scope="module", params=["contrast-n600", "diffusion-a015"])
+def workload_embeddings(request, tmp_path_factory):
+    """(embeddings, labels, run config) of a benchmark workload's seed-1
+    dataset, run through prepare..embed as the benchmark configures it."""
+    workload = load_pipebench("workloads").WORKLOADS[request.param]
+    root = tmp_path_factory.mktemp(request.param)
+    synth_cfg = root / "synth.json"
+    synth_cfg.write_text(json.dumps(workload.synth), encoding="utf-8")
+    data, out = root / "data", root / "run"
+    run_cfg = data / "run.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--config", str(synth_cfg), "--seed", "1",
+                         "--out", str(data)]) == 0
+        generated = json.loads((data / "config.json").read_text(encoding="utf-8"))
+        run_cfg.write_text(json.dumps(workload.run_config(generated)),
+                           encoding="utf-8")
+        for stage in ("prepare", "positives", "train", "embed"):
+            assert cli.main([stage, "--config", str(run_cfg),
+                             "--out", str(out)]) == 0
+    labels = [int(line.split("\t")[1]) for line in
+              (data / "labels.tsv").read_text(encoding="utf-8").splitlines()]
+    return (read_matrix(os.path.join(out, "embeddings.bin")).astype(np.float64),
+            np.array(labels), load_config(str(run_cfg)))
+
+
+def test_stacked_probe_bit_equal_on_workload_embeddings(workload_embeddings):
+    x, labels, cfg = workload_embeddings
+    _, y = np.unique(labels, return_inverse=True)
+    classes = int(y.max()) + 1
+    n_train = int(round(cfg.eval.train_frac * y.size))
+    seeds = [derive_key(cfg.seed, "probe", i) for i in range(cfg.eval.probe_runs)]
+    train = np.array([_split(y, n_train, classes, seed)[0] for seed in seeds])
+    assert_fits_bit_equal(x[train], y[train], classes)
+    assert (linear_probe(x, labels, cfg.eval.train_frac, seeds)
+            == per_run_linear_probe(x, labels, cfg.eval.train_frac, seeds))

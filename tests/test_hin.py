@@ -504,10 +504,31 @@ def test_graph_key_raises_for_an_unreadable_file(toy_paths):
         key_of(dict(toy_paths, edges=toy_paths["edges"] + ".gone"), TOY_SCHEMA)
 
 
+def test_cached_graph_without_relations(tmp_path):
+    """`relations=False` reads the same features and labels and builds no
+    relation matrix."""
+    for trial in range(6):
+        paths, schema, _ = parse_case(tmp_path, trial)
+        key = key_of(paths, schema)
+        cache = tmp_path / str(trial) / "graph.bin"
+        write_graph(cache, load_hin(paths["nodes"], paths["edges"],
+                                    paths["features"], paths["labels"], schema),
+                    key)
+        full = read_graph(cache, key, schema)
+        bare = read_graph(cache, key, schema, relations=False)
+        assert bare.biadjacency == {}
+        assert_same_graph(bare, dataclasses.replace(full, biadjacency={}))
+
+
 @pytest.mark.parametrize("fault", ["missing", "truncated", "garbage",
                                    "wrong-key", "no-key", "extra-tensor",
-                                   "missing-relation", "index-out-of-range"])
+                                   "missing-relation", "index-out-of-range",
+                                   "negative-index", "indptr-decreasing",
+                                   "indptr-short", "indptr-past-indices",
+                                   "negative-shape", "shape-of-three",
+                                   "labels-short"])
 def test_graph_cache_not_trusted(toy_hin, toy_paths, tmp_path, fault):
+    """Rejected whether or not the relation matrices are built."""
     key = key_of(toy_paths, TOY_SCHEMA)
     cache = tmp_path / "graph.bin"
     write_graph(cache, toy_hin, key)
@@ -529,10 +550,25 @@ def test_graph_cache_not_trusted(toy_hin, toy_paths, tmp_path, fault):
             tensors["stray.indptr"] = np.zeros((1, 1))
         elif fault == "missing-relation":
             del tensors["AP.indices"]
-        else:
+        elif fault == "index-out-of-range":
             tensors["AP.indices"][0, 0] = 99
+        elif fault == "negative-index":
+            tensors["AP.indices"][0, 0] = -1
+        elif fault == "indptr-decreasing":  # AP rows 1 and 2 hold 1 and 2 ids
+            tensors["AP.indptr"][0, 2] = 0
+        elif fault == "indptr-short":
+            tensors["AP.indptr"] = tensors["AP.indptr"][:, :-1]
+        elif fault == "indptr-past-indices":
+            tensors["AP.indptr"][0, -1] += 1
+        elif fault == "negative-shape":
+            tensors["AP.shape"][0, 0] = -1
+        elif fault == "shape-of-three":
+            tensors["AP.shape"] = np.array([[4, 5, 1]])
+        else:  # 3 labels for the 4 authors
+            tensors["labels"] = np.zeros((1, 3))
         write_checkpoint(cache, tensors)
-    assert read_graph(cache, key, TOY_SCHEMA) is None
+    for relations in (True, False):
+        assert read_graph(cache, key, TOY_SCHEMA, relations) is None
 
 
 @pytest.mark.parametrize("kind", sorted(FAULTS))
