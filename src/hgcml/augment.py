@@ -2,12 +2,14 @@
 
 Both corruptions are pure functions of (view, probabilities, stream);
 the settings are range-checked once, in `config.AugmentSettings`.
-Each undirected edge is one Bernoulli trial, so symmetry survives
-dropping; feature masking zeroes whole columns by default (`mask_mode =
-"columns"`) or independent entries (`"entries"`).
+Each undirected edge is one Bernoulli trial, in the view's edge order,
+so symmetry survives dropping; feature masking zeroes whole columns by
+default (`mask_mode = "columns"`) or independent entries (`"entries"`).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -17,19 +19,8 @@ from .rng import substream
 
 def drop_edges(view: MetapathView, p_e: float, rng: np.random.Generator) -> MetapathView:
     """Remove each undirected edge with probability p_e."""
-    import scipy.sparse as sp
-
-    n = view.n_nodes
-    upper = sp.triu(view.adjacency, k=1).tocoo()
-    keep = rng.random(upper.nnz) >= p_e
-    rows = upper.row[keep]
-    cols = upper.col[keep]
-    adjacency = sp.csr_matrix(
-        (np.ones(2 * rows.size),
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n), dtype=np.float64)
-    return MetapathView(adjacency=adjacency, features=view.features,
-                        metapath=view.metapath)
+    keep = rng.random(view.n_edges) >= p_e
+    return dataclasses.replace(view, edges=view.edges[:, keep])
 
 
 def mask_features(view: MetapathView, p_f: float, rng: np.random.Generator,
@@ -41,8 +32,7 @@ def mask_features(view: MetapathView, p_f: float, rng: np.random.Generator,
         features[:, masked] = 0.0
     else:
         features[rng.random(features.shape) < p_f] = 0.0
-    return MetapathView(adjacency=view.adjacency, features=features,
-                        metapath=view.metapath)
+    return dataclasses.replace(view, features=features)
 
 
 def corrupt(view: MetapathView, p_e: float, p_f: float, seed: int,

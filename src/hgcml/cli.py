@@ -94,18 +94,13 @@ def _stage(args, cached: bool = True, relations: bool = True):
 
 
 def cmd_prepare(args) -> int:
-    import scipy.sparse as sp
-
     cfg, hin, out, key = _stage(args, cached=False)
     summary = []
     for spec in cfg.metapaths:
         view = extract_metapath_view(hin, spec)
-        upper = sp.triu(view.adjacency, k=1).tocoo()
-        order = np.lexsort((upper.col, upper.row))
         path = os.path.join(out, f"view_{spec.name}.tsv")
         with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for i, j in zip(upper.row[order], upper.col[order]):
-                fh.write(f"{i}\t{j}\n")
+            fh.writelines(f"{i}\t{j}\n" for i, j in zip(*view.edges.tolist()))
         summary.append((spec.name, view.n_nodes, view.n_edges))
         print(f"wrote {path}")
     summary_path = os.path.join(out, "views.tsv")

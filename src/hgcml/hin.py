@@ -10,7 +10,8 @@ A metapath view is the homogeneous graph over target nodes whose edges
 connect endpoints of at least one path instance of the metapath. It is
 computed as the binarized product of per-relation biadjacency matrices;
 each step traverses its relation forward or backward, whichever continues
-the chain from the current node type.
+the chain from the current node type. A view holds only its edge list,
+which every consumer reads: `prepare`, edge dropping, the GCN and PPR.
 
 `prepare` also writes the parsed graph to a cache (`write_graph`) keyed by
 `graph_key`, the SHA-256 of everything `load_hin` reads; later stages take
@@ -136,31 +137,41 @@ class MetapathSpec:
 
 @dataclass
 class MetapathView:
-    """Homogeneous view over target nodes: symmetric binary A, shared X."""
+    """Homogeneous view over the n = len(features) target nodes: `edges`
+    is (2, m), each undirected edge once as (i, j), i < j, in row-major
+    order, as `view_<name>.tsv` lists them; X is shared."""
 
-    adjacency: sp.csr_matrix
+    edges: np.ndarray
     features: np.ndarray
     metapath: MetapathSpec
 
     def __post_init__(self):
-        n = self.adjacency.shape[0]
-        if self.adjacency.shape != (n, n):
-            raise HinError("view adjacency must be square")
-        if self.features.shape[0] != n:
-            raise HinError(
-                f"feature rows {self.features.shape[0]} != view nodes {n}")
-        if self.adjacency.diagonal().any():
-            raise HinError("view adjacency must have a zero diagonal")
-        if (self.adjacency != self.adjacency.T).nnz:
-            raise HinError("view adjacency must be symmetric")
+        edges, n = self.edges, self.n_nodes
+        if (edges.ndim != 2 or edges.shape[0] != 2
+                or not np.issubdtype(edges.dtype, np.integer)):
+            raise HinError("view edges must be a (2, m) integer array")
+        if edges.size:
+            i, j = edges
+            if i.min() < 0 or j.max() >= n or (i >= j).any():
+                raise HinError(f"view edges must be pairs 0 <= i < j < {n}")
+            if (np.diff(i.astype(np.int64) * n + j) <= 0).any():
+                raise HinError("view edges must be unique, in row-major order")
 
     @property
     def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.features.shape[0]
 
     @property
     def n_edges(self) -> int:
-        return self.adjacency.nnz // 2
+        return self.edges.shape[1]
+
+    def coo(self, loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of each edge both ways and of a self-loop at each node
+        in `loops`, in the edges' dtype (a COO takes them without a copy) and
+        so ordered that every row's columns ascend (its CSR comes out sorted)."""
+        i, j = self.edges
+        loops = loops.astype(i.dtype, copy=False)
+        return np.concatenate((j, loops, i)), np.concatenate((i, loops, j))
 
 
 @dataclass
@@ -579,13 +590,16 @@ def extract_metapath_view(hin: HIN, spec: MetapathSpec) -> MetapathView:
     adj = sp.csr_matrix(
         (np.ones(int(off_diag.sum())), (coo.row[off_diag], coo.col[off_diag])),
         shape=(n, n), dtype=np.float64)
-    adj.data[:] = 1.0
     if (adj != adj.T).nnz:
         warnings.warn(
             f"metapath {spec.name!r} product is asymmetric; symmetrizing",
             AsymmetricViewWarning, stacklevel=2)
-        adj = ((adj + adj.T) > 0).astype(np.float64).tocsr()
+        adj = adj + adj.T
     if adj.nnz == 0:
         warnings.warn(f"metapath {spec.name!r} view has no edges",
                       EmptyViewWarning, stacklevel=2)
-    return MetapathView(adjacency=adj, features=hin.features, metapath=spec)
+    # the upper triangle of the canonical CSR, row by row, in its index dtype
+    rows = np.repeat(np.arange(n, dtype=adj.indices.dtype), np.diff(adj.indptr))
+    upper = adj.indices > rows
+    edges = np.stack((rows[upper], adj.indices[upper]))
+    return MetapathView(edges=edges, features=hin.features, metapath=spec)

@@ -7,8 +7,8 @@ HGM1 (checkpoints): magic "HGM1", count u32-LE, then per tensor:
 name length u16-LE, name bytes (UTF-8), rows u32-LE, cols u32-LE,
 rows*cols f64-LE values row-major.
 
-The pipeline stages write every artifact through `atomic_open`, so a
-killed stage leaves the previous file or none, never a truncated one.
+The pipeline stages and `synth` write every file through `atomic_open`,
+so a killed command leaves the previous file or none, never a truncated one.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Neural components: per-view GCN encoder, shared projector head,
 mean-pooling readout, and late fusion.
 
-The encoder is a single graph convolution H = ReLU(A_hat X W) with the
-symmetric renormalization A_hat = D^-1/2 (A+I) D^-1/2 and no bias. The
-projector is a 2-layer MLP d->d->d shared by both losses: the objective
-applies it once to each corrupted view's rows and once to each view's
-mean summary, and the bilinear discriminator B (`disc_b`) scores those
-projections.
+The encoder is a single graph convolution H = ReLU(A_hat X W) with no
+bias and the symmetric renormalization A_hat = D^-1/2 (A+I) D^-1/2, built
+from the view's edge list. The projector is a 2-layer MLP d->d->d shared
+by both losses: the objective applies it once to each corrupted view's
+rows and once to each view's mean summary, and the bilinear
+discriminator B (`disc_b`) scores those projections.
 """
 
 from __future__ import annotations
@@ -98,18 +98,17 @@ def params_from_checkpoint(checkpoint, metapath_names) -> ModelParams:
     )
 
 
-def gcn_normalize(adjacency: sp.csr_matrix) -> sp.csr_matrix:
-    """Symmetric renormalization with self-loops: D^-1/2 (A+I) D^-1/2."""
+def gcn_normalize(view: MetapathView) -> sp.csr_matrix:
+    """Symmetric renormalization with self-loops: D^-1/2 (A+I) D^-1/2, with
+    sorted indices, so `spmm` sums each row in column order."""
     import scipy.sparse as sp
 
-    n = adjacency.shape[0]
-    a_hat = (adjacency + sp.eye(n, format="csr")).tocsr()
-    degrees = np.asarray(a_hat.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(degrees)  # >= 1 because of the self-loop
-    scaling = sp.diags(inv_sqrt)
-    normalized = (scaling @ a_hat @ scaling).tocsr()
-    normalized.sort_indices()  # so spmm sums each row in column order
-    return normalized
+    n = view.n_nodes
+    degrees = np.bincount(view.edges.ravel(), minlength=n) + 1.0  # the loop
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    rows, cols = view.coo(np.arange(n))
+    return sp.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], (rows, cols)),
+                         shape=(n, n))
 
 
 def gcn_forward(view: MetapathView, weight: Tensor) -> Tensor:
@@ -118,7 +117,7 @@ def gcn_forward(view: MetapathView, weight: Tensor) -> Tensor:
         raise ShapeMismatch(
             f"features have {view.features.shape[1]} dims, W expects {weight.shape[0]}")
     x = Tensor(view.features)
-    return nm.relu(nm.spmm(gcn_normalize(view.adjacency), nm.matmul(x, weight)))
+    return nm.relu(nm.spmm(gcn_normalize(view), nm.matmul(x, weight)))
 
 
 def project(h: Tensor, params: ModelParams) -> Tensor:

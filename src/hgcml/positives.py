@@ -61,20 +61,17 @@ class DiffusionMatrix:
     converged: bool
 
 
-def _transition(adjacency: sp.spmatrix) -> sp.csr_matrix:
+def _transition(view: MetapathView) -> sp.csr_matrix:
     """Column-stochastic A D^-1 as CSR. A zero-degree node gets an implicit
     self-loop: its column is the indicator of the node itself."""
     import scipy.sparse as sp
 
-    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
-    degrees = np.asarray(adjacency.sum(axis=0)).ravel()
-    isolated = degrees == 0
-    safe = np.where(isolated, 1.0, degrees)
-    scaled = sp.csr_matrix(
-        (adjacency.data / safe[adjacency.indices], adjacency.indices,
-         adjacency.indptr), shape=adjacency.shape)
-    return (scaled + sp.diags(isolated.astype(np.float64), format="csr")
-            if isolated.any() else scaled)
+    n = view.n_nodes
+    degrees = np.bincount(view.edges.ravel(), minlength=n)
+    # an isolated node's loop gets 1 / max(0, 1) = 1
+    rows, cols = view.coo(np.flatnonzero(degrees == 0))
+    return sp.csr_matrix(((1.0 / np.maximum(degrees, 1))[cols], (rows, cols)),
+                         shape=(n, n))
 
 
 def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
@@ -91,7 +88,7 @@ def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
     drops below `tol`, or after `max_iter` terms. Every term is
     nonnegative, so its largest entry is also its largest magnitude.
     """
-    transition = _transition(view.adjacency)
+    transition = _transition(view)
     n = transition.shape[0]
     width = BLOCK_COLUMNS
     if transition.nnz * DENSE_ABOVE > n * n:

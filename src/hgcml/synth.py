@@ -89,12 +89,12 @@ def generate(cfg: SynthConfig, out_dir) -> dict[str, str]:
         "labels": os.path.join(out_dir, "labels.tsv"),
         "config": os.path.join(out_dir, "config.json"),
     }
-    with open(paths["nodes"], "w", encoding="utf-8") as fh:
+    with io.atomic_open(paths["nodes"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(node_lines) + "\n")
-    with open(paths["edges"], "w", encoding="utf-8") as fh:
+    with io.atomic_open(paths["edges"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(edge_lines) + "\n")
     io.write_matrix(paths["features"], features)
-    with open(paths["labels"], "w", encoding="utf-8") as fh:
+    with io.atomic_open(paths["labels"], "w", encoding="utf-8") as fh:
         for i in range(n):
             fh.write(f"e{i}\t{block_of[i]}\n")
 
@@ -119,7 +119,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict[str, str]:
         ],
         "seed": cfg.seed,
     }
-    with open(paths["config"], "w", encoding="utf-8") as fh:
+    with io.atomic_open(paths["config"], "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths

@@ -15,9 +15,10 @@ import hgcml.numerics as nm
 import hgcml.objective as objective_module
 import hgcml.positives as positives_module
 from hgcml.hin import (HIN, DuplicateNodeId, EndpointTypeMismatch,
-                       MalformedRecord, MetapathSpec, RelationDecl,
-                       SchemaConfig, UnknownNode, UnknownRelation, UnknownType,
-                       _load_features, _load_labels, load_hin)
+                       MalformedRecord, MetapathSpec, MetapathView,
+                       RelationDecl, SchemaConfig, UnknownNode,
+                       UnknownRelation, UnknownType, _load_features,
+                       _load_labels, load_hin)
 from hgcml.io import write_matrix
 from hgcml.numerics import LOG_EPS, NonFiniteResult
 from hgcml.positives import DiffusionMatrix, PositiveSets, load_positives
@@ -141,9 +142,34 @@ def brute_force_view(hin, spec):
     return np.maximum(adj, adj.T)
 
 
+def view_from_adjacency(adjacency, features, name="m"):
+    """A view over `adjacency`, a dense or sparse symmetric 0/1 matrix with
+    a zero diagonal: its upper triangle, row by row, is the edge list, in
+    the CSR's index dtype as `extract_metapath_view` gives it."""
+    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
+    assert (adjacency != adjacency.T).nnz == 0, "adjacency must be symmetric"
+    assert not adjacency.diagonal().any(), "adjacency must have a zero diagonal"
+    upper = sp.triu(adjacency, k=1, format="csr")
+    upper.sort_indices()
+    rows = np.repeat(np.arange(upper.shape[0], dtype=upper.indices.dtype),
+                     np.diff(upper.indptr))
+    return MetapathView(edges=np.stack((rows, upper.indices)),
+                        features=np.asarray(features, dtype=np.float64),
+                        metapath=MetapathSpec(name, ("R", "R")))
+
+
+def adjacency_of(view):
+    """The view's symmetric binary adjacency as a float64 CSR matrix."""
+    n = view.n_nodes
+    i, j = view.edges
+    return sp.csr_matrix((np.ones(2 * view.n_edges),
+                          (np.concatenate((i, j)), np.concatenate((j, i)))),
+                         shape=(n, n))
+
+
 def metapath_neighbors(view, node):
     """Sorted neighbor ids of `node` in the view."""
-    row = view.adjacency.getrow(node)
+    row = adjacency_of(view).getrow(node)
     return sorted(int(j) for j in row.indices)
 
 
@@ -296,7 +322,7 @@ def reference_plant_pairs(rng, block_of, p_intra, p_inter):
 def dense_ppr_series(view, alpha, tol=1e-6, max_iter=100):
     """The PPR series on a densified transition, dense n x n matmul per
     term: the oracle of `ppr_matrix`. Keeps five n x n arrays alive."""
-    dense = view.adjacency.toarray()
+    dense = adjacency_of(view).toarray()
     n = dense.shape[0]
     degrees = dense.sum(axis=0)
     transition = np.divide(dense, np.where(degrees > 0, degrees, 1.0))
@@ -312,6 +338,101 @@ def dense_ppr_series(view, alpha, tol=1e-6, max_iter=100):
     return DiffusionMatrix(values=total, iterations=k,
                            error_bound=(1.0 - alpha) ** (k + 1),
                            converged=bool(np.abs(term).max() < tol))
+
+
+# -- the view operators on a symmetric CSR adjacency: oracles that the
+# -- edge-list operators must match bit for bit ------------------------------
+
+def csr_drop_edges(adjacency, p_e, rng):
+    """Edge dropping on a symmetric CSR: one uniform per upper-triangle
+    entry, in the order `triu` lists them."""
+    n = adjacency.shape[0]
+    upper = sp.triu(adjacency, k=1).tocoo()
+    keep = rng.random(upper.nnz) >= p_e
+    rows = upper.row[keep]
+    cols = upper.col[keep]
+    return sp.csr_matrix(
+        (np.ones(2 * rows.size),
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n), dtype=np.float64)
+
+
+def csr_gcn_normalize(adjacency):
+    """D^-1/2 (A+I) D^-1/2 by sparse products, indices sorted."""
+    n = adjacency.shape[0]
+    a_hat = (adjacency + sp.eye(n, format="csr")).tocsr()
+    degrees = np.asarray(a_hat.sum(axis=1)).ravel()
+    scaling = sp.diags(1.0 / np.sqrt(degrees))
+    normalized = (scaling @ a_hat @ scaling).tocsr()
+    normalized.sort_indices()
+    return normalized
+
+
+def csr_transition(adjacency):
+    """A D^-1 by scaling the CSR's data, plus a sparse diagonal of 1 for
+    the isolated nodes."""
+    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
+    degrees = np.asarray(adjacency.sum(axis=0)).ravel()
+    isolated = degrees == 0
+    safe = np.where(isolated, 1.0, degrees)
+    scaled = sp.csr_matrix(
+        (adjacency.data / safe[adjacency.indices], adjacency.indices,
+         adjacency.indptr), shape=adjacency.shape)
+    return (scaled + sp.diags(isolated.astype(np.float64), format="csr")
+            if isolated.any() else scaled)
+
+
+def csr_ppr_values(adjacency, alpha, tol=1e-6, max_iter=100):
+    """The blocked PPR series of `positives.ppr_matrix` on `csr_transition`."""
+    transition = csr_transition(adjacency)
+    n = transition.shape[0]
+    width = positives_module.BLOCK_COLUMNS
+    if transition.nnz * positives_module.DENSE_ABOVE > n * n:
+        transition = transition.toarray()
+        width = n
+    total = alpha * np.eye(n)
+    starts = range(0, n, width)
+    blocks = [total[:, start:start + width].copy() for start in starts]
+    largest = alpha
+    k = 0
+    while largest >= tol and k < max_iter:
+        k += 1
+        largest = 0.0
+        for i, start in enumerate(starts):
+            term = transition @ blocks[i]
+            term *= 1.0 - alpha
+            total[:, start:start + term.shape[1]] += term
+            largest = max(largest, term.max())
+            blocks[i] = term
+    return total
+
+
+def oracle_graphs():
+    """(label, dense symmetric 0/1 adjacency) per case: random graphs of
+    several densities, some with isolated nodes, the empty view, n = 1
+    and sparse graphs large enough for the PPR's sparse branch."""
+    rng = substream(0, "oracle graphs")
+    cases = [("n=1", np.zeros((1, 1))), ("empty", np.zeros((9, 9))),
+             ("pair", np.array([[0.0, 1.0], [1.0, 0.0]]))]
+    for trial in range(40):
+        n = int(rng.integers(2, 40)) if trial < 30 else int(rng.integers(150, 260))
+        density = float(rng.uniform(0.02, 0.6)) if trial < 30 else 0.01
+        upper = np.triu(rng.random((n, n)) < density, k=1)
+        dense = (upper | upper.T).astype(np.float64)
+        isolated = int(rng.integers(0, n // 3 + 1))
+        if isolated:
+            dense[-isolated:, :] = dense[:, -isolated:] = 0.0
+        cases.append((f"trial {trial}", dense))
+    return cases
+
+
+def assert_same_csr(got, want, what):
+    """Equal format, shape, index arrays and data bytes."""
+    assert (got.format, got.shape) == (want.format, want.shape), what
+    for part in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, part), getattr(want, part)
+        assert mine.dtype == theirs.dtype, f"{what}: {part} dtype"
+        assert mine.tobytes() == theirs.tobytes(), f"{what}: {part}"
 
 
 def per_anchor_top_k(row, anchor, k):

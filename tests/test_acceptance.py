@@ -13,15 +13,13 @@ import time
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 import hgcml.numerics as nm
 from hgcml.augment import corrupt
 from hgcml.cli import main as cli_main
 from hgcml.config import load_config
 from hgcml.evaluate import evaluate_embeddings, linear_probe, micro_f1, nmi
-from hgcml.hin import (MetapathSpec, MetapathView, extract_metapath_view,
-                       load_hin)
+from hgcml.hin import extract_metapath_view, load_hin
 from hgcml.model import init_params
 from hgcml.numerics import Tensor
 from hgcml.objective import (node_graph_loss, node_node_loss, pair_terms,
@@ -32,8 +30,9 @@ from hgcml.rng import derive_key, substream
 from hgcml.synth import SynthConfig, generate
 from hgcml.trainer import train
 
-from conftest import (TOY_SCHEMA, APA, brute_force_view, metapath_neighbors,
-                      numerics_grad_cases, random_typed_case, write_toy_files)
+from conftest import (TOY_SCHEMA, APA, adjacency_of, brute_force_view,
+                      metapath_neighbors, numerics_grad_cases,
+                      random_typed_case, view_from_adjacency, write_toy_files)
 
 
 def _report(number, ok, detail):
@@ -64,9 +63,7 @@ def criterion(number, budget=None):
 def _random_symmetric_view(rng, n, name="v", feat_dim=1, density=0.5):
     upper = np.triu((rng.random((n, n)) < density).astype(np.float64), 1)
     adj = upper + upper.T
-    return MetapathView(adjacency=sp.csr_matrix(adj),
-                        features=rng.standard_normal((n, feat_dim)),
-                        metapath=MetapathSpec(name, ("R", "R")))
+    return view_from_adjacency(adj, rng.standard_normal((n, feat_dim)), name)
 
 
 def _fixture_pipeline(workdir):
@@ -133,8 +130,7 @@ def _closed_form_ppr(adj, alpha):
 
 @criterion(2, budget=5.0)
 def test_criterion_2_ppr_oracle():
-    two = _random_symmetric_view(substream(0, "p2"), 2)
-    two.adjacency = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    two = view_from_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 1)))
     pair = ppr_matrix(two, 0.85).values
     expected = np.array([[0.86957, 0.13043], [0.13043, 0.86957]])
     two_node_err = float(np.abs(pair - expected).max())
@@ -146,7 +142,7 @@ def test_criterion_2_ppr_oracle():
         alpha = 0.85 if trial < 10 else float(rng.uniform(0.2, 0.95))
         view = _random_symmetric_view(rng, n, density=float(rng.uniform(0.05, 0.6)))
         diff = ppr_matrix(view, alpha, tol=1e-9, max_iter=400)
-        oracle = _closed_form_ppr(view.adjacency.toarray(), alpha)
+        oracle = _closed_form_ppr(adjacency_of(view).toarray(), alpha)
         err = float(np.abs(diff.values - oracle).max())
         bound = 1e-6 + diff.error_bound
         worst_margin = max(worst_margin, err - bound)
@@ -171,7 +167,7 @@ def test_criterion_3_metapath_view_oracle():
         for _ in range(100):
             case_hin, _, spec = random_typed_case(rng)
             view = extract_metapath_view(case_hin, spec)
-            if not np.array_equal(view.adjacency.toarray(),
+            if not np.array_equal(adjacency_of(view).toarray(),
                                   brute_force_view(case_hin, spec)):
                 mismatches += 1
     ok = toy_ok and mismatches == 0

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hgcml.hin import (HIN, AsymmetricViewWarning, DuplicateNodeId,
                        EmptyViewWarning, EndpointTypeMismatch,
                        FeatureRowMissing, HinError, MalformedRecord,
-                       MetapathSpec, RelationDecl, SchemaConfig,
+                       MetapathSpec, MetapathView, RelationDecl, SchemaConfig,
                        TypeChainBroken, UnknownNode, UnknownRelation,
                        UnknownType, extract_metapath_view, graph_key,
                        load_hin, read_graph, resolve_chain, write_graph)
@@ -23,14 +23,14 @@ from hgcml.positives import load_positives
 from hgcml.rng import substream
 
 from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_NODES, TOY_SCHEMA,
-                      brute_force_view, build_hin, metapath_neighbors,
-                      random_typed_case, reference_load_hin,
-                      reference_load_positives, write_toy_files)
+                      adjacency_of, brute_force_view, build_hin,
+                      metapath_neighbors, random_typed_case,
+                      reference_load_hin, reference_load_positives,
+                      write_toy_files)
 
 
 def edge_pairs(view):
-    upper = sp.triu(view.adjacency, k=1).tocoo()
-    return {(int(i), int(j)) for i, j in zip(upper.row, upper.col)}
+    return set(zip(*view.edges.tolist()))
 
 
 def test_toy_counts(toy_hin):
@@ -92,8 +92,8 @@ def test_three_node_chain_not_transitive():
 
 
 def test_view_is_symmetric_zero_diagonal_deterministic(toy_hin):
-    a = extract_metapath_view(toy_hin, APCPA).adjacency
-    b = extract_metapath_view(toy_hin, APCPA).adjacency
+    a = adjacency_of(extract_metapath_view(toy_hin, APCPA))
+    b = adjacency_of(extract_metapath_view(toy_hin, APCPA))
     assert (a != a.T).nnz == 0
     assert not a.diagonal().any()
     assert (a != b).nnz == 0
@@ -261,7 +261,35 @@ def test_asymmetric_product_symmetrized():
     with pytest.warns(AsymmetricViewWarning):
         view = extract_metapath_view(hin, MetapathSpec("m", ("R0", "R1")))
     assert edge_pairs(view) == {(0, 1)}
-    assert (view.adjacency != view.adjacency.T).nnz == 0
+    adjacency = adjacency_of(view)
+    assert (adjacency != adjacency.T).nnz == 0
+
+
+@pytest.mark.parametrize("edges, fault", [
+    (np.zeros((3, 1), np.int64), "integer array"),
+    (np.zeros(2, np.int64), "integer array"),
+    (np.array([[0.0], [1.0]]), "integer array"),
+    (np.array([[1], [1]]), "i < j < 4"),
+    (np.array([[0, 2], [1, 1]]), "i < j < 4"),
+    (np.array([[0, 0], [1, 1]]), "row-major"),
+    (np.array([[0, 0], [2, 1]]), "row-major"),
+    (np.array([[1, 0], [2, 3]]), "row-major"),
+    (np.array([[-1], [2]]), "0 <= i < j < 4"),
+    (np.array([[0], [4]]), "0 <= i < j < 4"),
+    (np.array([[4], [5]]), "0 <= i < j < 4"),
+])
+def test_view_rejects_edges_that_are_not_its_upper_triangle(edges, fault):
+    with pytest.raises(HinError, match=fault):
+        MetapathView(edges=edges, features=np.zeros((4, 1)), metapath=APA)
+
+
+def test_view_takes_sorted_upper_triangle_edges():
+    edges = np.array([[0, 0, 1, 2], [1, 3, 2, 3]])
+    view = MetapathView(edges=edges, features=np.zeros((4, 1)), metapath=APA)
+    assert (view.n_nodes, view.n_edges) == (4, 4)
+    empty = MetapathView(edges=np.empty((2, 0), np.intp),
+                         features=np.zeros((1, 1)), metapath=APA)
+    assert (empty.n_nodes, empty.n_edges) == (1, 0)
 
 
 def test_views_match_brute_force_enumeration():
@@ -271,7 +299,7 @@ def test_views_match_brute_force_enumeration():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             view = extract_metapath_view(hin, spec)
-        assert np.array_equal(view.adjacency.toarray(),
+        assert np.array_equal(adjacency_of(view).toarray(),
                               brute_force_view(hin, spec)), f"trial {trial}"
 
 
@@ -465,7 +493,7 @@ def test_cached_graph_equals_parsed_graph(tmp_path):
         assert_same_graph(cached, parsed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            mine, want = (extract_metapath_view(g, spec).adjacency
+            mine, want = (adjacency_of(extract_metapath_view(g, spec))
                           for g in (cached, parsed))
         assert_same_value(mine, want, f"trial {trial} view")
 

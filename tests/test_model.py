@@ -11,19 +11,14 @@ import pytest
 import scipy.sparse as sp
 
 import hgcml.numerics as nm
+from conftest import (assert_same_csr, csr_gcn_normalize, oracle_graphs,
+                      view_from_adjacency)
 from hgcml.config import FUSION_MODES
-from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.io import FormatError
 from hgcml.model import (ModelParams, fuse, gcn_forward, gcn_normalize,
                          init_params, params_from_checkpoint, project, readout)
 from hgcml.numerics import ShapeMismatch, Tensor
 from hgcml.rng import substream
-
-
-def view_of(dense, features):
-    return MetapathView(adjacency=sp.csr_matrix(np.asarray(dense, dtype=np.float64)),
-                        features=np.asarray(features, dtype=np.float64),
-                        metapath=MetapathSpec("m", ("R", "R")))
 
 
 def identity_projector_params(d):
@@ -38,7 +33,8 @@ def identity_projector_params(d):
 
 
 def test_gcn_normalize_two_node_path():
-    norm = gcn_normalize(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    norm = gcn_normalize(view_from_adjacency(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 1))))
     assert np.allclose(norm.toarray(), np.full((2, 2), 0.5), atol=1e-15)
 
 
@@ -49,9 +45,17 @@ def test_gcn_normalize_matches_dense_formula():
     a_tilde = dense + np.eye(7)
     d_inv_sqrt = np.diag(1.0 / np.sqrt(a_tilde.sum(axis=1)))
     expected = d_inv_sqrt @ a_tilde @ d_inv_sqrt
-    norm = gcn_normalize(sp.csr_matrix(dense))
+    norm = gcn_normalize(view_from_adjacency(dense, np.zeros((7, 1))))
     assert np.allclose(norm.toarray(), expected, atol=1e-12)
     assert norm.format == "csr" and norm.has_sorted_indices
+
+
+def test_gcn_normalize_matches_csr_oracle():
+    """The same CSR, bit for bit, as the sparse products on A + I."""
+    for label, dense in oracle_graphs():
+        view = view_from_adjacency(dense, np.zeros((dense.shape[0], 1)))
+        assert_same_csr(gcn_normalize(view),
+                        csr_gcn_normalize(sp.csr_matrix(dense)), label)
 
 
 def test_gcn_forward_matches_dense_oracle():
@@ -60,7 +64,7 @@ def test_gcn_forward_matches_dense_oracle():
     dense = (upper | upper.T).astype(np.float64)
     x = rng.standard_normal((6, 3))
     w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    out = gcn_forward(view_of(dense, x), w)
+    out = gcn_forward(view_from_adjacency(dense, x), w)
     a_tilde = dense + np.eye(6)
     d_inv_sqrt = np.diag(1.0 / np.sqrt(a_tilde.sum(axis=1)))
     expected = np.maximum(d_inv_sqrt @ a_tilde @ d_inv_sqrt @ x @ w.data, 0.0)
@@ -70,7 +74,7 @@ def test_gcn_forward_matches_dense_oracle():
 def test_gcn_input_dim_mismatch():
     w = Tensor(np.zeros((5, 4)), requires_grad=True)  # features have dim 3
     with pytest.raises(ShapeMismatch):
-        gcn_forward(view_of(np.zeros((2, 2)), np.zeros((2, 3))), w)
+        gcn_forward(view_from_adjacency(np.zeros((2, 2)), np.zeros((2, 3))), w)
 
 
 def test_disconnected_components_do_not_mix():
@@ -83,8 +87,8 @@ def test_disconnected_components_do_not_mix():
     x2 = x1.copy()
     x2[2:] += rng.standard_normal((2, 3))
     w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    h1 = gcn_forward(view_of(dense, x1), w)
-    h2 = gcn_forward(view_of(dense, x2), w)
+    h1 = gcn_forward(view_from_adjacency(dense, x1), w)
+    h2 = gcn_forward(view_from_adjacency(dense, x2), w)
     assert np.array_equal(h1.data[:2], h2.data[:2])
     assert not np.array_equal(h1.data[2:], h2.data[2:])
 

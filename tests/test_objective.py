@@ -7,14 +7,13 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import hgcml.model
 import hgcml.numerics as nm
 import hgcml.objective
-from conftest import tape_node_node_loss, two_pass_node_node_loss
+from conftest import (tape_node_node_loss, two_pass_node_node_loss,
+                      view_from_adjacency)
 from hgcml.augment import corrupt
-from hgcml.hin import MetapathSpec, MetapathView
 from hgcml.model import ModelParams, gcn_forward, init_params, readout
 from hgcml.numerics import LOG_EPS, NonFiniteResult, Tensor
 from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
@@ -47,10 +46,8 @@ def make_views(n_nodes, n_views, d_in, seed):
     for v in range(n_views):
         upper = np.triu(rng.random((n_nodes, n_nodes)) < 0.5, k=1)
         dense = (upper | upper.T).astype(np.float64)
-        views.append(MetapathView(
-            adjacency=sp.csr_matrix(dense),
-            features=rng.standard_normal((n_nodes, d_in)),
-            metapath=MetapathSpec(f"v{v}", ("R", "R"))))
+        views.append(view_from_adjacency(
+            dense, rng.standard_normal((n_nodes, d_in)), f"v{v}"))
     return views
 
 

@@ -9,8 +9,10 @@ import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 import hgcml.positives as positives
-from conftest import dense_ppr_series, per_anchor_positives, per_anchor_top_k
-from hgcml.hin import MetapathSpec, MetapathView
+from conftest import (adjacency_of, assert_same_csr, csr_ppr_values,
+                      csr_transition, dense_ppr_series, oracle_graphs,
+                      per_anchor_positives, per_anchor_top_k,
+                      view_from_adjacency)
 from hgcml.numerics import ShapeMismatch
 from hgcml.positives import (DENSE_ABOVE, DiffusionMatrix, KTooLarge,
                              NonConvergenceWarning, _top_k, _transition,
@@ -24,9 +26,7 @@ ALPHA = 0.85
 
 def view_from_dense(dense, d=2):
     dense = np.asarray(dense, dtype=np.float64)
-    return MetapathView(adjacency=sp.csr_matrix(dense),
-                        features=np.zeros((dense.shape[0], d)),
-                        metapath=MetapathSpec("m", ("R", "R")))
+    return view_from_adjacency(dense, np.zeros((dense.shape[0], d)))
 
 
 def random_connected_view(rng, n):
@@ -76,7 +76,7 @@ def test_series_matches_closed_form_on_random_graphs():
         n = int(rng.integers(2, 25))
         view = random_connected_view(rng, n)
         diff = ppr_matrix(view, ALPHA)
-        oracle = closed_form_ppr(view.adjacency.toarray(), ALPHA)
+        oracle = closed_form_ppr(adjacency_of(view).toarray(), ALPHA)
         bound = 1e-6 + (1 - ALPHA) ** (diff.iterations + 1)
         assert np.abs(diff.values - oracle).max() <= bound, f"trial {trial}"
 
@@ -110,8 +110,7 @@ def random_view(rng, n, density, isolated=0):
 def ring_view(n):
     ring = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="lil")
     ring[0, n - 1] = ring[n - 1, 0] = 1.0
-    return MetapathView(adjacency=sp.csr_matrix(ring), features=np.zeros((n, 1)),
-                        metapath=MetapathSpec("ring", ("R", "R")))
+    return view_from_adjacency(ring, np.zeros((n, 1)), "ring")
 
 
 # (n, edge density, isolated nodes, alpha, max_iter); the dense-side cases
@@ -130,7 +129,7 @@ SERIES_CASES = {
 def test_series_matches_dense_oracle(side):
     for trial, (n, density, isolated, alpha, max_iter) in enumerate(SERIES_CASES[side]):
         view = random_view(substream(trial, "pproracle", side), n, density, isolated)
-        is_dense = _transition(view.adjacency).nnz * DENSE_ABOVE > n * n
+        is_dense = _transition(view).nnz * DENSE_ABOVE > n * n
         assert is_dense == (side == "dense"), f"case {trial} on the wrong side"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonConvergenceWarning)
@@ -143,6 +142,24 @@ def test_series_matches_dense_oracle(side):
             assert np.array_equal(got.values, want.values), f"case {trial}"
         else:
             assert np.abs(got.values - want.values).max() <= 1e-15, f"case {trial}"
+
+
+def test_transition_and_series_match_csr_oracle():
+    """The transition's CSR and the series' bits equal those built on the
+    symmetric CSR, on the dense and the sparse branch."""
+    sides = set()
+    for label, dense in oracle_graphs():
+        n = dense.shape[0]
+        view = view_from_adjacency(dense, np.zeros((n, 1)))
+        transition = _transition(view)
+        assert_same_csr(transition, csr_transition(sp.csr_matrix(dense)), label)
+        sides.add(transition.nnz * DENSE_ABOVE > n * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            got = ppr_matrix(view, 0.15, max_iter=20).values
+        want = csr_ppr_values(sp.csr_matrix(dense), 0.15, max_iter=20)
+        assert got.tobytes() == want.tobytes(), label
+    assert sides == {False, True}
 
 
 def test_series_peak_memory_on_a_sparse_view():
@@ -196,8 +213,7 @@ def pair_and_ring_view(ring):
     adjacency = sp.csr_matrix((np.ones(2 * len(links)),
                                (np.r_[rows, cols], np.r_[cols, rows])),
                               shape=(n, n))
-    return MetapathView(adjacency=adjacency, features=np.zeros((n, 1)),
-                        metapath=MetapathSpec("pair+ring", ("R", "R")))
+    return view_from_adjacency(adjacency, np.zeros((n, 1)), "pair+ring")
 
 
 def test_blocks_that_would_stop_at_different_terms_run_in_lockstep():
@@ -206,7 +222,7 @@ def test_blocks_that_would_stop_at_different_terms_run_in_lockstep():
     holds the pair. The series must run every block to the same term."""
     alpha, ring = 0.15, 200
     view = pair_and_ring_view(ring)
-    assert _transition(view.adjacency).nnz * DENSE_ABOVE <= (ring + 2) ** 2
+    assert _transition(view).nnz * DENSE_ABOVE <= (ring + 2) ** 2
     ring_alone = series(ring_view(ring), alpha, 7)
     blocked = series(view, alpha, 7)
     want = dense_ppr_series(view, alpha)
@@ -219,7 +235,7 @@ def test_blocks_that_would_stop_at_different_terms_run_in_lockstep():
 
 def test_blocked_series_warns_on_nonconvergence(monkeypatch):
     view = ring_view(50)
-    assert _transition(view.adjacency).nnz * DENSE_ABOVE <= 50 * 50
+    assert _transition(view).nnz * DENSE_ABOVE <= 50 * 50
     monkeypatch.setattr(positives, "BLOCK_COLUMNS", 7)
     with pytest.warns(NonConvergenceWarning, match="max_iter=3"):
         diff = ppr_matrix(view, 0.05, tol=1e-12, max_iter=3)

@@ -1,11 +1,12 @@
 """The planted-block generator against its one-draw-per-pair oracle."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from hgcml import synth
+from hgcml import io, synth
 from hgcml.rng import substream
 from hgcml.synth import SynthConfig
 
@@ -45,3 +46,41 @@ def test_plant_pairs_matches_oracle_and_leaves_the_stream_aligned(seed):
     assert (synth.plant_pairs(rows, block_of, cfg.p_intra, cfg.p_inter)
             == reference_plant_pairs(pairs, block_of, cfg.p_intra, cfg.p_inter))
     assert rows.random() == pairs.random()
+
+
+class FullDiskFile:
+    """A text file whose first write stores half its text, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    real_open = open
+
+    def open_failing_labels(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FullDiskFile(fh) if "labels.tsv" in os.fspath(path) else fh
+
+    for module in (io, synth):  # whichever one opens the file
+        monkeypatch.setattr(module, "open", open_failing_labels, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        synth.generate(SynthConfig(), tmp_path / "killed")
+    monkeypatch.undo()
+    written = sorted(os.listdir(tmp_path / "killed"))
+    assert written == ["edges.tsv", "features.bin", "nodes.tsv"]
+    synth.generate(SynthConfig(), tmp_path / "clean")
+    for name in written:
+        with open(tmp_path / "killed" / name, "rb") as a, \
+                open(tmp_path / "clean" / name, "rb") as b:
+            assert a.read() == b.read(), name
