@@ -62,13 +62,11 @@ def _make_dir(out: str) -> str:
     return out
 
 
-def _stage(args, cached: bool = True, relations: bool = True):
+def _stage(args, cached: bool = True):
     """(run config, graph, output directory, graph key) of a pipeline stage.
 
     With `cached`, the graph comes from the output directory's graph cache
-    when its key matches the dataset's; otherwise it is parsed. Without
-    `relations`, a graph read from the cache has no relation matrices, so
-    the stage builds none and imports no `scipy.sparse`. The key is
+    when its key matches the dataset's; otherwise it is parsed. The key is
     None when a data file cannot be read, and `load_hin` then reports that
     file. The directory is made last, so a dataset that fails to load
     leaves none.
@@ -86,8 +84,7 @@ def _stage(args, cached: bool = True, relations: bool = True):
     out = _out_path(args, cfg)
     hin = None
     if cached and key is not None:
-        hin = read_graph(os.path.join(out, GRAPH_CACHE), key, cfg.schema,
-                         relations)
+        hin = read_graph(os.path.join(out, GRAPH_CACHE), key, cfg.schema)
     if hin is None:
         hin = load_hin(*files, cfg.schema)
     return cfg, hin, _make_dir(out), key
@@ -168,7 +165,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, hin, out, _ = _stage(args, relations=False)
+    cfg, hin, out, _ = _stage(args)
     if hin.labels is None or (hin.labels < 0).any():
         raise HinError("every target node needs a label for eval")
     embeddings = read_matrix(os.path.join(out, "embeddings.bin")).astype(np.float64)

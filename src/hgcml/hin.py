@@ -6,20 +6,22 @@ opaque strings; after loading, each type gets its own dense 0-based index
 space that preserves input order, and the target type's indices are the
 row indices used by features, labels, positives, and embeddings.
 
-A metapath view is the homogeneous graph over target nodes whose edges
-connect endpoints of at least one path instance of the metapath. It is
-computed as the binarized product of per-relation biadjacency matrices;
-each step traverses its relation forward or backward, whichever continues
-the chain from the current node type. A view holds only its edge list,
-which every consumer reads: `prepare`, edge dropping, the GCN and PPR.
+A relation is held as the arrays of its binary CSR biadjacency,
+`(indptr, indices, shape)`. A metapath view is the homogeneous graph over
+target nodes whose edges connect endpoints of at least one path instance
+of the metapath. It is computed as the binarized product of the relations'
+sparse matrices; each step traverses its relation forward or backward,
+whichever continues the chain from the current node type. A view holds
+only its edge list, which every consumer reads: `prepare`, edge dropping,
+the GCN and PPR.
 
 `prepare` also writes the parsed graph to a cache (`write_graph`) keyed by
 `graph_key`, the SHA-256 of everything `load_hin` reads; later stages take
 the graph from `read_graph` only when the key matches and parse otherwise.
 
-`scipy.sparse` is imported only by the functions that build relation or
-view matrices, so a process that never builds one (`synth`, and `eval` on
-a valid cache) never pays for its import.
+`scipy.sparse` is imported only by `load_hin` and view extraction, so a
+process that does neither (`synth`, and `eval` on a valid cache) never
+pays for its import.
 """
 
 from __future__ import annotations
@@ -32,14 +34,10 @@ import re
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import io
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 BLOCK_CHARS = 1 << 16  # characters read per block of a text input's lines
 CACHE_TAG = b"hgcml graph cache 1\n"  # first bytes hashed into every key
@@ -179,7 +177,8 @@ class HIN:
     """A typed graph; the input's string ids exist only while parsing."""
 
     schema: SchemaConfig
-    biadjacency: dict[str, sp.csr_matrix]     # relation -> (N_src, N_dst) binary
+    # relation -> (indptr, indices, (N_src, N_dst)) of its binary CSR
+    biadjacency: dict[str, tuple[np.ndarray, np.ndarray, tuple[int, int]]]
     features: np.ndarray                      # (N_target, d_in) float64
     labels: np.ndarray | None = None          # (N_target,) int64, -1 = unlabeled
 
@@ -381,11 +380,10 @@ def load_hin(node_file, edge_file, feature_file, label_file,
     biadjacency = {}
     for k, decl in enumerate(schema.relations):
         mine = rel == k
-        mat = sp.csr_matrix(
+        mat = sp.csr_matrix(  # duplicate edge records sum into one entry
             (np.ones(int(mine.sum())), (within[src[mine]], within[dst[mine]])),
             shape=(size[decl.src], size[decl.dst]), dtype=np.float64)
-        mat.data[:] = 1.0  # collapse duplicate edge records
-        biadjacency[decl.name] = mat
+        biadjacency[decl.name] = mat.indptr, mat.indices, mat.shape
 
     features = _load_features(feature_file, row_of)
     labels = None if label_file is None else _load_labels(label_file, row_of)
@@ -414,6 +412,8 @@ def _load_features(path, row_of: dict[str, int]) -> np.ndarray:
             elif vec.size != dim:
                 raise MalformedRecord(
                     f"{path}:{lineno}: feature length {vec.size} != {dim}")
+            if row in rows:
+                raise MalformedRecord(f"{path}:{lineno}: node {node_id!r} repeated")
             rows[row] = vec
         missing = [node_id for node_id, k in row_of.items() if k not in rows]
         if missing:
@@ -434,6 +434,7 @@ def _load_features(path, row_of: dict[str, int]) -> np.ndarray:
 
 def _load_labels(path, row_of: dict[str, int]) -> np.ndarray:
     labels = np.full(len(row_of), -1, dtype=np.int64)
+    seen = set()
     for lineno, (node_id, class_id) in _read_rows(path, 2):
         row = row_of.get(node_id)
         if row is None:
@@ -442,6 +443,11 @@ def _load_labels(path, row_of: dict[str, int]) -> np.ndarray:
             labels[row] = int(class_id)
         except ValueError as exc:
             raise MalformedRecord(f"{path}:{lineno}: non-integer class id") from exc
+        except OverflowError as exc:
+            raise MalformedRecord(f"{path}:{lineno}: class id outside int64") from exc
+        if row in seen:
+            raise MalformedRecord(f"{path}:{lineno}: node {node_id!r} repeated")
+        seen.add(row)
     return labels
 
 
@@ -478,23 +484,18 @@ def write_graph(path, hin: HIN, key: bytes) -> None:
     tensors = {"key": np.frombuffer(key, np.uint8)[None], "features": hin.features}
     if hin.labels is not None:
         tensors["labels"] = hin.labels[None]
-    for name, mat in hin.biadjacency.items():
-        tensors[f"{name}.indptr"] = mat.indptr[None]
-        tensors[f"{name}.indices"] = mat.indices[None]
-        tensors[f"{name}.shape"] = np.array([mat.shape])
+    for name, (indptr, indices, shape) in hin.biadjacency.items():
+        tensors[f"{name}.indptr"] = indptr[None]
+        tensors[f"{name}.indices"] = indices[None]
+        tensors[f"{name}.shape"] = np.array([shape])
     io.write_checkpoint(path, tensors)
 
 
-def read_graph(path, key: bytes, schema: SchemaConfig,
-               relations: bool = True) -> HIN | None:
+def read_graph(path, key: bytes, schema: SchemaConfig) -> HIN | None:
     """The graph `write_graph` stored at `path`, or None when there is no
-    such file, it does not read cleanly, or its key is not `key`.
-
-    Every relation's tensors are checked to form a valid CSR either way.
-    With `relations` false the graph carries no relation matrices (an
-    empty `biadjacency`), for a caller that needs only the features and
-    labels; no relation matrix is built and `scipy.sparse` is not imported.
-    """
+    such file, it does not read cleanly, its key is not `key`, or a
+    relation's tensors do not form a valid CSR. Its relation arrays are
+    int64, whatever index dtype `load_hin` produced."""
     try:
         tensors = io.read_checkpoint(path)
     except (OSError, io.FormatError):
@@ -508,12 +509,10 @@ def read_graph(path, key: bytes, schema: SchemaConfig,
             (labels,) = labels.astype(np.int64)
             if labels.size != features.shape[0]:
                 return None
-        parts = {rel.name: _cached_parts(tensors, rel.name)
-                 for rel in schema.relations}
+        biadjacency = {rel.name: _cached_parts(tensors, rel.name)
+                       for rel in schema.relations}
         if tensors:  # a tensor no relation of the schema claims
             return None
-        biadjacency = ({name: _cached_csr(*csr) for name, csr in parts.items()}
-                       if relations else {})
     except (KeyError, ValueError):
         return None
     return HIN(schema=schema, biadjacency=biadjacency, features=features,
@@ -533,14 +532,6 @@ def _cached_parts(tensors, name: str):
             or (indices.size and not 0 <= indices.min() <= indices.max() < cols)):
         raise ValueError(f"relation {name!r} is not a valid CSR")
     return indptr, indices, (int(rows), int(cols))
-
-
-def _cached_csr(indptr, indices, shape) -> sp.csr_matrix:
-    """One relation's CSR from checked cache parts, with the index dtype
-    and `indices` order `load_hin` produced."""
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=shape)
 
 
 def resolve_chain(schema: SchemaConfig, spec: MetapathSpec) -> list[tuple[str, bool]]:
@@ -580,7 +571,10 @@ def extract_metapath_view(hin: HIN, spec: MetapathSpec) -> MetapathView:
     steps = resolve_chain(hin.schema, spec)
     product = None
     for rel_name, reverse in steps:
-        mat = hin.biadjacency[rel_name]
+        indptr, indices, shape = hin.biadjacency[rel_name]
+        # scipy picks the smallest index dtype that holds the arrays, so a
+        # relation read from the cache multiplies as the parsed one does
+        mat = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=shape)
         mat = mat.T.tocsr() if reverse else mat
         product = mat if product is None else product @ mat
     # binarize (neighbor sets, not path counts) and drop self-loops

@@ -6,6 +6,9 @@ order, accumulates gradients into `.grad`, and frees the tape. Gradients
 flow only into tensors with requires_grad=True; sparse matrices are
 constants. All reductions use numpy's sequential kernels, so repeated
 runs are bit-identical.
+
+The ops are those the model and its losses call; the node-node loss is
+one fused op in `objective`, built on `_make` like every op here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-LOG_EPS = 1e-12
+LOG_EPS = 1e-12  # the losses' clamp on row norms and log arguments
 
 
 class ShapeMismatch(ValueError):
@@ -61,13 +64,11 @@ class Tensor:
             raise ShapeMismatch(f"item() needs one element, shape is {self.shape}")
         return float(self.data[0, 0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # a copy, never g itself: add/add_bias hand one g to both
-            # parents and row_sum/mean_rows pass read-only broadcast views
+            # parents, and mean_rows (and row_sum of the tests' reference
+            # tape) pass read-only broadcast views
             self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
@@ -161,32 +162,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), grad_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"sub {a.shape} vs {b.shape}")
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    return _make(a.data - b.data, (a, b), grad_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mul {a.shape} vs {b.shape}")
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _make(a.data * b.data, (a, b), grad_fn)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -211,28 +186,6 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), grad_fn)
 
 
-def add_const(a: Tensor, k) -> Tensor:
-    """Add a non-differentiated constant (broadcastable array)."""
-    k = np.asarray(k, dtype=np.float64)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g)
-
-    return _make(a.data + k, (a,), grad_fn)
-
-
-def mul_const(a: Tensor, k) -> Tensor:
-    """Multiply by a non-differentiated constant (e.g. a 0/1 mask)."""
-    k = np.asarray(k, dtype=np.float64)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * k)
-
-    return _make(a.data * k, (a,), grad_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     # Subgradient at 0 is defined as 0.
     mask = a.data > 0
@@ -247,40 +200,6 @@ def relu(a: Tensor) -> Tensor:
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _stable_sigmoid(a.data)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * out * (1.0 - out))
-
-    return _make(out, (a,), grad_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteResult("exp overflow")
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * out)
-
-    return _make(out, (a,), grad_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    # epsilon-clamped; gradient is 0 where the clamp is active
-    clamped = np.maximum(a.data, LOG_EPS)
-    mask = a.data > LOG_EPS
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * mask / clamped)
-
-    return _make(np.log(clamped), (a,), grad_fn)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -301,14 +220,6 @@ def transpose(a: Tensor) -> Tensor:
             a._accumulate(g.T)
 
     return _make(a.data.T.copy(), (a,), grad_fn)
-
-
-def row_sum(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g, a.shape))
-
-    return _make(a.data.sum(axis=1, keepdims=True), (a,), grad_fn)
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -332,19 +243,6 @@ def mean_all(a: Tensor) -> Tensor:
     return _make(np.array([[a.data.mean()]]), (a,), grad_fn)
 
 
-def row_l2_normalize(a: Tensor) -> Tensor:
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    norms = np.maximum(norms, LOG_EPS)
-    out = a.data / norms
-
-    def grad_fn(g):
-        if a.requires_grad:
-            inner = (g * out).sum(axis=1, keepdims=True)
-            a._accumulate((g - inner * out) / norms)
-
-    return _make(out, (a,), grad_fn)
-
-
 def permute_rows(a: Tensor, perm) -> Tensor:
     perm = np.asarray(perm, dtype=np.int64)
     if perm.shape != (a.shape[0],):
@@ -366,7 +264,7 @@ def bilinear(h: Tensor, b: Tensor, s: Tensor) -> Tensor:
     return matmul(matmul(h, b), transpose(s))
 
 
-# ------------------------------------------------- init, optimizer, checks
+# ------------------------------------------------------- init, optimizer
 
 
 def xavier_init(shape, rng: np.random.Generator) -> Tensor:
@@ -406,31 +304,3 @@ class AdamState:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def grad_check(f, params, eps: float = 1e-5) -> float:
-    """Max relative error |g_ad - g_fd| / max(1, |g_fd|) over all entries.
-
-    `f` must be a pure scalar-valued closure over `params`; it is re-run
-    with central perturbations of every parameter entry.
-    """
-    params = list(params)
-    for p in params:
-        p.grad = None
-    f().backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params]
-    worst = 0.0
-    for p, g_ad in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            f_plus = f().item()
-            flat[i] = original - eps
-            f_minus = f().item()
-            flat[i] = original
-            g_fd = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(g_ad.reshape(-1)[i] - g_fd) / max(1.0, abs(g_fd))
-            worst = max(worst, err)
-    return worst

@@ -267,6 +267,8 @@ def load_positives(path, n: int) -> PositiveSets:
                            dtype=np.int64)
         except ValueError as exc:
             raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+        except OverflowError as exc:
+            raise MalformedRecord(f"{path}:{lineno}: id outside int64") from exc
         if not 0 <= u < n:
             raise MalformedRecord(f"{path}:{lineno}: anchor {u} out of range")
         if ids.size == 0 or ids[0] < 0 or ids[-1] >= n or u not in ids:

@@ -101,11 +101,17 @@ def build_hin(schema, counts, edges, features, labels=None):
         mat = sp.csr_matrix(
             (np.ones(len(rows)), (rows, cols)),
             shape=(counts[rel.src], counts[rel.dst]), dtype=np.float64)
-        mat.data[:] = 1.0
-        biadjacency[rel.name] = mat
+        biadjacency[rel.name] = mat.indptr, mat.indices, mat.shape
     return HIN(schema=schema, biadjacency=biadjacency,
                features=np.asarray(features, dtype=np.float64),
                labels=labels), node_ids
+
+
+def relation_matrix(hin, name):
+    """Relation `name` of `hin` as the binary float64 CSR its arrays
+    describe, built as view extraction builds it."""
+    indptr, indices, shape = hin.biadjacency[name]
+    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=shape)
 
 
 def brute_force_view(hin, spec):
@@ -115,7 +121,7 @@ def brute_force_view(hin, spec):
     current = schema.target_type
     for rel_name in spec.relations:
         rel = schema.relation(rel_name)
-        coo = hin.biadjacency[rel_name].tocoo()
+        coo = relation_matrix(hin, rel_name).tocoo()
         neighbors = {}
         if current == rel.src:
             for i, j in zip(coo.row, coo.col):
@@ -286,8 +292,7 @@ def reference_load_hin(node_file, edge_file, feature_file, label_file,
         shape = (len(node_ids[decl.src]), len(node_ids[decl.dst]))
         mat = sp.csr_matrix(
             (np.ones(len(rows)), (rows, cols)), shape=shape, dtype=np.float64)
-        mat.data[:] = 1.0
-        biadjacency[decl.name] = mat
+        biadjacency[decl.name] = mat.indptr, mat.indices, mat.shape
 
     row_of = {node_id: k for k, node_id
               in enumerate(node_ids[schema.target_type])}
@@ -457,6 +462,140 @@ def per_anchor_positives(sim_t, sim_s, k_t, k_s):
     return PositiveSets(sets=sets)
 
 
+# -- tape ops the library does not need: with the library's own ops they
+# -- compose the reference tape below and the per-op gradient cases ---------
+
+def sub(a, b):
+    if a.shape != b.shape:
+        raise nm.ShapeMismatch(f"sub {a.shape} vs {b.shape}")
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(-g)
+
+    return nm._make(a.data - b.data, (a, b), grad_fn)
+
+
+def mul(a, b):
+    if a.shape != b.shape:
+        raise nm.ShapeMismatch(f"mul {a.shape} vs {b.shape}")
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    return nm._make(a.data * b.data, (a, b), grad_fn)
+
+
+def add_const(a, k):
+    """Add a non-differentiated constant (broadcastable array)."""
+    k = np.asarray(k, dtype=np.float64)
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g)
+
+    return nm._make(a.data + k, (a,), grad_fn)
+
+
+def mul_const(a, k):
+    """Multiply by a non-differentiated constant (e.g. a 0/1 mask)."""
+    k = np.asarray(k, dtype=np.float64)
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * k)
+
+    return nm._make(a.data * k, (a,), grad_fn)
+
+
+def sigmoid(a):
+    out = nm._stable_sigmoid(a.data)
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * out * (1.0 - out))
+
+    return nm._make(out, (a,), grad_fn)
+
+
+def exp(a):
+    out = np.exp(a.data)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteResult("exp overflow")
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * out)
+
+    return nm._make(out, (a,), grad_fn)
+
+
+def log(a):
+    # epsilon-clamped; gradient is 0 where the clamp is active
+    clamped = np.maximum(a.data, LOG_EPS)
+    mask = a.data > LOG_EPS
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * mask / clamped)
+
+    return nm._make(np.log(clamped), (a,), grad_fn)
+
+
+def row_sum(a):
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(np.broadcast_to(g, a.shape))
+
+    return nm._make(a.data.sum(axis=1, keepdims=True), (a,), grad_fn)
+
+
+def row_l2_normalize(a):
+    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
+    norms = np.maximum(norms, LOG_EPS)
+    out = a.data / norms
+
+    def grad_fn(g):
+        if a.requires_grad:
+            inner = (g * out).sum(axis=1, keepdims=True)
+            a._accumulate((g - inner * out) / norms)
+
+    return nm._make(out, (a,), grad_fn)
+
+
+def grad_check(f, params, eps=1e-5):
+    """Max relative error |g_ad - g_fd| / max(1, |g_fd|) over all entries.
+
+    `f` must be a pure scalar-valued closure over `params`; it is re-run
+    with central perturbations of every parameter entry.
+    """
+    params = list(params)
+    for p in params:
+        p.grad = None
+    f().backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for p in params]
+    worst = 0.0
+    for p, g_ad in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + eps
+            f_plus = f().item()
+            flat[i] = original - eps
+            f_minus = f().item()
+            flat[i] = original
+            g_fd = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(g_ad.reshape(-1)[i] - g_fd) / max(1.0, abs(g_fd))
+            worst = max(worst, err)
+    return worst
+
+
 def tape_node_node_loss(z_m, z_n, positives, tau):
     """Node-node loss composed from dense tape ops: the fused op's oracle.
 
@@ -467,22 +606,22 @@ def tape_node_node_loss(z_m, z_n, positives, tau):
     pos_mask = positives.mask().toarray().astype(np.float64)
     neg_mask = 1.0 - pos_mask
 
-    norm_m = nm.row_l2_normalize(z_m)
-    norm_n = nm.row_l2_normalize(z_n)
+    norm_m = row_l2_normalize(z_m)
+    norm_n = row_l2_normalize(z_n)
     logits_mn = nm.scale(nm.matmul(norm_m, nm.transpose(norm_n)), 1.0 / tau)
     logits_mm = nm.scale(nm.matmul(norm_m, nm.transpose(norm_m)), 1.0 / tau)
 
     # log-sum-exp shift, detached: the true gradient is unchanged by it
     shift = np.maximum(logits_mn.data.max(axis=1), logits_mm.data.max(axis=1))
     shift = shift.reshape(n, 1)
-    exp_mn = nm.exp(nm.add_const(logits_mn, -shift))
-    exp_mm = nm.exp(nm.add_const(logits_mm, -shift))
+    exp_mn = exp(add_const(logits_mn, -shift))
+    exp_mm = exp(add_const(logits_mm, -shift))
 
-    positive_mass = nm.row_sum(nm.mul_const(exp_mn, pos_mask))
-    negative_mass = nm.add(nm.row_sum(nm.mul_const(exp_mm, neg_mask)),
-                           nm.row_sum(nm.mul_const(exp_mn, neg_mask)))
+    positive_mass = row_sum(mul_const(exp_mn, pos_mask))
+    negative_mass = nm.add(row_sum(mul_const(exp_mm, neg_mask)),
+                           row_sum(mul_const(exp_mn, neg_mask)))
     denominator = nm.add(positive_mass, negative_mass)
-    per_anchor = nm.sub(nm.log(denominator), nm.log(positive_mass))
+    per_anchor = sub(log(denominator), log(positive_mass))
     return nm.mean_all(per_anchor)
 
 
@@ -544,6 +683,24 @@ def two_pass_node_node_loss(z_m, z_n, positives, tau):
                 z._accumulate((grad_unit - inner * unit) / norms)
 
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
+
+
+def code_objects(module):
+    """(owner, code) per code object of the functions and classes that
+    `module` defines, nested functions and methods included; `owner` is
+    the name of the module-level function or class that holds it."""
+    owners = [(name, value) for name, value in vars(module).items()
+              if getattr(value, "__module__", None) == module.__name__]
+    stack = [(name, value.__code__) for name, value in owners
+             if hasattr(value, "__code__")]
+    stack += [(name, member.__code__) for name, value in owners
+              if isinstance(value, type) for member in vars(value).values()
+              if hasattr(member, "__code__")]
+    while stack:
+        owner, code = stack.pop()
+        yield owner, code
+        stack += [(owner, const) for const in code.co_consts
+                  if hasattr(const, "co_names")]
 
 
 def load_pipebench(name):
@@ -637,12 +794,12 @@ def numerics_grad_cases():
 
     def c_sub():
         a, b = param((3, 3), "sub_a"), param((3, 3), "sub_b")
-        return lambda: nm.mean_all(nm.sub(a, b)), [a, b]
+        return lambda: nm.mean_all(sub(a, b)), [a, b]
     case("sub", c_sub)
 
     def c_mul():
         a, b = param((3, 3), "mul_a"), param((3, 3), "mul_b")
-        return lambda: nm.mean_all(nm.mul(a, b)), [a, b]
+        return lambda: nm.mean_all(mul(a, b)), [a, b]
     case("mul", c_mul)
 
     def c_scale():
@@ -657,13 +814,13 @@ def numerics_grad_cases():
 
     def c_add_const():
         a = param((3, 3), "ac_a")
-        return lambda: nm.mean_all(nm.add_const(a, 0.9)), [a]
+        return lambda: nm.mean_all(add_const(a, 0.9)), [a]
     case("add_const", c_add_const)
 
     def c_mul_const():
         a = param((3, 3), "mc_a")
         k = substream(7, "gradcase", "mc_k").uniform(-2, 2, size=(3, 3))
-        return lambda: nm.mean_all(nm.mul_const(a, k)), [a]
+        return lambda: nm.mean_all(mul_const(a, k)), [a]
     case("mul_const", c_mul_const)
 
     def c_relu():
@@ -673,17 +830,17 @@ def numerics_grad_cases():
 
     def c_sigmoid():
         a = param((4, 4), "sig_a")
-        return lambda: nm.mean_all(nm.sigmoid(a)), [a]
+        return lambda: nm.mean_all(sigmoid(a)), [a]
     case("sigmoid", c_sigmoid)
 
     def c_exp():
         a = param((4, 4), "exp_a")
-        return lambda: nm.mean_all(nm.exp(a)), [a]
+        return lambda: nm.mean_all(exp(a)), [a]
     case("exp", c_exp)
 
     def c_log():
         a = param((4, 4), "log_a", lo=0.1, hi=2.0)
-        return lambda: nm.mean_all(nm.log(a)), [a]
+        return lambda: nm.mean_all(log(a)), [a]
     case("log", c_log)
 
     def c_softplus():
@@ -694,28 +851,28 @@ def numerics_grad_cases():
     def c_transpose():
         a = param((3, 5), "tr_a")
         w = substream(7, "gradcase", "tr_w").uniform(-1, 1, size=(5, 3))
-        return lambda: nm.mean_all(nm.mul_const(nm.transpose(a), w)), [a]
+        return lambda: nm.mean_all(mul_const(nm.transpose(a), w)), [a]
     case("transpose", c_transpose)
 
     def c_row_sum():
         a = param((4, 3), "rs_a")
-        return lambda: nm.mean_all(nm.exp(nm.row_sum(a))), [a]
+        return lambda: nm.mean_all(exp(row_sum(a))), [a]
     case("row_sum", c_row_sum)
 
     def c_mean_rows():
         a = param((4, 3), "mr_a")
-        return lambda: nm.mean_all(nm.exp(nm.mean_rows(a))), [a]
+        return lambda: nm.mean_all(exp(nm.mean_rows(a))), [a]
     case("mean_rows", c_mean_rows)
 
     def c_mean_all():
         a = param((4, 3), "ma_a")
-        return lambda: nm.exp(nm.mean_all(a)), [a]
+        return lambda: exp(nm.mean_all(a)), [a]
     case("mean_all", c_mean_all)
 
     def c_row_l2_normalize():
         a = param((4, 3), "l2_a", lo=0.2, hi=1.5)
         w = substream(7, "gradcase", "l2_w").uniform(-1, 1, size=(4, 3))
-        return lambda: nm.mean_all(nm.mul_const(nm.row_l2_normalize(a), w)), [a]
+        return lambda: nm.mean_all(mul_const(row_l2_normalize(a), w)), [a]
     case("row_l2_normalize", c_row_l2_normalize)
 
     def c_permute_rows():
@@ -723,14 +880,14 @@ def numerics_grad_cases():
         perm = substream(7, "gradcase", "pr_p").permutation(5)
         w = substream(7, "gradcase", "pr_w").uniform(-1, 1, size=(5, 3))
         return lambda: nm.mean_all(
-            nm.mul_const(nm.permute_rows(a, perm), w)), [a]
+            mul_const(nm.permute_rows(a, perm), w)), [a]
     case("permute_rows", c_permute_rows)
 
     def c_bilinear():
         h = param((3, 4), "bl_h")
         b = param((4, 4), "bl_b")
         s = param((1, 4), "bl_s")
-        return lambda: nm.mean_all(nm.sigmoid(nm.bilinear(h, b, s))), [h, b, s]
+        return lambda: nm.mean_all(sigmoid(nm.bilinear(h, b, s))), [h, b, s]
     case("bilinear", c_bilinear)
 
     return cases

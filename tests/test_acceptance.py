@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 
-import hgcml.numerics as nm
 from hgcml.augment import corrupt
 from hgcml.cli import main as cli_main
 from hgcml.config import load_config
@@ -31,7 +30,7 @@ from hgcml.synth import SynthConfig, generate
 from hgcml.trainer import train
 
 from conftest import (TOY_SCHEMA, APA, adjacency_of, brute_force_view,
-                      metapath_neighbors, numerics_grad_cases,
+                      grad_check, metapath_neighbors, numerics_grad_cases,
                       random_typed_case, view_from_adjacency, write_toy_files)
 
 
@@ -86,7 +85,7 @@ def test_criterion_1_gradient_correctness():
     worst_op = 0.0
     for _, builder in numerics_grad_cases():
         f, params = builder()
-        worst_op = max(worst_op, nm.grad_check(f, params))
+        worst_op = max(worst_op, grad_check(f, params))
 
     rng = substream(9, "accept", "views")
     views = [_random_symmetric_view(rng, 6, name, feat_dim=5)
@@ -113,7 +112,7 @@ def test_criterion_1_gradient_correctness():
         return total_objective(corrupted, params, positives, 0.5,
                                neg_perms=perms)
 
-    full_err = nm.grad_check(objective, params.trainable())
+    full_err = grad_check(objective, params.trainable())
     ok = worst_op < 1e-6 and full_err < 1e-4
     return ok, (f"per-op max rel err {worst_op:.2e} (<1e-6), "
                 f"full objective {full_err:.2e} (<1e-4)")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hgcml.cli as cli
-from conftest import load_pipebench
+from conftest import code_objects, load_pipebench
 from hgcml.config import load_config, parse_config, to_dict
 from hgcml.io import (read_checkpoint, read_matrix, write_checkpoint,
                        write_matrix)
@@ -256,16 +256,7 @@ def test_synth_and_cached_eval_leave_scipy_unloaded(pipeline, tmp_path):
 
 def site_names(module):
     """Every global name the module's functions and methods look up."""
-    names, codes = set(), [value.__code__ for value in vars(module).values()
-                           if hasattr(value, "__code__")]
-    codes += [member.__code__ for value in vars(module).values()
-              if isinstance(value, type) for member in vars(value).values()
-              if hasattr(member, "__code__")]
-    while codes:
-        code = codes.pop()
-        names.update(code.co_names)
-        codes += [const for const in code.co_consts if hasattr(const, "co_names")]
-    return names
+    return {name for _, code in code_objects(module) for name in code.co_names}
 
 
 def test_tracer_patch_sites_resolve():
@@ -346,6 +337,44 @@ def test_train_with_repeated_id_in_a_positive_set_exits_2(pipeline, tmp_path,
     assert main(["train", "--config", pipeline["config"], "--out", str(out2)]) == 2
     assert f"MalformedRecord: {path}:2: id 1 repeated" in capsys.readouterr().err
     assert not (out2 / "model.bin").exists()
+
+
+def test_train_with_an_id_outside_int64_exits_2(pipeline, tmp_path, capsys):
+    out2 = tmp_path / "int64"
+    out2.mkdir()
+    with open(os.path.join(pipeline["out"], "positives.tsv"),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[1] += ",99999999999999999999"
+    path = out2 / "positives.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["train", "--config", pipeline["config"], "--out", str(out2)]) == 2
+    assert (f"MalformedRecord: {path}:2: id outside int64"
+            in capsys.readouterr().err)
+    assert not (out2 / "model.bin").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{node}\t2", "node {node!r} repeated"),
+    ("{node}\t99999999999999999999", "class id outside int64")],
+    ids=["repeated", "int64"])
+def test_bad_labels_line_exits_2_naming_it(pipeline, tmp_path, capsys, line,
+                                           message):
+    """A second label for a node and a class id past int64 are faults of
+    their line, whichever class the node had."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    node = (data / "labels.tsv").read_text(encoding="utf-8").split("\t")[0]
+    with open(data / "labels.tsv", "a", encoding="utf-8") as fh:
+        fh.write(line.format(node=node) + "\n")
+    number = len((data / "labels.tsv").read_bytes().splitlines())
+    out = tmp_path / "o"
+    run_cfg = str(data / os.path.basename(pipeline["config"]))
+    assert main(["prepare", "--config", run_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"MalformedRecord: {data / 'labels.tsv'}:{number}: "
+            f"{message.format(node=node)}") in err
+    assert not out.exists()
 
 
 def test_missing_config_flag_exits_3(capsys):

@@ -26,7 +26,7 @@ from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_NODES, TOY_SCHEMA,
                       adjacency_of, brute_force_view, build_hin,
                       metapath_neighbors, random_typed_case,
                       reference_load_hin, reference_load_positives,
-                      write_toy_files)
+                      relation_matrix, write_toy_files)
 
 
 def edge_pairs(view):
@@ -38,7 +38,8 @@ def test_toy_counts(toy_hin):
     assert len(toy_hin.schema.relations) == 3
     assert toy_hin.n_target == 4
     # (authors, papers), (papers, subjects), (papers, conferences)
-    assert {name: mat.shape for name, mat in toy_hin.biadjacency.items()} == {
+    assert {name: shape for name, (_, _, shape)
+            in toy_hin.biadjacency.items()} == {
         "AP": (4, 5), "PS": (5, 3), "PC": (5, 2)}
     assert toy_hin.features.shape == (4, 2)
 
@@ -59,9 +60,9 @@ def test_target_remap_preserves_input_order(toy_paths):
     assert hin.labels.tolist() == [10, 11, 12, 13]
     # a3 is author 2 and wrote p3 and p5, papers 2 and 4; p5 is in s2,
     # subject 1, and at c2, conference 1
-    assert sorted(hin.biadjacency["AP"][2].indices.tolist()) == [2, 4]
-    assert hin.biadjacency["PS"][4].indices.tolist() == [1]
-    assert hin.biadjacency["PC"][4].indices.tolist() == [1]
+    assert sorted(relation_matrix(hin, "AP")[2].indices.tolist()) == [2, 4]
+    assert relation_matrix(hin, "PS")[4].indices.tolist() == [1]
+    assert relation_matrix(hin, "PC")[4].indices.tolist() == [1]
 
 
 def test_coauthor_view_neighbors(toy_hin):
@@ -107,7 +108,7 @@ def test_empty_edge_file_is_valid(tmp_path):
     hin = load_hin(str(tmp_path / "nodes.tsv"), str(tmp_path / "edges.tsv"),
                    str(tmp_path / "features.bin"), None, TOY_SCHEMA)
     assert hin.n_target == 1
-    assert hin.biadjacency["AP"].nnz == 0
+    assert relation_matrix(hin, "AP").nnz == 0
     with pytest.warns(EmptyViewWarning):
         view = extract_metapath_view(hin, APA)
     assert view.n_edges == 0
@@ -118,8 +119,9 @@ def test_duplicate_edges_collapse(toy_paths):
         fh.write("a1\tp1\tAP\n")  # repeat of an existing edge
     hin = load_hin(toy_paths["nodes"], toy_paths["edges"],
                    toy_paths["features"], None, TOY_SCHEMA)
-    assert hin.biadjacency["AP"].max() == 1.0
-    assert hin.biadjacency["AP"].nnz == 6
+    ap = relation_matrix(hin, "AP")
+    assert ap[0].indices.tolist() == [0]  # a1 wrote p1, listed once
+    assert ap.nnz == 6
 
 
 def test_unknown_node_in_edge(toy_paths):
@@ -220,6 +222,39 @@ def test_partial_labels_fill_minus_one(toy_paths, tmp_path):
     assert hin.labels.tolist() == [-1, 3, -1, -1]
 
 
+@pytest.mark.parametrize("name", ["labels", "features"])
+def test_repeated_node_in_a_row_file_names_its_line(toy_paths, tmp_path, name):
+    """A second line for a node is a fault of that line, not a new value
+    for the node; the parser and its per-line oracle agree."""
+    path = tmp_path / f"{name}.tsv"
+    lines = ([f"a{k + 1}\t{k // 2}" for k in range(4)] + ["a1\t2"]
+             if name == "labels" else
+             [f"a{k + 1}\t{k}.0,1.0" for k in range(4)] + ["a1\t9.0,9.0"])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths = dict(toy_paths, **{name: str(path)})
+    for loader in (load_hin, reference_load_hin):
+        with pytest.raises(MalformedRecord,
+                           match=f"^{re.escape(str(path))}:5: node 'a1' repeated$"):
+            loader(paths["nodes"], paths["edges"], paths["features"],
+                   paths["labels"], TOY_SCHEMA)
+
+
+@pytest.mark.parametrize("class_id", [2 ** 63, -2 ** 63 - 1, 10 ** 20])
+def test_class_id_outside_int64_names_its_line(toy_paths, tmp_path, class_id):
+    path = tmp_path / "labels.tsv"
+    path.write_text(f"a1\t{2 ** 63 - 1}\na2\t{-2 ** 63}\na3\t{class_id}\n",
+                    encoding="utf-8")
+    for loader in (load_hin, reference_load_hin):
+        with pytest.raises(MalformedRecord,
+                           match=f"^{re.escape(str(path))}:3: class id outside int64$"):
+            loader(toy_paths["nodes"], toy_paths["edges"],
+                   toy_paths["features"], str(path), TOY_SCHEMA)
+    path.write_text(f"a1\t{2 ** 63 - 1}\na2\t{-2 ** 63}\n", encoding="utf-8")
+    hin = load_hin(toy_paths["nodes"], toy_paths["edges"],
+                   toy_paths["features"], str(path), TOY_SCHEMA)
+    assert hin.labels.tolist() == [2 ** 63 - 1, -2 ** 63, -1, -1]
+
+
 def test_schema_validation():
     with pytest.raises(UnknownType):
         SchemaConfig(types=("a", "a"), relations=(), target_type="a")
@@ -312,7 +347,7 @@ def typed_lines(hin, node_ids, rng, prefix=""):
              for node_id in ids]
     edges = []
     for rel in hin.schema.relations:
-        coo = hin.biadjacency[rel.name].tocoo()
+        coo = relation_matrix(hin, rel.name).tocoo()
         src_ids, dst_ids = node_ids[rel.src], node_ids[rel.dst]
         edges += [f"{prefix}{src_ids[i]}\t{prefix}{dst_ids[j]}\t{rel.name}"
                   for i, j in zip(coo.row, coo.col)]
@@ -392,9 +427,14 @@ def assert_same_value(got, want, where):
 
 
 def assert_same_graph(got, want):
-    """Every field of two HINs is the same value."""
+    """Every field of two HINs is the same value; a relation is compared
+    as the CSR that view extraction builds from its arrays."""
     for f in dataclasses.fields(HIN):
-        assert_same_value(getattr(got, f.name), getattr(want, f.name), f.name)
+        mine, theirs = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "biadjacency":
+            mine, theirs = ({name: relation_matrix(g, name)
+                             for name in g.biadjacency} for g in (got, want))
+        assert_same_value(mine, theirs, f.name)
 
 
 # Block sizes in characters: every line in one block, one character per
@@ -532,22 +572,6 @@ def test_graph_key_raises_for_an_unreadable_file(toy_paths):
         key_of(dict(toy_paths, edges=toy_paths["edges"] + ".gone"), TOY_SCHEMA)
 
 
-def test_cached_graph_without_relations(tmp_path):
-    """`relations=False` reads the same features and labels and builds no
-    relation matrix."""
-    for trial in range(6):
-        paths, schema, _ = parse_case(tmp_path, trial)
-        key = key_of(paths, schema)
-        cache = tmp_path / str(trial) / "graph.bin"
-        write_graph(cache, load_hin(paths["nodes"], paths["edges"],
-                                    paths["features"], paths["labels"], schema),
-                    key)
-        full = read_graph(cache, key, schema)
-        bare = read_graph(cache, key, schema, relations=False)
-        assert bare.biadjacency == {}
-        assert_same_graph(bare, dataclasses.replace(full, biadjacency={}))
-
-
 @pytest.mark.parametrize("fault", ["missing", "truncated", "garbage",
                                    "wrong-key", "no-key", "extra-tensor",
                                    "missing-relation", "index-out-of-range",
@@ -556,7 +580,7 @@ def test_cached_graph_without_relations(tmp_path):
                                    "negative-shape", "shape-of-three",
                                    "labels-short"])
 def test_graph_cache_not_trusted(toy_hin, toy_paths, tmp_path, fault):
-    """Rejected whether or not the relation matrices are built."""
+    """Every fault makes the cache unreadable: the stage parses instead."""
     key = key_of(toy_paths, TOY_SCHEMA)
     cache = tmp_path / "graph.bin"
     write_graph(cache, toy_hin, key)
@@ -595,8 +619,7 @@ def test_graph_cache_not_trusted(toy_hin, toy_paths, tmp_path, fault):
         else:  # 3 labels for the 4 authors
             tensors["labels"] = np.zeros((1, 3))
         write_checkpoint(cache, tensors)
-    for relations in (True, False):
-        assert read_graph(cache, key, TOY_SCHEMA, relations) is None
+    assert read_graph(cache, key, TOY_SCHEMA) is None
 
 
 @pytest.mark.parametrize("kind", sorted(FAULTS))
@@ -707,18 +730,25 @@ def assert_same_positives(path, n):
 
 ROW_FAULTS = {"labels-fields": MalformedRecord, "labels-node": UnknownNode,
               "labels-class": MalformedRecord,
+              "labels-int64": MalformedRecord,
+              "labels-repeated": MalformedRecord,
               "features-fields": MalformedRecord, "features-node": UnknownNode,
               "features-value": MalformedRecord,
               "features-length": MalformedRecord,
               "features-missing": FeatureRowMissing,
+              "features-repeated": MalformedRecord,
               "positives-fields": MalformedRecord,
               "positives-anchor": MalformedRecord,
               "positives-range": MalformedRecord,
               "positives-set": MalformedRecord,
               "positives-repeated": MalformedRecord,
+              "positives-int64": MalformedRecord,
               "positives-missing": MalformedRecord,
               "labels-utf8": MalformedRecord, "features-utf8": MalformedRecord,
               "positives-utf8": MalformedRecord}
+
+
+INT64_PAST = 2 ** 63  # the smallest integer an int64 cannot hold
 
 
 def row_fault_line(kind, hin, node_ids, rng, prefix=""):
@@ -732,16 +762,20 @@ def row_fault_line(kind, hin, node_ids, rng, prefix=""):
         "labels-fields": ("labels", f"{node}\t1\t"),
         "labels-node": ("labels", f"{prefix}{node_ids['u'][0]}\t1"),
         "labels-class": ("labels", f"{node}\tone"),
+        "labels-int64": ("labels", f"{node}\t{INT64_PAST}"),
+        "labels-repeated": ("labels", f"{node}\t{(u + 1) % 3}"),
         "features-fields": ("features", node),
         "features-node": ("features", f"ghost\t{values}"),
         "features-value": ("features", f"{node}\t{values[:-3]}x"),
         "features-length": ("features", f"{node}\t{values},1.0"),
         "features-missing": ("features", None),
+        "features-repeated": ("features", f"{node}\t{values}"),
         "positives-fields": ("positives", f"{u}\t{u}\t"),
         "positives-anchor": ("positives", f"u{u}\t{u}"),
         "positives-range": ("positives", f"{n}\t{n}"),
         "positives-set": ("positives", f"{u}\t{(u + 1) % n}"),
         "positives-repeated": ("positives", f"{u}\t{u}"),
+        "positives-int64": ("positives", f"{u}\t{u},{INT64_PAST}"),
         "positives-missing": ("positives", None),
         "labels-utf8": ("labels", f"{node}\udcff\t1"),
         "features-utf8": ("features", f"{node}\t{values}\udce2\udc82"),

@@ -1,16 +1,22 @@
 """Autodiff engine: per-op gradients, optimizer algebra, init bounds."""
 
+import dis
+import importlib
+import inspect
 import math
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hgcml
 import hgcml.numerics as nm
 from hgcml.rng import substream
 
-from conftest import numerics_grad_cases
+from conftest import (code_objects, exp, grad_check, log, mul, mul_const,
+                      numerics_grad_cases, row_sum, sigmoid)
 
 GRAD_CASES = dict(numerics_grad_cases())
 
@@ -18,7 +24,38 @@ GRAD_CASES = dict(numerics_grad_cases())
 @pytest.mark.parametrize("name", sorted(GRAD_CASES))
 def test_op_gradient(name):
     f, params = GRAD_CASES[name]()
-    assert nm.grad_check(f, params) < 1e-6
+    assert grad_check(f, params) < 1e-6
+
+
+def numerics_lookups(module):
+    """(owner, name) per lookup of a `hgcml.numerics` function by the code
+    of `module`: a global bound to the function, or an attribute of a
+    global bound to the module; `owner` is as `code_objects` names it."""
+    bound = vars(module)
+    for owner, code in code_objects(module):
+        previous = None
+        for ins in dis.get_instructions(code):
+            value = bound.get(ins.argval) if ins.opname == "LOAD_GLOBAL" else None
+            if inspect.isfunction(value) and value.__module__ == nm.__name__:
+                yield owner, value.__name__
+            elif ins.opname in ("LOAD_ATTR", "LOAD_METHOD") and previous is nm:
+                yield owner, ins.argval
+            previous = value
+
+
+def test_every_public_function_has_a_library_caller():
+    """The op suite keeps only what the library calls: each public function
+    of `hgcml.numerics` is looked up by code in `hgcml` other than its own
+    body."""
+    public = {name for name, value in vars(nm).items()
+              if inspect.isfunction(value) and value.__module__ == nm.__name__
+              and not name.startswith("_")}
+    called = set()
+    for info in pkgutil.iter_modules(hgcml.__path__):
+        module = importlib.import_module(f"hgcml.{info.name}")
+        called.update(name for owner, name in numerics_lookups(module)
+                      if not (module is nm and owner == name))
+    assert sorted(public - called) == []
 
 
 def test_tensor_shape_coercion():
@@ -35,16 +72,16 @@ def test_spmm_matches_dense():
     out = nm.spmm(sp.csr_matrix(dense), x)
     assert np.allclose(out.data, dense @ x.data, atol=1e-12)
     w = rng.standard_normal((6, 4))
-    nm.mean_all(nm.mul_const(out, w)).backward()
+    nm.mean_all(mul_const(out, w)).backward()
     assert np.allclose(x.grad, dense.T @ (w / w.size), atol=1e-12)
 
 
 def test_log_clamps_and_masks_gradient():
     x = nm.Tensor(np.array([[0.0, 2.0]]), requires_grad=True)
-    y = nm.log(x)
+    y = log(x)
     assert y.data[0, 0] == math.log(nm.LOG_EPS)
     assert y.data[0, 1] == pytest.approx(math.log(2.0), abs=1e-15)
-    nm.row_sum(y).backward()
+    row_sum(y).backward()
     assert x.grad[0, 0] == 0.0
     assert x.grad[0, 1] == pytest.approx(0.5, abs=1e-15)
 
@@ -53,31 +90,31 @@ def test_exp_overflow_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(nm.NonFiniteResult):
-            nm.exp(nm.Tensor(1000.0))
+            exp(nm.Tensor(1000.0))
 
 
 def test_relu_subgradient_at_zero_is_zero():
     x = nm.Tensor(np.array([[0.0, -1.0, 3.0]]), requires_grad=True)
-    nm.row_sum(nm.relu(x)).backward()
+    row_sum(nm.relu(x)).backward()
     assert x.grad.tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_sigmoid_gradient_at_zero():
     x = nm.Tensor(0.0, requires_grad=True)
-    nm.sigmoid(x).backward()
+    sigmoid(x).backward()
     assert x.grad[0, 0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_gradient_accumulates_through_shared_input():
     a = nm.Tensor(3.0, requires_grad=True)
-    nm.add(nm.mul(a, a), a).backward()  # d/da (a^2 + a) = 2a + 1
+    nm.add(mul(a, a), a).backward()  # d/da (a^2 + a) = 2a + 1
     assert a.grad[0, 0] == pytest.approx(7.0, abs=1e-12)
 
 
 def test_no_gradient_into_constants():
     a = nm.Tensor(np.ones((2, 2)), requires_grad=True)
     b = nm.Tensor(np.ones((2, 2)))
-    nm.mean_all(nm.mul(a, b)).backward()
+    nm.mean_all(mul(a, b)).backward()
     assert b.grad is None
     assert a.grad is not None
 
@@ -147,7 +184,7 @@ def test_repeated_forward_backward_bit_identical():
         rng = substream(11, "repeat")
         a = nm.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         b = nm.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        loss = nm.mean_all(nm.sigmoid(nm.matmul(nm.relu(a), b)))
+        loss = nm.mean_all(sigmoid(nm.matmul(nm.relu(a), b)))
         loss.backward()
         return loss.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()
 
@@ -161,7 +198,7 @@ def test_permute_rows_roundtrip_gradient():
     out = nm.permute_rows(a, perm)
     assert np.array_equal(out.data, a.data[perm])
     w = rng.standard_normal((5, 2))
-    nm.mean_all(nm.mul_const(out, w)).backward()
+    nm.mean_all(mul_const(out, w)).backward()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(5)
     assert np.allclose(a.grad, (w / w.size)[inv], atol=1e-15)

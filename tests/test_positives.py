@@ -514,3 +514,7 @@ def test_load_positives_validation(tmp_path):
     path.write_text("0\t0,1\n1\t0,1,1\n")
     with pytest.raises(MalformedRecord, match=":2: id 1 repeated"):
         load_positives(path, 2)  # a gather would count id 1 twice
+    for member in (2 ** 63, -2 ** 63 - 1, 10 ** 20):
+        path.write_text(f"0\t0,1\n1\t1,{member}\n")
+        with pytest.raises(MalformedRecord, match=":2: id outside int64$"):
+            load_positives(path, 2)
