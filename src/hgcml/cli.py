@@ -66,7 +66,8 @@ def _stage(args, cached: bool = True):
     """(run config, graph, output directory, graph key) of a pipeline stage.
 
     With `cached`, the graph comes from the output directory's graph cache
-    when its key matches the dataset's; otherwise it is parsed. The key is
+    when its key matches, and so holds the views `prepare` extracted;
+    otherwise it is parsed. The key is
     None when a data file cannot be read, and `load_hin` then reports that
     file. The directory is made last, so a dataset that fails to load
     leaves none.
@@ -78,13 +79,14 @@ def _stage(args, cached: bool = True):
         cfg.seed = args.seed
     files = [cfg.path(name) for name in ("nodes", "edges", "features", "labels")]
     try:
-        key = graph_key(*files, cfg.schema)
+        key = graph_key(*files, cfg.schema, cfg.metapaths)
     except OSError:
         key = None
     out = _out_path(args, cfg)
     hin = None
     if cached and key is not None:
-        hin = read_graph(os.path.join(out, GRAPH_CACHE), key, cfg.schema)
+        hin = read_graph(os.path.join(out, GRAPH_CACHE), key, cfg.schema,
+                         cfg.metapaths)
     if hin is None:
         hin = load_hin(*files, cfg.schema)
     return cfg, hin, _make_dir(out), key
@@ -92,23 +94,23 @@ def _stage(args, cached: bool = True):
 
 def cmd_prepare(args) -> int:
     cfg, hin, out, key = _stage(args, cached=False)
-    summary = []
+    views = []
     for spec in cfg.metapaths:
         view = extract_metapath_view(hin, spec)
         path = os.path.join(out, f"view_{spec.name}.tsv")
         with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(f"{i}\t{j}\n" for i, j in zip(*view.edges.tolist()))
-        summary.append((spec.name, view.n_nodes, view.n_edges))
+        views.append(view)
         print(f"wrote {path}")
     summary_path = os.path.join(out, "views.tsv")
     with atomic_open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("view\tnodes\tedges\n")
-        for name, nodes, edges in summary:
-            fh.write(f"{name}\t{nodes}\t{edges}\n")
+        for view in views:
+            fh.write(f"{view.metapath.name}\t{view.n_nodes}\t{view.n_edges}\n")
     print(f"wrote {summary_path}")
     if key is not None:  # None only if a file became unreadable mid-stage
         cache_path = os.path.join(out, GRAPH_CACHE)
-        write_graph(cache_path, hin, key)
+        write_graph(cache_path, hin, views, key)
         print(f"wrote {cache_path}")
     return 0
 

@@ -15,13 +15,13 @@ whichever continues the chain from the current node type. A view holds
 only its edge list, which every consumer reads: `prepare`, edge dropping,
 the GCN and PPR.
 
-`prepare` also writes the parsed graph to a cache (`write_graph`) keyed by
-`graph_key`, the SHA-256 of everything `load_hin` reads; later stages take
-the graph from `read_graph` only when the key matches and parse otherwise.
+`prepare` writes the features, labels and each metapath's view to a cache
+(`write_graph`) keyed by `graph_key`, the SHA-256 of everything `load_hin`
+reads and of the metapaths; later stages take the graph, views included,
+from `read_graph` only when the key matches and parse otherwise.
 
-`scipy.sparse` is imported only by `load_hin` and view extraction, so a
-process that does neither (`synth`, and `eval` on a valid cache) never
-pays for its import.
+`scipy.sparse` is imported only by `load_hin` and the metapath product, so
+reading the cache imports no scipy module.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ import numpy as np
 from . import io
 
 BLOCK_CHARS = 1 << 16  # characters read per block of a text input's lines
-CACHE_TAG = b"hgcml graph cache 1\n"  # first bytes hashed into every key
+ID = re.compile(r"[0-9]+")  # class ids and node indices: ASCII digits only
+IDS = re.compile(r"[0-9]+(?:,[0-9]+)*")  # comma-separated IDs
+CACHE_TAG = b"hgcml graph cache 2\n"  # first bytes hashed into every key
 
 
 class HinError(Exception):
@@ -177,8 +179,9 @@ class HIN:
     """A typed graph; the input's string ids exist only while parsing."""
 
     schema: SchemaConfig
-    # relation -> (indptr, indices, (N_src, N_dst)) of its binary CSR
+    # relation -> (indptr, indices, (N_src, N_dst)) of its binary CSR; parsed only
     biadjacency: dict[str, tuple[np.ndarray, np.ndarray, tuple[int, int]]]
+    views: dict[str, MetapathView]  # metapath name -> view; read from the cache only
     features: np.ndarray                      # (N_target, d_in) float64
     labels: np.ndarray | None = None          # (N_target,) int64, -1 = unlabeled
 
@@ -387,8 +390,8 @@ def load_hin(node_file, edge_file, feature_file, label_file,
 
     features = _load_features(feature_file, row_of)
     labels = None if label_file is None else _load_labels(label_file, row_of)
-    return HIN(schema=schema, biadjacency=biadjacency, features=features,
-               labels=labels)
+    return HIN(schema=schema, biadjacency=biadjacency, views={},
+               features=features, labels=labels)
 
 
 def _load_features(path, row_of: dict[str, int]) -> np.ndarray:
@@ -439,11 +442,12 @@ def _load_labels(path, row_of: dict[str, int]) -> np.ndarray:
         row = row_of.get(node_id)
         if row is None:
             raise UnknownNode(f"{path}:{lineno}: {node_id!r} is not a target-type node")
+        if not ID.fullmatch(class_id):
+            raise MalformedRecord(
+                f"{path}:{lineno}: class id {class_id!r} is not ASCII digits")
         try:
             labels[row] = int(class_id)
-        except ValueError as exc:
-            raise MalformedRecord(f"{path}:{lineno}: non-integer class id") from exc
-        except OverflowError as exc:
+        except (ValueError, OverflowError) as exc:  # int() takes <= 4300 digits
             raise MalformedRecord(f"{path}:{lineno}: class id outside int64") from exc
         if row in seen:
             raise MalformedRecord(f"{path}:{lineno}: node {node_id!r} repeated")
@@ -452,13 +456,14 @@ def _load_labels(path, row_of: dict[str, int]) -> np.ndarray:
 
 
 def graph_key(node_file, edge_file, feature_file, label_file,
-              schema: SchemaConfig) -> bytes:
-    """SHA-256 of what `load_hin` reads: a format tag, the schema as
-    canonical JSON, each data file's content digest with how it is parsed
-    (the features file by its suffix), and a marker for absent labels.
-    Raises OSError when a file cannot be read."""
+              schema: SchemaConfig, metapaths: tuple[MetapathSpec, ...]) -> bytes:
+    """SHA-256 of what the graph cache is made from: a format tag, the
+    schema and the metapaths as canonical JSON, each data file's content
+    digest with how it is parsed (the features file by its suffix), and a
+    marker for absent labels. Raises OSError when a file cannot be read."""
     key = hashlib.sha256(CACHE_TAG)
-    key.update(json.dumps(dataclasses.asdict(schema), sort_keys=True).encode())
+    key.update(json.dumps([dataclasses.asdict(x) for x in (schema, *metapaths)],
+                          sort_keys=True).encode())
     features_as = "tsv" if str(feature_file).endswith(".tsv") else "binary"
     for role, path in (("nodes", node_file), ("edges", edge_file),
                        (f"features {features_as}", feature_file),
@@ -476,26 +481,23 @@ def _file_digest(path) -> bytes:
     return digest.digest()
 
 
-def write_graph(path, hin: HIN, key: bytes) -> None:
+def write_graph(path, hin: HIN, views: list[MetapathView], key: bytes) -> None:
     """The graph cache: HGM1 tensors `key` (1x32 bytes), `features`,
-    `labels` (1xN, when present) and per relation `<name>.indptr`,
-    `<name>.indices` (1xK each) and `<name>.shape` (1x2). Integers are
-    stored as float64, which is exact below 2**53."""
+    `labels` (1xN, when present) and per view `view.<metapath name>`
+    (2xm). Integers are stored as float64, which is exact below 2**53."""
     tensors = {"key": np.frombuffer(key, np.uint8)[None], "features": hin.features}
     if hin.labels is not None:
         tensors["labels"] = hin.labels[None]
-    for name, (indptr, indices, shape) in hin.biadjacency.items():
-        tensors[f"{name}.indptr"] = indptr[None]
-        tensors[f"{name}.indices"] = indices[None]
-        tensors[f"{name}.shape"] = np.array([shape])
+    for view in views:
+        tensors[f"view.{view.metapath.name}"] = view.edges
     io.write_checkpoint(path, tensors)
 
 
-def read_graph(path, key: bytes, schema: SchemaConfig) -> HIN | None:
-    """The graph `write_graph` stored at `path`, or None when there is no
-    such file, it does not read cleanly, its key is not `key`, or a
-    relation's tensors do not form a valid CSR. Its relation arrays are
-    int64, whatever index dtype `load_hin` produced."""
+def read_graph(path, key: bytes, schema: SchemaConfig,
+               metapaths: tuple[MetapathSpec, ...]) -> HIN | None:
+    """The graph `write_graph` stored at `path`, with the views of `metapaths`
+    and no relation; None if the file is missing or unreadable, its key is not
+    `key`, or its other tensors are not just valid views and integer labels."""
     try:
         tensors = io.read_checkpoint(path)
     except (OSError, io.FormatError):
@@ -506,32 +508,26 @@ def read_graph(path, key: bytes, schema: SchemaConfig) -> HIN | None:
         features = tensors.pop("features")
         labels = tensors.pop("labels", None)
         if labels is not None:
-            (labels,) = labels.astype(np.int64)
+            (labels,) = _integers(labels)
             if labels.size != features.shape[0]:
                 return None
-        biadjacency = {rel.name: _cached_parts(tensors, rel.name)
-                       for rel in schema.relations}
-        if tensors:  # a tensor no relation of the schema claims
+        views = {spec.name: MetapathView(_integers(tensors.pop(f"view.{spec.name}")),
+                                         features, spec) for spec in metapaths}
+        if tensors:  # a tensor no metapath claims
             return None
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, HinError):
         return None
-    return HIN(schema=schema, biadjacency=biadjacency, features=features,
+    return HIN(schema=schema, biadjacency={}, views=views, features=features,
                labels=labels)
 
 
-def _cached_parts(tensors, name: str):
-    """(indptr, indices, shape) of one relation from its cache tensors.
-    Raises ValueError unless they form a CSR with `shape`: indptr of
-    rows + 1 entries from 0 to the number of indices, never decreasing,
-    and every index in [0, cols)."""
-    (rows, cols), = tensors.pop(f"{name}.shape").astype(np.int64)
-    indptr, indices = (tensors.pop(f"{name}.{part}").reshape(-1).astype(np.int64)
-                       for part in ("indptr", "indices"))
-    if (rows < 0 or cols < 0 or indptr.size != rows + 1 or indptr[0] != 0
-            or indptr[-1] != indices.size or (np.diff(indptr) < 0).any()
-            or (indices.size and not 0 <= indices.min() <= indices.max() < cols)):
-        raise ValueError(f"relation {name!r} is not a valid CSR")
-    return indptr, indices, (int(rows), int(cols))
+def _integers(values: np.ndarray) -> np.ndarray:
+    """`values` as int64; ValueError if one is not an integer (1.5, NaN)."""
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.int64)
+    if not np.array_equal(ints, values):
+        raise ValueError("a cached value is not an integer")
+    return ints
 
 
 def resolve_chain(schema: SchemaConfig, spec: MetapathSpec) -> list[tuple[str, bool]]:
@@ -565,15 +561,16 @@ def resolve_chain(schema: SchemaConfig, spec: MetapathSpec) -> list[tuple[str, b
 
 
 def extract_metapath_view(hin: HIN, spec: MetapathSpec) -> MetapathView:
-    """Binarized metapath product over target nodes; zero diagonal, symmetric."""
+    """The view `hin` holds for `spec` if read from the cache, else the
+    binarized metapath product over target nodes; zero diagonal, symmetric."""
+    if spec.name in hin.views:
+        return hin.views[spec.name]
     import scipy.sparse as sp
 
     steps = resolve_chain(hin.schema, spec)
     product = None
     for rel_name, reverse in steps:
         indptr, indices, shape = hin.biadjacency[rel_name]
-        # scipy picks the smallest index dtype that holds the arrays, so a
-        # relation read from the cache multiplies as the parsed one does
         mat = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=shape)
         mat = mat.T.tocsr() if reverse else mat
         product = mat if product is None else product @ mat

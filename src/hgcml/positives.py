@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hin import MalformedRecord, MetapathView, _read_rows
+from .hin import ID, IDS, MalformedRecord, MetapathView, _read_rows
 from .io import atomic_open
 from .numerics import ShapeMismatch
 
@@ -258,20 +258,20 @@ def save_positives(path, positives: PositiveSets) -> None:
 
 
 def load_positives(path, n: int) -> PositiveSets:
-    """Read positives.tsv, one sorted set per anchor."""
+    """Read positives.tsv, one sorted set per anchor; ids are `hin.ID`s."""
     sets: list[np.ndarray | None] = [None] * n
     for lineno, (anchor, members) in _read_rows(path, 2):
+        if not (ID.fullmatch(anchor) and IDS.fullmatch(members)):
+            bad = next(t for t in (anchor, *members.split(",")) if not ID.fullmatch(t))
+            raise MalformedRecord(f"{path}:{lineno}: id {bad!r} is not ASCII digits")
         try:
             u = int(anchor)
-            ids = np.array(sorted(int(v) for v in members.split(",")),
-                           dtype=np.int64)
-        except ValueError as exc:
-            raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
-        except OverflowError as exc:
+            ids = np.array(sorted(map(int, members.split(","))), dtype=np.int64)
+        except (ValueError, OverflowError) as exc:  # int() takes <= 4300 digits
             raise MalformedRecord(f"{path}:{lineno}: id outside int64") from exc
-        if not 0 <= u < n:
+        if u >= n:
             raise MalformedRecord(f"{path}:{lineno}: anchor {u} out of range")
-        if ids.size == 0 or ids[0] < 0 or ids[-1] >= n or u not in ids:
+        if ids[-1] >= n or u not in ids:
             raise MalformedRecord(f"{path}:{lineno}: invalid positive set")
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if repeated.size:

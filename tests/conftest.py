@@ -102,7 +102,7 @@ def build_hin(schema, counts, edges, features, labels=None):
             (np.ones(len(rows)), (rows, cols)),
             shape=(counts[rel.src], counts[rel.dst]), dtype=np.float64)
         biadjacency[rel.name] = mat.indptr, mat.indices, mat.shape
-    return HIN(schema=schema, biadjacency=biadjacency,
+    return HIN(schema=schema, biadjacency=biadjacency, views={},
                features=np.asarray(features, dtype=np.float64),
                labels=labels), node_ids
 
@@ -301,8 +301,8 @@ def reference_load_hin(node_file, edge_file, feature_file, label_file,
         labels = None
         if label_file is not None:
             labels = _load_labels(label_file, row_of)
-    return HIN(schema=schema, biadjacency=biadjacency, features=features,
-               labels=labels), node_ids
+    return HIN(schema=schema, biadjacency=biadjacency, views={},
+               features=features, labels=labels), node_ids
 
 
 def reference_load_positives(path, n):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hgcml.cli as cli
+import hgcml.hin as hin_module
 from conftest import code_objects, load_pipebench
 from hgcml.config import load_config, parse_config, to_dict
 from hgcml.io import (read_checkpoint, read_matrix, write_checkpoint,
@@ -356,12 +357,13 @@ def test_train_with_an_id_outside_int64_exits_2(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("line, message", [
     ("{node}\t2", "node {node!r} repeated"),
-    ("{node}\t99999999999999999999", "class id outside int64")],
-    ids=["repeated", "int64"])
+    ("{node}\t99999999999999999999", "class id outside int64"),
+    ("{node}\t-7", "class id '-7' is not ASCII digits")],
+    ids=["repeated", "int64", "negative"])
 def test_bad_labels_line_exits_2_naming_it(pipeline, tmp_path, capsys, line,
                                            message):
-    """A second label for a node and a class id past int64 are faults of
-    their line, whichever class the node had."""
+    """A second label for a node, a class id past int64 and a negative one
+    are faults of their line, whichever class the node had."""
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
     node = (data / "labels.tsv").read_text(encoding="utf-8").split("\t")[0]
@@ -865,6 +867,24 @@ def test_load_hin_runs_once_with_the_cache_and_per_stage_without(
     assert cache_and_parse_runs["parse"][1] == len(STAGES)
 
 
+def test_cached_stages_run_no_metapath_product(pipeline, tmp_path,
+                                               monkeypatch):
+    """After prepare, positives, train and embed take every view from the
+    graph cache: with the metapath product made to fail, they exit 0 and
+    write the bytes of the pipeline's own run."""
+    _, run_cfg, out = prepared_copy(pipeline, tmp_path)
+
+    def no_product(*args):
+        raise AssertionError("a metapath product ran on the cached path")
+
+    monkeypatch.setattr(hin_module, "resolve_chain", no_product)
+    for stage in ("positives", "train", "embed"):
+        assert main([stage, "--config", run_cfg, "--out", str(out)]) == 0
+    for name in ("positives.tsv", "trace.tsv", "model.bin", "embeddings.bin"):
+        with open(os.path.join(pipeline["out"], name), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
+
+
 def prepared_copy(pipeline, tmp_path):
     """(data directory, run config, output directory) of a copy of the
     dataset on which prepare has run."""
@@ -948,12 +968,17 @@ def add_a_stray_tensor(data, run_cfg, out):
 
 
 def index_out_of_range(data, run_cfg, out):
-    """A relation index one past its relation's column count."""
+    """A view's last index one past the target node count."""
     tensors = read_checkpoint(out / cli.GRAPH_CACHE)
-    name = next(key for key in tensors if key.endswith(".indices"))
-    cols = tensors[name.replace(".indices", ".shape")][0, 1]
-    tensors[name][0, -1] = cols
+    name = next(key for key in tensors if key.startswith("view."))
+    tensors[name][1, -1] = tensors["features"].shape[0]
     write_checkpoint(out / cli.GRAPH_CACHE, tensors)
+
+
+def change_a_metapath(data, run_cfg, out):
+    """Another relation chain under the first metapath's name."""
+    edit_config(run_cfg, lambda raw: raw["metapaths"][0].update(
+        relations=["via1", "via1"]))
 
 
 def drop_a_cached_label(data, run_cfg, out):
@@ -965,7 +990,7 @@ def drop_a_cached_label(data, run_cfg, out):
 @pytest.mark.parametrize("change", [
     flip_a_feature_bit, flip_first_label, add_a_spare_type, features_as_tsv,
     truncate_cache, garbage_cache, change_cache_key, add_a_stray_tensor,
-    index_out_of_range, drop_a_cached_label],
+    index_out_of_range, drop_a_cached_label, change_a_metapath],
     ids=lambda change: change.__name__)
 def test_stale_or_broken_cache_is_parsed_again(pipeline, tmp_path,
                                                monkeypatch, change):

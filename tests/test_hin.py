@@ -239,20 +239,39 @@ def test_repeated_node_in_a_row_file_names_its_line(toy_paths, tmp_path, name):
                    paths["labels"], TOY_SCHEMA)
 
 
-@pytest.mark.parametrize("class_id", [2 ** 63, -2 ** 63 - 1, 10 ** 20])
+@pytest.mark.parametrize("class_id", [
+    2 ** 63, 10 ** 20,
+    pytest.param("1" * 5000, id="5000-digits")])  # past int()'s digit limit
 def test_class_id_outside_int64_names_its_line(toy_paths, tmp_path, class_id):
     path = tmp_path / "labels.tsv"
-    path.write_text(f"a1\t{2 ** 63 - 1}\na2\t{-2 ** 63}\na3\t{class_id}\n",
+    path.write_text(f"a1\t{2 ** 63 - 1}\na2\t007\na3\t{class_id}\n",
                     encoding="utf-8")
     for loader in (load_hin, reference_load_hin):
         with pytest.raises(MalformedRecord,
                            match=f"^{re.escape(str(path))}:3: class id outside int64$"):
             loader(toy_paths["nodes"], toy_paths["edges"],
                    toy_paths["features"], str(path), TOY_SCHEMA)
-    path.write_text(f"a1\t{2 ** 63 - 1}\na2\t{-2 ** 63}\n", encoding="utf-8")
+    path.write_text(f"a1\t{2 ** 63 - 1}\na2\t007\n", encoding="utf-8")
     hin = load_hin(toy_paths["nodes"], toy_paths["edges"],
                    toy_paths["features"], str(path), TOY_SCHEMA)
-    assert hin.labels.tolist() == [2 ** 63 - 1, -2 ** 63, -1, -1]
+    assert hin.labels.tolist() == [2 ** 63 - 1, 7, -1, -1]
+
+
+@pytest.mark.parametrize("class_id", ["1_0", " \u0663 ", "\u0663", "+3", "-7",
+                                      str(-2 ** 63 - 1), "1.0", "0x1", ""])
+def test_class_id_outside_the_grammar_names_its_line(toy_paths, tmp_path,
+                                                     class_id):
+    """A class id is ASCII digits. Python's int() would take the
+    underscore, the Arabic-Indic three with or without spaces, and a sign;
+    a negative class would then read as unlabeled."""
+    path = tmp_path / "labels.tsv"
+    path.write_text(f"a1\t0\na2\t1\na3\t{class_id}\na4\t0\n", encoding="utf-8")
+    for loader in (load_hin, reference_load_hin):
+        with pytest.raises(MalformedRecord, match=(
+                f"^{re.escape(str(path))}:3: class id "
+                f"{re.escape(repr(class_id))} is not ASCII digits$")):
+            loader(toy_paths["nodes"], toy_paths["edges"],
+                   toy_paths["features"], str(path), TOY_SCHEMA)
 
 
 def test_schema_validation():
@@ -514,9 +533,35 @@ def test_block_parse_matches_per_line_oracle(tmp_path, monkeypatch, block):
 
 # -- the graph cache ------------------------------------------------------------
 
-def key_of(paths, schema):
+TOY_METAPATHS = (APA, APCPA)  # views of 2 and 4 edges over the 4 authors
+
+
+def key_of(paths, schema, metapaths=TOY_METAPATHS):
     return graph_key(paths["nodes"], paths["edges"], paths["features"],
-                     paths["labels"], schema)
+                     paths["labels"], schema, metapaths)
+
+
+def views_of(hin, metapaths):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [extract_metapath_view(hin, spec) for spec in metapaths]
+
+
+def assert_cached_graph(cached, parsed, views):
+    """`cached` is `parsed` with `views` in place of its relations: the
+    same features and labels, no relation, and each view's edges as int64,
+    which view extraction then returns without running the product."""
+    assert cached is not None
+    assert cached.schema == parsed.schema and cached.biadjacency == {}
+    assert_same_value(cached.features, parsed.features, "features")
+    assert_same_value(cached.labels, parsed.labels, "labels")
+    assert list(cached.views) == [view.metapath.name for view in views]
+    for view in views:
+        got = extract_metapath_view(cached, view.metapath)
+        assert got is cached.views[view.metapath.name]
+        assert got.metapath == view.metapath and got.features is cached.features
+        assert got.edges.dtype == np.int64
+        assert np.array_equal(got.edges, view.edges), view.metapath.name
 
 
 def test_cached_graph_equals_parsed_graph(tmp_path):
@@ -526,16 +571,11 @@ def test_cached_graph_equals_parsed_graph(tmp_path):
             paths["labels"] = None
         parsed = load_hin(paths["nodes"], paths["edges"], paths["features"],
                           paths["labels"], schema)
+        views = views_of(parsed, [spec])
         cache = tmp_path / str(trial) / "graph.bin"
-        write_graph(cache, parsed, key_of(paths, schema))
-        cached = read_graph(cache, key_of(paths, schema), schema)
-        assert cached is not None, f"trial {trial}"
-        assert_same_graph(cached, parsed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mine, want = (adjacency_of(extract_metapath_view(g, spec))
-                          for g in (cached, parsed))
-        assert_same_value(mine, want, f"trial {trial} view")
+        write_graph(cache, parsed, views, key_of(paths, schema, [spec]))
+        cached = read_graph(cache, key_of(paths, schema, [spec]), schema, [spec])
+        assert_cached_graph(cached, parsed, views)
 
 
 def test_graph_key_covers_schema_and_every_input(tmp_path):
@@ -563,7 +603,13 @@ def test_graph_key_covers_schema_and_every_input(tmp_path):
                          relations=TOY_SCHEMA.relations,
                          target_type=TOY_SCHEMA.target_type)
     keys.add(key_of(toy_paths, spare))
-    assert len(keys) == 9
+    # the views a cache holds: another chain under a metapath's name,
+    # another name, one metapath fewer, the metapaths in another order
+    for metapaths in ((APA, MetapathSpec("APCPA", APSPA.relations)),
+                      (APA, dataclasses.replace(APCPA, name="other")),
+                      (APA,), (APCPA, APA)):
+        keys.add(key_of(toy_paths, TOY_SCHEMA, metapaths))
+    assert len(keys) == 13
     assert key_of(toy_paths, TOY_SCHEMA) == base
 
 
@@ -574,19 +620,28 @@ def test_graph_key_raises_for_an_unreadable_file(toy_paths):
 
 @pytest.mark.parametrize("fault", ["missing", "truncated", "garbage",
                                    "wrong-key", "no-key", "extra-tensor",
-                                   "missing-relation", "index-out-of-range",
-                                   "negative-index", "indptr-decreasing",
-                                   "indptr-short", "indptr-past-indices",
-                                   "negative-shape", "shape-of-three",
-                                   "labels-short"])
-def test_graph_cache_not_trusted(toy_hin, toy_paths, tmp_path, fault):
+                                   "missing-view", "shape-of-three",
+                                   "i-not-below-j", "index-out-of-range",
+                                   "negative-index", "repeated-pair",
+                                   "unsorted-pair", "non-integer", "nan",
+                                   "labels-short", "labels-non-integer",
+                                   "labels-nan"])
+def test_graph_cache_not_trusted(tmp_path, fault):
     """Every fault makes the cache unreadable: the stage parses instead."""
+    toy_paths = write_toy_files(str(tmp_path), labels=[0, 1, 0, 1])
+    parsed = load_hin(toy_paths["nodes"], toy_paths["edges"],
+                      toy_paths["features"], toy_paths["labels"], TOY_SCHEMA)
+    views = views_of(parsed, TOY_METAPATHS)
     key = key_of(toy_paths, TOY_SCHEMA)
     cache = tmp_path / "graph.bin"
-    write_graph(cache, toy_hin, key)
-    assert_same_graph(read_graph(cache, key, TOY_SCHEMA), toy_hin)
+    write_graph(cache, parsed, views, key)
+    assert_cached_graph(read_graph(cache, key, TOY_SCHEMA, TOY_METAPATHS),
+                        parsed, views)
     blob = cache.read_bytes()
     tensors = read_checkpoint(cache)
+    # APCPA's edges, one pair per column: (0, 1), (0, 2), (1, 2), (2, 3)
+    edges = tensors["view.APCPA"]
+    assert edges.tolist() == [[0, 0, 1, 2], [1, 2, 2, 3]]
     if fault == "missing":
         cache.unlink()
     elif fault == "truncated":
@@ -599,27 +654,33 @@ def test_graph_cache_not_trusted(toy_hin, toy_paths, tmp_path, fault):
         elif fault == "no-key":
             del tensors["key"]
         elif fault == "extra-tensor":
-            tensors["stray.indptr"] = np.zeros((1, 1))
-        elif fault == "missing-relation":
-            del tensors["AP.indices"]
-        elif fault == "index-out-of-range":
-            tensors["AP.indices"][0, 0] = 99
+            tensors["view.APSPA"] = np.zeros((2, 0))
+        elif fault == "missing-view":
+            del tensors["view.APA"]
+        elif fault == "shape-of-three":  # a view tensor of three rows
+            tensors["view.APCPA"] = np.vstack((edges, edges[:1]))
+        elif fault == "i-not-below-j":
+            edges[:, 0] = 1, 0
+        elif fault == "index-out-of-range":  # j = n
+            edges[1, 3] = 4
         elif fault == "negative-index":
-            tensors["AP.indices"][0, 0] = -1
-        elif fault == "indptr-decreasing":  # AP rows 1 and 2 hold 1 and 2 ids
-            tensors["AP.indptr"][0, 2] = 0
-        elif fault == "indptr-short":
-            tensors["AP.indptr"] = tensors["AP.indptr"][:, :-1]
-        elif fault == "indptr-past-indices":
-            tensors["AP.indptr"][0, -1] += 1
-        elif fault == "negative-shape":
-            tensors["AP.shape"][0, 0] = -1
-        elif fault == "shape-of-three":
-            tensors["AP.shape"] = np.array([[4, 5, 1]])
-        else:  # 3 labels for the 4 authors
+            edges[0, 0] = -1
+        elif fault == "repeated-pair":
+            edges[:, 1] = edges[:, 0]
+        elif fault == "unsorted-pair":
+            edges[:, :2] = edges[:, 1::-1]
+        elif fault == "non-integer":  # a cast to int64 would give a valid 2
+            edges[1, 1] = 2.5
+        elif fault == "nan":
+            edges[1, 1] = np.nan
+        elif fault == "labels-short":  # 3 labels for the 4 authors
             tensors["labels"] = np.zeros((1, 3))
+        elif fault == "labels-non-integer":
+            tensors["labels"][0, 2] = 0.5
+        else:
+            tensors["labels"][0, 2] = np.nan
         write_checkpoint(cache, tensors)
-    assert read_graph(cache, key, TOY_SCHEMA) is None
+    assert read_graph(cache, key, TOY_SCHEMA, TOY_METAPATHS) is None
 
 
 @pytest.mark.parametrize("kind", sorted(FAULTS))
@@ -732,6 +793,15 @@ ROW_FAULTS = {"labels-fields": MalformedRecord, "labels-node": UnknownNode,
               "labels-class": MalformedRecord,
               "labels-int64": MalformedRecord,
               "labels-repeated": MalformedRecord,
+              # ids int() takes and the ASCII digit grammar does not
+              "labels-underscore": MalformedRecord,
+              "labels-arabic": MalformedRecord,
+              "labels-plus": MalformedRecord,
+              "labels-negative": MalformedRecord,
+              "positives-underscore": MalformedRecord,
+              "positives-arabic": MalformedRecord,
+              "positives-plus": MalformedRecord,
+              "positives-negative": MalformedRecord,
               "features-fields": MalformedRecord, "features-node": UnknownNode,
               "features-value": MalformedRecord,
               "features-length": MalformedRecord,
@@ -764,6 +834,10 @@ def row_fault_line(kind, hin, node_ids, rng, prefix=""):
         "labels-class": ("labels", f"{node}\tone"),
         "labels-int64": ("labels", f"{node}\t{INT64_PAST}"),
         "labels-repeated": ("labels", f"{node}\t{(u + 1) % 3}"),
+        "labels-underscore": ("labels", f"{node}\t1_0"),
+        "labels-arabic": ("labels", f"{node}\t \u0663 "),
+        "labels-plus": ("labels", f"{node}\t+1"),
+        "labels-negative": ("labels", f"{node}\t-7"),
         "features-fields": ("features", node),
         "features-node": ("features", f"ghost\t{values}"),
         "features-value": ("features", f"{node}\t{values[:-3]}x"),
@@ -776,6 +850,10 @@ def row_fault_line(kind, hin, node_ids, rng, prefix=""):
         "positives-set": ("positives", f"{u}\t{(u + 1) % n}"),
         "positives-repeated": ("positives", f"{u}\t{u}"),
         "positives-int64": ("positives", f"{u}\t{u},{INT64_PAST}"),
+        "positives-underscore": ("positives", f"{u}\t{u},1_0"),
+        "positives-arabic": ("positives", f" \u0663 \t{u}"),
+        "positives-plus": ("positives", f"+{u}\t{u}"),
+        "positives-negative": ("positives", f"{u}\t-1,{u}"),
         "positives-missing": ("positives", None),
         "labels-utf8": ("labels", f"{node}\udcff\t1"),
         "features-utf8": ("features", f"{node}\t{values}\udce2\udc82"),

@@ -1,5 +1,6 @@
 """Diffusion-based and feature-based positive sampling."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -514,7 +515,17 @@ def test_load_positives_validation(tmp_path):
     path.write_text("0\t0,1\n1\t0,1,1\n")
     with pytest.raises(MalformedRecord, match=":2: id 1 repeated"):
         load_positives(path, 2)  # a gather would count id 1 twice
-    for member in (2 ** 63, -2 ** 63 - 1, 10 ** 20):
+    for member in (2 ** 63, 10 ** 20, "1" * 5000):  # 5000: past int()'s limit
         path.write_text(f"0\t0,1\n1\t1,{member}\n")
         with pytest.raises(MalformedRecord, match=":2: id outside int64$"):
+            load_positives(path, 2)
+    # anchors and ids are ASCII digits; int() takes the first six of these
+    for line, bad in (("1\t1,1_0", "1_0"), ("1\t1, \u0663 ", " \u0663 "),
+                      ("\u0663\t1", "\u0663"), ("+1\t1", "+1"),
+                      ("1\t-1,1", "-1"), (f"1\t1,{-2 ** 63 - 1}", str(-2 ** 63 - 1)),
+                      ("1\t1,", ""), ("1\t", ""), ("1\t1,x", "x"),
+                      ("1.0\t1", "1.0")):
+        path.write_text(f"0\t0,1\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord, match=(
+                f":2: id {re.escape(repr(bad))} is not ASCII digits$")):
             load_positives(path, 2)
