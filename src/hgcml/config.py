@@ -208,8 +208,8 @@ class EvalSettings(_Settings):
 
 
 # Characters that would put `view_<name>.tsv` outside the output directory,
-# or that no file name can hold.
-_NOT_IN_NAMES = {"/", "\0", os.sep, os.altsep} - {None}
+# that no file name can hold, or that would split a row of `views.tsv`.
+_NOT_IN_NAMES = {"/", "\0", "\t", "\r", "\n", os.sep, os.altsep} - {None}
 # Longest metapath name in UTF-8 bytes, so that `view_<name>.tsv.<pid>.tmp`,
 # the view file's temporary name, fits a 255-byte file name.
 MAX_NAME_BYTES = 200
@@ -238,7 +238,7 @@ class RunConfig:
             if not name or _NOT_IN_NAMES & set(name):
                 raise ConfigError(
                     "metapaths[].name must be non-empty and hold no path "
-                    f"separator or NUL, got {name!r}")
+                    f"separator, NUL, tab, CR or LF, got {name!r}")
             try:
                 size = len(name.encode("utf-8"))
             except UnicodeEncodeError:  # a lone surrogate, e.g. JSON "\ud800"

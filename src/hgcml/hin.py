@@ -42,7 +42,7 @@ from . import io
 BLOCK_CHARS = 1 << 16  # characters read per block of a text input's lines
 ID = re.compile(r"[0-9]+")  # class ids and node indices: ASCII digits only
 IDS = re.compile(r"[0-9]+(?:,[0-9]+)*")  # comma-separated IDs
-CACHE_TAG = b"hgcml graph cache 2\n"  # first bytes hashed into every key
+CACHE_TAG = b"hgcml graph cache 3\n"  # first bytes hashed into every key
 
 
 class HinError(Exception):
@@ -483,11 +483,12 @@ def _file_digest(path) -> bytes:
 
 def write_graph(path, hin: HIN, views: list[MetapathView], key: bytes) -> None:
     """The graph cache: HGM1 tensors `key` (1x32 bytes), `features`,
-    `labels` (1xN, when present) and per view `view.<metapath name>`
-    (2xm). Integers are stored as float64, which is exact below 2**53."""
+    `labels` (2xN, when present) and per view `view.<metapath name>`
+    (2xm). Integers are stored as float64, which is exact below 2**53, so
+    each class id is stored as its high and low 32-bit words."""
     tensors = {"key": np.frombuffer(key, np.uint8)[None], "features": hin.features}
     if hin.labels is not None:
-        tensors["labels"] = hin.labels[None]
+        tensors["labels"] = _label_words(hin.labels)
     for view in views:
         tensors[f"view.{view.metapath.name}"] = view.edges
     io.write_checkpoint(path, tensors)
@@ -497,7 +498,7 @@ def read_graph(path, key: bytes, schema: SchemaConfig,
                metapaths: tuple[MetapathSpec, ...]) -> HIN | None:
     """The graph `write_graph` stored at `path`, with the views of `metapaths`
     and no relation; None if the file is missing or unreadable, its key is not
-    `key`, or its other tensors are not just valid views and integer labels."""
+    `key`, or its other tensors are not just valid views and label words."""
     try:
         tensors = io.read_checkpoint(path)
     except (OSError, io.FormatError):
@@ -508,8 +509,12 @@ def read_graph(path, key: bytes, schema: SchemaConfig,
         features = tensors.pop("features")
         labels = tensors.pop("labels", None)
         if labels is not None:
-            (labels,) = _integers(labels)
-            if labels.size != features.shape[0]:
+            words = _integers(labels)
+            high, low = words
+            labels = (high << 32) | low
+            # a word out of its range does not come back from its label
+            if (labels.size != features.shape[0]
+                    or not np.array_equal(_label_words(labels), words)):
                 return None
         views = {spec.name: MetapathView(_integers(tensors.pop(f"view.{spec.name}")),
                                          features, spec) for spec in metapaths}
@@ -519,6 +524,11 @@ def read_graph(path, key: bytes, schema: SchemaConfig,
         return None
     return HIN(schema=schema, biadjacency={}, views=views, features=features,
                labels=labels)
+
+
+def _label_words(labels: np.ndarray) -> np.ndarray:
+    """(2,N) high and low 32-bit words of int64 labels, each exact in f64."""
+    return np.stack((labels >> 32, labels & 0xFFFFFFFF))
 
 
 def _integers(values: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ similarities to everything outside P_u (u itself sits in P_u, so the
 anchor's self-similarity never appears as a negative). It is one tape
 node whose one pass over blocks of CHUNK anchor rows forms the loss and
 both input gradients; backward only scales them. Positives are gathered
-from a CSR mask. Memory is O(CHUNK*n) floats, with no n x n array of any
-dtype alive at any time.
+from the CSR arrays `PositiveSets` holds. Memory is O(CHUNK*n) floats,
+with no n x n array of any dtype alive at any time.
 
 Node-graph: a bilinear discriminator scores projected rows against the
 projected mean summary, positive branch vs a negative branch.
@@ -60,10 +60,10 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     both logs clamped at LOG_EPS.
 
     Anchors stream through in blocks of CHUNK rows, one logits matmul and
-    one exp per block. P_i is gathered from the CSR positives of
-    `positives.mask()`, and D_i is P_i plus the row sum left once the
-    positives of both halves are zeroed: never a full row sum minus the
-    positives, which would cancel against the anchor's dominant self term.
+    one exp per block. P_i is gathered from the CSR rows `positives.mask()`
+    returns, and D_i is P_i plus the row sum left once the positives of
+    both halves are zeroed: never a full row sum minus the positives,
+    which would cancel against the anchor's dominant self term.
     As the output is a scalar, the same pass turns each block into dL/dS
     for g = 1 and adds its share to both input gradients; backward only
     scales them by g.
@@ -75,7 +75,7 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
         raise ShapeMismatch(f"projected views differ: {z_m.shape} vs {z_n.shape}")
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
-    mask = positives.mask()
+    indptr, indices = positives.mask()
     needs_grad = z_m.requires_grad or z_n.requires_grad
     inv_tau = 1.0 / tau
     g0 = 1.0 / n
@@ -102,10 +102,9 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
         exps -= shift
         np.exp(exps, out=exps)
         # flat offsets of the block's positives in its S_mn half
-        lo_ptr, hi_ptr = mask.indptr[lo], mask.indptr[rows.stop]
         local = np.repeat(np.arange(rows.stop - lo),
-                          np.diff(mask.indptr[lo:rows.stop + 1]))
-        at_mn = local * (2 * n) + mask.indices[lo_ptr:hi_ptr]
+                          np.diff(indptr[lo:rows.stop + 1]))
+        at_mn = local * (2 * n) + indices[indptr[lo]:indptr[rows.stop]]
         flat = exps.reshape(-1)
         pos_exps = flat[at_mn]
         pos = np.bincount(local, weights=pos_exps,

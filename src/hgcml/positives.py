@@ -4,13 +4,14 @@ Topology positives come from Personalized PageRank diffusion aggregated
 over metapath views; semantic positives from negative euclidean feature
 distance; the per-anchor positive set is their union plus the anchor
 itself. Sets are computed once, before training, and serialized to
-positives.tsv so training runs never resample them.
+positives.tsv so training runs never resample them. From the selection
+to the node-node loss they are held as CSR arrays; no mask is built.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -168,41 +169,25 @@ def semantic_similarity(features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PositiveSets:
-    """Per-anchor positive ids. P_u always contains u; ids are sorted."""
+    """Per-anchor positive ids in CSR form: anchor u's set is
+    indices[indptr[u]:indptr[u+1]], sorted, unique and holding u."""
 
-    sets: list[np.ndarray]
-    _mask: sp.csr_array | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    indptr: np.ndarray   # (n+1,) int64
+    indices: np.ndarray  # int64
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        return self.indptr.size - 1
 
-    def mask(self) -> sp.csr_array:
-        """Boolean (n,n) CSR matrix, mask[u,v] = v in P_u, with unique,
-        sorted column ids per row (a set built in code may repeat an id).
+    @property
+    def sets(self) -> list[np.ndarray]:
+        """Anchor u's ids as the u-th array, a view into `indices`."""
+        bounds = self.indptr.tolist()
+        return [self.indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-        Built on the first call and returned read-only on every later
-        one, so `sets` must not change after the first call.
-        """
-        if self._mask is None:
-            import scipy.sparse as sp
-
-            sizes = [len(ids) for ids in self.sets]
-            rows = np.repeat(np.arange(self.n), sizes)
-            cols = (np.concatenate(self.sets) if self.sets
-                    else np.empty(0, dtype=np.int64))
-            out = sp.csr_array((np.ones(rows.size, dtype=bool), (rows, cols)),
-                               shape=(self.n, self.n))
-            out.sum_duplicates()  # sorted, unique ids per row
-            for part in (out.data, out.indices, out.indptr):
-                part.flags.writeable = False
-            self._mask = out
-        return self._mask
-
-    @classmethod
-    def anchor_only(cls, n: int) -> "PositiveSets":
-        return cls(sets=[np.array([u], dtype=np.int64) for u in range(n)])
+    def mask(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): the CSR rows of mask[u,v] = v in P_u."""
+        return self.indptr, self.indices
 
 
 def _top_k(sim: np.ndarray, k: int) -> np.ndarray:
@@ -235,20 +220,23 @@ def _top_k(sim: np.ndarray, k: int) -> np.ndarray:
 
 def select_positives(sim_t: np.ndarray, sim_s: np.ndarray,
                      k_t: int, k_s: int) -> PositiveSets:
-    """Union the top-k_t topology and top-k_s semantic neighbors per anchor."""
+    """Union the top-k_t topology and top-k_s semantic neighbors per anchor:
+    its row of 1 + k_t + k_s ids, itself included, sorted and deduplicated."""
     if sim_t.shape != sim_s.shape:
         raise ShapeMismatch(f"similarity shapes differ: {sim_t.shape} vs {sim_s.shape}")
     n = sim_t.shape[0]
     if k_t >= n or k_s >= n:
         raise KTooLarge(f"top-k of {max(k_t, k_s)} needs more than {n} nodes")
-    chosen = np.eye(n, dtype=bool)
-    rows = np.arange(n)[:, None]
+    columns = [np.arange(n, dtype=np.int64)[:, None]]
     for sim, k in ((sim_t, k_t), (sim_s, k_s)):
         if k:
-            chosen[rows, _top_k(sim, k)] = True
-    _, ids = np.nonzero(chosen)
-    sets = np.split(ids.astype(np.int64), np.cumsum(chosen.sum(axis=1))[:-1])
-    return PositiveSets(sets=sets)
+            columns.append(_top_k(sim, k))
+    ids = np.sort(np.hstack(columns), axis=1)
+    # a row's first id and every id that differs from the one before it
+    new = np.ones(ids.shape, dtype=bool)
+    np.not_equal(ids[:, 1:], ids[:, :-1], out=new[:, 1:])
+    indptr = np.concatenate(([0], np.cumsum(new.sum(axis=1))))
+    return PositiveSets(indptr=indptr, indices=ids[new])
 
 
 def save_positives(path, positives: PositiveSets) -> None:
@@ -282,4 +270,6 @@ def load_positives(path, n: int) -> PositiveSets:
     missing = [u for u, ids in enumerate(sets) if ids is None]
     if missing:
         raise MalformedRecord(f"{path}: no positives for anchor {missing[0]}")
-    return PositiveSets(sets=sets)
+    sizes = [ids.size for ids in sets]  # none when n = 0
+    indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    return PositiveSets(indptr, np.concatenate([np.empty(0, np.int64), *sets]))

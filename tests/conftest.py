@@ -459,7 +459,44 @@ def per_anchor_positives(sim_t, sim_s, k_t, k_s):
                                        per_anchor_top_k(sim_s[u], u, k_s)),
                             np.array([u], dtype=np.int64))
         sets.append(merged.astype(np.int64))
-    return PositiveSets(sets=sets)
+    return positive_sets(sets)
+
+
+def positive_sets(sets):
+    """PositiveSets from per-anchor ids built in code, each set sorted and
+    its repeats dropped, as the library's producers give them."""
+    sets = [np.unique(np.asarray(ids, dtype=np.int64)) for ids in sets]
+    indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([ids.size for ids in sets], out=indptr[1:])
+    return PositiveSets(indptr=indptr,
+                        indices=np.concatenate([np.empty(0, np.int64), *sets]))
+
+
+def anchor_only(n):
+    """Each anchor alone in its set: what `select_positives` gives with
+    k_t = k_s = 0."""
+    return positive_sets([[u] for u in range(n)])
+
+
+def oracle_mask(sets):
+    """Boolean (n,n) csr_array, mask[u,v] = v in sets[u], made from the
+    (anchor, id) pairs with `sum_duplicates`: the oracle of the CSR arrays
+    `PositiveSets` holds."""
+    sizes = [len(ids) for ids in sets]
+    rows = np.repeat(np.arange(len(sets)), sizes)
+    cols = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+    out = sp.csr_array((np.ones(rows.size, dtype=bool), (rows, cols)),
+                       shape=(len(sets), len(sets)))
+    out.sum_duplicates()  # sorted, unique ids per row
+    return out
+
+
+def dense_mask(positives):
+    """(n,n) boolean, mask[u,v] = v in P_u."""
+    mask = np.zeros((positives.n, positives.n), dtype=bool)
+    mask[np.repeat(np.arange(positives.n), np.diff(positives.indptr)),
+         positives.indices] = True
+    return mask
 
 
 # -- tape ops the library does not need: with the library's own ops they
@@ -603,7 +640,7 @@ def tape_node_node_loss(z_m, z_n, positives, tau):
     small n only.
     """
     n = z_m.shape[0]
-    pos_mask = positives.mask().toarray().astype(np.float64)
+    pos_mask = dense_mask(positives).astype(np.float64)
     neg_mask = 1.0 - pos_mask
 
     norm_m = row_l2_normalize(z_m)
@@ -631,7 +668,7 @@ def two_pass_node_node_loss(z_m, z_n, positives, tau):
     kernel's oracle. Holds an n x n boolean mask, so use it on small n.
     """
     n = z_m.shape[0]
-    mask = positives.mask().toarray()
+    mask = dense_mask(positives)
     inv_tau = 1.0 / tau
     unit_m, norms_m = objective_module._unit_rows(z_m.data)
     unit_n, norms_n = objective_module._unit_rows(z_n.data)

@@ -23,15 +23,16 @@ from hgcml.model import init_params
 from hgcml.numerics import Tensor
 from hgcml.objective import (node_graph_loss, node_node_loss, pair_terms,
                              total_objective)
-from hgcml.positives import (PositiveSets, ppr_matrix, select_positives,
+from hgcml.positives import (ppr_matrix, select_positives,
                              semantic_similarity, topology_similarity)
 from hgcml.rng import derive_key, substream
 from hgcml.synth import SynthConfig, generate
 from hgcml.trainer import train
 
-from conftest import (TOY_SCHEMA, APA, adjacency_of, brute_force_view,
-                      grad_check, metapath_neighbors, numerics_grad_cases,
-                      random_typed_case, view_from_adjacency, write_toy_files)
+from conftest import (TOY_SCHEMA, APA, adjacency_of, anchor_only,
+                      brute_force_view, grad_check, metapath_neighbors,
+                      numerics_grad_cases, positive_sets, random_typed_case,
+                      view_from_adjacency, write_toy_files)
 
 
 def _report(number, ok, detail):
@@ -177,7 +178,7 @@ def test_criterion_3_metapath_view_oracle():
 @criterion(4)
 def test_criterion_4_loss_identities():
     z = Tensor(np.ones((2, 3)))
-    local = node_node_loss(z, z, PositiveSets.anchor_only(2), 0.5).item()
+    local = node_node_loss(z, z, anchor_only(2), 0.5).item()
     local_err = abs(local - np.log(3.0))
 
     rng = substream(8, "dgi")
@@ -194,7 +195,7 @@ def test_criterion_4_loss_identities():
     corrupted = [(v, v) for v in views]
     perms = [substream(8, "pp", i).permutation(4) for i in range(2)]
     terms = pair_terms(corrupted, init_params(["v0", "v1"], 3, 4, seed=2),
-                       PositiveSets.anchor_only(4), 0.5, neg_perms=perms)
+                       anchor_only(4), 0.5, neg_perms=perms)
     ok = local_err <= 1e-10 and glob_err <= 1e-12 and len(terms) == 4
     return ok, (f"2-node identical-rows loss off log(3) by {local_err:.1e} "
                 f"(<=1e-10), zero-discriminator loss off 2ln2 by "
@@ -232,10 +233,10 @@ def test_criterion_6_positive_sampler_quality():
         in_block += int(np.count_nonzero(labels[others] == labels[u]))
     frac = in_block / pairs
 
-    anchor_only = PositiveSets.anchor_only(hin.n_target)
+    alone = anchor_only(hin.n_target)
     means = {"sampled": [], "anchor": []}
     for seed in range(5):
-        for name, pos in (("sampled", sampled), ("anchor", anchor_only)):
+        for name, pos in (("sampled", sampled), ("anchor", alone)):
             result = train(hin, cfg.metapaths, pos, cfg.train, cfg.augment, seed)
             probe_seeds = [derive_key(seed, "probe", i) for i in range(5)]
             scores = linear_probe(result.embeddings, labels,
@@ -275,7 +276,7 @@ def test_criterion_7_determinism():
     for u in range(12):
         extra = rng.choice(12, size=3, replace=False)
         sets.append(np.unique(np.append(extra, u)).astype(np.int64))
-    positives = PositiveSets(sets=sets)
+    positives = positive_sets(sets)
     z_m = rng.standard_normal((12, 6))
     z_n = rng.standard_normal((12, 6))
     base = node_node_loss(Tensor(z_m), Tensor(z_n), positives, 0.5).item()

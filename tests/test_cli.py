@@ -496,13 +496,16 @@ def test_missing_config_key_exits_3(pipeline, tmp_path, capsys,
 @pytest.mark.parametrize("name, problem", [
     ("", "non-empty"), ("a/b", "no path separator"),
     ("a\u0000b", "no path separator"),
+    # each would split a row of views.tsv
+    ("a\tb", "tab, CR or LF"), ("a\rb", "tab, CR or LF"),
+    ("c\nd", "tab, CR or LF"),
     # too long for `view_<name>.tsv.<pid>.tmp` to be a file name
     ("m" * 300, "at most 200 bytes of UTF-8, got 300"),
     ("\u00e9" * 101, "at most 200 bytes of UTF-8, got 202"),
     # JSON "\\ud800" reads as a lone surrogate, which has no UTF-8 encoding
     ("a\ud800", "valid UTF-8 text"),
-], ids=["empty", "slash", "nul", "300-bytes", "202-bytes-in-101-chars",
-        "lone-surrogate"])
+], ids=["empty", "slash", "nul", "tab", "cr", "lf", "300-bytes",
+        "202-bytes-in-101-chars", "lone-surrogate"])
 def test_metapath_name_unusable_in_file_name_exits_3(pipeline, tmp_path,
                                                      capsys, name, problem):
     raw = json.load(open(pipeline["config"], encoding="utf-8"))
@@ -895,6 +898,31 @@ def prepared_copy(pipeline, tmp_path):
     assert main(["prepare", "--config", run_cfg, "--out", str(out)]) == 0
     assert (out / cli.GRAPH_CACHE).exists()
     return data, run_cfg, out
+
+
+def test_class_ids_past_2_53_give_equal_cached_and_parsed_reports(pipeline,
+                                                                  tmp_path):
+    """Class ids 2**53 + c, which float64 would fold together, score the
+    same from the graph cache as from labels.tsv."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    rows = [line.split("\t") for line in
+            (data / "labels.tsv").read_text(encoding="utf-8").splitlines()]
+    assert {int(c) for _, c in rows} == {0, 1, 2}
+    (data / "labels.tsv").write_text("".join(
+        f"{node}\t{2 ** 53 + int(c)}\n" for node, c in rows), encoding="utf-8")
+    run_cfg = str(data / os.path.basename(pipeline["config"]))
+    reports = []
+    for out, stages in ((tmp_path / "cached", ("prepare", "eval")),
+                        (tmp_path / "parsed", ("eval",))):
+        out.mkdir()
+        shutil.copy(os.path.join(pipeline["out"], "embeddings.bin"), out)
+        for stage in stages:
+            assert main([stage, "--config", run_cfg, "--out", str(out)]) == 0
+        reports.append((out / "report.tsv").read_bytes())
+    assert (tmp_path / "cached" / cli.GRAPH_CACHE).exists()
+    assert not (tmp_path / "parsed" / cli.GRAPH_CACHE).exists()
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", ["positives", "train"])

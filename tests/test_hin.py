@@ -578,6 +578,24 @@ def test_cached_graph_equals_parsed_graph(tmp_path):
         assert_cached_graph(cached, parsed, views)
 
 
+def test_graph_cache_keeps_every_int64_label(tmp_path):
+    """Class ids at and past 2**53, where float64 stops being exact, and
+    both ends of int64 come back from the cache as they went in."""
+    toy_paths = write_toy_files(str(tmp_path), labels=[0, 1, 0, 1])
+    parsed = load_hin(toy_paths["nodes"], toy_paths["edges"],
+                      toy_paths["features"], toy_paths["labels"], TOY_SCHEMA)
+    views = views_of(parsed, TOY_METAPATHS)
+    key = key_of(toy_paths, TOY_SCHEMA)
+    cache = tmp_path / "graph.bin"
+    for labels in ([-1, 0, 2 ** 53, 2 ** 53 + 1],
+                   [2 ** 63 - 1, -2 ** 63, 2 ** 32 - 1, 2 ** 32]):
+        labelled = dataclasses.replace(parsed, labels=np.array(labels, np.int64))
+        write_graph(cache, labelled, views, key)
+        cached = read_graph(cache, key, TOY_SCHEMA, TOY_METAPATHS)
+        assert_cached_graph(cached, labelled, views)
+        assert cached.labels.tolist() == labels
+
+
 def test_graph_key_covers_schema_and_every_input(tmp_path):
     toy_paths = write_toy_files(str(tmp_path), labels=[0, 1, 0, 1])
     base = key_of(toy_paths, TOY_SCHEMA)
@@ -625,7 +643,10 @@ def test_graph_key_raises_for_an_unreadable_file(toy_paths):
                                    "negative-index", "repeated-pair",
                                    "unsorted-pair", "non-integer", "nan",
                                    "labels-short", "labels-non-integer",
-                                   "labels-nan"])
+                                   "labels-nan", "labels-one-row",
+                                   "labels-low-word-negative",
+                                   "labels-low-word-past-32-bits",
+                                   "labels-high-word-past-32-bits"])
 def test_graph_cache_not_trusted(tmp_path, fault):
     """Every fault makes the cache unreadable: the stage parses instead."""
     toy_paths = write_toy_files(str(tmp_path), labels=[0, 1, 0, 1])
@@ -674,11 +695,19 @@ def test_graph_cache_not_trusted(tmp_path, fault):
         elif fault == "nan":
             edges[1, 1] = np.nan
         elif fault == "labels-short":  # 3 labels for the 4 authors
-            tensors["labels"] = np.zeros((1, 3))
+            tensors["labels"] = np.zeros((2, 3))
         elif fault == "labels-non-integer":
             tensors["labels"][0, 2] = 0.5
-        else:
+        elif fault == "labels-nan":
             tensors["labels"][0, 2] = np.nan
+        elif fault == "labels-one-row":  # the low words alone
+            tensors["labels"] = tensors["labels"][1:]
+        elif fault == "labels-low-word-negative":
+            tensors["labels"][1, 2] = -1
+        elif fault == "labels-low-word-past-32-bits":
+            tensors["labels"][1, 2] = 2 ** 32
+        else:  # its label would wrap round past int64
+            tensors["labels"][0, 2] = 2 ** 31
         write_checkpoint(cache, tensors)
     assert read_graph(cache, key, TOY_SCHEMA, TOY_METAPATHS) is None
 

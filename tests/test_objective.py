@@ -11,14 +11,15 @@ import pytest
 import hgcml.model
 import hgcml.numerics as nm
 import hgcml.objective
-from conftest import (tape_node_node_loss, two_pass_node_node_loss,
+from conftest import (anchor_only, dense_mask, positive_sets,
+                      tape_node_node_loss, two_pass_node_node_loss,
                       view_from_adjacency)
 from hgcml.augment import corrupt
 from hgcml.model import ModelParams, gcn_forward, init_params, readout
 from hgcml.numerics import LOG_EPS, NonFiniteResult, Tensor
 from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
                              node_node_loss, pair_terms, total_objective)
-from hgcml.positives import PositiveSets, select_positives
+from hgcml.positives import select_positives
 from hgcml.rng import substream
 
 
@@ -62,7 +63,7 @@ def corruption_pairs(views, seed):
 
 def test_identical_embeddings_two_nodes_give_log3():
     z = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    ps = PositiveSets.anchor_only(2)
+    ps = anchor_only(2)
     loss = node_node_loss(z, z, ps, tau=0.5)
     assert loss.item() == pytest.approx(math.log(3.0), abs=1e-10)
     # temperature cancels when every similarity ties
@@ -73,13 +74,13 @@ def test_identical_embeddings_two_nodes_give_log3():
 def test_identical_embeddings_n_nodes_give_log_2n_minus_1():
     n = 5
     z = Tensor(np.tile([[0.3, -0.7, 0.2]], (n, 1)))
-    loss = node_node_loss(z, z, PositiveSets.anchor_only(n), tau=0.4)
+    loss = node_node_loss(z, z, anchor_only(n), tau=0.4)
     assert loss.item() == pytest.approx(math.log(2 * n - 1), abs=1e-10)
 
 
 def test_single_node_loss_is_zero():
     z = rand_z(1, 4, "single")
-    loss = node_node_loss(z, z, PositiveSets.anchor_only(1), tau=0.5)
+    loss = node_node_loss(z, z, anchor_only(1), tau=0.5)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -87,7 +88,7 @@ def test_all_positive_universe_loss_is_zero():
     n = 4
     z = rand_z(n, 3, "allpos")
     everything = [np.arange(n, dtype=np.int64) for _ in range(n)]
-    ps = PositiveSets(sets=everything)
+    ps = positive_sets(everything)
     loss = node_node_loss(z, rand_z(n, 3, "allpos2"), ps, tau=0.5)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -95,7 +96,7 @@ def test_all_positive_universe_loss_is_zero():
 def test_loss_positive_when_negatives_exist():
     z = rand_z(6, 4, "pos")
     loss = node_node_loss(z, rand_z(6, 4, "pos2"),
-                          PositiveSets.anchor_only(6), tau=0.5)
+                          anchor_only(6), tau=0.5)
     assert loss.item() > 0.0
 
 
@@ -133,7 +134,7 @@ def test_node_node_loss_permutation_equivariance():
     inv = np.empty_like(perm)
     inv[perm] = np.arange(n)
     permuted_sets = [np.sort(inv[ps.sets[orig]]) for orig in perm]
-    ps_p = PositiveSets(sets=permuted_sets)
+    ps_p = positive_sets(permuted_sets)
     shuffled = node_node_loss(Tensor(z_m.data[perm]), Tensor(z_n.data[perm]),
                               ps_p, tau=0.5).item()
     assert shuffled == pytest.approx(base, abs=1e-12)
@@ -142,7 +143,7 @@ def test_node_node_loss_permutation_equivariance():
 def test_node_node_loss_cosine_scale_invariance():
     n, d = 5, 4
     z_m, z_n = rand_z(n, d, "scale1"), rand_z(n, d, "scale2")
-    ps = PositiveSets.anchor_only(n)
+    ps = anchor_only(n)
     base = node_node_loss(z_m, z_n, ps, tau=0.5).item()
     row_scales = substream(23, "scale").uniform(0.1, 10.0, (n, 1))
     scaled = node_node_loss(Tensor(z_m.data * row_scales),
@@ -152,7 +153,7 @@ def test_node_node_loss_cosine_scale_invariance():
 
 def sampled_positives(n, label):
     if n == 1:
-        return PositiveSets.anchor_only(1)
+        return anchor_only(1)
     k = min(3, n - 1)
     return select_positives(substream(25, "sets", label).random((n, n)),
                             substream(26, "sets", label).random((n, n)), k, k)
@@ -166,7 +167,7 @@ def positive_mass(z_m, z_n, positives, tau):
     um, un = unit(z_m), unit(z_n)
     s_mn, s_mm = um @ un.T / tau, um @ um.T / tau
     shift = np.maximum(s_mn.max(axis=1), s_mm.max(axis=1))[:, None]
-    return (np.exp(s_mn - shift) * positives.mask().toarray()).sum(axis=1)
+    return (np.exp(s_mn - shift) * dense_mask(positives)).sum(axis=1)
 
 
 AGREEMENT_CASES = (
@@ -185,10 +186,10 @@ def agreement_inputs(kind, n, tau):
     a = rand_z(n, d, f"agree-m-{n}").data
     b = rand_z(n, d, f"agree-n-{n}").data
     if kind == "anchor_only":
-        positives = PositiveSets.anchor_only(n)
+        positives = anchor_only(n)
     elif kind == "all_positive":
         everything = [np.arange(n, dtype=np.int64) for _ in range(n)]
-        positives = PositiveSets(sets=everything)
+        positives = positive_sets(everything)
     elif kind == "clamped":
         # anchor i's only positive z_n[i] points nearly opposite z_m[i], so
         # its shifted positive mass is about exp(-2/tau) = exp(-30): below
@@ -196,7 +197,7 @@ def agreement_inputs(kind, n, tau):
         # would show. The tilt keeps that gradient off the direction the
         # row normalization projects out.
         b = -a + 0.2 * b
-        positives = PositiveSets.anchor_only(n)
+        positives = anchor_only(n)
         assert np.mean(positive_mass(a, b, positives, tau) < LOG_EPS) > 0.9
     else:
         positives = sampled_positives(n, f"agree-{n}")
@@ -228,10 +229,10 @@ def relative_error(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
 
 
-def assert_matches_two_pass(inputs, tau, w, same_tensor=False, oracle_sets=None):
+def assert_matches_two_pass(inputs, tau, w, same_tensor=False):
     a, b, positives = inputs
-    want = loss_and_grads(two_pass_node_node_loss, a, b,
-                          oracle_sets or positives, tau, same_tensor, w)
+    want = loss_and_grads(two_pass_node_node_loss, a, b, positives, tau,
+                          same_tensor, w)
     got = loss_and_grads(node_node_loss, a, b, positives, tau, same_tensor, w)
     for got_part, want_part in zip(got, want):
         assert relative_error(got_part, want_part) <= 1e-12
@@ -242,15 +243,6 @@ def assert_matches_two_pass(inputs, tau, w, same_tensor=False, oracle_sets=None)
 def test_one_pass_kernel_matches_two_pass_oracle(kind, n, tau, w):
     assert_matches_two_pass(agreement_inputs(kind, n, tau), tau, w,
                             same_tensor=kind == "same_tensor")
-
-
-@pytest.mark.parametrize("w", [1.0, 0.3, 2.5])
-def test_one_pass_kernel_counts_a_repeated_positive_once(w):
-    n = CHUNK + 1
-    a, b, clean = agreement_inputs("sampled", n, 0.5)
-    repeated = PositiveSets(sets=[np.concatenate([ids, ids[:1]])
-                                  for ids in clean.sets])
-    assert_matches_two_pass((a, b, repeated), 0.5, w, oracle_sets=clean)
 
 
 def test_one_pass_kernel_computes_logits_once_per_block(monkeypatch):
@@ -283,12 +275,12 @@ def test_one_pass_kernel_peak_memory_is_below_a_dense_mask(monkeypatch):
     n, d = 2048, 8
     rng = substream(17, "obj", "sparse-mem")
     a, b = rng.standard_normal((n, d)), rng.standard_normal((n, d))
-    sets = [np.union1d(rng.integers(0, n, 5), [u]) for u in range(n)]
+    positives = positive_sets([np.union1d(rng.integers(0, n, 5), [u])
+                               for u in range(n)])
     z_m, z_n = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     tracemalloc.start()
     try:
-        # a fresh PositiveSets, so the mask is built inside the measurement
-        node_node_loss(z_m, z_n, PositiveSets(sets=sets), 0.5).backward()
+        node_node_loss(z_m, z_n, positives, 0.5).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -305,15 +297,13 @@ def test_fused_loss_nan_row_raises_non_finite():
 def test_fused_loss_peak_memory_is_a_tenth_of_the_oracle():
     n, d = 1024, 64
     a, b = rand_z(n, d, "mem1").data, rand_z(n, d, "mem2").data
-    sets = sampled_positives(n, "mem").sets
+    positives = sampled_positives(n, "mem")
 
     def peak_bytes(loss_fn):
-        # a fresh PositiveSets, so the mask is built inside the measurement
-        cold = PositiveSets(sets=sets)
         z_m, z_n = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         tracemalloc.start()
         try:
-            loss_fn(z_m, z_n, cold, 0.5).backward()
+            loss_fn(z_m, z_n, positives, 0.5).backward()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -357,7 +347,7 @@ def test_pair_term_count_and_kinds():
         perms = [substream(31, "p", i).permutation(5)
                  for i in range(n_views)]
         terms = pair_terms(corruption_pairs(views, seed=40), params,
-                           PositiveSets.anchor_only(5), tau=0.5,
+                           anchor_only(5), tau=0.5,
                            neg_perms=perms)
         assert len(terms) == expected
         kinds = {(t.m, t.n): t.kind for t in terms}
@@ -371,7 +361,7 @@ def test_total_objective_equals_sum_of_terms():
     views = make_views(6, 2, 3, seed=50)
     names = [v.metapath.name for v in views]
     params = init_params(names, d_in=3, d=4, seed=2)
-    ps = PositiveSets.anchor_only(6)
+    ps = anchor_only(6)
     perms = [substream(51, "p", i).permutation(6) for i in range(len(names))]
     corrupted = corruption_pairs(views, seed=60)
     terms = pair_terms(corrupted, params, ps, tau=0.5, neg_perms=perms)
@@ -398,7 +388,7 @@ def test_projector_runs_once_per_corrupted_view_and_summary(monkeypatch,
     params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=5)
     perms = [substream(101, "p", i).permutation(5) for i in range(n_views)]
     total_objective(corruption_pairs(views, seed=102), params,
-                    PositiveSets.anchor_only(5), tau=0.5, neg_perms=perms)
+                    anchor_only(5), tau=0.5, neg_perms=perms)
     # two corruptions and one summary per view
     assert len(calls) == 3 * n_views
     assert sorted(calls) == sorted([(5, 4)] * 2 * n_views + [(1, 4)] * n_views)
@@ -418,7 +408,7 @@ def test_pair_global_losses_match_projected_numpy_oracle():
     rng = substream(111, "ngoracle")
     params.proj_b2.data[:] = rng.standard_normal(params.proj_b2.shape)
     params.disc_b.data[:] = rng.standard_normal(params.disc_b.shape)
-    terms = pair_terms(corrupted, params, PositiveSets.anchor_only(6),
+    terms = pair_terms(corrupted, params, anchor_only(6),
                        tau=0.5, neg_perms=perms)
 
     def rho(h):
@@ -449,7 +439,7 @@ def test_objective_gradients_flow_to_all_parameters():
     params = init_params(names, d_in=3, d=4, seed=4)
     perms = [substream(91, "p", i).permutation(5) for i in range(len(names))]
     corrupted = corruption_pairs(views, seed=92)
-    loss = total_objective(corrupted, params, PositiveSets.anchor_only(5),
+    loss = total_objective(corrupted, params, anchor_only(5),
                            tau=0.5, neg_perms=perms)
     loss.backward()
     for name, tensor in params.named_tensors():

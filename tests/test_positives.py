@@ -10,14 +10,14 @@ import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 import hgcml.positives as positives
-from conftest import (adjacency_of, assert_same_csr, csr_ppr_values,
-                      csr_transition, dense_ppr_series, oracle_graphs,
-                      per_anchor_positives, per_anchor_top_k,
-                      view_from_adjacency)
+from conftest import (adjacency_of, anchor_only, assert_same_csr,
+                      csr_ppr_values, csr_transition, dense_ppr_series,
+                      oracle_graphs, oracle_mask, per_anchor_positives,
+                      per_anchor_top_k, view_from_adjacency)
 from hgcml.numerics import ShapeMismatch
 from hgcml.positives import (DENSE_ABOVE, DiffusionMatrix, KTooLarge,
                              NonConvergenceWarning, _top_k, _transition,
-                             PositiveSets, load_positives, ppr_matrix,
+                             load_positives, ppr_matrix,
                              save_positives, select_positives,
                              semantic_similarity, topology_similarity)
 from hgcml.rng import substream
@@ -359,13 +359,27 @@ def test_anchor_never_selected_as_candidate():
     assert chosen.sets[0].tolist() == [0, 1]
 
 
+def assert_same_csr_as_oracle_mask(positives, sets):
+    """The CSR arrays of `positives` equal, value for value, those of the
+    boolean csr_array built from `sets` with `sum_duplicates`."""
+    want = oracle_mask(sets)
+    indptr, indices = positives.mask()
+    assert indptr is positives.indptr and indices is positives.indices
+    for part in ("indptr", "indices"):
+        mine = getattr(positives, part)
+        assert mine.dtype == np.int64, part
+        assert mine.tolist() == getattr(want, part).tolist(), part
+
+
 def assert_same_sets(sim_t, sim_s, k_t, k_s):
-    got = select_positives(sim_t, sim_s, k_t, k_s).sets
+    chosen = select_positives(sim_t, sim_s, k_t, k_s)
+    got = chosen.sets
     want = per_anchor_positives(sim_t, sim_s, k_t, k_s).sets
     assert len(got) == len(want)
     for u, (a, b) in enumerate(zip(got, want)):
         assert a.dtype == np.int64 and a.tolist() == b.tolist(), (
             f"anchor {u}: {a.tolist()} != {b.tolist()} at k_t={k_t}, k_s={k_s}")
+    assert_same_csr_as_oracle_mask(chosen, want)
 
 
 def tie_heavy_matrices(n):
@@ -438,43 +452,59 @@ def test_top_k_matches_per_anchor_oracle(n, case, block_rows, monkeypatch):
             assert got[u].tolist() == want.tolist(), f"anchor {u}, k={k}"
 
 
-def test_mask_shape_and_diagonal():
-    chosen = select_positives(np.zeros((3, 3)), np.zeros((3, 3)), 1, 0)
-    mask = chosen.mask()
-    assert mask.shape == (3, 3)
-    assert mask.dtype == bool
-    assert mask.diagonal().all()
-
-
-def test_mask_is_memoized_read_only_and_matches_sets():
-    sim_t = substream(3, "maskmemo").random((9, 9))
-    sim_s = substream(4, "maskmemo").random((9, 9))
+def test_every_csr_row_holds_its_anchor(tmp_path):
+    sim_t = substream(3, "csrrows").random((9, 9))
+    sim_s = substream(4, "csrrows").random((9, 9))
     chosen = select_positives(sim_t, sim_s, 3, 2)
-    first = chosen.mask()
-    assert chosen.mask() is first
-    assert not any(part.flags.writeable
-                   for part in (first.data, first.indices, first.indptr))
-    brute = np.zeros((9, 9), dtype=bool)
-    for u, ids in enumerate(chosen.sets):
-        for v in ids:
-            brute[u, v] = True
-    assert np.array_equal(first.toarray(), brute)
+    save_positives(tmp_path / "positives.tsv", chosen)
+    for positives in (chosen, load_positives(tmp_path / "positives.tsv", 9),
+                      select_positives(sim_t, sim_s, 0, 0)):
+        indptr, indices = positives.mask()
+        assert indptr.shape == (10,) and indptr[0] == 0
+        assert indptr[-1] == indices.size
+        for u in range(9):
+            row = indices[indptr[u]:indptr[u + 1]]
+            assert u in row
+            assert np.all(row[1:] > row[:-1])  # sorted and unique
 
 
-def test_mask_deduplicates_sets_built_in_code():
-    ps = PositiveSets(sets=[np.array([2, 0, 2], dtype=np.int64),
-                            np.array([1, 1], dtype=np.int64),
-                            np.array([2], dtype=np.int64)])
-    mask = ps.mask()
-    assert mask.indptr.tolist() == [0, 2, 3, 4]
-    assert mask.indices.tolist() == [0, 2, 1, 2]
-    assert mask.data.all()
+def test_load_positives_csr_equals_oracle_mask(tmp_path):
+    path = tmp_path / "positives.tsv"
+    # anchors out of order, ids unsorted within a line
+    path.write_text("2\t4,2\n0\t3,0,1\n1\t1\n4\t4\n3\t3,0\n")
+    sets = [[0, 1, 3], [1], [2, 4], [0, 3], [4]]
+    assert_same_csr_as_oracle_mask(load_positives(path, 5),
+                                   [np.array(ids) for ids in sets])
+    for trial in range(5):
+        rng = substream(trial, "loadcsr")
+        n = int(rng.integers(2, 30))
+        chosen = select_positives(rng.random((n, n)), rng.random((n, n)),
+                                  int(rng.integers(0, n)), int(rng.integers(0, n)))
+        save_positives(path, chosen)
+        assert_same_csr_as_oracle_mask(load_positives(path, n), chosen.sets)
+
+
+def test_select_positives_peak_memory_is_below_half_a_dense_boolean():
+    n = 3000
+    sim_t = substream(5, "selectmem").random((n, n))
+    sim_s = substream(6, "selectmem").random((n, n))
+    tracemalloc.start()
+    try:
+        select_positives(sim_t, sim_s, 8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 2, peak
 
 
 def test_anchor_only_constructor():
-    ps = PositiveSets.anchor_only(4)
-    assert [s.tolist() for s in ps.sets] == [[0], [1], [2], [3]]
-    assert np.array_equal(ps.mask().toarray(), np.eye(4, dtype=bool))
+    alone = anchor_only(4)
+    assert [s.tolist() for s in alone.sets] == [[0], [1], [2], [3]]
+    chosen = select_positives(np.zeros((4, 4)), np.zeros((4, 4)), 0, 0)
+    assert alone.indptr.tolist() == chosen.indptr.tolist() == [0, 1, 2, 3, 4]
+    assert alone.indices.tolist() == chosen.indices.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(oracle_mask(alone.sets).toarray(),
+                          np.eye(4, dtype=bool))
 
 
 def test_save_load_round_trip(tmp_path):

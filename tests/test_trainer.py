@@ -10,12 +10,11 @@ from hgcml.config import (AugmentSettings, ConfigError, PositiveSettings,
                           TrainSettings)
 from hgcml.hin import extract_metapath_view, load_hin
 from hgcml.io import read_matrix, write_matrix
-from hgcml.positives import PositiveSets
 from hgcml.trainer import (MIN_IMPROVEMENT, DivergedLoss, TrainResult,
                            compute_embeddings, export_embeddings, train,
                            write_trace)
 
-from conftest import APA, APCPA, TOY_SCHEMA
+from conftest import APA, APCPA, TOY_SCHEMA, anchor_only
 
 METAPATHS = [APA, APCPA]
 
@@ -32,7 +31,7 @@ def quick_cfg(**overrides):
 
 @pytest.fixture
 def anchor_positives(toy_hin):
-    return PositiveSets.anchor_only(toy_hin.n_target)
+    return anchor_only(toy_hin.n_target)
 
 
 def test_zero_lr_without_corruption_gives_constant_trace(toy_hin, anchor_positives):
