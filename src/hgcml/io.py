@@ -5,7 +5,7 @@ then rows*cols f32-LE values row-major.
 
 HGM1 (checkpoints): magic "HGM1", count u32-LE, then per tensor:
 name length u16-LE, name bytes (UTF-8), rows u32-LE, cols u32-LE,
-rows*cols f64-LE values row-major.
+rows*cols f64-LE values row-major. No two tensors share a name.
 
 The pipeline stages and `synth` write every file through `atomic_open`,
 so a killed command leaves the previous file or none, never a truncated one.
@@ -91,6 +91,8 @@ def read_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         blob = fh.read()
     if blob[:4] != MAGIC_CHECKPOINT:
         raise FormatError(f"{path}: bad magic, expected HGM1")
+    if len(blob) < 8:
+        raise FormatError(f"{path}: truncated header")
     (count,) = struct.unpack("<I", blob[4:8])
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     offset = 8
@@ -106,6 +108,8 @@ def read_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
             offset += 8 * rows * cols
         except (struct.error, ValueError) as exc:
             raise FormatError(f"{path}: truncated checkpoint") from exc
+        if name in out:
+            raise FormatError(f"{path}: tensor {name!r} repeated")
         out[name] = data.reshape(rows, cols).copy()
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")

@@ -33,7 +33,7 @@ class NonConvergenceWarning(RuntimeWarning):
 
 
 # The series multiplies by the sparse transition while its nonzeros number
-# at most n*n/16 (6.25% density) and by a dense copy of it above that. On a
+# at most n*n/16 (6.25% density) and by a dense array of it above that. On a
 # 2-vCPU x86 machine with one BLAS thread, at n = 600, 900 and 1800, one
 # sparse product took 0.65-0.73x the time of the dense one at 4.9% density,
 # 0.94-1.00x at 6.2%, 0.94-1.24x at 7.8% and 1.41-1.74x at 11%.
@@ -62,17 +62,24 @@ class DiffusionMatrix:
     converged: bool
 
 
-def _transition(view: MetapathView) -> sp.csr_matrix:
-    """Column-stochastic A D^-1 as CSR. A zero-degree node gets an implicit
-    self-loop: its column is the indicator of the node itself."""
-    import scipy.sparse as sp
-
+def _transition(view: MetapathView) -> np.ndarray | sp.csr_matrix:
+    """Column-stochastic A D^-1: a dense array when its nonzeros number more
+    than n*n/DENSE_ABOVE, else a CSR. A zero-degree node gets an implicit
+    self-loop: its column is the indicator of the node itself. Only the
+    sparse side imports scipy."""
     n = view.n_nodes
     degrees = np.bincount(view.edges.ravel(), minlength=n)
-    # an isolated node's loop gets 1 / max(0, 1) = 1
+    # an isolated node's loop gets 1 / max(0, 1) = 1; a view's edges are
+    # unique, so no (row, col) repeats and the COO length is the nonzeros
     rows, cols = view.coo(np.flatnonzero(degrees == 0))
-    return sp.csr_matrix(((1.0 / np.maximum(degrees, 1))[cols], (rows, cols)),
-                         shape=(n, n))
+    values = (1.0 / np.maximum(degrees, 1))[cols]
+    if rows.size * DENSE_ABOVE > n * n:
+        dense = np.zeros((n, n))
+        dense[rows, cols] = values
+        return dense
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
 def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
@@ -80,8 +87,8 @@ def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
     """Truncated PPR diffusion of one metapath view, as a dense matrix.
 
     Each term is the transition times the dense previous term. The
-    transition stays sparse unless its density exceeds 1/DENSE_ABOVE, in
-    which case it is densified once and the series runs on BLAS. On the
+    transition is sparse unless its density exceeds 1/DENSE_ABOVE, in
+    which case it is built dense and the series runs on BLAS. On the
     sparse path the term is held as column blocks BLOCK_COLUMNS wide, all
     advanced in lockstep; each output entry is the same sum over one row
     of the transition either way, so the bits do not depend on the width.
@@ -91,10 +98,7 @@ def ppr_matrix(view: MetapathView, alpha: float, tol: float = 1e-6,
     """
     transition = _transition(view)
     n = transition.shape[0]
-    width = BLOCK_COLUMNS
-    if transition.nnz * DENSE_ABOVE > n * n:
-        transition = transition.toarray()
-        width = n
+    width = n if isinstance(transition, np.ndarray) else BLOCK_COLUMNS
     total = alpha * np.eye(n)
     starts = range(0, n, width)
     blocks = [total[:, start:start + width].copy() for start in starts]

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import struct
 import sys
 from unittest import mock
 
@@ -146,6 +147,17 @@ def brute_force_view(hin, spec):
             if end != start:
                 adj[start, end] = 1.0
     return np.maximum(adj, adj.T)
+
+
+def append_tensor(blob, name, array):
+    """HGM1 bytes `blob` with one more tensor written after its last, under
+    `name` whether or not the file already holds one of that name."""
+    (count,) = struct.unpack_from("<I", blob, 4)
+    arr = np.asarray(array, dtype="<f8")
+    encoded = name.encode("utf-8")
+    return (blob[:4] + struct.pack("<I", count + 1) + blob[8:]
+            + struct.pack("<H", len(encoded)) + encoded
+            + struct.pack("<II", *arr.shape) + arr.tobytes())
 
 
 def view_from_adjacency(adjacency, features, name="m"):
@@ -438,6 +450,23 @@ def assert_same_csr(got, want, what):
         mine, theirs = getattr(got, part), getattr(want, part)
         assert mine.dtype == theirs.dtype, f"{what}: {part} dtype"
         assert mine.tobytes() == theirs.tobytes(), f"{what}: {part}"
+
+
+def assert_same_transition(got, adjacency, what):
+    """`positives._transition` against `csr_transition(adjacency)`: above
+    the density cutoff a C-ordered float64 array with the oracle's dense
+    bits, below it the oracle's CSR. Returns whether the side was dense."""
+    want = csr_transition(adjacency)
+    n = want.shape[0]
+    dense = want.nnz * positives_module.DENSE_ABOVE > n * n
+    if dense:
+        assert isinstance(got, np.ndarray), f"{what}: not a dense array"
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+        assert got.flags.c_contiguous, f"{what}: not C-ordered"
+        assert got.tobytes() == want.toarray().tobytes(), f"{what}: values"
+    else:
+        assert_same_csr(got, want, what)
+    return dense
 
 
 def per_anchor_top_k(row, anchor, k):

@@ -15,10 +15,11 @@ import pytest
 
 import hgcml.cli as cli
 import hgcml.hin as hin_module
-from conftest import code_objects, load_pipebench
+from conftest import append_tensor, code_objects, load_pipebench
 from hgcml.config import load_config, parse_config, to_dict
 from hgcml.io import (read_checkpoint, read_matrix, write_checkpoint,
                        write_matrix)
+from hgcml.positives import DENSE_ABOVE
 
 
 def main(argv):
@@ -33,13 +34,14 @@ QUICK_SECTIONS = {
 }
 
 
-def make_workspace(root, seed=0):
-    """Small planted dataset plus a quick-settings run config."""
+def make_workspace(root, seed=0, **synth):
+    """Small planted dataset plus a quick-settings run config; `synth`
+    overrides the dataset's `synth` keys."""
     data_dir = os.path.join(root, "data")
     synth_cfg = os.path.join(root, "synth.json")
     with open(synth_cfg, "w", encoding="utf-8") as fh:
         json.dump({"blocks": 3, "block_size": 10, "metapaths": 2,
-                   "seed": seed}, fh)
+                   "seed": seed, **synth}, fh)
     assert main(["synth", "--config", synth_cfg, "--out", data_dir]) == 0
     with open(os.path.join(data_dir, "config.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -189,44 +191,42 @@ def test_positives_streams_the_view_sum(pipeline, tmp_path, monkeypatch):
         assert a.read() == b.read()
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded(pipeline, tmp_path):
-    """No stage needs scipy.spatial, so none pays its import cost: neither
-    importing the CLI nor running `prepare` and `positives` loads it."""
+SCIPY_PROBE = """\
+import contextlib, io, json, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from hgcml.cli import main
+print(json.dumps(scipy_loaded()))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    print(json.dumps(scipy_loaded()))
+"""
+
+
+def probe_scipy(*argvs):
+    """The scipy modules loaded in a fresh process once it has imported the
+    CLI, and again after each `main(argv)` of `argvs`."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, hgcml.cli; print('scipy.spatial' in sys.modules)"],
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
         env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
-    stages = ("import sys\n"
-              "from hgcml.cli import main\n"
-              "for stage in ('prepare', 'positives'):\n"
-              "    assert main([stage, '--config', sys.argv[1],"
-              " '--out', sys.argv[2]]) == 0\n"
-              "print('scipy.spatial' in sys.modules)\n")
+    return [json.loads(line) for line in result.stdout.splitlines()]
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded(pipeline, tmp_path):
+    """No stage needs scipy.spatial, so none pays its import cost: neither
+    importing the CLI nor running `prepare` and `positives` loads it."""
     out = tmp_path / "stages"
-    result = subprocess.run(
-        [sys.executable, "-c", stages, pipeline["config"], str(out)],
-        env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip().splitlines()[-1] == "False"
+    loaded = probe_scipy(
+        *([stage, "--config", pipeline["config"], "--out", str(out)]
+          for stage in ("prepare", "positives")))
+    assert len(loaded) == 3
+    assert not any("scipy.spatial" in modules for modules in loaded)
     assert (out / "positives.tsv").read_bytes() == open(
         os.path.join(pipeline["out"], "positives.tsv"), "rb").read()
-
-
-SCIPY_PROBE = """\
-import contextlib, io, sys
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-from hgcml.cli import main
-print("loaded", scipy_loaded())
-for argv in (["synth", "--out", sys.argv[1]],
-             ["eval", "--config", sys.argv[2], "--out", sys.argv[3]]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    print("loaded", scipy_loaded())
-"""
 
 
 def test_synth_and_cached_eval_leave_scipy_unloaded(pipeline, tmp_path):
@@ -234,25 +234,60 @@ def test_synth_and_cached_eval_leave_scipy_unloaded(pipeline, tmp_path):
     valid graph cache holds: importing the CLI, then running both, loads
     no scipy module. `eval` without the cache parses the dataset and
     writes the same report."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     cached, parsed = tmp_path / "cached", tmp_path / "parsed"
     for run in (cached, parsed):
         run.mkdir()
         shutil.copy(os.path.join(pipeline["out"], "embeddings.bin"), run)
     shutil.copy(os.path.join(pipeline["out"], cli.GRAPH_CACHE), cached)
-    result = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "synth"),
-         pipeline["config"], str(cached)],
-        env=env, capture_output=True, text=True, check=True)
-    loaded = [line for line in result.stdout.splitlines()
-              if line.startswith("loaded")]
-    assert loaded == ["loaded []"] * 3
+    assert probe_scipy(
+        ["synth", "--out", str(tmp_path / "synth")],
+        ["eval", "--config", pipeline["config"], "--out", str(cached)],
+    ) == [[]] * 3
     assert main(["eval", "--config", pipeline["config"], "--out", str(parsed)]) == 0
     report = open(os.path.join(pipeline["out"], "report.tsv"), "rb").read()
     for run in (cached, parsed):
         assert (run / "report.tsv").read_bytes() == report
+
+
+def dense_transitions(out):
+    """Per view in the run's graph cache, whether its transition holds more
+    than n*n/DENSE_ABOVE nonzeros: one per edge each way and one per
+    isolated node."""
+    tensors = read_checkpoint(out / cli.GRAPH_CACHE)
+    n = tensors["features"].shape[0]
+    sides = []
+    for name, edges in tensors.items():
+        if name.startswith("view."):
+            isolated = n - np.unique(edges).size
+            sides.append((2 * edges.shape[1] + isolated) * DENSE_ABOVE > n * n)
+    return sides
+
+
+def test_positives_imports_scipy_only_for_a_sparse_series(pipeline, tmp_path):
+    """The PPR transition of a view denser than 1/DENSE_ABOVE is built in
+    numpy: `positives` on the cached, dense-view run loads no scipy
+    module. A sparser view's series runs on a CSR and loads scipy.sparse.
+    Either way the file equals the in-process run's."""
+    dense = tmp_path / "dense"
+    dense.mkdir()
+    shutil.copy(os.path.join(pipeline["out"], cli.GRAPH_CACHE), dense)
+    assert dense_transitions(dense) == [True, True]
+    assert probe_scipy(
+        ["positives", "--config", pipeline["config"], "--out", str(dense)],
+    ) == [[]] * 2
+    assert (dense / "positives.tsv").read_bytes() == open(
+        os.path.join(pipeline["out"], "positives.tsv"), "rb").read()
+
+    _, run_cfg = make_workspace(str(tmp_path), block_size=40, p_intra=0.05,
+                                p_inter=0.005)
+    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+    assert main(["prepare", "--config", run_cfg, "--out", str(cached)]) == 0
+    assert dense_transitions(cached) == [False, False]
+    loaded = probe_scipy(["positives", "--config", run_cfg, "--out", str(cached)])
+    assert loaded[0] == [] and "scipy.sparse" in loaded[1]
+    assert main(["positives", "--config", run_cfg, "--out", str(fresh)]) == 0
+    assert ((cached / "positives.tsv").read_bytes()
+            == (fresh / "positives.tsv").read_bytes())
 
 
 def site_names(module):
@@ -676,6 +711,25 @@ def test_embed_with_mismatched_checkpoint_exits_2(pipeline, tmp_path, capsys):
     assert not os.path.exists(os.path.join(out2, "embeddings.bin"))
 
 
+@pytest.mark.parametrize("fault", ["truncated-header", "repeated-tensor"])
+def test_embed_with_a_corrupt_checkpoint_exits_2(pipeline, tmp_path, capsys,
+                                                 fault):
+    out2 = tmp_path / "corrupt"
+    out2.mkdir()
+    path = os.path.join(pipeline["out"], "model.bin")
+    blob = open(path, "rb").read()
+    if fault == "truncated-header":  # the magic and one byte of the count
+        blob, message = blob[:5], "truncated header"
+    else:
+        name, tensor = next(iter(read_checkpoint(path).items()))
+        blob, message = append_tensor(blob, name, tensor), "repeated"
+    (out2 / "model.bin").write_bytes(blob)
+    assert main(["embed", "--config", pipeline["config"], "--out", str(out2)]) == 2
+    err = capsys.readouterr().err
+    assert "FormatError" in err and message in err
+    assert not (out2 / "embeddings.bin").exists()
+
+
 @pytest.mark.parametrize("change", ["feature-columns", "encoder-width"])
 def test_embed_with_misfitting_checkpoint_exits_2(pipeline, tmp_path, capsys,
                                                   change):
@@ -979,6 +1033,20 @@ def truncate_cache(data, run_cfg, out):
     (out / cli.GRAPH_CACHE).write_bytes(blob[:len(blob) // 2])
 
 
+def truncate_cache_header(data, run_cfg, out):
+    """The magic and one byte of the tensor count."""
+    blob = (out / cli.GRAPH_CACHE).read_bytes()
+    (out / cli.GRAPH_CACHE).write_bytes(blob[:5])
+
+
+def repeat_a_cached_view(data, run_cfg, out):
+    """A second tensor under a view's name, holding that view's first edge."""
+    path = out / cli.GRAPH_CACHE
+    name, edges = next(item for item in read_checkpoint(path).items()
+                       if item[0].startswith("view."))
+    path.write_bytes(append_tensor(path.read_bytes(), name, edges[:, :1]))
+
+
 def garbage_cache(data, run_cfg, out):
     (out / cli.GRAPH_CACHE).write_bytes(b"\x00garbage\n" * 7)
 
@@ -1017,8 +1085,9 @@ def drop_a_cached_label(data, run_cfg, out):
 
 @pytest.mark.parametrize("change", [
     flip_a_feature_bit, flip_first_label, add_a_spare_type, features_as_tsv,
-    truncate_cache, garbage_cache, change_cache_key, add_a_stray_tensor,
-    index_out_of_range, drop_a_cached_label, change_a_metapath],
+    truncate_cache, truncate_cache_header, repeat_a_cached_view,
+    garbage_cache, change_cache_key, add_a_stray_tensor, index_out_of_range,
+    drop_a_cached_label, change_a_metapath],
     ids=lambda change: change.__name__)
 def test_stale_or_broken_cache_is_parsed_again(pipeline, tmp_path,
                                                monkeypatch, change):

@@ -23,8 +23,8 @@ from hgcml.positives import load_positives
 from hgcml.rng import substream
 
 from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_NODES, TOY_SCHEMA,
-                      adjacency_of, brute_force_view, build_hin,
-                      metapath_neighbors, random_typed_case,
+                      adjacency_of, append_tensor, brute_force_view,
+                      build_hin, metapath_neighbors, random_typed_case,
                       reference_load_hin, reference_load_positives,
                       relation_matrix, write_toy_files)
 
@@ -636,7 +636,8 @@ def test_graph_key_raises_for_an_unreadable_file(toy_paths):
         key_of(dict(toy_paths, edges=toy_paths["edges"] + ".gone"), TOY_SCHEMA)
 
 
-@pytest.mark.parametrize("fault", ["missing", "truncated", "garbage",
+@pytest.mark.parametrize("fault", ["missing", "truncated", "truncated-header",
+                                   "repeated-name", "garbage",
                                    "wrong-key", "no-key", "extra-tensor",
                                    "missing-view", "shape-of-three",
                                    "i-not-below-j", "index-out-of-range",
@@ -667,6 +668,10 @@ def test_graph_cache_not_trusted(tmp_path, fault):
         cache.unlink()
     elif fault == "truncated":
         cache.write_bytes(blob[:len(blob) // 2])
+    elif fault == "truncated-header":  # the magic and one byte of the count
+        cache.write_bytes(blob[:5])
+    elif fault == "repeated-name":  # a second, valid APCPA edge list
+        cache.write_bytes(append_tensor(blob, "view.APCPA", edges[:, :3]))
     elif fault == "garbage":
         cache.write_bytes(b"not a graph cache\n")
     else:

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 import hgcml.positives as positives
-from conftest import (adjacency_of, anchor_only, assert_same_csr,
-                      csr_ppr_values, csr_transition, dense_ppr_series,
+from conftest import (adjacency_of, anchor_only, assert_same_transition,
+                      csr_ppr_values, dense_ppr_series,
                       oracle_graphs, oracle_mask, per_anchor_positives,
                       per_anchor_top_k, view_from_adjacency)
 from hgcml.numerics import ShapeMismatch
@@ -130,7 +130,8 @@ SERIES_CASES = {
 def test_series_matches_dense_oracle(side):
     for trial, (n, density, isolated, alpha, max_iter) in enumerate(SERIES_CASES[side]):
         view = random_view(substream(trial, "pproracle", side), n, density, isolated)
-        is_dense = _transition(view).nnz * DENSE_ABOVE > n * n
+        is_dense = assert_same_transition(_transition(view), adjacency_of(view),
+                                          f"case {trial}")
         assert is_dense == (side == "dense"), f"case {trial} on the wrong side"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonConvergenceWarning)
@@ -146,15 +147,14 @@ def test_series_matches_dense_oracle(side):
 
 
 def test_transition_and_series_match_csr_oracle():
-    """The transition's CSR and the series' bits equal those built on the
-    symmetric CSR, on the dense and the sparse branch."""
+    """The transition (a dense array or a CSR) and the series' bits equal
+    those built on the symmetric CSR, on the dense and the sparse branch."""
     sides = set()
     for label, dense in oracle_graphs():
         n = dense.shape[0]
         view = view_from_adjacency(dense, np.zeros((n, 1)))
-        transition = _transition(view)
-        assert_same_csr(transition, csr_transition(sp.csr_matrix(dense)), label)
-        sides.add(transition.nnz * DENSE_ABOVE > n * n)
+        sides.add(assert_same_transition(_transition(view),
+                                         sp.csr_matrix(dense), label))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonConvergenceWarning)
             got = ppr_matrix(view, 0.15, max_iter=20).values
