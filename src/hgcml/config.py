@@ -19,7 +19,7 @@ import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-from .hin import HinError, MetapathSpec, SchemaConfig
+from .hin import HinError, MetapathSpec, SchemaConfig, resolve_chain
 from .synth import SynthConfig
 
 MASK_MODES = ("columns", "entries")
@@ -248,6 +248,8 @@ class RunConfig:
             if size > MAX_NAME_BYTES:
                 raise ConfigError(f"metapaths[].name must be at most "
                                   f"{MAX_NAME_BYTES} bytes of UTF-8, got {size}")
+        for spec in self.metapaths:  # `_load` makes its HinError a ConfigError
+            resolve_chain(self.schema, spec)
 
     def path(self, name: str) -> str:
         """Dataset path resolved against the config file's directory."""
@@ -293,6 +295,8 @@ def _read_json(path):
             raw = json.load(fh, parse_constant=_NonFinite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     found = _non_finite(raw, "")

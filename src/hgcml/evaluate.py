@@ -192,7 +192,6 @@ class EvalReport:
     nmi_mean: float
     nmi_std: float
     cluster_runs: int
-    train_frac: float
 
     def rows(self):
         return [("micro_f1", self.micro_f1_mean, self.micro_f1_std, self.probe_runs),
@@ -208,7 +207,7 @@ def evaluate_embeddings(embeddings, labels, train_frac: float = 0.2,
     return EvalReport(
         micro_f1_mean=float(np.mean(f1)), micro_f1_std=float(np.std(f1)),
         probe_runs=probe_runs, nmi_mean=nmi_mean, nmi_std=nmi_std,
-        cluster_runs=cluster_runs, train_frac=train_frac)
+        cluster_runs=cluster_runs)
 
 
 def write_report(path, report: EvalReport) -> None:

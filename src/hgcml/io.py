@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from collections import OrderedDict
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def write_checkpoint(path, named_arrays) -> None:
             fh.write(arr.tobytes(order="C"))
 
 
-def read_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
+def read_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC_CHECKPOINT:
@@ -94,7 +93,7 @@ def read_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
     if len(blob) < 8:
         raise FormatError(f"{path}: truncated header")
     (count,) = struct.unpack("<I", blob[4:8])
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    out: dict[str, np.ndarray] = {}
     offset = 8
     for _ in range(count):
         try:

@@ -6,13 +6,14 @@ bias and the symmetric renormalization A_hat = D^-1/2 (A+I) D^-1/2, built
 from the view's edge list. The projector is a 2-layer MLP d->d->d shared
 by both losses: the objective applies it once to each corrupted view's
 rows and once to each view's mean summary, and the bilinear
-discriminator B (`disc_b`) scores those projections.
+discriminator B scores those projections.
+
+The parameters are one name -> Tensor dict, keyed and ordered as
+`model.bin` stores them: `ENCODER` per metapath, then `HEAD`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,76 +27,45 @@ from .rng import substream
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+# the name of a metapath's GCN weight, and the shared head after the
+# encoders in model.bin's order
+ENCODER = "enc.{}.W"
+PROJ_W1, PROJ_B1, PROJ_W2, PROJ_B2, DISC_B = HEAD = (
+    "proj.W1", "proj.b1", "proj.W2", "proj.b2", "disc.B")
 
-@dataclass
-class ModelParams:
-    """All trainable tensors; encoder weights are per metapath unless shared."""
 
-    encoders: "OrderedDict[str, Tensor]"
-    proj_w1: Tensor
-    proj_b1: Tensor
-    proj_w2: Tensor
-    proj_b2: Tensor
-    disc_b: Tensor
-
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        named = [(f"enc.{name}.W", w) for name, w in self.encoders.items()]
-        named += [("proj.W1", self.proj_w1), ("proj.b1", self.proj_b1),
-                  ("proj.W2", self.proj_w2), ("proj.b2", self.proj_b2),
-                  ("disc.B", self.disc_b)]
-        return named
-
-    def trainable(self) -> list[Tensor]:
-        """Unique tensors (shared encoder weights appear once)."""
-        seen: dict[int, Tensor] = {}
-        for _, tensor in self.named_tensors():
-            seen.setdefault(id(tensor), tensor)
-        return list(seen.values())
-
-    def snapshot(self) -> "OrderedDict[str, np.ndarray]":
-        return OrderedDict((name, t.data.copy()) for name, t in self.named_tensors())
+def encoder(params, view: MetapathView) -> Tensor:
+    """The GCN weight of `view`'s metapath; ShapeMismatch if it has none."""
+    name = ENCODER.format(view.metapath.name)
+    if name not in params:
+        raise ShapeMismatch(f"no encoder for view {view.metapath.name!r}")
+    return params[name]
 
 
 def init_params(metapath_names, d_in: int, d: int, seed: int,
-                share_encoder: bool = False) -> ModelParams:
-    """Xavier-initialized parameters on named substreams of `seed`."""
-    encoders: "OrderedDict[str, Tensor]" = OrderedDict()
+                share_encoder: bool = False) -> dict[str, Tensor]:
+    """Xavier-initialized parameters on named substreams of `seed`; a
+    shared encoder is one Tensor under every encoder name."""
     if share_encoder:
         shared = nm.xavier_init((d_in, d), substream(seed, "init", "enc", "shared"))
-        for name in metapath_names:
-            encoders[name] = shared
-    else:
-        for name in metapath_names:
-            encoders[name] = nm.xavier_init(
-                (d_in, d), substream(seed, "init", "enc", name))
-    return ModelParams(
-        encoders=encoders,
-        proj_w1=nm.xavier_init((d, d), substream(seed, "init", "proj", "W1")),
-        proj_b1=Tensor(np.zeros((1, d)), requires_grad=True),
-        proj_w2=nm.xavier_init((d, d), substream(seed, "init", "proj", "W2")),
-        proj_b2=Tensor(np.zeros((1, d)), requires_grad=True),
-        disc_b=nm.xavier_init((d, d), substream(seed, "init", "disc", "B")),
-    )
+    params = {ENCODER.format(name): shared if share_encoder else
+              nm.xavier_init((d_in, d), substream(seed, "init", "enc", name))
+              for name in metapath_names}
+    params[PROJ_W1] = nm.xavier_init((d, d), substream(seed, "init", "proj", "W1"))
+    params[PROJ_B1] = Tensor(np.zeros((1, d)), requires_grad=True)
+    params[PROJ_W2] = nm.xavier_init((d, d), substream(seed, "init", "proj", "W2"))
+    params[PROJ_B2] = Tensor(np.zeros((1, d)), requires_grad=True)
+    params[DISC_B] = nm.xavier_init((d, d), substream(seed, "init", "disc", "B"))
+    return params
 
 
-def params_from_checkpoint(checkpoint, metapath_names) -> ModelParams:
-    """Rebuild inference-time parameters from a name->array checkpoint."""
-    missing = [f"enc.{n}.W" for n in metapath_names
-               if f"enc.{n}.W" not in checkpoint]
-    missing += [k for k in ("proj.W1", "proj.b1", "proj.W2", "proj.b2", "disc.B")
-                if k not in checkpoint]
+def params_from_checkpoint(checkpoint, metapath_names) -> dict[str, Tensor]:
+    """Inference-time parameters from a name->array checkpoint."""
+    names = [ENCODER.format(name) for name in metapath_names] + list(HEAD)
+    missing = [name for name in names if name not in checkpoint]
     if missing:
         raise FormatError(f"checkpoint is missing tensors: {missing}")
-    encoders = OrderedDict(
-        (name, Tensor(checkpoint[f"enc.{name}.W"])) for name in metapath_names)
-    return ModelParams(
-        encoders=encoders,
-        proj_w1=Tensor(checkpoint["proj.W1"]),
-        proj_b1=Tensor(checkpoint["proj.b1"]),
-        proj_w2=Tensor(checkpoint["proj.W2"]),
-        proj_b2=Tensor(checkpoint["proj.b2"]),
-        disc_b=Tensor(checkpoint["disc.B"]),
-    )
+    return {name: Tensor(checkpoint[name]) for name in names}
 
 
 def gcn_normalize(view: MetapathView) -> sp.csr_matrix:
@@ -120,10 +90,10 @@ def gcn_forward(view: MetapathView, weight: Tensor) -> Tensor:
     return nm.relu(nm.spmm(gcn_normalize(view), nm.matmul(x, weight)))
 
 
-def project(h: Tensor, params: ModelParams) -> Tensor:
+def project(h: Tensor, params) -> Tensor:
     """Shared projector head: W2 ReLU(W1 h + b1) + b2, row-wise."""
-    hidden = nm.relu(nm.add_bias(nm.matmul(h, params.proj_w1), params.proj_b1))
-    return nm.add_bias(nm.matmul(hidden, params.proj_w2), params.proj_b2)
+    hidden = nm.relu(nm.add_bias(nm.matmul(h, params[PROJ_W1]), params[PROJ_B1]))
+    return nm.add_bias(nm.matmul(hidden, params[PROJ_W2]), params[PROJ_B2])
 
 
 def readout(h: Tensor) -> Tensor:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .model import ModelParams, gcn_forward, project, readout
+from .model import DISC_B, encoder, gcn_forward, project, readout
 from .numerics import LOG_EPS, NonFiniteResult, ShapeMismatch, Tensor
 from .positives import PositiveSets
 
@@ -145,8 +145,7 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
 
 
-def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor,
-                    disc_b: Tensor) -> Tensor:
+def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor, params) -> Tensor:
     """Mean two-term BCE of projected rows against the projected summary.
 
     -log D(z_u, s) - log(1 - D(z'_u, s)) with D = sigmoid(z B s^T),
@@ -154,6 +153,7 @@ def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor,
     """
     if z_neg.shape != z_m.shape:
         raise ShapeMismatch(f"branch shapes differ: {z_m.shape} vs {z_neg.shape}")
+    disc_b = params[DISC_B]
     per_node = nm.add(nm.softplus(nm.scale(nm.bilinear(z_m, disc_b, s_m), -1.0)),
                       nm.softplus(nm.bilinear(z_neg, disc_b, s_m)))
     return nm.mean_all(per_node)
@@ -170,27 +170,22 @@ class ContrastTerm:
     global_loss: Tensor
 
 
-def pair_terms(corrupted, params: ModelParams, positives: PositiveSets,
+def pair_terms(corrupted, params, positives: PositiveSets,
                tau: float, neg_perms) -> list[ContrastTerm]:
     """Losses for every ordered view pair under the corruption pairing.
 
     `corrupted` is one (first, second) corruption pair per metapath view,
-    aligned with params.encoders order. Each corruption and each view's
+    each encoded by its metapath's encoder. Each corruption and each view's
     summary, the mean of its first corruption's encoder rows, is projected
     once. The intra negative branch row-shuffles the second corruption's
     projection with neg_perms[m]; the inter (m,n) negative branch is the
     projection of view n's first corruption.
     """
     corrupted = list(corrupted)
-    names = list(params.encoders)
-    if len(names) != len(corrupted):
-        raise ShapeMismatch(
-            f"{len(corrupted)} corrupted views for {len(names)} encoders")
-
     z: dict[tuple[int, int], Tensor] = {}
     summaries: dict[int, Tensor] = {}
     for i, (first, second) in enumerate(corrupted):
-        weight = params.encoders[names[i]]
+        weight = encoder(params, first)
         h_first = gcn_forward(first, weight)
         z[i, 1] = project(h_first, params)
         z[i, 2] = project(gcn_forward(second, weight), params)
@@ -208,11 +203,11 @@ def pair_terms(corrupted, params: ModelParams, positives: PositiveSets,
                 m=m, n=n, kind=kind,
                 local_loss=node_node_loss(z[m, 1], other, positives, tau),
                 global_loss=node_graph_loss(z[m, 1], neg, summaries[m],
-                                            params.disc_b)))
+                                            params)))
     return terms
 
 
-def total_objective(corrupted, params: ModelParams, positives: PositiveSets,
+def total_objective(corrupted, params, positives: PositiveSets,
                     tau: float, neg_perms, w_local: float = 1.0,
                     w_global: float = 1.0) -> Tensor:
     """Weighted sum of both losses over all ordered view pairs; minimized."""

@@ -12,7 +12,6 @@ per the configured mode.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from .augment import corrupt
 from .config import AugmentSettings, TrainSettings
 from .hin import HIN, extract_metapath_view
 from .io import FormatError, atomic_open
-from .model import (ModelParams, fuse, gcn_forward, init_params,
+from .model import (ENCODER, encoder, fuse, gcn_forward, init_params,
                     params_from_checkpoint)
 from .numerics import AdamState, NonFiniteResult
 from .objective import total_objective
@@ -43,7 +42,7 @@ class DivergedLoss(ArithmeticError):
 
 @dataclass
 class TrainResult:
-    checkpoint: "OrderedDict[str, np.ndarray]"
+    checkpoint: dict[str, np.ndarray]
     embeddings: np.ndarray
     trace: list[float] = field(default_factory=list)
     best_epoch: int = 0
@@ -74,12 +73,10 @@ def _negative_perms(views, seed: int, tick: int, literal_eq2: bool):
             .permutation(view.n_nodes) for view in views]
 
 
-def compute_embeddings(params: ModelParams, views, mode: str) -> np.ndarray:
+def compute_embeddings(params, views, mode: str) -> np.ndarray:
     """Per-view encoder outputs on uncorrupted views, fused."""
-    names = list(params.encoders)
-    per_view = [gcn_forward(view, params.encoders[names[i]]).data
-                for i, view in enumerate(views)]
-    return fuse(per_view, mode)
+    return fuse([gcn_forward(view, encoder(params, view)).data
+                 for view in views], mode)
 
 
 def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
@@ -90,12 +87,14 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
     d_in = hin.features.shape[1]
     params = init_params([spec.name for spec in metapaths], d_in, cfg.dim,
                          seed, cfg.share_encoder)
-    optimizer = AdamState(params.trainable(), lr=cfg.lr)
+    # a shared encoder is one tensor under several names: Adam steps it once
+    optimizer = AdamState({id(t): t for t in params.values()}.values(),
+                          lr=cfg.lr)
 
     trace: list[float] = []
     best = math.inf
     best_epoch = 0
-    best_checkpoint = params.snapshot()
+    best_checkpoint = {name: t.data.copy() for name, t in params.items()}
     stale = 0
     for epoch in range(cfg.max_epochs):
         corrupted, tick = _epoch_corruptions(views, augment, seed, epoch)
@@ -117,7 +116,7 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
         if loss < best:
             best = loss
             best_epoch = epoch
-            best_checkpoint = params.snapshot()
+            best_checkpoint = {name: t.data.copy() for name, t in params.items()}
         if stale >= cfg.patience:
             break
         optimizer.zero_grad()
@@ -132,13 +131,14 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
 def export_embeddings(checkpoint, views, mode: str) -> np.ndarray:
     """Fused embeddings of the uncorrupted views under a checkpoint whose
     encoders all map the views' feature columns to one width."""
-    names = [view.metapath.name for view in views]
-    params = params_from_checkpoint(checkpoint, names)
-    expected = (views[0].features.shape[1], params.encoders[names[0]].data.shape[1])
-    for name, weight in params.encoders.items():
-        if weight.data.shape != expected:
-            raise FormatError(f"checkpoint tensor 'enc.{name}.W' has shape "
-                              f"{weight.data.shape}, expected {expected}")
+    params = params_from_checkpoint(
+        checkpoint, [view.metapath.name for view in views])
+    expected = (views[0].features.shape[1], encoder(params, views[0]).shape[1])
+    for view in views:
+        name = ENCODER.format(view.metapath.name)
+        if params[name].shape != expected:
+            raise FormatError(f"checkpoint tensor '{name}' has shape "
+                              f"{params[name].shape}, expected {expected}")
     return compute_embeddings(params, views, mode)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line pipeline through in-process main() calls."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,12 +15,16 @@ import numpy as np
 import pytest
 
 import hgcml.cli as cli
+import hgcml.config as config_module
 import hgcml.hin as hin_module
+import hgcml.trainer as trainer
 from conftest import append_tensor, code_objects, load_pipebench
 from hgcml.config import load_config, parse_config, to_dict
+from hgcml.hin import load_hin
 from hgcml.io import (read_checkpoint, read_matrix, write_checkpoint,
                        write_matrix)
-from hgcml.positives import DENSE_ABOVE
+from hgcml.model import init_params
+from hgcml.positives import DENSE_ABOVE, load_positives
 
 
 def main(argv):
@@ -592,6 +597,81 @@ def test_wrongly_typed_synth_config_exits_3(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert f"ConfigError: synth.{key} must be" in err
     assert not out.exists()
+
+
+def test_broken_metapath_chain_exits_3_before_any_file_is_written(
+        pipeline, tmp_path, capsys):
+    """A metapath whose relations do not chain is a config fault: prepare,
+    eval and embed exit 3 naming the metapath and write nothing."""
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw["metapaths"][1]["relations"] = ["via1", "via0"]
+    bad = os.path.join(pipeline["data"], "run_chain.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out = tmp_path / "chain"
+    out.mkdir()
+    shutil.copy(os.path.join(pipeline["out"], "embeddings.bin"), out)
+    for stage in ("prepare", "eval", "embed"):
+        assert main([stage, "--config", bad, "--out", str(out)]) == 3, stage
+        err = capsys.readouterr().err
+        assert ("ConfigError: metapath 'meta1': relation 'via0' (entity, "
+                "bridge0) does not continue from 'bridge1'") in err, stage
+    assert os.listdir(out) == ["embeddings.bin"]
+
+
+def _deny(path, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", path)
+
+
+@pytest.mark.parametrize("stage, fault, message", [
+    ("prepare", "directory", "cannot read config file"),
+    ("synth", "directory", "cannot read config file"),
+    ("prepare", "unreadable", "cannot read config file"),
+    ("prepare", "missing", "config file not found:"),
+])
+def test_unreadable_config_file_exits_3(tmp_path, monkeypatch, capsys,
+                                        stage, fault, message):
+    config = tmp_path / "config.json"
+    if fault == "directory":
+        config.mkdir()
+    elif fault == "unreadable":
+        config.write_text("{}", encoding="utf-8")
+        monkeypatch.setattr(config_module, "open", _deny, raising=False)
+    out = tmp_path / "out"
+    assert main([stage, "--config", str(config), "--out", str(out)]) == 3
+    assert f"ConfigError: {message} {config}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("share", [False, True])
+def test_parameters_are_named_and_ordered_as_model_bin(pipeline, monkeypatch,
+                                                       share):
+    """init_params' names, in order, are model.bin's for either encoder
+    mode; Adam steps each unique tensor once: V + 5, one shared encoder
+    fewer at V = 2."""
+    cfg = load_config(pipeline["config"])
+    names = [spec.name for spec in cfg.metapaths]
+    stored = list(read_checkpoint(os.path.join(pipeline["out"], "model.bin")))
+    hin = load_hin(*(cfg.path(name) for name in
+                     ("nodes", "edges", "features", "labels")), cfg.schema)
+    assert list(init_params(names, hin.features.shape[1], cfg.train.dim,
+                            cfg.seed, share)) == stored
+    stepped = []
+
+    class CountingAdam(trainer.AdamState):
+        def __init__(self, params, lr):
+            super().__init__(params, lr)
+            stepped.append(len(self.params))
+
+    monkeypatch.setattr(trainer, "AdamState", CountingAdam)
+    result = trainer.train(
+        hin, cfg.metapaths,
+        load_positives(os.path.join(pipeline["out"], "positives.tsv"),
+                       hin.n_target),
+        dataclasses.replace(cfg.train, share_encoder=share, max_epochs=1),
+        cfg.augment, cfg.seed)
+    assert list(result.checkpoint) == stored
+    assert len(names) == 2 and stepped == [6 if share else 7]
 
 
 def test_console_entry_exits_with_main_code(tmp_path, monkeypatch, capsys):

@@ -185,7 +185,7 @@ def test_evaluate_deterministic():
 def test_write_report_round_trip(tmp_path):
     report = EvalReport(micro_f1_mean=0.9125, micro_f1_std=0.0125,
                         probe_runs=10, nmi_mean=0.8, nmi_std=0.025,
-                        cluster_runs=7, train_frac=0.2)
+                        cluster_runs=7)
     path = tmp_path / "report.tsv"
     write_report(path, report)
     lines = path.read_text().splitlines()

@@ -4,7 +4,6 @@ The discriminator is nm.bilinear over projected rows and a projected
 summary, as the objective calls it."""
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,21 +14,20 @@ from conftest import (assert_same_csr, csr_gcn_normalize, oracle_graphs,
                       sigmoid, view_from_adjacency)
 from hgcml.config import FUSION_MODES
 from hgcml.io import FormatError
-from hgcml.model import (ModelParams, fuse, gcn_forward, gcn_normalize,
-                         init_params, params_from_checkpoint, project, readout)
+from hgcml.model import (fuse, gcn_forward, gcn_normalize, init_params,
+                         params_from_checkpoint, project, readout)
 from hgcml.numerics import ShapeMismatch, Tensor
 from hgcml.rng import substream
 
 
 def identity_projector_params(d):
     eye = np.eye(d)
-    return ModelParams(
-        encoders=OrderedDict(m=Tensor(eye.copy(), requires_grad=True)),
-        proj_w1=Tensor(eye.copy(), requires_grad=True),
-        proj_b1=Tensor(np.zeros((1, d)), requires_grad=True),
-        proj_w2=Tensor(eye.copy(), requires_grad=True),
-        proj_b2=Tensor(np.zeros((1, d)), requires_grad=True),
-        disc_b=Tensor(eye.copy(), requires_grad=True))
+    return {"enc.m.W": Tensor(eye.copy(), requires_grad=True),
+            "proj.W1": Tensor(eye.copy(), requires_grad=True),
+            "proj.b1": Tensor(np.zeros((1, d)), requires_grad=True),
+            "proj.W2": Tensor(eye.copy(), requires_grad=True),
+            "proj.b2": Tensor(np.zeros((1, d)), requires_grad=True),
+            "disc.B": Tensor(eye.copy(), requires_grad=True)}
 
 
 def test_gcn_normalize_two_node_path():
@@ -95,10 +93,10 @@ def test_disconnected_components_do_not_mix():
 
 def test_projector_row_oracle():
     params = identity_projector_params(2)
-    params.proj_w1 = Tensor(np.array([[1.0, 0.0], [1.0, 1.0]]), requires_grad=True)
-    params.proj_b1 = Tensor(np.array([[0.5, -2.0]]), requires_grad=True)
-    params.proj_w2 = Tensor(np.array([[2.0, 0.0], [0.0, 3.0]]), requires_grad=True)
-    params.proj_b2 = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
+    params["proj.W1"] = Tensor(np.array([[1.0, 0.0], [1.0, 1.0]]), requires_grad=True)
+    params["proj.b1"] = Tensor(np.array([[0.5, -2.0]]), requires_grad=True)
+    params["proj.W2"] = Tensor(np.array([[2.0, 0.0], [0.0, 3.0]]), requires_grad=True)
+    params["proj.b2"] = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
     h = Tensor(np.array([[1.0, 1.0]]))
     # hidden = relu([1+1+0.5, 1-2]) = [2.5, 0]; out = [5.0, 0+1]
     assert np.allclose(project(h, params).data, [[5.0, 1.0]], atol=1e-15)
@@ -111,11 +109,11 @@ def test_readout_is_column_mean():
 
 def test_discriminator_zero_bilinear_gives_half():
     params = identity_projector_params(3)
-    params.disc_b = Tensor(np.zeros((3, 3)), requires_grad=True)
+    params["disc.B"] = Tensor(np.zeros((3, 3)), requires_grad=True)
     rng = substream(24, "disc")
     h = Tensor(rng.standard_normal((5, 3)))
     s = Tensor(rng.standard_normal((1, 3)))
-    logits = nm.bilinear(project(h, params), params.disc_b, project(s, params))
+    logits = nm.bilinear(project(h, params), params["disc.B"], project(s, params))
     assert np.allclose(sigmoid(logits).data, 0.5, atol=1e-15)
 
 
@@ -123,7 +121,7 @@ def test_discriminator_logit_log3_gives_three_quarters():
     params = identity_projector_params(1)
     h = Tensor(np.array([[math.log(3.0)]]))
     s = Tensor(np.array([[1.0]]))
-    logits = nm.bilinear(project(h, params), params.disc_b, project(s, params))
+    logits = nm.bilinear(project(h, params), params["disc.B"], project(s, params))
     assert logits.item() == pytest.approx(math.log(3.0), abs=1e-15)
     assert sigmoid(logits).item() == pytest.approx(0.75, abs=1e-12)
 
@@ -152,36 +150,34 @@ def test_fuse_modes():
 
 def test_init_params_shapes_and_determinism():
     params = init_params(["a", "b"], d_in=5, d=3, seed=42)
-    names = [name for name, _ in params.named_tensors()]
-    assert names == ["enc.a.W", "enc.b.W", "proj.W1", "proj.b1",
-                     "proj.W2", "proj.b2", "disc.B"]
-    assert params.encoders["a"].shape == (5, 3)
-    assert params.proj_w1.shape == (3, 3)
-    assert params.proj_b1.shape == (1, 3)
-    assert not params.proj_b1.data.any()
+    assert list(params) == ["enc.a.W", "enc.b.W", "proj.W1", "proj.b1",
+                            "proj.W2", "proj.b2", "disc.B"]
+    assert params["enc.a.W"].shape == (5, 3)
+    assert params["proj.W1"].shape == (3, 3)
+    assert params["proj.b1"].shape == (1, 3)
+    assert not params["proj.b1"].data.any()
     again = init_params(["a", "b"], d_in=5, d=3, seed=42)
-    for (_, t1), (_, t2) in zip(params.named_tensors(), again.named_tensors()):
-        assert np.array_equal(t1.data, t2.data)
+    assert list(again) == list(params)
+    for name, tensor in params.items():
+        assert np.array_equal(tensor.data, again[name].data)
     other = init_params(["a", "b"], d_in=5, d=3, seed=43)
-    assert not np.array_equal(params.encoders["a"].data,
-                              other.encoders["a"].data)
+    assert not np.array_equal(params["enc.a.W"].data, other["enc.a.W"].data)
 
 
 def test_shared_encoder_single_trainable_weight():
     params = init_params(["a", "b"], d_in=4, d=3, seed=0, share_encoder=True)
-    assert params.encoders["a"] is params.encoders["b"]
+    assert params["enc.a.W"] is params["enc.b.W"]
     # both names appear in the checkpoint, but training updates one tensor
-    assert len(params.named_tensors()) == 7
-    assert len(params.trainable()) == 6
+    assert len(params) == 7
+    assert len({id(tensor) for tensor in params.values()}) == 6
 
 
 def test_checkpoint_round_trip():
     params = init_params(["a", "b"], d_in=4, d=3, seed=7)
-    snap = params.snapshot()
+    snap = {name: tensor.data.copy() for name, tensor in params.items()}
     rebuilt = params_from_checkpoint(snap, ["a", "b"])
-    for (n1, t1), (n2, t2) in zip(params.named_tensors(),
-                                  rebuilt.named_tensors()):
-        assert n1 == n2
-        assert np.array_equal(t1.data, t2.data)
+    assert list(rebuilt) == list(params)
+    for name, tensor in params.items():
+        assert np.array_equal(tensor.data, rebuilt[name].data)
     with pytest.raises(FormatError, match="enc.zz.W"):
         params_from_checkpoint(snap, ["a", "zz"])

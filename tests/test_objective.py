@@ -3,7 +3,6 @@ discriminator objective, summed over ordered view pairs."""
 
 import math
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,8 +14,8 @@ from conftest import (anchor_only, dense_mask, positive_sets,
                       tape_node_node_loss, two_pass_node_node_loss,
                       view_from_adjacency)
 from hgcml.augment import corrupt
-from hgcml.model import ModelParams, gcn_forward, init_params, readout
-from hgcml.numerics import LOG_EPS, NonFiniteResult, Tensor
+from hgcml.model import gcn_forward, init_params, readout
+from hgcml.numerics import LOG_EPS, NonFiniteResult, ShapeMismatch, Tensor
 from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
                              node_node_loss, pair_terms, total_objective)
 from hgcml.positives import select_positives
@@ -25,14 +24,13 @@ from hgcml.rng import substream
 
 def identity_params(d, names=("m",)):
     eye = np.eye(d)
-    enc = OrderedDict((n, Tensor(eye.copy(), requires_grad=True)) for n in names)
-    return ModelParams(
-        encoders=enc,
-        proj_w1=Tensor(eye.copy(), requires_grad=True),
-        proj_b1=Tensor(np.zeros((1, d)), requires_grad=True),
-        proj_w2=Tensor(eye.copy(), requires_grad=True),
-        proj_b2=Tensor(np.zeros((1, d)), requires_grad=True),
-        disc_b=Tensor(np.zeros((d, d)), requires_grad=True))
+    params = {f"enc.{n}.W": Tensor(eye.copy(), requires_grad=True) for n in names}
+    params.update({"proj.W1": Tensor(eye.copy(), requires_grad=True),
+                   "proj.b1": Tensor(np.zeros((1, d)), requires_grad=True),
+                   "proj.W2": Tensor(eye.copy(), requires_grad=True),
+                   "proj.b2": Tensor(np.zeros((1, d)), requires_grad=True),
+                   "disc.B": Tensor(np.zeros((d, d)), requires_grad=True)})
+    return params
 
 
 def rand_z(n, d, label, positive=False):
@@ -317,7 +315,7 @@ def test_zero_discriminator_gives_two_log_two():
     h = rand_z(4, 3, "disc1", positive=True)
     h_neg = rand_z(4, 3, "disc2", positive=True)
     s = readout(h)
-    loss = node_graph_loss(h, h_neg, s, params.disc_b)
+    loss = node_graph_loss(h, h_neg, s, params)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
@@ -325,11 +323,11 @@ def test_node_graph_loss_numpy_oracle():
     d = 3
     params = identity_params(d)
     b = substream(24, "ng").standard_normal((d, d))
-    params.disc_b = Tensor(b.copy(), requires_grad=True)
+    params["disc.B"] = Tensor(b.copy(), requires_grad=True)
     h = rand_z(5, d, "ng1", positive=True)
     h_neg = rand_z(5, d, "ng2", positive=True)
     s = readout(h)
-    loss = node_graph_loss(h, h_neg, s, params.disc_b).item()
+    loss = node_graph_loss(h, h_neg, s, params).item()
     # identity projector keeps positive activations unchanged
     summary = h.data.mean(axis=0, keepdims=True)
     pos = h.data @ b @ summary.T
@@ -355,6 +353,31 @@ def test_pair_term_count_and_kinds():
                    for m, n in kinds)
         intra = sum(t.kind == "intra" for t in terms)
         assert intra == n_views
+
+
+def test_pair_terms_take_each_views_encoder_by_name():
+    """Views passed in the reverse of the parameters' order give every
+    (anchor view, key view) pair the in-order losses, bit for bit; a view
+    whose metapath has no encoder is a ShapeMismatch naming the view."""
+    views = make_views(6, 3, 3, seed=120)
+    params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=7)
+    perms = [substream(121, "p", i).permutation(6) for i in range(3)]
+    corrupted = corruption_pairs(views, seed=122)
+    positives = sampled_positives(6, "byname")
+
+    def losses(order):
+        terms = pair_terms([corrupted[i] for i in order], params, positives,
+                           tau=0.5, neg_perms=[perms[i] for i in order])
+        return {(order[t.m], order[t.n]): (t.local_loss.item(),
+                                           t.global_loss.item())
+                for t in terms}
+
+    in_order = losses([0, 1, 2])
+    assert len(in_order) == 9
+    assert losses([2, 1, 0]) == in_order
+    with pytest.raises(ShapeMismatch, match="view 'v2'"):
+        pair_terms(corrupted, init_params(["v0", "v1"], d_in=3, d=4, seed=7),
+                   positives, tau=0.5, neg_perms=perms)
 
 
 def test_total_objective_equals_sum_of_terms():
@@ -399,26 +422,26 @@ def test_pair_global_losses_match_projected_numpy_oracle():
     params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=6)
     perms = [substream(112, "p", i).permutation(6) for i in range(2)]
     corrupted = corruption_pairs(views, seed=113)
-    h = {(i, copy): gcn_forward(pair[copy - 1], params.encoders[f"v{i}"]).data
+    h = {(i, copy): gcn_forward(pair[copy - 1], params[f"enc.v{i}.W"]).data
          for i, pair in enumerate(corrupted) for copy in (1, 2)}
     # centre each hidden unit on the median row, so the ReLU cuts through
     # the rows and the projection of the mean is not the mean of projections
     rows = np.vstack([h[0, 1], h[1, 1]])
-    params.proj_b1.data[:] = -np.median(rows @ params.proj_w1.data, axis=0)
+    params["proj.b1"].data[:] = -np.median(rows @ params["proj.W1"].data, axis=0)
     rng = substream(111, "ngoracle")
-    params.proj_b2.data[:] = rng.standard_normal(params.proj_b2.shape)
-    params.disc_b.data[:] = rng.standard_normal(params.disc_b.shape)
+    params["proj.b2"].data[:] = rng.standard_normal(params["proj.b2"].shape)
+    params["disc.B"].data[:] = rng.standard_normal(params["disc.B"].shape)
     terms = pair_terms(corrupted, params, anchor_only(6),
                        tau=0.5, neg_perms=perms)
 
     def rho(h):
-        hidden = np.maximum(h @ params.proj_w1.data + params.proj_b1.data, 0.0)
-        return hidden @ params.proj_w2.data + params.proj_b2.data
+        hidden = np.maximum(h @ params["proj.W1"].data + params["proj.b1"].data, 0.0)
+        return hidden @ params["proj.W2"].data + params["proj.b2"].data
 
     def softplus(x):
         return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
-    b = params.disc_b.data
+    b = params["disc.B"].data
     assert len(terms) == 4
     for term in terms:
         m, n = term.m, term.n
@@ -442,6 +465,6 @@ def test_objective_gradients_flow_to_all_parameters():
     loss = total_objective(corrupted, params, anchor_only(5),
                            tau=0.5, neg_perms=perms)
     loss.backward()
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.items():
         assert tensor.grad is not None, name
         assert np.isfinite(tensor.grad).all(), name
