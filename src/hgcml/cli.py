@@ -39,10 +39,12 @@ from .positives import (KTooLarge, load_positives, ppr_matrix, save_positives,
 from .synth import SynthConfig
 from .trainer import DivergedLoss, export_embeddings, train, write_trace
 
-# exit code per failure class; main reports each as one `error:` line
+# exit code per failure class; main reports each as one `error:` line. An
+# OSError is a file that is missing, a directory or cannot be read, and
+# names it.
 EXIT_CODES = {ConfigError: 3, KTooLarge: 3, HinError: 2, FormatError: 2,
-              LengthMismatch: 2, DegenerateSplit: 2, FileNotFoundError: 2,
-              IsADirectoryError: 2, DivergedLoss: 4}
+              LengthMismatch: 2, DegenerateSplit: 2, OSError: 2,
+              DivergedLoss: 4}
 GRAPH_CACHE = "graph.bin"  # the graph prepare parsed, in the output directory
 
 

@@ -2,7 +2,8 @@
 
 Values are 2-D float64 arrays (scalars are (1,1), vectors are rows). Ops
 record a dynamic graph; Tensor.backward() walks it in reverse topological
-order, accumulates gradients into `.grad`, and frees the tape. Gradients
+order, accumulates gradients into the leaves' `.grad`, and lets go of each
+intermediate node once its gradient has been passed on. Gradients
 flow only into tensors with requires_grad=True; sparse matrices are
 constants. All reductions use numpy's sequential kernels, so repeated
 runs are bit-identical.
@@ -74,15 +75,24 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; frees the recorded graph."""
+        """Backpropagate from a scalar, freeing the recorded graph as it goes.
+
+        Nodes run consumers first. Once a non-leaf node's grad_fn has run,
+        the node drops its `.grad`, its grad_fn (with every array the
+        closure holds) and its parents, and the walk drops the node, so an
+        intermediate's data lives on only if the caller still refers to
+        it. Leaves keep their accumulated `.grad` for the optimizer.
+        """
         if self.data.size != 1:
             raise ShapeMismatch("backward() starts from a scalar loss")
         order = _toposort(self)
         self._accumulate(np.ones((1, 1)))
-        for node in order:
+        while order:
+            node = order.pop()
             if node._grad_fn is not None:
                 if node.grad is not None:
                     node._grad_fn(node.grad)
+                node.grad = None
                 node._grad_fn = None
                 node._parents = ()
 
@@ -91,7 +101,7 @@ class Tensor:
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
-    # Iterative post-order DFS; reversed it lists consumers before inputs.
+    # Iterative post-order DFS: inputs before consumers, the root last.
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, int]] = [(root, 0)]
@@ -108,7 +118,6 @@ def _toposort(root: Tensor) -> list[Tensor]:
                 stack.append((child, 0))
         else:
             order.append(node)
-    order.reverse()
     return order
 
 

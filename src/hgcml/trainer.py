@@ -4,9 +4,11 @@ Each epoch draws two corruptions per view (fresh substreams per epoch
 unless resample_every_epoch is off), evaluates the total objective,
 backpropagates, and takes one Adam step. The loop stops when the training
 loss has not improved by at least 1e-6 for `patience` epochs or at
-max_epochs. The checkpoint with the lowest recorded loss is kept; final
-embeddings come from the uncorrupted views under that checkpoint, fused
-per the configured mode.
+max_epochs. No step would follow epoch max_epochs - 1, so it is scored
+on constants that hold the parameters' arrays: it records no tape and
+runs no backward and no Adam step. The checkpoint with the lowest
+recorded loss is kept; final embeddings come from the uncorrupted views
+under that checkpoint, fused per the configured mode.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .hin import HIN, extract_metapath_view
 from .io import FormatError, atomic_open
 from .model import (ENCODER, encoder, fuse, gcn_forward, init_params,
                     params_from_checkpoint)
-from .numerics import AdamState, NonFiniteResult
+from .numerics import AdamState, NonFiniteResult, Tensor
 from .objective import total_objective
 from .positives import PositiveSets
 from .rng import derive_key, substream
@@ -97,11 +99,16 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
     best_checkpoint = {name: t.data.copy() for name, t in params.items()}
     stale = 0
     for epoch in range(cfg.max_epochs):
+        last = epoch + 1 == cfg.max_epochs
+        # no step follows the last epoch: it is scored on constants, so it
+        # records no tape and the node-node loss forms no gradient
+        scored = ({name: Tensor(t.data) for name, t in params.items()}
+                  if last else params)
         corrupted, tick = _epoch_corruptions(views, augment, seed, epoch)
         perms = _negative_perms(views, seed, tick, cfg.literal_eq2)
         try:
             loss_tensor = total_objective(
-                corrupted, params, positives, cfg.tau, perms,
+                corrupted, scored, positives, cfg.tau, perms,
                 w_local=cfg.loss_weights.local, w_global=cfg.loss_weights.global_)
             loss = loss_tensor.item()
         except NonFiniteResult as exc:
@@ -117,7 +124,7 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
             best = loss
             best_epoch = epoch
             best_checkpoint = {name: t.data.copy() for name, t in params.items()}
-        if stale >= cfg.patience:
+        if stale >= cfg.patience or last:
             break
         optimizer.zero_grad()
         loss_tensor.backward()

@@ -17,6 +17,7 @@ import pytest
 import hgcml.cli as cli
 import hgcml.config as config_module
 import hgcml.hin as hin_module
+import hgcml.io as io_module
 import hgcml.trainer as trainer
 from conftest import append_tensor, code_objects, load_pipebench
 from hgcml.config import load_config, parse_config, to_dict
@@ -643,6 +644,29 @@ def test_unreadable_config_file_exits_3(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage, module, name", [
+    ("prepare", hin_module, "nodes.tsv"),
+    ("embed", io_module, "model.bin"),
+])
+def test_unreadable_data_file_exits_2_naming_it(pipeline, tmp_path, monkeypatch,
+                                                capsys, stage, module, name):
+    """A data file or artifact that exists but cannot be read is a data
+    fault: one `error:` line naming the file, exit 2."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+
+    def deny(path, *args, **kwargs):
+        if os.path.basename(path) == name:
+            _deny(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(module, "open", deny, raising=False)
+    assert main([stage, "--config", pipeline["config"], "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: PermissionError:")
+    assert name in err[0]
+
+
 @pytest.mark.parametrize("share", [False, True])
 def test_parameters_are_named_and_ordered_as_model_bin(pipeline, monkeypatch,
                                                        share):
@@ -754,6 +778,23 @@ def test_eval_without_labels_exits_2(pipeline, tmp_path, capsys):
         json.dump(raw, fh)
     assert main(["eval", "--config", cfg2, "--out", pipeline["out"]]) == 2
     assert "label" in capsys.readouterr().err
+
+
+def test_divergence_in_the_last_epoch_exits_4(pipeline, tmp_path, capsys):
+    """The last epoch is scored without a step; a non-finite loss there
+    still exits 4 and keeps the earlier epochs' trace."""
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw["train"] = dict(raw["train"], lr=1e155, max_epochs=2, patience=2)
+    cfg2 = os.path.join(pipeline["data"], "run_diverge_last.json")
+    with open(cfg2, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out2 = tmp_path / "div"
+    shutil.copytree(pipeline["out"], out2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["train", "--config", cfg2, "--out", str(out2)]) == 4
+    assert "DivergedLoss: non-finite loss at epoch 1" in capsys.readouterr().err
+    assert len((out2 / "trace.tsv").read_text().splitlines()) == 1
 
 
 def test_diverged_train_exits_4(pipeline, tmp_path, capsys):

@@ -5,7 +5,9 @@ import importlib
 import inspect
 import math
 import pkgutil
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -202,3 +204,73 @@ def test_permute_rows_roundtrip_gradient():
     inv = np.empty_like(perm)
     inv[perm] = np.arange(5)
     assert np.allclose(a.grad, (w / w.size)[inv], atol=1e-15)
+
+
+def test_backward_keeps_leaf_gradients_and_drops_intermediate_ones():
+    rng = substream(17, "release")
+    a = nm.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    b = nm.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    mid = nm.matmul(a, b)
+    act = nm.relu(mid)
+    loss = nm.mean_all(act)
+    loss.backward()
+    assert mid.grad is None and act.grad is None and loss.grad is None
+    g_mid = (mid.data > 0) / mid.data.size
+    assert np.allclose(a.grad, g_mid @ b.data.T, atol=1e-15)
+    assert np.allclose(b.grad, a.data.T @ g_mid, atol=1e-15)
+
+
+def test_backward_lets_go_of_an_intermediate_once_its_gradient_is_passed_on():
+    """When an input-side grad_fn runs, every node downstream of it that
+    the caller no longer refers to has been freed. Tensor has slots and no
+    weakref slot, so the refs are to the nodes' data, which only the
+    nodes and their consumers' closures hold."""
+    rng = substream(19, "release")
+    x = nm.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    w = nm.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    alive = []
+
+    def probe(a):
+        def grad_fn(g):
+            alive.append([ref() is not None for ref in refs])
+            a._accumulate(g)
+        return nm._make(a.data.copy(), (a,), grad_fn)
+
+    mid = nm.matmul(probe(x), w)
+    act = nm.relu(mid)
+    refs = [weakref.ref(mid.data), weakref.ref(act.data)]
+    loss = nm.mean_all(act)
+    del mid, act
+    loss.backward()
+    assert alive == [[False, False]]
+    assert x.grad is not None and w.grad is not None
+
+
+def test_backward_peak_stays_near_what_the_forward_holds():
+    """A k-layer matmul/relu chain holds about 2k n x d arrays after its
+    forward; its backward adds no more than a few n x d arrays on top,
+    since each layer's gradient and data go once passed on (keeping every
+    intermediate gradient would add 2k)."""
+    n, d, k = 512, 16, 8
+    rng = substream(23, "release")
+    x = nm.Tensor(rng.standard_normal((n, d)))
+    weights = [nm.Tensor(rng.standard_normal((d, d)) / d, requires_grad=True)
+               for _ in range(k)]
+    array = n * d * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = x
+        for w in weights:
+            h = nm.relu(nm.matmul(h, w))
+        loss = nm.mean_all(h)
+        del h
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held - before > 2 * k * array
+    assert peak - held < 4 * array
+    assert all(w.grad is not None for w in weights)

@@ -153,6 +153,47 @@ def test_diverged_loss_carries_last_good_checkpoint(toy_hin, anchor_positives):
     assert all(np.isfinite(v).all() for v in exc.checkpoint.values())
 
 
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_last_epoch_scores_the_same_loss_without_a_step(toy_hin,
+                                                        anchor_positives, epochs):
+    """max_epochs=k scores its last epoch on constants: its trace is the
+    first k losses of a run one epoch longer, bit for bit."""
+    short = train(toy_hin, METAPATHS, anchor_positives,
+                  *quick_cfg(max_epochs=epochs, patience=epochs + 1))
+    longer = train(toy_hin, METAPATHS, anchor_positives,
+                   *quick_cfg(max_epochs=epochs + 1, patience=epochs + 1))
+    assert len(short.trace) == epochs and len(longer.trace) == epochs + 1
+    assert short.trace == longer.trace[:epochs]
+
+
+def test_single_epoch_runs_no_backward_and_no_step(toy_hin, anchor_positives,
+                                                   monkeypatch):
+    import hgcml.numerics as nm
+    calls = []
+    for owner, name in ((nm.Tensor, "backward"), (nm.AdamState, "step")):
+        original = getattr(owner, name)
+
+        def counted(self, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self)
+        monkeypatch.setattr(owner, name, counted)
+    result = train(toy_hin, METAPATHS, anchor_positives,
+                   *quick_cfg(max_epochs=1, patience=1))
+    assert calls == [] and len(result.trace) == 1
+    train(toy_hin, METAPATHS, anchor_positives,
+          *quick_cfg(max_epochs=2, patience=2))
+    assert calls == ["backward", "step"]
+
+
+def test_non_finite_loss_in_the_last_epoch_raises(toy_hin, anchor_positives):
+    cfg = quick_cfg(lr=1e155, max_epochs=2, patience=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergedLoss) as info:
+            train(toy_hin, METAPATHS, anchor_positives, *cfg)
+    assert info.value.epoch == 1 and len(info.value.trace) == 1
+
+
 def test_write_trace_full_precision_round_trip(tmp_path):
     trace = [1.0 / 3.0, 2.0 / 7.0, 1e-17]
     path = tmp_path / "trace.tsv"
