@@ -82,18 +82,46 @@ def gcn_normalize(view: MetapathView) -> sp.csr_matrix:
 
 
 def gcn_forward(view: MetapathView, weight: Tensor) -> Tensor:
-    """One graph convolution: H = ReLU(A_hat X W)."""
+    """One graph convolution, H = ReLU(A_hat X W), as one tape node that
+    keeps only H: its ReLU mask is H > 0."""
     if view.features.shape[1] != weight.shape[0]:
         raise ShapeMismatch(
             f"features have {view.features.shape[1]} dims, W expects {weight.shape[0]}")
-    x = Tensor(view.features)
-    return nm.relu(nm.spmm(gcn_normalize(view), nm.matmul(x, weight)))
+    x = np.ascontiguousarray(view.features, dtype=np.float64)
+    a_hat = gcn_normalize(view)
+    pre = a_hat @ (x @ weight.data)
+    out = np.where(pre > 0, pre, 0.0)
+
+    def grad_fn(g):
+        weight._accumulate(x.T @ (a_hat.T @ (g * (out > 0))))
+
+    return nm._make(out, (weight,), grad_fn)
 
 
 def project(h: Tensor, params) -> Tensor:
-    """Shared projector head: W2 ReLU(W1 h + b1) + b2, row-wise."""
-    hidden = nm.relu(nm.add_bias(nm.matmul(h, params[PROJ_W1]), params[PROJ_B1]))
-    return nm.add_bias(nm.matmul(hidden, params[PROJ_W2]), params[PROJ_B2])
+    """Shared projector head, W2 ReLU(W1 h + b1) + b2 row-wise, as one tape
+    node that keeps the hidden activation and the output."""
+    w1, b1, w2, b2 = (params[name] for name in (PROJ_W1, PROJ_B1, PROJ_W2, PROJ_B2))
+    hidden = h.data @ w1.data
+    hidden += b1.data
+    hidden = np.where(hidden > 0, hidden, 0.0)
+    out = hidden @ w2.data
+    out += b2.data
+
+    def grad_fn(g):
+        if b2.requires_grad:
+            b2._accumulate(g.sum(axis=0, keepdims=True))
+        if w2.requires_grad:
+            w2._accumulate(hidden.T @ g)
+        g = (g @ w2.data.T) * (hidden > 0)
+        if b1.requires_grad:
+            b1._accumulate(g.sum(axis=0, keepdims=True))
+        if h.requires_grad:
+            h._accumulate(g @ w1.data.T)
+        if w1.requires_grad:
+            w1._accumulate(h.data.T @ g)
+
+    return nm._make(out, (h, w1, b1, w2, b2), grad_fn)
 
 
 def readout(h: Tensor) -> Tensor:

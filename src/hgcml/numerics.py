@@ -1,26 +1,24 @@
-"""Dense/sparse 64-bit tensor core with reverse-mode differentiation.
+"""Dense 64-bit tensor core with reverse-mode differentiation.
 
-Values are 2-D float64 arrays (scalars are (1,1), vectors are rows). Ops
-record a dynamic graph; Tensor.backward() walks it in reverse topological
-order, accumulates gradients into the leaves' `.grad`, and lets go of each
-intermediate node once its gradient has been passed on. Gradients
-flow only into tensors with requires_grad=True; sparse matrices are
-constants. All reductions use numpy's sequential kernels, so repeated
-runs are bit-identical.
+Values are 2-D float64 arrays (scalars are (1,1), vectors are rows).
+Each differentiable step records one node built with `_make`: its data,
+its parents and a grad_fn that reads only what the step kept for it.
+Tensor.backward() walks the nodes in reverse topological order,
+accumulates gradients into the leaves' `.grad`, and lets go of each
+intermediate node once its gradient has been passed on. Gradients flow
+only into tensors with requires_grad=True. All reductions use numpy's
+sequential kernels, so repeated runs are bit-identical.
 
-The ops are those the model and its losses call; the node-node loss is
-one fused op in `objective`, built on `_make` like every op here.
+The nodes are layer-sized: the GCN and the projector in `model`, the
+losses and their weighted total in `objective`. This module keeps the
+tape itself, the two row ops those layers share, and Adam.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 LOG_EPS = 1e-12  # the losses' clamp on row norms and log arguments
 
@@ -67,9 +65,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # a copy, never g itself: add/add_bias hand one g to both
-            # parents, and mean_rows (and row_sum of the tests' reference
-            # tape) pass read-only broadcast views
+            # a C-ordered copy, never g itself: mean_rows passes a
+            # read-only broadcast view, the node-graph loss a transposed
+            # one, and the tests' reference ops hand one g to two parents
             self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
@@ -130,105 +128,7 @@ def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     return out
 
 
-# ---------------------------------------------------------------- op suite
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), grad_fn)
-
-
-def spmm(s: sp.csr_matrix, x: Tensor) -> Tensor:
-    """Constant float64 CSR `s` times `x`; `s` is never differentiated."""
-    if s.shape[1] != x.shape[0]:
-        raise ShapeMismatch(f"spmm {s.shape} @ {x.shape}")
-
-    def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(s.T @ g)
-
-    return _make(s @ x.data, (x,), grad_fn)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"add {a.shape} vs {b.shape}")
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
-
-    return _make(a.data + b.data, (a, b), grad_fn)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(c * g)
-
-    return _make(c * a.data, (a,), grad_fn)
-
-
-def add_bias(a: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast add: a (n,d) + b (1,d)."""
-    if b.shape != (1, a.shape[1]):
-        raise ShapeMismatch(f"add_bias {a.shape} + {b.shape}")
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0, keepdims=True))
-
-    return _make(a.data + b.data, (a, b), grad_fn)
-
-
-def relu(a: Tensor) -> Tensor:
-    # Subgradient at 0 is defined as 0.
-    mask = a.data > 0
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return _make(np.where(mask, a.data, 0.0), (a,), grad_fn)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed stably; gradient is sigmoid(x)."""
-    x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * _stable_sigmoid(x))
-
-    return _make(out, (a,), grad_fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return _make(a.data.T.copy(), (a,), grad_fn)
+# ------------------------------------------------------ row ops
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -240,16 +140,6 @@ def mean_rows(a: Tensor) -> Tensor:
             a._accumulate(np.broadcast_to(g / n, a.shape))
 
     return _make(a.data.mean(axis=0, keepdims=True), (a,), grad_fn)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    size = a.data.size
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.full(a.shape, g[0, 0] / size))
-
-    return _make(np.array([[a.data.mean()]]), (a,), grad_fn)
 
 
 def permute_rows(a: Tensor, perm) -> Tensor:
@@ -264,13 +154,6 @@ def permute_rows(a: Tensor, perm) -> Tensor:
             a._accumulate(g[inv])
 
     return _make(a.data[perm].copy(), (a,), grad_fn)
-
-
-def bilinear(h: Tensor, b: Tensor, s: Tensor) -> Tensor:
-    """h (n,d) x B (d,d) x s (1,d) -> logits (n,1); scalar when n=1."""
-    if s.shape[0] != 1 or b.shape != (h.shape[1], s.shape[1]):
-        raise ShapeMismatch(f"bilinear {h.shape}, {b.shape}, {s.shape}")
-    return matmul(matmul(h, b), transpose(s))
 
 
 # ------------------------------------------------------- init, optimizer

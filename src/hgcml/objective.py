@@ -10,9 +10,11 @@ from the CSR arrays `PositiveSets` holds. Memory is O(CHUNK*n) floats,
 with no n x n array of any dtype alive at any time.
 
 Node-graph: a bilinear discriminator scores projected rows against the
-projected mean summary, positive branch vs a negative branch.
+projected mean summary, positive branch vs a negative branch, in one tape
+node over both branches.
 
-The total objective sums both losses over all ordered view pairs (m,n):
+The total objective, one tape node over the pair losses, sums both
+losses with their weights over all ordered view pairs (m,n):
 the intra pair (m,m) contrasts two corruptions of view m, the inter pair
 (m,n) contrasts the first corruptions of views m and n. The projector runs
 once per corrupted view and once per view summary, 3V passes for V views,
@@ -145,18 +147,51 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor, params) -> Tensor:
     """Mean two-term BCE of projected rows against the projected summary.
 
     -log D(z_u, s) - log(1 - D(z'_u, s)) with D = sigmoid(z B s^T),
     written as softplus of the bilinear logits, which is exact and stable.
+    One tape node; it keeps each branch's z B for the summary's gradient.
     """
     if z_neg.shape != z_m.shape:
         raise ShapeMismatch(f"branch shapes differ: {z_m.shape} vs {z_neg.shape}")
     disc_b = params[DISC_B]
-    per_node = nm.add(nm.softplus(nm.scale(nm.bilinear(z_m, disc_b, s_m), -1.0)),
-                      nm.softplus(nm.bilinear(z_neg, disc_b, s_m)))
-    return nm.mean_all(per_node)
+    if s_m.shape[0] != 1 or disc_b.shape != (z_m.shape[1], s_m.shape[1]):
+        raise ShapeMismatch(f"bilinear {z_m.shape}, {disc_b.shape}, {s_m.shape}")
+    zb_pos = z_m.data @ disc_b.data
+    zb_neg = z_neg.data @ disc_b.data
+    x_pos = -(zb_pos @ s_m.data.T)  # the positive branch scores -logit
+    x_neg = zb_neg @ s_m.data.T
+    per_node = _softplus(x_pos) + _softplus(x_neg)
+
+    def grad_fn(g):
+        g = np.full(x_pos.shape, g[0, 0] / x_pos.size)
+        # the negative branch first, then the positive one, as the
+        # bilinear chain accumulates them
+        for z, zb, g_logit in ((z_neg, zb_neg, g * _stable_sigmoid(x_neg)),
+                               (z_m, zb_pos, -(g * _stable_sigmoid(x_pos)))):
+            g_zb = g_logit @ s_m.data
+            if s_m.requires_grad:
+                s_m._accumulate((zb.T @ g_logit).T)
+            if z.requires_grad:
+                z._accumulate(g_zb @ disc_b.data.T)
+            if disc_b.requires_grad:
+                disc_b._accumulate(z.data.T @ g_zb)
+
+    # parents in the order the bilinear chain reached them: backward then
+    # walks the other nodes in the per-op tape's order
+    return nm._make(np.array([[per_node.mean()]]), (z_m, disc_b, s_m, z_neg),
+                    grad_fn)
 
 
 @dataclass
@@ -210,10 +245,18 @@ def pair_terms(corrupted, params, positives: PositiveSets,
 def total_objective(corrupted, params, positives: PositiveSets,
                     tau: float, neg_perms, w_local: float = 1.0,
                     w_global: float = 1.0) -> Tensor:
-    """Weighted sum of both losses over all ordered view pairs; minimized."""
-    total: Tensor | None = None
+    """Weighted sum of both losses over all ordered view pairs, minimized:
+    one tape node whose parents are the pair losses."""
+    losses = []
+    total = None
     for term in pair_terms(corrupted, params, positives, tau, neg_perms):
-        weighted = nm.add(nm.scale(term.local_loss, w_local),
-                          nm.scale(term.global_loss, w_global))
-        total = weighted if total is None else nm.add(total, weighted)
-    return total
+        losses += [(term.local_loss, w_local), (term.global_loss, w_global)]
+        weighted = w_local * term.local_loss.data + w_global * term.global_loss.data
+        total = weighted if total is None else total + weighted
+
+    def grad_fn(g):
+        for loss, weight in losses:
+            if loss.requires_grad:
+                loss._accumulate(weight * g)
+
+    return nm._make(total, tuple(loss for loss, _ in losses), grad_fn)

@@ -21,6 +21,7 @@ from hgcml.hin import (HIN, DuplicateNodeId, EndpointTypeMismatch,
                        UnknownRelation, UnknownType, _load_features,
                        _load_labels, load_hin)
 from hgcml.io import write_matrix
+from hgcml.model import gcn_forward, gcn_normalize, init_params, project
 from hgcml.numerics import LOG_EPS, NonFiniteResult
 from hgcml.positives import DiffusionMatrix, PositiveSets, load_positives
 from hgcml.rng import substream
@@ -528,8 +529,124 @@ def dense_mask(positives):
     return mask
 
 
-# -- tape ops the library does not need: with the library's own ops they
-# -- compose the reference tape below and the per-op gradient cases ---------
+# -- per-op tape: the ops the library's layer nodes fuse, and the ops only
+# -- the reference tapes need. With `mean_rows` and `permute_rows` they
+# -- compose the oracle tapes below and the per-op gradient cases ----------
+
+def matmul(a, b):
+    if a.shape[1] != b.shape[0]:
+        raise nm.ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+
+    return nm._make(a.data @ b.data, (a, b), grad_fn)
+
+
+def spmm(s, x):
+    """Constant float64 CSR `s` times `x`; `s` is never differentiated."""
+    if s.shape[1] != x.shape[0]:
+        raise nm.ShapeMismatch(f"spmm {s.shape} @ {x.shape}")
+
+    def grad_fn(g):
+        if x.requires_grad:
+            x._accumulate(s.T @ g)
+
+    return nm._make(s @ x.data, (x,), grad_fn)
+
+
+def add(a, b):
+    if a.shape != b.shape:
+        raise nm.ShapeMismatch(f"add {a.shape} vs {b.shape}")
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g)
+
+    return nm._make(a.data + b.data, (a, b), grad_fn)
+
+
+def scale(a, c):
+    c = float(c)
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(c * g)
+
+    return nm._make(c * a.data, (a,), grad_fn)
+
+
+def add_bias(a, b):
+    """Row-broadcast add: a (n,d) + b (1,d)."""
+    if b.shape != (1, a.shape[1]):
+        raise nm.ShapeMismatch(f"add_bias {a.shape} + {b.shape}")
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0, keepdims=True))
+
+    return nm._make(a.data + b.data, (a, b), grad_fn)
+
+
+def relu(a):
+    # Subgradient at 0 is defined as 0.
+    mask = a.data > 0
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * mask)
+
+    return nm._make(np.where(mask, a.data, 0.0), (a,), grad_fn)
+
+
+def stable_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softplus(a):
+    """log(1 + e^x), computed stably; gradient is sigmoid(x)."""
+    x = a.data
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * stable_sigmoid(x))
+
+    return nm._make(out, (a,), grad_fn)
+
+
+def transpose(a):
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g.T)
+
+    return nm._make(a.data.T.copy(), (a,), grad_fn)
+
+
+def mean_all(a):
+    size = a.data.size
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(np.full(a.shape, g[0, 0] / size))
+
+    return nm._make(np.array([[a.data.mean()]]), (a,), grad_fn)
+
+
+def bilinear(h, b, s):
+    """h (n,d) x B (d,d) x s (1,d) -> logits (n,1); scalar when n=1."""
+    if s.shape[0] != 1 or b.shape != (h.shape[1], s.shape[1]):
+        raise nm.ShapeMismatch(f"bilinear {h.shape}, {b.shape}, {s.shape}")
+    return matmul(matmul(h, b), transpose(s))
+
 
 def sub(a, b):
     if a.shape != b.shape:
@@ -580,7 +697,7 @@ def mul_const(a, k):
 
 
 def sigmoid(a):
-    out = nm._stable_sigmoid(a.data)
+    out = stable_sigmoid(a.data)
 
     def grad_fn(g):
         if a.requires_grad:
@@ -674,8 +791,8 @@ def tape_node_node_loss(z_m, z_n, positives, tau):
 
     norm_m = row_l2_normalize(z_m)
     norm_n = row_l2_normalize(z_n)
-    logits_mn = nm.scale(nm.matmul(norm_m, nm.transpose(norm_n)), 1.0 / tau)
-    logits_mm = nm.scale(nm.matmul(norm_m, nm.transpose(norm_m)), 1.0 / tau)
+    logits_mn = scale(matmul(norm_m, transpose(norm_n)), 1.0 / tau)
+    logits_mm = scale(matmul(norm_m, transpose(norm_m)), 1.0 / tau)
 
     # log-sum-exp shift, detached: the true gradient is unchanged by it
     shift = np.maximum(logits_mn.data.max(axis=1), logits_mm.data.max(axis=1))
@@ -684,11 +801,11 @@ def tape_node_node_loss(z_m, z_n, positives, tau):
     exp_mm = exp(add_const(logits_mm, -shift))
 
     positive_mass = row_sum(mul_const(exp_mn, pos_mask))
-    negative_mass = nm.add(row_sum(mul_const(exp_mm, neg_mask)),
+    negative_mass = add(row_sum(mul_const(exp_mm, neg_mask)),
                            row_sum(mul_const(exp_mn, neg_mask)))
-    denominator = nm.add(positive_mass, negative_mass)
+    denominator = add(positive_mass, negative_mass)
     per_anchor = sub(log(denominator), log(positive_mass))
-    return nm.mean_all(per_anchor)
+    return mean_all(per_anchor)
 
 
 def two_pass_node_node_loss(z_m, z_n, positives, tau):
@@ -749,6 +866,62 @@ def two_pass_node_node_loss(z_m, z_n, positives, tau):
                 z._accumulate((grad_unit - inner * unit) / norms)
 
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
+
+
+def tape_gcn_forward(view, weight):
+    """The GCN composed from per-op tape nodes: `model.gcn_forward`'s
+    oracle, which keeps the matmul, spmm and relu outputs and a mask."""
+    x = nm.Tensor(view.features)
+    return relu(spmm(gcn_normalize(view), matmul(x, weight)))
+
+
+def tape_project(h, params):
+    """The projector composed from per-op tape nodes: `model.project`'s
+    oracle, which keeps five arrays per pass where the node keeps two."""
+    hidden = relu(add_bias(matmul(h, params["proj.W1"]), params["proj.b1"]))
+    return add_bias(matmul(hidden, params["proj.W2"]), params["proj.b2"])
+
+
+def tape_node_graph_loss(z_m, z_neg, s_m, params):
+    """Both softplus branches of the node-graph loss composed from per-op
+    tape nodes: `objective.node_graph_loss`'s oracle."""
+    disc_b = params["disc.B"]
+    per_node = add(softplus(scale(bilinear(z_m, disc_b, s_m), -1.0)),
+                   softplus(bilinear(z_neg, disc_b, s_m)))
+    return mean_all(per_node)
+
+
+def tape_weighted_total(terms, w_local=1.0, w_global=1.0):
+    """The pair losses' weighted sum as add/scale nodes, in
+    `objective.total_objective`'s order: that node's oracle."""
+    total = None
+    for term in terms:
+        weighted = add(scale(term.local_loss, w_local),
+                       scale(term.global_loss, w_global))
+        total = weighted if total is None else add(total, weighted)
+    return total
+
+
+def tape_total_objective(corrupted, params, positives, tau, neg_perms,
+                         w_local=1.0, w_global=1.0):
+    """`objective.total_objective` with every layer node replaced by its
+    per-op oracle tape: the tape the layer nodes must match bit for bit."""
+    with mock.patch.multiple(objective_module, gcn_forward=tape_gcn_forward,
+                             project=tape_project,
+                             node_graph_loss=tape_node_graph_loss):
+        terms = objective_module.pair_terms(corrupted, params, positives,
+                                            tau, neg_perms)
+    return tape_weighted_total(terms, w_local, w_global)
+
+
+def layer_bits(layer, args, tensors, weight):
+    """The bytes of `layer(*args)`'s data, and of each of `tensors`'
+    gradients once backward has run from the mean of its output times the
+    constant `weight`: one layer node's, or its oracle tape's, results."""
+    out = layer(*args)
+    data = out.data.tobytes()
+    mean_all(mul_const(out, weight)).backward()
+    return data, [t.grad.tobytes() for t in tensors]
 
 
 def code_objects(module):
@@ -825,7 +998,8 @@ def per_run_linear_probe(embeddings, labels, train_frac, seeds):
 
 
 def numerics_grad_cases():
-    """One scalar-valued closure per differentiable op, inputs in [-2, 2]."""
+    """One scalar-valued closure per differentiable op and per layer node,
+    inputs in [-2, 2]."""
 
     def param(shape, label, lo=-2.0, hi=2.0, away_from=None):
         rng = substream(7, "gradcase", label)
@@ -843,109 +1017,109 @@ def numerics_grad_cases():
 
     def c_matmul():
         a, b = param((3, 4), "mm_a"), param((4, 2), "mm_b")
-        return lambda: nm.mean_all(nm.matmul(a, b)), [a, b]
+        return lambda: mean_all(matmul(a, b)), [a, b]
     case("matmul", c_matmul)
 
     def c_spmm():
         dense = (substream(7, "gradcase", "sp").random((4, 4)) < 0.5) * 1.0
         s = sp.csr_matrix(dense)
         x = param((4, 3), "sp_x")
-        return lambda: nm.mean_all(nm.spmm(s, x)), [x]
+        return lambda: mean_all(spmm(s, x)), [x]
     case("spmm", c_spmm)
 
     def c_add():
         a, b = param((3, 3), "add_a"), param((3, 3), "add_b")
-        return lambda: nm.mean_all(nm.add(a, b)), [a, b]
+        return lambda: mean_all(add(a, b)), [a, b]
     case("add", c_add)
 
     def c_sub():
         a, b = param((3, 3), "sub_a"), param((3, 3), "sub_b")
-        return lambda: nm.mean_all(sub(a, b)), [a, b]
+        return lambda: mean_all(sub(a, b)), [a, b]
     case("sub", c_sub)
 
     def c_mul():
         a, b = param((3, 3), "mul_a"), param((3, 3), "mul_b")
-        return lambda: nm.mean_all(mul(a, b)), [a, b]
+        return lambda: mean_all(mul(a, b)), [a, b]
     case("mul", c_mul)
 
     def c_scale():
         a = param((3, 3), "scale_a")
-        return lambda: nm.mean_all(nm.scale(a, -1.7)), [a]
+        return lambda: mean_all(scale(a, -1.7)), [a]
     case("scale", c_scale)
 
     def c_add_bias():
         a, b = param((4, 3), "ab_a"), param((1, 3), "ab_b")
-        return lambda: nm.mean_all(nm.add_bias(a, b)), [a, b]
+        return lambda: mean_all(add_bias(a, b)), [a, b]
     case("add_bias", c_add_bias)
 
     def c_add_const():
         a = param((3, 3), "ac_a")
-        return lambda: nm.mean_all(add_const(a, 0.9)), [a]
+        return lambda: mean_all(add_const(a, 0.9)), [a]
     case("add_const", c_add_const)
 
     def c_mul_const():
         a = param((3, 3), "mc_a")
         k = substream(7, "gradcase", "mc_k").uniform(-2, 2, size=(3, 3))
-        return lambda: nm.mean_all(mul_const(a, k)), [a]
+        return lambda: mean_all(mul_const(a, k)), [a]
     case("mul_const", c_mul_const)
 
     def c_relu():
         a = param((4, 4), "relu_a", away_from=0.0)
-        return lambda: nm.mean_all(nm.relu(a)), [a]
+        return lambda: mean_all(relu(a)), [a]
     case("relu", c_relu)
 
     def c_sigmoid():
         a = param((4, 4), "sig_a")
-        return lambda: nm.mean_all(sigmoid(a)), [a]
+        return lambda: mean_all(sigmoid(a)), [a]
     case("sigmoid", c_sigmoid)
 
     def c_exp():
         a = param((4, 4), "exp_a")
-        return lambda: nm.mean_all(exp(a)), [a]
+        return lambda: mean_all(exp(a)), [a]
     case("exp", c_exp)
 
     def c_log():
         a = param((4, 4), "log_a", lo=0.1, hi=2.0)
-        return lambda: nm.mean_all(log(a)), [a]
+        return lambda: mean_all(log(a)), [a]
     case("log", c_log)
 
     def c_softplus():
         a = param((4, 4), "sp_a")
-        return lambda: nm.mean_all(nm.softplus(a)), [a]
+        return lambda: mean_all(softplus(a)), [a]
     case("softplus", c_softplus)
 
     def c_transpose():
         a = param((3, 5), "tr_a")
         w = substream(7, "gradcase", "tr_w").uniform(-1, 1, size=(5, 3))
-        return lambda: nm.mean_all(mul_const(nm.transpose(a), w)), [a]
+        return lambda: mean_all(mul_const(transpose(a), w)), [a]
     case("transpose", c_transpose)
 
     def c_row_sum():
         a = param((4, 3), "rs_a")
-        return lambda: nm.mean_all(exp(row_sum(a))), [a]
+        return lambda: mean_all(exp(row_sum(a))), [a]
     case("row_sum", c_row_sum)
 
     def c_mean_rows():
         a = param((4, 3), "mr_a")
-        return lambda: nm.mean_all(exp(nm.mean_rows(a))), [a]
+        return lambda: mean_all(exp(nm.mean_rows(a))), [a]
     case("mean_rows", c_mean_rows)
 
     def c_mean_all():
         a = param((4, 3), "ma_a")
-        return lambda: exp(nm.mean_all(a)), [a]
+        return lambda: exp(mean_all(a)), [a]
     case("mean_all", c_mean_all)
 
     def c_row_l2_normalize():
         a = param((4, 3), "l2_a", lo=0.2, hi=1.5)
         w = substream(7, "gradcase", "l2_w").uniform(-1, 1, size=(4, 3))
-        return lambda: nm.mean_all(mul_const(row_l2_normalize(a), w)), [a]
+        return lambda: mean_all(mul_const(row_l2_normalize(a), w)), [a]
     case("row_l2_normalize", c_row_l2_normalize)
 
     def c_permute_rows():
         a = param((5, 3), "pr_a")
         perm = substream(7, "gradcase", "pr_p").permutation(5)
         w = substream(7, "gradcase", "pr_w").uniform(-1, 1, size=(5, 3))
-        return lambda: nm.mean_all(
+        return lambda: mean_all(
             mul_const(nm.permute_rows(a, perm), w)), [a]
     case("permute_rows", c_permute_rows)
 
@@ -953,7 +1127,52 @@ def numerics_grad_cases():
         h = param((3, 4), "bl_h")
         b = param((4, 4), "bl_b")
         s = param((1, 4), "bl_s")
-        return lambda: nm.mean_all(sigmoid(nm.bilinear(h, b, s))), [h, b, s]
+        return lambda: mean_all(sigmoid(bilinear(h, b, s))), [h, b, s]
     case("bilinear", c_bilinear)
+
+    def c_gcn_forward():
+        rng = substream(7, "gradcase", "gcn")
+        upper = np.triu(rng.random((5, 5)) < 0.5, k=1)
+        view = view_from_adjacency(upper | upper.T, rng.uniform(-2, 2, (5, 3)))
+        w = param((3, 4), "gcn_w")
+        k = rng.uniform(-1, 1, size=(5, 4))
+        return lambda: mean_all(mul_const(gcn_forward(view, w), k)), [w]
+    case("gcn_forward", c_gcn_forward)
+
+    def c_project():
+        h = param((4, 3), "proj_h")
+        params = {"proj.W1": param((3, 3), "proj_w1"),
+                  "proj.b1": param((1, 3), "proj_b1"),
+                  "proj.W2": param((3, 3), "proj_w2"),
+                  "proj.b2": param((1, 3), "proj_b2")}
+        k = substream(7, "gradcase", "proj_k").uniform(-1, 1, size=(4, 3))
+        return (lambda: mean_all(mul_const(project(h, params), k)),
+                [h, *params.values()])
+    case("project", c_project)
+
+    def c_node_graph_loss():
+        z_m, z_neg = param((4, 3), "ng_z"), param((4, 3), "ng_neg")
+        s, b = param((1, 3), "ng_s"), param((3, 3), "ng_b")
+        return (lambda: objective_module.node_graph_loss(
+            z_m, z_neg, s, {"disc.B": b}), [z_m, b, s, z_neg])
+    case("node_graph_loss", c_node_graph_loss)
+
+    def c_total_objective():
+        rng = substream(7, "gradcase", "total")
+        views = []
+        for name in ("ta", "tb"):
+            upper = np.triu(rng.random((4, 4)) < 0.6, k=1)
+            views.append(view_from_adjacency(
+                upper | upper.T, rng.uniform(-2, 2, (4, 2)), name))
+        corrupted = [(view, view) for view in views]
+        params = init_params(["ta", "tb"], 2, 3, seed=7)
+        for tensor in params.values():
+            # off the zero biases' normalization kink, as criterion 1 does
+            tensor.data += 0.05 * rng.standard_normal(tensor.shape)
+        perms = [rng.permutation(4) for _ in views]
+        return (lambda: objective_module.total_objective(
+            corrupted, params, anchor_only(4), 0.5, perms,
+            w_local=0.7, w_global=1.3), list(params.values()))
+    case("total_objective", c_total_objective)
 
     return cases

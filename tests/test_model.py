@@ -1,7 +1,8 @@
 """Per-view GCN encoder, shared projector, readout, discriminator, fusion.
 
-The discriminator is nm.bilinear over projected rows and a projected
-summary, as the objective calls it."""
+The discriminator is the bilinear chain of `tests/conftest.py` over
+projected rows and a projected summary: the oracle of the one the
+node-graph loss fuses."""
 
 import math
 
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import hgcml.numerics as nm
-from conftest import (assert_same_csr, csr_gcn_normalize, oracle_graphs,
-                      sigmoid, view_from_adjacency)
+from conftest import (assert_same_csr, bilinear, csr_gcn_normalize,
+                      layer_bits, oracle_graphs, sigmoid, tape_gcn_forward,
+                      tape_project, view_from_adjacency)
 from hgcml.config import FUSION_MODES
 from hgcml.io import FormatError
 from hgcml.model import (fuse, gcn_forward, gcn_normalize, init_params,
@@ -69,6 +70,26 @@ def test_gcn_forward_matches_dense_oracle():
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,d_in,d", [(7, 5, 4), (40, 12, 8)])
+def test_gcn_node_is_bit_equal_to_its_op_chain(n, d_in, d):
+    """Output and weight gradient, bit for bit; node 0 is isolated with
+    zero features, so its row sits exactly at the ReLU's kink."""
+    rng = substream(41, "gcnbits", n)
+    upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+    upper[0] = False
+    x = rng.standard_normal((n, d_in))
+    x[0] = 0.0
+    view = view_from_adjacency(upper | upper.T, x)
+    w0 = rng.standard_normal((d_in, d))
+    k = rng.standard_normal((n, d))
+
+    def bits(layer):
+        w = Tensor(w0.copy(), requires_grad=True)
+        return layer_bits(layer, (view, w), [w], k)
+
+    assert bits(gcn_forward) == bits(tape_gcn_forward)
+
+
 def test_gcn_input_dim_mismatch():
     w = Tensor(np.zeros((5, 4)), requires_grad=True)  # features have dim 3
     with pytest.raises(ShapeMismatch):
@@ -102,6 +123,27 @@ def test_projector_row_oracle():
     assert np.allclose(project(h, params).data, [[5.0, 1.0]], atol=1e-15)
 
 
+@pytest.mark.parametrize("rows", [1, 9])
+def test_projector_node_is_bit_equal_to_its_op_chain(rows):
+    """Output and the gradients of h, W1, b1, W2 and b2, bit for bit, on
+    rows (9) and on a summary (1)."""
+    d = 6
+    rng = substream(42, "projbits", rows)
+    shapes = {"proj.W1": (d, d), "proj.b1": (1, d), "proj.W2": (d, d),
+              "proj.b2": (1, d)}
+    arrays = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    h0 = rng.standard_normal((rows, d))
+    k = rng.standard_normal((rows, d))
+
+    def bits(layer):
+        params = {name: Tensor(a.copy(), requires_grad=True)
+                  for name, a in arrays.items()}
+        h = Tensor(h0.copy(), requires_grad=True)
+        return layer_bits(layer, (h, params), [h, *params.values()], k)
+
+    assert bits(project) == bits(tape_project)
+
+
 def test_readout_is_column_mean():
     h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     assert np.allclose(readout(h).data, [[3.0, 4.0]], atol=1e-15)
@@ -113,7 +155,7 @@ def test_discriminator_zero_bilinear_gives_half():
     rng = substream(24, "disc")
     h = Tensor(rng.standard_normal((5, 3)))
     s = Tensor(rng.standard_normal((1, 3)))
-    logits = nm.bilinear(project(h, params), params["disc.B"], project(s, params))
+    logits = bilinear(project(h, params), params["disc.B"], project(s, params))
     assert np.allclose(sigmoid(logits).data, 0.5, atol=1e-15)
 
 
@@ -121,7 +163,7 @@ def test_discriminator_logit_log3_gives_three_quarters():
     params = identity_projector_params(1)
     h = Tensor(np.array([[math.log(3.0)]]))
     s = Tensor(np.array([[1.0]]))
-    logits = nm.bilinear(project(h, params), params["disc.B"], project(s, params))
+    logits = bilinear(project(h, params), params["disc.B"], project(s, params))
     assert logits.item() == pytest.approx(math.log(3.0), abs=1e-15)
     assert sigmoid(logits).item() == pytest.approx(0.75, abs=1e-12)
 
@@ -134,8 +176,8 @@ def test_discriminator_transpose_symmetry():
     h = Tensor(rng.uniform(0.1, 1.0, (1, d)))
     s = Tensor(rng.uniform(0.1, 1.0, (1, d)))
     z_h, z_s = project(h, params), project(s, params)
-    forward = nm.bilinear(z_h, Tensor(b.copy()), z_s).item()
-    backward = nm.bilinear(z_s, Tensor(b.T.copy()), z_h).item()
+    forward = bilinear(z_h, Tensor(b.copy()), z_s).item()
+    backward = bilinear(z_s, Tensor(b.T.copy()), z_h).item()
     assert forward == pytest.approx(backward, abs=1e-12)
 
 

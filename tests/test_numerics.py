@@ -17,8 +17,9 @@ import hgcml
 import hgcml.numerics as nm
 from hgcml.rng import substream
 
-from conftest import (code_objects, exp, grad_check, log, mul, mul_const,
-                      numerics_grad_cases, row_sum, sigmoid)
+from conftest import (add, bilinear, code_objects, exp, grad_check, log,
+                      matmul, mean_all, mul, mul_const, numerics_grad_cases,
+                      relu, row_sum, sigmoid, spmm)
 
 GRAD_CASES = dict(numerics_grad_cases())
 
@@ -71,10 +72,10 @@ def test_spmm_matches_dense():
     rng = substream(3, "spmm")
     dense = (rng.random((6, 6)) < 0.4) * rng.uniform(0.5, 2.0, (6, 6))
     x = nm.Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-    out = nm.spmm(sp.csr_matrix(dense), x)
+    out = spmm(sp.csr_matrix(dense), x)
     assert np.allclose(out.data, dense @ x.data, atol=1e-12)
     w = rng.standard_normal((6, 4))
-    nm.mean_all(mul_const(out, w)).backward()
+    mean_all(mul_const(out, w)).backward()
     assert np.allclose(x.grad, dense.T @ (w / w.size), atol=1e-12)
 
 
@@ -97,7 +98,7 @@ def test_exp_overflow_raises():
 
 def test_relu_subgradient_at_zero_is_zero():
     x = nm.Tensor(np.array([[0.0, -1.0, 3.0]]), requires_grad=True)
-    row_sum(nm.relu(x)).backward()
+    row_sum(relu(x)).backward()
     assert x.grad.tolist() == [[0.0, 0.0, 1.0]]
 
 
@@ -109,27 +110,27 @@ def test_sigmoid_gradient_at_zero():
 
 def test_gradient_accumulates_through_shared_input():
     a = nm.Tensor(3.0, requires_grad=True)
-    nm.add(mul(a, a), a).backward()  # d/da (a^2 + a) = 2a + 1
+    add(mul(a, a), a).backward()  # d/da (a^2 + a) = 2a + 1
     assert a.grad[0, 0] == pytest.approx(7.0, abs=1e-12)
 
 
 def test_no_gradient_into_constants():
     a = nm.Tensor(np.ones((2, 2)), requires_grad=True)
     b = nm.Tensor(np.ones((2, 2)))
-    nm.mean_all(mul(a, b)).backward()
+    mean_all(mul(a, b)).backward()
     assert b.grad is None
     assert a.grad is not None
 
 
 def test_shape_mismatch_errors():
     with pytest.raises(nm.ShapeMismatch):
-        nm.add(nm.Tensor(np.zeros((2, 2))), nm.Tensor(np.zeros((3, 2))))
+        add(nm.Tensor(np.zeros((2, 2))), nm.Tensor(np.zeros((3, 2))))
     with pytest.raises(nm.ShapeMismatch):
-        nm.matmul(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((2, 3))))
+        matmul(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((2, 3))))
     with pytest.raises(nm.ShapeMismatch):
         nm.permute_rows(nm.Tensor(np.zeros((3, 2))), [0, 1])
     with pytest.raises(nm.ShapeMismatch):
-        nm.bilinear(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((3, 3))),
+        bilinear(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((3, 3))),
                     nm.Tensor(np.zeros((2, 3))))
 
 
@@ -186,7 +187,7 @@ def test_repeated_forward_backward_bit_identical():
         rng = substream(11, "repeat")
         a = nm.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         b = nm.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        loss = nm.mean_all(sigmoid(nm.matmul(nm.relu(a), b)))
+        loss = mean_all(sigmoid(matmul(relu(a), b)))
         loss.backward()
         return loss.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()
 
@@ -200,7 +201,7 @@ def test_permute_rows_roundtrip_gradient():
     out = nm.permute_rows(a, perm)
     assert np.array_equal(out.data, a.data[perm])
     w = rng.standard_normal((5, 2))
-    nm.mean_all(mul_const(out, w)).backward()
+    mean_all(mul_const(out, w)).backward()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(5)
     assert np.allclose(a.grad, (w / w.size)[inv], atol=1e-15)
@@ -210,9 +211,9 @@ def test_backward_keeps_leaf_gradients_and_drops_intermediate_ones():
     rng = substream(17, "release")
     a = nm.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     b = nm.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    mid = nm.matmul(a, b)
-    act = nm.relu(mid)
-    loss = nm.mean_all(act)
+    mid = matmul(a, b)
+    act = relu(mid)
+    loss = mean_all(act)
     loss.backward()
     assert mid.grad is None and act.grad is None and loss.grad is None
     g_mid = (mid.data > 0) / mid.data.size
@@ -236,10 +237,10 @@ def test_backward_lets_go_of_an_intermediate_once_its_gradient_is_passed_on():
             a._accumulate(g)
         return nm._make(a.data.copy(), (a,), grad_fn)
 
-    mid = nm.matmul(probe(x), w)
-    act = nm.relu(mid)
+    mid = matmul(probe(x), w)
+    act = relu(mid)
     refs = [weakref.ref(mid.data), weakref.ref(act.data)]
-    loss = nm.mean_all(act)
+    loss = mean_all(act)
     del mid, act
     loss.backward()
     assert alive == [[False, False]]
@@ -262,8 +263,8 @@ def test_backward_peak_stays_near_what_the_forward_holds():
         before = tracemalloc.get_traced_memory()[0]
         h = x
         for w in weights:
-            h = nm.relu(nm.matmul(h, w))
-        loss = nm.mean_all(h)
+            h = relu(matmul(h, w))
+        loss = mean_all(h)
         del h
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()

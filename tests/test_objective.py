@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import hgcml.model
-import hgcml.numerics as nm
 import hgcml.objective
-from conftest import (anchor_only, dense_mask, positive_sets,
-                      tape_node_node_loss, two_pass_node_node_loss,
-                      view_from_adjacency)
+from conftest import (anchor_only, dense_mask, layer_bits, positive_sets,
+                      scale, tape_node_graph_loss, tape_node_node_loss,
+                      tape_total_objective, tape_weighted_total,
+                      two_pass_node_node_loss, view_from_adjacency)
 from hgcml.augment import corrupt
 from hgcml.model import gcn_forward, init_params, readout
-from hgcml.numerics import LOG_EPS, NonFiniteResult, ShapeMismatch, Tensor
+from hgcml.numerics import (LOG_EPS, AdamState, NonFiniteResult, ShapeMismatch,
+                            Tensor)
 from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
                              node_node_loss, pair_terms, total_objective)
 from hgcml.positives import select_positives
@@ -205,7 +206,7 @@ def agreement_inputs(kind, n, tau):
 def loss_and_grads(loss_fn, a, b, positives, tau, same_tensor=False, w=1.0):
     z_m = Tensor(a.copy(), requires_grad=True)
     z_n = z_m if same_tensor else Tensor(b.copy(), requires_grad=True)
-    loss = nm.scale(loss_fn(z_m, z_n, positives, tau), w)
+    loss = scale(loss_fn(z_m, z_n, positives, tau), w)
     loss.backward()
     return loss.item(), z_m.grad, z_n.grad
 
@@ -335,6 +336,119 @@ def test_node_graph_loss_numpy_oracle():
     softplus = lambda x: np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
     expected = float(np.mean(softplus(-pos) + softplus(neg)))
     assert loss == pytest.approx(expected, abs=1e-12)
+
+
+def test_node_graph_node_is_bit_equal_to_its_op_chain():
+    """Loss and the gradients of z_m, disc.B, the summary and z_neg, bit
+    for bit."""
+    n, d = 11, 5
+    rng = substream(43, "ngbits")
+    arrays = [rng.standard_normal(shape)
+              for shape in ((n, d), (d, d), (1, d), (n, d))]
+
+    def bits(loss):
+        z_m, disc_b, s_m, z_neg = (Tensor(a.copy(), requires_grad=True)
+                                   for a in arrays)
+        return layer_bits(loss, (z_m, z_neg, s_m, {"disc.B": disc_b}),
+                          [z_m, disc_b, s_m, z_neg], 1.7)
+
+    assert bits(node_graph_loss) == bits(tape_node_graph_loss)
+
+
+def test_node_graph_loss_rejects_a_summary_of_another_shape():
+    z = rand_z(4, 3, "ngshape")
+    with pytest.raises(ShapeMismatch, match="bilinear"):
+        node_graph_loss(z, z, Tensor(np.zeros((2, 3))), identity_params(3))
+
+
+def test_total_node_is_bit_equal_to_its_add_scale_chain(monkeypatch):
+    """The weighted total over pair losses, and each pair loss's gradient,
+    bit for bit: the pair losses are leaves here, so they keep `.grad`."""
+    values = substream(44, "totalbits").standard_normal((4, 2))
+
+    def bits(total_of):
+        terms = [ContrastTerm(m=i // 2, n=i % 2, kind="", local_loss=Tensor(
+                     local, requires_grad=True), global_loss=Tensor(
+                     glob, requires_grad=True))
+                 for i, (local, glob) in enumerate(values)]
+        monkeypatch.setattr(hgcml.objective, "pair_terms", lambda *_: terms)
+        total = total_of(terms)
+        data = total.data.tobytes()
+        total.backward()
+        return data, [t.grad.tobytes() for term in terms
+                      for t in (term.local_loss, term.global_loss)]
+
+    fused = bits(lambda _: total_objective(None, None, None, 0.5, None,
+                                           w_local=0.3, w_global=1.7))
+    assert fused == bits(lambda terms: tape_weighted_total(terms, 0.3, 1.7))
+
+
+EPOCH_VARIANTS = {"default": {}, "share_encoder": {"share": True},
+                  "literal_eq2": {"literal": True},
+                  "loss_weights": {"weights": (0.5, 2.0)}}
+
+
+@pytest.mark.parametrize("variant", sorted(EPOCH_VARIANTS))
+@pytest.mark.parametrize("n_views", [1, 2, 3, 6])
+def test_epoch_gradients_are_bit_equal_to_the_op_tape(n_views, variant):
+    """Two epochs of total_objective, backward and an Adam step leave every
+    parameter's loss, gradient and value bit-equal to the per-op tape's,
+    so the layer nodes keep the tape's order of gradient sums."""
+    options = EPOCH_VARIANTS[variant]
+    n = 9
+    views = make_views(n, n_views, 4, seed=130 + n_views)
+    corrupted = corruption_pairs(views, seed=131)
+    positives = sampled_positives(n, f"epoch-{n_views}")
+    perms = [np.arange(n) if options.get("literal") else
+             substream(132, "p", i).permutation(n) for i in range(n_views)]
+    w_local, w_global = options.get("weights", (1.0, 1.0))
+
+    def bits(objective):
+        params = init_params([v.metapath.name for v in views], d_in=4, d=5,
+                             seed=8, share_encoder=options.get("share", False))
+        optimizer = AdamState({id(t): t for t in params.values()}.values(),
+                              lr=0.05)
+        out = []
+        for _ in range(2):
+            optimizer.zero_grad()
+            loss = objective(corrupted, params, positives, 0.5, perms,
+                             w_local, w_global)
+            out.append(loss.data.tobytes())
+            loss.backward()
+            out += [t.grad.tobytes() for t in params.values()]
+            optimizer.step()
+        return out + [t.data.tobytes() for t in params.values()]
+
+    assert bits(total_objective) == bits(tape_total_objective)
+
+
+def test_tape_holds_at_most_40_arrays_after_the_forward():
+    """At n=600, d=64 and two views, what the tape holds once
+    total_objective's forward returns is at most 40 n x d float64 arrays;
+    the per-op tape holds more than 50."""
+    n, d = 600, 64
+    rng = substream(140, "tapemem")
+    views = []
+    for v in range(2):
+        upper = np.triu(rng.random((n, n)) < 10 / n, k=1)
+        views.append(view_from_adjacency(upper | upper.T,
+                                         rng.standard_normal((n, d)), f"v{v}"))
+    corrupted = corruption_pairs(views, seed=141)
+    positives = sampled_positives(n, "tapemem")
+    params = init_params(["v0", "v1"], d_in=d, d=d, seed=9)
+    perms = [substream(142, "p", i).permutation(n) for i in range(2)]
+
+    def held(objective):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = objective(corrupted, params, positives, 0.5, perms)
+            return (tracemalloc.get_traced_memory()[0] - before) / (n * d * 8)
+        finally:
+            tracemalloc.stop()
+
+    fused, oracle = held(total_objective), held(tape_total_objective)
+    assert fused <= 40 < 50 < oracle, (fused, oracle)
 
 
 def test_pair_term_count_and_kinds():
