@@ -26,7 +26,7 @@ _cap_threads()  # must land before numpy loads its BLAS
 import numpy as np
 
 from . import synth
-from .config import (ConfigError, load_config, load_synth_config)
+from .config import ConfigError, SynthConfig, load_config, load_synth_config
 from .evaluate import (DegenerateSplit, LengthMismatch, evaluate_embeddings,
                        write_report)
 from .hin import (HinError, extract_metapath_view, graph_key, load_hin,
@@ -36,7 +36,6 @@ from .io import (FormatError, atomic_open, read_checkpoint, read_matrix,
 from .positives import (KTooLarge, load_positives, ppr_matrix, save_positives,
                         select_positives, semantic_similarity,
                         topology_similarity)
-from .synth import SynthConfig
 from .trainer import DivergedLoss, export_embeddings, train, write_trace
 
 # exit code per failure class; main reports each as one `error:` line. An
@@ -69,10 +68,10 @@ def _stage(args, cached: bool = True):
 
     With `cached`, the graph comes from the output directory's graph cache
     when its key matches, and so holds the views `prepare` extracted;
-    otherwise it is parsed. The key is
-    None when a data file cannot be read, and `load_hin` then reports that
-    file. The directory is made last, so a dataset that fails to load
-    leaves none.
+    otherwise it is parsed. Hashing the data files for the key reads each
+    one first, so a file that is missing or cannot be read ends the stage
+    with its OSError, which names it. The directory is made last, so a
+    dataset that fails to load leaves none.
     """
     if not args.config:
         raise ConfigError("--config is required for this command")
@@ -80,13 +79,10 @@ def _stage(args, cached: bool = True):
     if args.seed is not None:
         cfg.seed = args.seed
     files = [cfg.path(name) for name in ("nodes", "edges", "features", "labels")]
-    try:
-        key = graph_key(*files, cfg.schema, cfg.metapaths)
-    except OSError:
-        key = None
+    key = graph_key(*files, cfg.schema, cfg.metapaths)
     out = _out_path(args, cfg)
     hin = None
-    if cached and key is not None:
+    if cached:
         hin = read_graph(os.path.join(out, GRAPH_CACHE), key, cfg.schema,
                          cfg.metapaths)
     if hin is None:
@@ -110,10 +106,9 @@ def cmd_prepare(args) -> int:
         for view in views:
             fh.write(f"{view.metapath.name}\t{view.n_nodes}\t{view.n_edges}\n")
     print(f"wrote {summary_path}")
-    if key is not None:  # None only if a file became unreadable mid-stage
-        cache_path = os.path.join(out, GRAPH_CACHE)
-        write_graph(cache_path, hin, views, key)
-        print(f"wrote {cache_path}")
+    cache_path = os.path.join(out, GRAPH_CACHE)
+    write_graph(cache_path, hin, views, key)
+    print(f"wrote {cache_path}")
     return 0
 
 
@@ -136,11 +131,7 @@ def cmd_positives(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, hin, out, _ = _stage(args)
-    pos_path = os.path.join(out, "positives.tsv")
-    if not os.path.exists(pos_path):
-        raise HinError(f"positives file {pos_path} not found; "
-                       "run the positives command first")
-    positives = load_positives(pos_path, hin.n_target)
+    positives = load_positives(os.path.join(out, "positives.tsv"), hin.n_target)
     model_path = os.path.join(out, "model.bin")
     trace_path = os.path.join(out, "trace.tsv")
     try:
@@ -172,7 +163,10 @@ def cmd_eval(args) -> int:
     cfg, hin, out, _ = _stage(args)
     if hin.labels is None or (hin.labels < 0).any():
         raise HinError("every target node needs a label for eval")
-    embeddings = read_matrix(os.path.join(out, "embeddings.bin")).astype(np.float64)
+    emb_path = os.path.join(out, "embeddings.bin")
+    embeddings = read_matrix(emb_path).astype(np.float64)
+    if not np.isfinite(embeddings).all():
+        raise FormatError(f"{emb_path}: non-finite embedding values")
     report = evaluate_embeddings(
         embeddings, hin.labels, train_frac=cfg.eval.train_frac,
         probe_runs=cfg.eval.probe_runs, cluster_runs=cfg.eval.cluster_runs,

@@ -20,7 +20,6 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .hin import HinError, MetapathSpec, SchemaConfig, resolve_chain
-from .synth import SynthConfig
 
 MASK_MODES = ("columns", "entries")
 FUSION_MODES = ("sum", "concat")
@@ -78,9 +77,7 @@ def _load(cls, raw, where: str):
             raise ConfigError(f"missing key {key!r} in section {section!r}")
     try:
         return cls(**values)
-    except ConfigError:
-        raise
-    except (HinError, ValueError) as exc:  # the schema's and synth's own rules
+    except HinError as exc:  # the schema's own rules
         raise ConfigError(str(exc)) from exc
 
 
@@ -207,6 +204,27 @@ class EvalSettings(_Settings):
                  "probe_runs and cluster_runs must be >= 1"))
 
 
+@dataclass(frozen=True)
+class SynthConfig(_Settings):
+    blocks: int = 3
+    block_size: int = 30
+    metapaths: int = 2
+    p_intra: float = 0.3
+    p_inter: float = 0.02
+    feature_dim: int = 16
+    feature_shift: float = 4.0
+    feature_noise: float = 1.0
+    seed: int = 0
+
+    def _rules(self):
+        return ((min(self.blocks, self.block_size, self.metapaths) >= 1,
+                 "blocks, block_size, metapaths must be >= 1"),
+                (0.0 <= self.p_intra <= 1.0, "p_intra must be in [0,1]"),
+                (0.0 <= self.p_inter <= 1.0, "p_inter must be in [0,1]"),
+                (self.feature_dim >= self.blocks,
+                 "feature_dim must be >= blocks (one shift axis per block)"))
+
+
 # Characters that would put `view_<name>.tsv` outside the output directory,
 # that no file name can hold, or that would split a row of `views.tsv`.
 _NOT_IN_NAMES = {"/", "\0", "\t", "\r", "\n", os.sep, os.altsep} - {None}
@@ -289,17 +307,18 @@ def _non_finite(value, where: str):
 def _read_json(path):
     """The JSON document at `path`. Python's json reads the non-standard
     literals NaN, Infinity and -Infinity as numbers; here they are config
-    errors naming the file, the key and the literal."""
+    errors naming the file, the key and the literal. A document nested too
+    deep to parse or walk (RecursionError) is invalid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_NonFinite)
+        found = _non_finite(raw, "")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:  # a directory, no read permission, ...
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    found = _non_finite(raw, "")
     if found:
         raise ConfigError(f"{path}: {found[0]} is {found[1]}; "
                           "non-finite numbers are not allowed")

@@ -204,65 +204,59 @@ def _blocks(path):
 
     `text` joins the block's lines with "\n". Reads BLOCK_CHARS characters
     at a time in text mode, so lines split exactly as iterating the file
-    splits them.
+    splits them; a byte that is not UTF-8 reads as a lone surrogate.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError as exc:
         raise MalformedRecord(f"file not found: {path}") from exc
     with fh:
         lineno, parts = 1, []
-        try:
-            while chunk := fh.read(BLOCK_CHARS):
-                cut = chunk.rfind("\n")
-                if cut < 0:
-                    parts.append(chunk)
-                    continue
-                parts.append(chunk[:cut])
-                text = "".join(parts)
-                parts = [chunk[cut + 1:]]
-                yield lineno, text
-                lineno += text.count("\n") + 1
-        except UnicodeDecodeError:
-            text, fault = _undecodable(path, lineno)
+        while chunk := fh.read(BLOCK_CHARS):
+            cut = chunk.rfind("\n")
+            if cut < 0:
+                parts.append(chunk)
+                continue
+            parts.append(chunk[:cut])
+            text = "".join(parts)
+            parts = [chunk[cut + 1:]]
             yield lineno, text
-            raise fault from None
+            lineno += text.count("\n") + 1
         tail = "".join(parts)
         if tail:
             yield lineno, tail
-
-
-def _undecodable(path, lineno: int):
-    """The lines from `lineno` up to the first one that is not UTF-8, as
-    `_blocks` text, and that line's MalformedRecord. Newline bytes never
-    sit inside a multi-byte character, so a file is UTF-8 iff its lines are.
-    """
-    with open(path, "rb") as fh:
-        lines = re.split(rb"\r\n|\r|\n", fh.read())[lineno - 1:]
-    for k, line in enumerate(lines):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return b"\n".join(lines[:k]).decode("utf-8"), MalformedRecord(
-                f"{path}:{lineno + k}: not UTF-8 text ({exc.reason})")
 
 
 def _read_columns(path, n_fields: int):
     """Yield (line numbers, columns, fault) per block of `_blocks(path)`.
 
     Blank lines are skipped. `fault` is the MalformedRecord of the block's
-    first line with another field count, or None; the block's columns then
-    stop before that line and no block follows. The caller runs its own
-    checks on the columns first, since an earlier line's fault wins.
+    first line that is not UTF-8 (checked first) or has another field count,
+    or None; the block's columns then stop before that line and no block
+    follows. The caller runs its own checks on the columns first, since an
+    earlier line's fault wins.
     """
     for first, text in _blocks(path):
+        fault = None
+        try:
+            raw = text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a byte escaped at exc.start
+            start = text.rfind("\n", 0, exc.start) + 1
+            lineno = first + text.count("\n", 0, start)
+            try:  # the line decoded alone names its fault
+                text[start:].partition("\n")[0].encode(
+                    "utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as bad:
+                fault = MalformedRecord(
+                    f"{path}:{lineno}: not UTF-8 text ({bad.reason})")
+            text = text[:max(start - 1, 0)]
+            raw = text.encode("utf-8")
         # tabs and line lengths from the UTF-8 bytes, where no multi-byte
         # character holds a tab or newline byte
-        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        raw = np.frombuffer(raw, dtype=np.uint8)
         ends = np.append(np.flatnonzero(raw == 10), raw.size)
         tabs = np.diff(np.searchsorted(np.flatnonzero(raw == 9), ends), prepend=0)
         blank = np.diff(ends, prepend=-1) == 1
-        fault = None
         count = ends.size
         wrong = _first((tabs != n_fields - 1) & ~blank)
         if wrong is not None:
@@ -498,7 +492,7 @@ def read_graph(path, key: bytes, schema: SchemaConfig,
                metapaths: tuple[MetapathSpec, ...]) -> HIN | None:
     """The graph `write_graph` stored at `path`, with the views of `metapaths`
     and no relation; None if the file is missing or unreadable, its key is not
-    `key`, or its other tensors are not just valid views and label words."""
+    `key`, or the rest is not just finite features, valid views and labels."""
     try:
         tensors = io.read_checkpoint(path)
     except (OSError, io.FormatError):
@@ -507,6 +501,8 @@ def read_graph(path, key: bytes, schema: SchemaConfig,
         return None
     try:
         features = tensors.pop("features")
+        if not np.isfinite(features).all():  # as `load_hin` requires
+            return None
         labels = tensors.pop("labels", None)
         if labels is not None:
             words = _integers(labels)

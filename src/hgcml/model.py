@@ -65,6 +65,9 @@ def params_from_checkpoint(checkpoint, metapath_names) -> dict[str, Tensor]:
     missing = [name for name in names if name not in checkpoint]
     if missing:
         raise FormatError(f"checkpoint is missing tensors: {missing}")
+    for name in names:
+        if not np.isfinite(checkpoint[name]).all():
+            raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
     return {name: Tensor(checkpoint[name]) for name in names}
 
 

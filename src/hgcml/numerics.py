@@ -27,10 +27,6 @@ class ShapeMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-class NonFiniteResult(FloatingPointError):
-    """An op produced NaN/Inf outside its error contract."""
-
-
 def _as_matrix(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 0:

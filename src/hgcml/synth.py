@@ -12,35 +12,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from . import io
+from .config import SynthConfig
 from .rng import substream
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    blocks: int = 3
-    block_size: int = 30
-    metapaths: int = 2
-    p_intra: float = 0.3
-    p_inter: float = 0.02
-    feature_dim: int = 16
-    feature_shift: float = 4.0
-    feature_noise: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.blocks < 1 or self.block_size < 1 or self.metapaths < 1:
-            raise ValueError("blocks, block_size, metapaths must be >= 1")
-        for name, p in (("p_intra", self.p_intra), ("p_inter", self.p_inter)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0,1]")
-        if self.feature_dim < self.blocks:
-            raise ValueError("feature_dim must be >= blocks (one shift axis per block)")
 
 
 def plant_pairs(rng, block_of: np.ndarray, p_intra: float,

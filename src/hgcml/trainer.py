@@ -24,7 +24,7 @@ from .hin import HIN, extract_metapath_view
 from .io import FormatError, atomic_open
 from .model import (ENCODER, encoder, fuse, gcn_forward, init_params,
                     params_from_checkpoint)
-from .numerics import AdamState, NonFiniteResult, Tensor
+from .numerics import AdamState, Tensor
 from .objective import total_objective
 from .positives import PositiveSets
 from .rng import derive_key, substream
@@ -106,14 +106,11 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
                   if last else params)
         corrupted, tick = _epoch_corruptions(views, augment, seed, epoch)
         perms = _negative_perms(views, seed, tick, cfg.literal_eq2)
-        try:
-            loss_tensor = total_objective(
-                corrupted, scored, positives, cfg.tau, perms,
-                w_local=cfg.loss_weights.local, w_global=cfg.loss_weights.global_)
-            loss = loss_tensor.item()
-        except NonFiniteResult as exc:
-            raise DivergedLoss(epoch, best_checkpoint, trace) from exc
-        if not math.isfinite(loss):
+        loss_tensor = total_objective(
+            corrupted, scored, positives, cfg.tau, perms,
+            w_local=cfg.loss_weights.local, w_global=cfg.loss_weights.global_)
+        loss = loss_tensor.item()
+        if not math.isfinite(loss):  # the one divergence check
             raise DivergedLoss(epoch, best_checkpoint, trace)
         trace.append(loss)
         if best - loss >= MIN_IMPROVEMENT:

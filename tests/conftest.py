@@ -22,11 +22,15 @@ from hgcml.hin import (HIN, DuplicateNodeId, EndpointTypeMismatch,
                        _load_labels, load_hin)
 from hgcml.io import write_matrix
 from hgcml.model import gcn_forward, gcn_normalize, init_params, project
-from hgcml.numerics import LOG_EPS, NonFiniteResult
+from hgcml.numerics import LOG_EPS
 from hgcml.positives import DiffusionMatrix, PositiveSets, load_positives
 from hgcml.rng import substream
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class OracleOverflow(FloatingPointError):
+    """A reference op's exponential is not finite."""
 
 # Small bibliographic network: 4 authors, 5 papers, 3 subjects,
 # 2 conferences. a1 co-authors p1 with a2; a3 and a4 share p5.
@@ -709,7 +713,7 @@ def sigmoid(a):
 def exp(a):
     out = np.exp(a.data)
     if not np.all(np.isfinite(out)):
-        raise NonFiniteResult("exp overflow")
+        raise OracleOverflow("exp overflow")
 
     def grad_fn(g):
         if a.requires_grad:
@@ -831,7 +835,7 @@ def two_pass_node_node_loss(z_m, z_n, positives, tau):
         exps -= shift[rows]
         np.exp(exps, out=exps)
         if not np.all(np.isfinite(exps)):
-            raise NonFiniteResult("exp overflow")
+            raise OracleOverflow("exp overflow")
         pos, neg = mask[rows], ~mask[rows]
         exp_mn, exp_mm = exps[:, :n], exps[:, n:]
         pos_mass[rows, 0] = (exp_mn * pos).sum(axis=1)

@@ -667,6 +667,81 @@ def test_unreadable_data_file_exits_2_naming_it(pipeline, tmp_path, monkeypatch,
     assert name in err[0]
 
 
+def test_missing_nodes_file_exits_2_naming_it(pipeline, tmp_path, capsys):
+    """Hashing the data files for the graph key is the first read: a missing
+    nodes.tsv ends the stage there, and no output directory is made."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "nodes.tsv").unlink()
+    run_cfg = str(data / os.path.basename(pipeline["config"]))
+    out = tmp_path / "out"
+    for stage in ("prepare", "positives"):
+        assert main([stage, "--config", run_cfg, "--out", str(out)]) == 2, stage
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FileNotFoundError:")
+        assert str(data / "nodes.tsv") in err[0]
+    assert not out.exists()
+
+
+def test_missing_positives_file_exits_2_naming_it(pipeline, tmp_path, capsys):
+    """train without positives.tsv: load_positives reports the file."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    for name in ("positives.tsv", "model.bin", "trace.tsv"):
+        (out / name).unlink()
+    assert main(["train", "--config", pipeline["config"], "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: MalformedRecord: file not found: {out / 'positives.tsv'}"]
+    assert not (out / "model.bin").exists() and not (out / "trace.tsv").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_embeddings_exit_2_naming_the_file(pipeline, tmp_path,
+                                                      capsys, value):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    (out / "report.tsv").unlink()
+    embeddings = read_matrix(out / "embeddings.bin")
+    embeddings[3, 1] = value
+    write_matrix(out / "embeddings.bin", embeddings)
+    assert main(["eval", "--config", pipeline["config"], "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: FormatError: {out / 'embeddings.bin'}: "
+                   "non-finite embedding values"]
+    assert not (out / "report.tsv").exists()
+
+
+@pytest.mark.parametrize("tensor", ["enc.meta1.W", "proj.b2", "disc.B"])
+def test_non_finite_checkpoint_tensor_exits_2_naming_it(pipeline, tmp_path,
+                                                        capsys, tensor):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    (out / "embeddings.bin").unlink()
+    checkpoint = read_checkpoint(out / "model.bin")
+    checkpoint[tensor][0, -1] = np.nan
+    write_checkpoint(out / "model.bin", checkpoint)
+    assert main(["embed", "--config", pipeline["config"], "--out", str(out)]) == 2
+    assert (f"FormatError: checkpoint tensor '{tensor}' holds non-finite "
+            "values") in capsys.readouterr().err
+    assert not (out / "embeddings.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "synth"])
+def test_deeply_nested_config_exits_3(tmp_path, capsys, command):
+    """A document nested deeper than the parser, or than the walk for
+    non-finite literals, can go is invalid JSON, not a traceback."""
+    out = tmp_path / "o"
+    bad = tmp_path / "deep.json"
+    for depth in [*range(950, 1050, 5), 5000]:
+        bad.write_text('{"seed": ' + "[" * depth + "]" * depth + "}",
+                       encoding="utf-8")
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError:"), depth
+    assert "maximum recursion depth" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("share", [False, True])
 def test_parameters_are_named_and_ordered_as_model_bin(pipeline, monkeypatch,
                                                        share):
@@ -1198,6 +1273,13 @@ def change_a_metapath(data, run_cfg, out):
         relations=["via1", "via1"]))
 
 
+def nan_in_cached_features(data, run_cfg, out):
+    """The key still matches, but load_hin never yields such a graph."""
+    tensors = read_checkpoint(out / cli.GRAPH_CACHE)
+    tensors["features"][2, 0] = np.nan
+    write_checkpoint(out / cli.GRAPH_CACHE, tensors)
+
+
 def drop_a_cached_label(data, run_cfg, out):
     tensors = read_checkpoint(out / cli.GRAPH_CACHE)
     tensors["labels"] = tensors["labels"][:, :-1]
@@ -1208,7 +1290,7 @@ def drop_a_cached_label(data, run_cfg, out):
     flip_a_feature_bit, flip_first_label, add_a_spare_type, features_as_tsv,
     truncate_cache, truncate_cache_header, repeat_a_cached_view,
     garbage_cache, change_cache_key, add_a_stray_tensor, index_out_of_range,
-    drop_a_cached_label, change_a_metapath],
+    drop_a_cached_label, change_a_metapath, nan_in_cached_features],
     ids=lambda change: change.__name__)
 def test_stale_or_broken_cache_is_parsed_again(pipeline, tmp_path,
                                                monkeypatch, change):

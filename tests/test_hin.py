@@ -26,7 +26,7 @@ from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_NODES, TOY_SCHEMA,
                       adjacency_of, append_tensor, brute_force_view,
                       build_hin, metapath_neighbors, random_typed_case,
                       reference_load_hin, reference_load_positives,
-                      relation_matrix, write_toy_files)
+                      reference_rows, relation_matrix, write_toy_files)
 
 
 def edge_pairs(view):
@@ -647,7 +647,8 @@ def test_graph_key_raises_for_an_unreadable_file(toy_paths):
                                    "labels-nan", "labels-one-row",
                                    "labels-low-word-negative",
                                    "labels-low-word-past-32-bits",
-                                   "labels-high-word-past-32-bits"])
+                                   "labels-high-word-past-32-bits",
+                                   "features-nan", "features-inf"])
 def test_graph_cache_not_trusted(tmp_path, fault):
     """Every fault makes the cache unreadable: the stage parses instead."""
     toy_paths = write_toy_files(str(tmp_path), labels=[0, 1, 0, 1])
@@ -711,6 +712,10 @@ def test_graph_cache_not_trusted(tmp_path, fault):
             tensors["labels"][1, 2] = -1
         elif fault == "labels-low-word-past-32-bits":
             tensors["labels"][1, 2] = 2 ** 32
+        elif fault == "features-nan":  # load_hin rejects such features
+            tensors["features"][1, 0] = np.nan
+        elif fault == "features-inf":
+            tensors["features"][1, 0] = np.inf
         else:  # its label would wrap round past int64
             tensors["labels"][0, 2] = 2 ** 31
         write_checkpoint(cache, tensors)
@@ -734,6 +739,53 @@ def test_each_fault_reported_like_per_line_oracle(tmp_path, monkeypatch, kind):
                                  crlf=trial % 2 == 1,
                                  final_newline=trial % 4 != 3, blanks=trial % 3)
         assert isinstance(assert_same_outcome(paths, hin.schema), FAULTS[kind])
+
+
+def rows_then_fault(reader, path, n_fields):
+    """The rows `reader` yields before its fault, and that fault's text."""
+    rows = []
+    try:
+        rows.extend(reader(path, n_fields))
+    except MalformedRecord as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+# (lines before the bad one, the bad line, lines after it)
+NOT_UTF8_LINES = {
+    # past the first block of the default BLOCK_CHARS, 65536 characters
+    "later-block": (10000, "n\udcff\tt", 3),
+    "later-block-truncated-char": (10000, "n\tt\udce2\udc82", 3),
+    "later-block-bad-continuation": (10000, "n\udcc3x\tt", 3),
+    "end-of-file": (30, "n\tt\udcff", 0),
+    "end-of-file-only-line": (0, "\udcff", 0),
+    # the line's field count is wrong too: the UTF-8 fault is reported
+    "and-too-many-fields": (30, "n\tt\tx\udcff", 3),
+    "and-too-few-fields": (10000, "\udcc3n", 3),
+}
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("case", sorted(NOT_UTF8_LINES))
+def test_not_utf8_line_reported_like_per_line_oracle(tmp_path, monkeypatch,
+                                                     case, block, crlf):
+    before, bad, after = NOT_UTF8_LINES[case]
+    if block < hin_module.BLOCK_CHARS:
+        before = min(before, 100)  # keeps short reads quick
+    lines = [f"n{i}\tt" for i in range(before)] + [bad]
+    lines += [f"m{i}\tt" for i in range(after)]
+    path = tmp_path / "rows.tsv"
+    write_lines(path, lines, None, crlf=crlf, final_newline=after > 0)
+    monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
+    want = rows_then_fault(reference_rows, path, 2)
+    got = rows_then_fault(hin_module._read_rows, path, 2)
+    if case.startswith("later-block") and block == hin_module.BLOCK_CHARS:
+        assert sum(len(line) + 1 for line in lines[:before]) > block
+    assert want[1].startswith(f"{path}:{before + 1}: not UTF-8 text (")
+    assert got[1] == want[1]
+    assert [(k, list(fields)) for k, fields in got[0]] == [
+        (k, list(fields)) for k, fields in want[0]]
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)

@@ -2,11 +2,13 @@
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
 from hgcml import io, synth
+from hgcml.config import ConfigError, parse_synth_config
 from hgcml.rng import substream
 from hgcml.synth import SynthConfig
 
@@ -24,6 +26,28 @@ CONFIGS = {
     "sparse": SynthConfig(blocks=3, block_size=60, p_intra=0.05,
                           p_inter=0.005, seed=1),
 }
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"blocks": 2.5}, "blocks must be an integer, got 2.5"),
+    ({"feature_dim": 16.0}, "feature_dim must be an integer, got 16.0"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"p_intra": "0.3"}, "p_intra must be a number, got '0.3'"),
+    ({"feature_noise": None}, "feature_noise must be a number, got None"),
+    ({"block_size": 0}, "blocks, block_size, metapaths must be >= 1"),
+    ({"p_inter": 1.5}, "p_inter must be in [0,1]"),
+    ({"blocks": 4, "feature_dim": 3},
+     "feature_dim must be >= blocks (one shift axis per block)"),
+], ids=["blocks-float", "feature_dim-float", "seed-bool", "p_intra-string",
+        "feature_noise-null", "block_size-0", "p_inter-1.5",
+        "feature_dim-below-blocks"])
+def test_synth_config_follows_the_section_rules(overrides, message):
+    """Built in code, SynthConfig checks its types and ranges as every run
+    config section does; from a file the same rules name `synth.<key>`."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        SynthConfig(**overrides)
+    with pytest.raises(ConfigError, match=re.escape(message.split(", got")[0])):
+        parse_synth_config(overrides)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())

@@ -194,6 +194,29 @@ def test_non_finite_loss_in_the_last_epoch_raises(toy_hin, anchor_positives):
     assert info.value.epoch == 1 and len(info.value.trace) == 1
 
 
+def test_nan_row_in_the_node_node_loss_raises_diverged_loss(
+        toy_hin, anchor_positives, monkeypatch):
+    """A NaN row reaching the node-node kernel at epoch 2 makes that epoch's
+    loss NaN: DivergedLoss names epoch 2 and carries the trace of the two
+    epochs before it, as a clean run records them."""
+    import hgcml.objective as objective
+    cfg = quick_cfg(max_epochs=5, patience=5)
+    clean = train(toy_hin, METAPATHS, anchor_positives, *cfg)
+    kernel, calls = objective.node_node_loss, []
+
+    def poisoned(z_m, z_n, positives, tau):
+        calls.append(None)
+        if len(calls) > 2 * len(METAPATHS) ** 2:  # V^2 calls per epoch
+            z_n.data[1, 0] = np.nan
+        return kernel(z_m, z_n, positives, tau)
+
+    monkeypatch.setattr(objective, "node_node_loss", poisoned)
+    with pytest.raises(DivergedLoss) as info:
+        train(toy_hin, METAPATHS, anchor_positives, *cfg)
+    assert info.value.epoch == 2 and info.value.trace == clean.trace[:2]
+    assert all(np.isfinite(v).all() for v in info.value.checkpoint.values())
+
+
 def test_write_trace_full_precision_round_trip(tmp_path):
     trace = [1.0 / 3.0, 2.0 / 7.0, 1e-17]
     path = tmp_path / "trace.tsv"
