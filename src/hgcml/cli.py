@@ -55,23 +55,30 @@ def _out_path(args, cfg=None) -> str:
     return "."
 
 
-def _make_dir(out: str) -> str:
+def _out_dir(out: str, make: bool = True) -> str:
+    """`out`, made if `make`; ConfigError if it is or lies below a file."""
     try:
-        os.makedirs(out, exist_ok=True)
+        if make:
+            os.makedirs(out, exist_ok=True)
+        elif not os.path.isdir(out):
+            os.stat(out)  # NotADirectoryError below a file
+            raise NotADirectoryError(out)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"output directory {out} is not a directory") from exc
+    except FileNotFoundError:  # the stage's missing input names itself
+        pass
     return out
 
 
-def _stage(args, cached: bool = True):
+def _stage(args, cached: bool = True, make: bool = False):
     """(run config, graph, output directory, graph key) of a pipeline stage.
 
     With `cached`, the graph comes from the output directory's graph cache
     when its key matches, and so holds the views `prepare` extracted;
     otherwise it is parsed. Hashing the data files for the key reads each
     one first, so a file that is missing or cannot be read ends the stage
-    with its OSError, which names it. The directory is made last, so a
-    dataset that fails to load leaves none.
+    with its OSError, which names it. Only with `make` is the directory
+    made, and last, so neither a bad dataset nor a missing input leaves one.
     """
     if not args.config:
         raise ConfigError("--config is required for this command")
@@ -87,11 +94,11 @@ def _stage(args, cached: bool = True):
                          cfg.metapaths)
     if hin is None:
         hin = load_hin(*files, cfg.schema)
-    return cfg, hin, _make_dir(out), key
+    return cfg, hin, _out_dir(out, make), key
 
 
 def cmd_prepare(args) -> int:
-    cfg, hin, out, key = _stage(args, cached=False)
+    cfg, hin, out, key = _stage(args, cached=False, make=True)
     views = []
     for spec in cfg.metapaths:
         view = extract_metapath_view(hin, spec)
@@ -113,7 +120,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_positives(args) -> int:
-    cfg, hin, out, _ = _stage(args)
+    cfg, hin, out, _ = _stage(args, make=True)
     pos_cfg = cfg.positives
     # a generator: each view's series runs only once the previous view's
     # total has been added to the sum and let go
@@ -183,7 +190,7 @@ def cmd_synth(args) -> int:
     cfg = load_synth_config(args.config) if args.config else SynthConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = _make_dir(_out_path(args))
+    out = _out_dir(_out_path(args))
     paths = synth.generate(cfg, out)
     for path in paths.values():
         print(f"wrote {path}")

@@ -14,8 +14,8 @@ directory. A single top-level seed feeds every random substream.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -47,6 +47,9 @@ def _check_type(name: str, value, kind):
     accepted, described = _TYPES.get(kind, (kind, f"a {kind.__name__} section"))
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{name} must be {described}, got {value!r}")
+    # NaN fails every comparison; an int past the float range is infinite
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -149,8 +152,7 @@ class PositiveSettings(_Settings):
 
     def _rules(self):
         return ((0.0 < self.alpha <= 1.0, f"alpha must be in (0,1], got {self.alpha}"),
-                (math.isfinite(self.tol) and self.tol > 0,
-                 f"tol must be finite and > 0, got {self.tol}"),
+                (self.tol > 0, f"tol must be > 0, got {self.tol}"),
                 (self.max_iter >= 1, "max_iter must be >= 1"),
                 (min(self.k_t, self.k_s) >= 0, "k_t and k_s must be >= 0"))
 
@@ -161,8 +163,7 @@ class LossWeights(_Settings):
     global_: float = 1.0          # key "global"
 
     def _rules(self):
-        return tuple((math.isfinite(value) and value >= 0,
-                      f"loss_weights.{name} must be finite and >= 0, got {value}")
+        return tuple((value >= 0, f"loss_weights.{name} must be >= 0, got {value}")
                      for name, value in (("local", self.local),
                                          ("global", self.global_)))
 
@@ -180,10 +181,8 @@ class TrainSettings(_Settings):
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def _rules(self):
-        return ((math.isfinite(self.lr) and self.lr >= 0,
-                 f"lr must be finite and >= 0, got {self.lr}"),
-                (math.isfinite(self.tau) and self.tau > 0,
-                 f"tau must be finite and > 0, got {self.tau}"),
+        return ((self.lr >= 0, f"lr must be >= 0, got {self.lr}"),
+                (self.tau > 0, f"tau must be > 0, got {self.tau}"),
                 (self.dim >= 1, "dim must be >= 1"),
                 (self.patience >= 1, "patience must be >= 1"),
                 (self.max_epochs >= 1, "max_epochs must be >= 1"),
@@ -284,45 +283,21 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     return cfg
 
 
-class _NonFinite(str):
-    """A NaN, Infinity or -Infinity literal, held until its key is known."""
-
-
-def _non_finite(value, where: str):
-    """(key path, literal) of the first non-finite literal in a parsed
-    document, or None."""
-    if isinstance(value, _NonFinite):
-        return where or "<top>", str(value)
-    children = (value.items() if isinstance(value, dict)
-                else enumerate(value) if isinstance(value, list) else ())
-    for key, child in children:
-        path = (f"{where}[{key}]" if isinstance(key, int)
-                else f"{where}.{key}" if where else key)
-        found = _non_finite(child, path)
-        if found:
-            return found
-    return None
-
-
 def _read_json(path):
     """The JSON document at `path`. Python's json reads the non-standard
-    literals NaN, Infinity and -Infinity as numbers; here they are config
-    errors naming the file, the key and the literal. A document nested too
-    deep to parse or walk (RecursionError) is invalid JSON."""
+    literals NaN, Infinity and -Infinity as numbers, which a float field
+    then rejects as it does 1e400. A document nested too deep to parse
+    (RecursionError) or holding an integer too long to convert is invalid
+    JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_NonFinite)
-        found = _non_finite(raw, "")
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:  # a directory, no read permission, ...
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if found:
-        raise ConfigError(f"{path}: {found[0]} is {found[1]}; "
-                          "non-finite numbers are not allowed")
-    return raw
 
 
 def load_config(path) -> RunConfig:

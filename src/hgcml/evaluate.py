@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import atomic_open
-from .numerics import AdamState, Tensor
+from .numerics import AdamState
 from .rng import derive_key, substream
 
 
@@ -85,25 +85,20 @@ def _fit_softmax_regressions(x: np.ndarray, y: np.ndarray, classes: int,
     (runs, d, classes) and biases (runs, 1, classes).
 
     Each run gets the bits of a fit on its own: products and sums run per
-    run slice, and one AdamState steps all runs' parameters elementwise,
-    held as 2-D tensors that the loop reads through 3-D views.
+    run slice, and one AdamState steps all runs' stacked arrays
+    elementwise, in place.
     """
     runs, m, d = x.shape
-    weight = Tensor(np.zeros((runs * d, classes)), requires_grad=True)
-    bias = Tensor(np.zeros((runs, classes)), requires_grad=True)
-    # views: the optimizer updates the tensors' data in place
-    weights = weight.data.reshape(runs, d, classes)
-    biases = bias.data.reshape(runs, 1, classes)
-    optimizer = AdamState([weight, bias], lr=lr)
+    weights = np.zeros((runs, d, classes))
+    biases = np.zeros((runs, 1, classes))
+    optimizer = AdamState([weights, biases], lr=lr)
     onehot = np.zeros((runs, m, classes))
     onehot[np.arange(runs)[:, None], np.arange(m), y] = 1.0
     x_t = x.transpose(0, 2, 1)
     for _ in range(epochs):
         probs = _softmax(x @ weights + biases)
         residual = (probs - onehot) / m
-        weight.grad = (x_t @ residual).reshape(runs * d, classes)
-        bias.grad = residual.sum(axis=1)
-        optimizer.step()
+        optimizer.step([x_t @ residual, residual.sum(axis=1, keepdims=True)])
     return weights, biases
 
 

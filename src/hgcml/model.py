@@ -93,7 +93,7 @@ def gcn_forward(view: MetapathView, weight: Tensor) -> Tensor:
     x = np.ascontiguousarray(view.features, dtype=np.float64)
     a_hat = gcn_normalize(view)
     pre = a_hat @ (x @ weight.data)
-    out = np.where(pre > 0, pre, 0.0)
+    out = np.where(pre <= 0, 0.0, pre)  # NaN stays NaN
 
     def grad_fn(g):
         weight._accumulate(x.T @ (a_hat.T @ (g * (out > 0))))
@@ -107,7 +107,7 @@ def project(h: Tensor, params) -> Tensor:
     w1, b1, w2, b2 = (params[name] for name in (PROJ_W1, PROJ_B1, PROJ_W2, PROJ_B2))
     hidden = h.data @ w1.data
     hidden += b1.data
-    hidden = np.where(hidden > 0, hidden, 0.0)
+    hidden = np.where(hidden <= 0, 0.0, hidden)  # NaN stays NaN
     out = hidden @ w2.data
     out += b2.data
 

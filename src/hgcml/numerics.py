@@ -162,33 +162,30 @@ def xavier_init(shape, rng: np.random.Generator) -> Tensor:
 
 
 class AdamState:
-    """Bias-corrected Adam over a fixed list of parameters."""
+    """Bias-corrected Adam that updates a fixed list of arrays in place."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
+    def __init__(self, arrays, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        self.arrays = list(arrays)
         self.lr = float(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(a) for a in self.arrays]
+        self.v = [np.zeros_like(a) for a in self.arrays]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:
+    def step(self, grads) -> None:
+        """One update from `grads`, one per array; a None gradient leaves
+        its array and moments as they are."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
             if g is None:
                 continue
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            a -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -90,8 +90,8 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
     params = init_params([spec.name for spec in metapaths], d_in, cfg.dim,
                          seed, cfg.share_encoder)
     # a shared encoder is one tensor under several names: Adam steps it once
-    optimizer = AdamState({id(t): t for t in params.values()}.values(),
-                          lr=cfg.lr)
+    unique = list({id(t): t for t in params.values()}.values())
+    optimizer = AdamState([t.data for t in unique], lr=cfg.lr)
 
     trace: list[float] = []
     best = math.inf
@@ -123,9 +123,10 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
             best_checkpoint = {name: t.data.copy() for name, t in params.items()}
         if stale >= cfg.patience or last:
             break
-        optimizer.zero_grad()
         loss_tensor.backward()
-        optimizer.step()
+        optimizer.step([t.grad for t in unique])
+        for t in unique:
+            t.grad = None
 
     embeddings = export_embeddings(best_checkpoint, views, cfg.fusion)
     return TrainResult(checkpoint=best_checkpoint, embeddings=embeddings,

@@ -961,20 +961,18 @@ def load_pipebench(name):
 def per_run_softmax_regression(x, y, classes, epochs=300, lr=1e-2):
     """One probe fitted on its own: the oracle of
     `evaluate._fit_softmax_regressions`, per run."""
-    weight = nm.Tensor(np.zeros((x.shape[1], classes)), requires_grad=True)
-    bias = nm.Tensor(np.zeros((1, classes)), requires_grad=True)
+    weight = np.zeros((x.shape[1], classes))
+    bias = np.zeros((1, classes))
     optimizer = nm.AdamState([weight, bias], lr=lr)
     onehot = np.zeros((y.size, classes))
     onehot[np.arange(y.size), y] = 1.0
     for _ in range(epochs):
-        logits = x @ weight.data + bias.data
+        logits = x @ weight + bias
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = exp / exp.sum(axis=1, keepdims=True)
         residual = (probs - onehot) / y.size
-        weight.grad = x.T @ residual
-        bias.grad = residual.sum(axis=0, keepdims=True)
-        optimizer.step()
-    return weight.data, bias.data
+        optimizer.step([x.T @ residual, residual.sum(axis=0, keepdims=True)])
+    return weight, bias
 
 
 def per_run_linear_probe(embeddings, labels, train_frac, seeds):

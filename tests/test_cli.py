@@ -695,6 +695,20 @@ def test_missing_positives_file_exits_2_naming_it(pipeline, tmp_path, capsys):
     assert not (out / "model.bin").exists() and not (out / "trace.tsv").exists()
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("train", "positives.tsv"), ("embed", "model.bin"),
+    ("eval", "embeddings.bin")])
+def test_missing_input_artifact_leaves_no_output_directory(
+        pipeline, tmp_path, capsys, command, artifact):
+    """The stages that read their input from the output directory make
+    none: a fresh --out exits 2, names the input and is not made."""
+    out = tmp_path / "fresh"
+    assert main([command, "--config", pipeline["config"], "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(out / artifact) in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_embeddings_exit_2_naming_the_file(pipeline, tmp_path,
                                                       capsys, value):
@@ -760,7 +774,7 @@ def test_parameters_are_named_and_ordered_as_model_bin(pipeline, monkeypatch,
     class CountingAdam(trainer.AdamState):
         def __init__(self, params, lr):
             super().__init__(params, lr)
-            stepped.append(len(self.params))
+            stepped.append(len(self.arrays))
 
     monkeypatch.setattr(trainer, "AdamState", CountingAdam)
     result = trainer.train(
@@ -819,9 +833,17 @@ def test_bad_loss_weight_exits_3(pipeline, tmp_path, capsys, key, value):
     ("positives", "positives", "tol", "Infinity"),
     ("train", "augment", "p_e", "NaN"),
     ("synth", None, "p_intra", "-Infinity"),
+    *((command, section, key, literal)
+      for command, section, key in (("synth", None, "feature_noise"),
+                                    ("synth", None, "feature_shift"),
+                                    ("train", "train", "tau"))
+      for literal in ("1e400", "-1e400")),
 ])
 def test_non_finite_json_literal_exits_3(pipeline, tmp_path, capsys,
                                          command, section, key, literal):
+    """A literal that reads as a non-finite float, NaN and Infinity or one
+    past the float range, is rejected by the field's type: exit 3, the key
+    and the value named, and no output directory."""
     if section is None:  # a synth config
         text = f'{{"blocks": 2, "{key}": {literal}}}'
     else:
@@ -833,8 +855,28 @@ def test_non_finite_json_literal_exits_3(pipeline, tmp_path, capsys,
     out = tmp_path / "o"
     assert main([command, "--config", str(bad), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    where = f"{section}.{key}" if section else key
-    assert f"ConfigError: {bad}: {where} is {literal}" in err
+    where = f"{section or 'synth'}.{key}"
+    assert err == (f"error: ConfigError: {where} must be finite, "
+                   f"got {float(literal)!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_integer_literal_past_the_float_range_exits_3(pipeline, tmp_path,
+                                                      capsys, digits):
+    """An integer for a float field that no float can hold is not finite;
+    one too long for Python to convert is invalid JSON."""
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw["train"] = dict(raw["train"], tau="@")
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(raw).replace('"@"', "1" + "0" * digits),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigError:")
+    assert ("train.tau must be finite" if digits == 400
+            else f"{bad}: invalid JSON") in err[0]
     assert not out.exists()
 
 
@@ -992,11 +1034,12 @@ def test_invalid_utf8_in_config_exits_3(pipeline, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("where", ["flag", "flag-below-file", "config-key",
-                                   "synth"])
+                                   "synth", "positives", "train", "embed",
+                                   "eval", "train-below-file"])
 def test_out_at_a_file_exits_3(pipeline, tmp_path, capsys, where):
     blocker = tmp_path / "taken"
     blocker.write_text("keep me\n", encoding="utf-8")
-    out = str(blocker / "run") if where == "flag-below-file" else str(blocker)
+    out = str(blocker / "run") if where.endswith("below-file") else str(blocker)
     argv = ["prepare", "--config", pipeline["config"], "--out", out]
     if where == "config-key":
         raw = json.load(open(pipeline["config"], encoding="utf-8"))
@@ -1007,6 +1050,8 @@ def test_out_at_a_file_exits_3(pipeline, tmp_path, capsys, where):
             json.dump(raw, fh)
     elif where == "synth":
         argv = ["synth", "--out", out]
+    elif where.split("-")[0] in cli._COMMANDS:  # they make no directory
+        argv[0] = where.split("-")[0]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert f"ConfigError: output directory {out} is not a directory" in err

@@ -416,17 +416,18 @@ def test_epoch_gradients_are_bit_equal_to_the_op_tape(n_views, variant):
     def bits(objective):
         params = init_params([v.metapath.name for v in views], d_in=4, d=5,
                              seed=8, share_encoder=options.get("share", False))
-        optimizer = AdamState({id(t): t for t in params.values()}.values(),
-                              lr=0.05)
+        unique = list({id(t): t for t in params.values()}.values())
+        optimizer = AdamState([t.data for t in unique], lr=0.05)
         out = []
         for _ in range(2):
-            optimizer.zero_grad()
             loss = objective(corrupted, params, positives, 0.5, perms,
                              w_local, w_global)
             out.append(loss.data.tobytes())
             loss.backward()
             out += [t.grad.tobytes() for t in params.values()]
-            optimizer.step()
+            optimizer.step([t.grad for t in unique])
+            for t in unique:
+                t.grad = None
         return out + [t.data.tobytes() for t in params.values()]
 
     assert bits(total_objective) == bits(tape_total_objective)
@@ -520,6 +521,19 @@ def test_total_objective_equals_sum_of_terms():
     by_hand_w = sum(0.3 * t.local_loss.item() + 1.7 * t.global_loss.item()
                     for t in terms)
     assert weighted.item() == pytest.approx(by_hand_w, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["enc.v0.W", "proj.W1"])
+def test_a_nan_weight_gives_a_nan_total_objective(name):
+    """ReLU carries a NaN pre-activation through, so a NaN weight in an
+    encoder or in the projector reaches the loss that training checks."""
+    views = make_views(6, 2, 3, seed=50)
+    params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=2)
+    params[name].data[0, 0] = np.nan
+    perms = [substream(51, "p", i).permutation(6) for i in range(len(views))]
+    loss = total_objective(corruption_pairs(views, seed=60), params,
+                           anchor_only(6), tau=0.5, neg_perms=perms)
+    assert np.isnan(loss.item())
 
 
 @pytest.mark.parametrize("n_views", [1, 2, 3])

@@ -34,12 +34,15 @@ CONFIGS = {
     ({"seed": True}, "seed must be an integer, got True"),
     ({"p_intra": "0.3"}, "p_intra must be a number, got '0.3'"),
     ({"feature_noise": None}, "feature_noise must be a number, got None"),
+    ({"feature_shift": float("inf")}, "feature_shift must be finite, got inf"),
+    ({"feature_noise": float("nan")}, "feature_noise must be finite, got nan"),
     ({"block_size": 0}, "blocks, block_size, metapaths must be >= 1"),
     ({"p_inter": 1.5}, "p_inter must be in [0,1]"),
     ({"blocks": 4, "feature_dim": 3},
      "feature_dim must be >= blocks (one shift axis per block)"),
 ], ids=["blocks-float", "feature_dim-float", "seed-bool", "p_intra-string",
-        "feature_noise-null", "block_size-0", "p_inter-1.5",
+        "feature_noise-null", "feature_shift-inf", "feature_noise-nan",
+        "block_size-0", "p_inter-1.5",
         "feature_dim-below-blocks"])
 def test_synth_config_follows_the_section_rules(overrides, message):
     """Built in code, SynthConfig checks its types and ranges as every run

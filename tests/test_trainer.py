@@ -173,9 +173,9 @@ def test_single_epoch_runs_no_backward_and_no_step(toy_hin, anchor_positives,
     for owner, name in ((nm.Tensor, "backward"), (nm.AdamState, "step")):
         original = getattr(owner, name)
 
-        def counted(self, _original=original, _name=name):
+        def counted(self, *args, _original=original, _name=name):
             calls.append(_name)
-            return _original(self)
+            return _original(self, *args)
         monkeypatch.setattr(owner, name, counted)
     result = train(toy_hin, METAPATHS, anchor_positives,
                    *quick_cfg(max_epochs=1, patience=1))
@@ -215,6 +215,25 @@ def test_nan_row_in_the_node_node_loss_raises_diverged_loss(
         train(toy_hin, METAPATHS, anchor_positives, *cfg)
     assert info.value.epoch == 2 and info.value.trace == clean.trace[:2]
     assert all(np.isfinite(v).all() for v in info.value.checkpoint.values())
+
+
+@pytest.mark.parametrize("name", [f"enc.{APA.name}.W", "proj.W1"])
+def test_a_nan_initial_weight_raises_diverged_loss_at_epoch_0(
+        toy_hin, anchor_positives, monkeypatch, name):
+    """A NaN planted in one initial weight reaches the first loss through
+    ReLU, so training stops at epoch 0 with an empty trace."""
+    import hgcml.trainer as trainer
+    init_params = trainer.init_params
+
+    def planted(*args):
+        params = init_params(*args)
+        params[name].data[0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(trainer, "init_params", planted)
+    with pytest.raises(DivergedLoss) as info:
+        train(toy_hin, METAPATHS, anchor_positives, *quick_cfg())
+    assert info.value.epoch == 0 and info.value.trace == []
 
 
 def test_write_trace_full_precision_round_trip(tmp_path):
