@@ -190,8 +190,7 @@ def cmd_synth(args) -> int:
     cfg = load_synth_config(args.config) if args.config else SynthConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = _out_dir(_out_path(args))
-    paths = synth.generate(cfg, out)
+    paths = synth.generate(cfg, _out_dir(_out_path(args), make=False))
     for path in paths.values():
         print(f"wrote {path}")
     return 0

@@ -11,7 +11,7 @@ sequential kernels, so repeated runs are bit-identical.
 
 The nodes are layer-sized: the GCN and the projector in `model`, the
 losses and their weighted total in `objective`. This module keeps the
-tape itself, the two row ops those layers share, and Adam.
+tape itself, the one shared row op, `mean_rows`, and Adam.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     return out
 
 
-# ------------------------------------------------------ row ops
+# ------------------------------------------------------- row op
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -136,20 +136,6 @@ def mean_rows(a: Tensor) -> Tensor:
             a._accumulate(np.broadcast_to(g / n, a.shape))
 
     return _make(a.data.mean(axis=0, keepdims=True), (a,), grad_fn)
-
-
-def permute_rows(a: Tensor, perm) -> Tensor:
-    perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (a.shape[0],):
-        raise ShapeMismatch("permutation length must match row count")
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-
-    def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g[inv])
-
-    return _make(a.data[perm].copy(), (a,), grad_fn)
 
 
 # ------------------------------------------------------- init, optimizer

@@ -11,7 +11,7 @@ with no n x n array of any dtype alive at any time.
 
 Node-graph: a bilinear discriminator scores projected rows against the
 projected mean summary, positive branch vs a negative branch, in one tape
-node over both branches.
+node over both branches that keeps only their logits.
 
 The total objective, one tape node over the pair losses, sums both
 losses with their weights over all ordered view pairs (m,n):
@@ -38,9 +38,10 @@ from .positives import PositiveSets
 CHUNK = 128
 
 
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(x: np.ndarray, out: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), LOG_EPS)
-    return x / norms, norms
+    return np.divide(x, norms, out=out), norms
 
 
 def _logits(anchors: np.ndarray, keys: np.ndarray, inv_tau: float,
@@ -81,10 +82,11 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     needs_grad = z_m.requires_grad or z_n.requires_grad
     inv_tau = 1.0 / tau
     g0 = 1.0 / n
-    unit_m, norms_m = _unit_rows(z_m.data)
-    unit_n, norms_n = _unit_rows(z_n.data)
-    # key rows: columns [0,n) of a logit block are S_mn, [n,2n) are S_mm
-    keys = np.concatenate([unit_n, unit_m])
+    # key rows: columns [0,n) of a logit block are S_mn, [n,2n) are S_mm;
+    # the unit rows are normalized straight into their halves
+    keys = np.empty((2 * n, z_m.shape[1]))
+    unit_n, norms_n = _unit_rows(z_n.data, out=keys[:n])
+    unit_m, norms_m = _unit_rows(z_m.data, out=keys[n:])
     grad_unit_m = np.empty_like(unit_m) if needs_grad else None
     grad_keys = np.zeros_like(keys) if needs_grad else None
 
@@ -128,12 +130,15 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
 
     grads = []
     if needs_grad:
-        grad_unit_m += grad_keys[n:]
-        for z, unit, norms, grad_unit in ((z_m, unit_m, norms_m, grad_unit_m),
-                                          (z_n, unit_n, norms_n, grad_keys[:n])):
+        # each half of grad_keys becomes its input's gradient, in place
+        grad_keys[n:] += grad_unit_m
+        for z, unit, norms, grad in ((z_m, unit_m, norms_m, grad_keys[n:]),
+                                     (z_n, unit_n, norms_n, grad_keys[:n])):
             if z.requires_grad:
-                inner = (grad_unit * unit).sum(axis=1, keepdims=True)
-                grads.append((z, (grad_unit - inner * unit) / norms))
+                inner = (grad * unit).sum(axis=1, keepdims=True)
+                grad -= inner * unit
+                grad /= norms
+                grads.append((z, grad))
 
     def grad_fn(g):
         for z, grad in grads:
@@ -151,37 +156,52 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor, params) -> Tensor:
+def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor, params,
+                    rows=None) -> Tensor:
     """Mean two-term BCE of projected rows against the projected summary.
 
     -log D(z_u, s) - log(1 - D(z'_u, s)) with D = sigmoid(z B s^T),
     written as softplus of the bilinear logits, which is exact and stable.
-    One tape node; it keeps each branch's z B for the summary's gradient.
+    The negative branch z' is z_neg, or z_neg's rows shuffled by the
+    permutation `rows` (z'_u = z_neg[rows[u]]), gathered in forward and
+    again in backward, whose gradient goes back through the inverse.
+    One tape node that keeps only its two logit vectors: backward forms
+    each branch's z B again from the same inputs, so it gets the same bits.
     """
     if z_neg.shape != z_m.shape:
         raise ShapeMismatch(f"branch shapes differ: {z_m.shape} vs {z_neg.shape}")
     disc_b = params[DISC_B]
     if s_m.shape[0] != 1 or disc_b.shape != (z_m.shape[1], s_m.shape[1]):
         raise ShapeMismatch(f"bilinear {z_m.shape}, {disc_b.shape}, {s_m.shape}")
-    zb_pos = z_m.data @ disc_b.data
-    zb_neg = z_neg.data @ disc_b.data
-    x_pos = -(zb_pos @ s_m.data.T)  # the positive branch scores -logit
-    x_neg = zb_neg @ s_m.data.T
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape != (z_neg.shape[0],):
+            raise ShapeMismatch("permutation length must match row count")
+
+    def negatives():
+        return z_neg.data if rows is None else z_neg.data[rows]
+
+    # the positive branch scores -logit
+    x_pos = -(z_m.data @ disc_b.data @ s_m.data.T)
+    x_neg = negatives() @ disc_b.data @ s_m.data.T
     per_node = _softplus(x_pos) + _softplus(x_neg)
 
     def grad_fn(g):
         g = np.full(x_pos.shape, g[0, 0] / x_pos.size)
         # the negative branch first, then the positive one, as the
         # bilinear chain accumulates them
-        for z, zb, g_logit in ((z_neg, zb_neg, g * _stable_sigmoid(x_neg)),
-                               (z_m, zb_pos, -(g * _stable_sigmoid(x_pos)))):
+        for z, z_rows, order, g_logit in (
+                (z_neg, negatives(), None if rows is None else np.argsort(rows),
+                 g * _stable_sigmoid(x_neg)),
+                (z_m, z_m.data, None, -(g * _stable_sigmoid(x_pos)))):
             g_zb = g_logit @ s_m.data
             if s_m.requires_grad:
-                s_m._accumulate((zb.T @ g_logit).T)
+                s_m._accumulate(((z_rows @ disc_b.data).T @ g_logit).T)
             if z.requires_grad:
-                z._accumulate(g_zb @ disc_b.data.T)
+                g_z = g_zb @ disc_b.data.T
+                z._accumulate(g_z if order is None else g_z[order])
             if disc_b.requires_grad:
-                disc_b._accumulate(z.data.T @ g_zb)
+                disc_b._accumulate(z_rows.T @ g_zb)
 
     # parents in the order the bilinear chain reached them: backward then
     # walks the other nodes in the per-op tape's order
@@ -207,9 +227,10 @@ def pair_terms(corrupted, params, positives: PositiveSets,
     `corrupted` is one (first, second) corruption pair per metapath view,
     each encoded by its metapath's encoder. Each corruption and each view's
     summary, the mean of its first corruption's encoder rows, is projected
-    once. The intra negative branch row-shuffles the second corruption's
-    projection with neg_perms[m]; the inter (m,n) negative branch is the
-    projection of view n's first corruption.
+    once. The intra negative branch is the second corruption's projection
+    with its rows shuffled by neg_perms[m]; the inter (m,n) negative branch
+    is the projection of view n's first corruption. Both are the pair's
+    node-node keys.
     """
     corrupted = list(corrupted)
     z: dict[tuple[int, int], Tensor] = {}
@@ -225,15 +246,14 @@ def pair_terms(corrupted, params, positives: PositiveSets,
     for m in range(len(corrupted)):
         for n in range(len(corrupted)):
             if m == n:
-                kind, other = "intra", z[m, 2]
-                neg = nm.permute_rows(z[m, 2], neg_perms[m])
+                kind, other, rows = "intra", z[m, 2], neg_perms[m]
             else:
-                kind, other, neg = "inter", z[n, 1], z[n, 1]
+                kind, other, rows = "inter", z[n, 1], None
             terms.append(ContrastTerm(
                 m=m, n=n, kind=kind,
                 local_loss=node_node_loss(z[m, 1], other, positives, tau),
-                global_loss=node_graph_loss(z[m, 1], neg, summaries[m],
-                                            params)))
+                global_loss=node_graph_loss(z[m, 1], other, summaries[m],
+                                            params, rows)))
     return terms
 
 

@@ -17,7 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from . import io
-from .config import SynthConfig
+from .config import ConfigError, SynthConfig
 from .rng import substream
 
 
@@ -39,10 +39,23 @@ def plant_pairs(rng, block_of: np.ndarray, p_intra: float,
 
 
 def generate(cfg: SynthConfig, out_dir) -> dict[str, str]:
-    """Write nodes/edges/features/labels plus a runnable config.json."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write nodes/edges/features/labels plus a runnable config.json.
+
+    ConfigError, before `out_dir` is made, if a feature value does not fit
+    the float32 that `features.bin` stores.
+    """
     n = cfg.blocks * cfg.block_size
     block_of = np.repeat(np.arange(cfg.blocks), cfg.block_size)
+    feat_rng = substream(cfg.seed, "synth", "features")
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = cfg.feature_noise * feat_rng.standard_normal(
+            (n, cfg.feature_dim))
+        features[np.arange(n), block_of] += cfg.feature_shift
+        features = features.astype(np.float32)
+    if not np.isfinite(features).all():
+        raise ConfigError("synth.feature_shift and synth.feature_noise give "
+                          "features outside the float32 range")
+    os.makedirs(out_dir, exist_ok=True)
 
     node_lines = [f"e{i}\tentity" for i in range(n)]
     edge_lines: list[str] = []
@@ -54,11 +67,6 @@ def generate(cfg: SynthConfig, out_dir) -> dict[str, str]:
             node_lines.append(f"{name}\tbridge{m}")
             edge_lines.append(f"e{i}\t{name}\tvia{m}")
             edge_lines.append(f"e{j}\t{name}\tvia{m}")
-
-    feat_rng = substream(cfg.seed, "synth", "features")
-    features = cfg.feature_noise * feat_rng.standard_normal((n, cfg.feature_dim))
-    for i in range(n):
-        features[i, block_of[i]] += cfg.feature_shift
 
     paths = {
         "nodes": os.path.join(out_dir, "nodes.tsv"),

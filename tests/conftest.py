@@ -534,8 +534,8 @@ def dense_mask(positives):
 
 
 # -- per-op tape: the ops the library's layer nodes fuse, and the ops only
-# -- the reference tapes need. With `mean_rows` and `permute_rows` they
-# -- compose the oracle tapes below and the per-op gradient cases ----------
+# -- the reference tapes need. With `mean_rows` they compose the oracle
+# -- tapes below and the per-op gradient cases ------------------------------
 
 def matmul(a, b):
     if a.shape[1] != b.shape[0]:
@@ -755,6 +755,20 @@ def row_l2_normalize(a):
     return nm._make(out, (a,), grad_fn)
 
 
+def permute_rows(a, perm):
+    perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != (a.shape[0],):
+        raise nm.ShapeMismatch("permutation length must match row count")
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+
+    def grad_fn(g):
+        if a.requires_grad:
+            a._accumulate(g[inv])
+
+    return nm._make(a.data[perm].copy(), (a,), grad_fn)
+
+
 def grad_check(f, params, eps=1e-5):
     """Max relative error |g_ad - g_fd| / max(1, |g_fd|) over all entries.
 
@@ -886,10 +900,13 @@ def tape_project(h, params):
     return add_bias(matmul(hidden, params["proj.W2"]), params["proj.b2"])
 
 
-def tape_node_graph_loss(z_m, z_neg, s_m, params):
+def tape_node_graph_loss(z_m, z_neg, s_m, params, rows=None):
     """Both softplus branches of the node-graph loss composed from per-op
-    tape nodes: `objective.node_graph_loss`'s oracle."""
+    tape nodes, with z_neg's rows shuffled by a `permute_rows` node when
+    `rows` is given: `objective.node_graph_loss`'s oracle."""
     disc_b = params["disc.B"]
+    if rows is not None:
+        z_neg = permute_rows(z_neg, rows)
     per_node = add(softplus(scale(bilinear(z_m, disc_b, s_m), -1.0)),
                    softplus(bilinear(z_neg, disc_b, s_m)))
     return mean_all(per_node)
@@ -1122,7 +1139,7 @@ def numerics_grad_cases():
         perm = substream(7, "gradcase", "pr_p").permutation(5)
         w = substream(7, "gradcase", "pr_w").uniform(-1, 1, size=(5, 3))
         return lambda: mean_all(
-            mul_const(nm.permute_rows(a, perm), w)), [a]
+            mul_const(permute_rows(a, perm), w)), [a]
     case("permute_rows", c_permute_rows)
 
     def c_bilinear():

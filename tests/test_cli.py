@@ -600,6 +600,25 @@ def test_wrongly_typed_synth_config_exits_3(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [1e308, 1e38])
+def test_synth_features_past_float32_exit_3(tmp_path, capsys, value):
+    """Features that `features.bin`'s float32 cannot hold are a config
+    fault found before any file is written: 1e38 overflows only in the
+    float32 cast, 1e308 already in float64. No overflow warning either."""
+    synth_cfg = tmp_path / "synth.json"
+    synth_cfg.write_text(json.dumps({"feature_shift": value,
+                                     "feature_noise": value}), encoding="utf-8")
+    out = tmp_path / "synthetic"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["synth", "--config", str(synth_cfg), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: ConfigError: synth.feature_shift and synth.feature_noise "
+        "give features outside the float32 range\n")
+    assert not out.exists()
+
+
 def test_broken_metapath_chain_exits_3_before_any_file_is_written(
         pipeline, tmp_path, capsys):
     """A metapath whose relations do not chain is a config fault: prepare,

@@ -19,7 +19,8 @@ from hgcml.rng import substream
 
 from conftest import (OracleOverflow, add, bilinear, code_objects, exp,
                       grad_check, log, matmul, mean_all, mul, mul_const,
-                      numerics_grad_cases, relu, row_sum, sigmoid, spmm)
+                      numerics_grad_cases, permute_rows, relu, row_sum,
+                      sigmoid, spmm)
 
 GRAD_CASES = dict(numerics_grad_cases())
 
@@ -128,7 +129,7 @@ def test_shape_mismatch_errors():
     with pytest.raises(nm.ShapeMismatch):
         matmul(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((2, 3))))
     with pytest.raises(nm.ShapeMismatch):
-        nm.permute_rows(nm.Tensor(np.zeros((3, 2))), [0, 1])
+        permute_rows(nm.Tensor(np.zeros((3, 2))), [0, 1])
     with pytest.raises(nm.ShapeMismatch):
         bilinear(nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((3, 3))),
                     nm.Tensor(np.zeros((2, 3))))
@@ -194,7 +195,7 @@ def test_permute_rows_roundtrip_gradient():
     rng = substream(13, "perm")
     a = nm.Tensor(rng.standard_normal((5, 2)), requires_grad=True)
     perm = rng.permutation(5)
-    out = nm.permute_rows(a, perm)
+    out = permute_rows(a, perm)
     assert np.array_equal(out.data, a.data[perm])
     w = rng.standard_normal((5, 2))
     mean_all(mul_const(out, w)).backward()

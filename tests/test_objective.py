@@ -365,6 +365,33 @@ def test_node_graph_node_is_bit_equal_to_its_op_chain():
     assert bits(node_graph_loss) == bits(tape_node_graph_loss)
 
 
+@pytest.mark.parametrize("order", ["none", "identity", "random"])
+def test_node_graph_rows_are_bit_equal_to_a_permute_node(order):
+    """The negative branch shuffled by `rows` inside the node gives the
+    bits of a `permute_rows` node feeding the op chain: the loss and the
+    gradients of z_m, disc.B, the summary and the unshuffled z_neg."""
+    n, d = 13, 4
+    rng = substream(45, "ngrows")
+    arrays = [rng.standard_normal(shape)
+              for shape in ((n, d), (d, d), (1, d), (n, d))]
+    rows = {"none": None, "identity": np.arange(n),
+            "random": rng.permutation(n)}[order]
+
+    def bits(loss):
+        z_m, disc_b, s_m, z_neg = (Tensor(a.copy(), requires_grad=True)
+                                   for a in arrays)
+        return layer_bits(loss, (z_m, z_neg, s_m, {"disc.B": disc_b}, rows),
+                          [z_m, disc_b, s_m, z_neg], 0.6)
+
+    assert bits(node_graph_loss) == bits(tape_node_graph_loss)
+
+
+def test_node_graph_rows_of_another_length_are_rejected():
+    z = rand_z(4, 3, "ngrowshape")
+    with pytest.raises(ShapeMismatch, match="permutation length"):
+        node_graph_loss(z, z, readout(z), identity_params(3), [0, 2, 1])
+
+
 def test_node_graph_loss_rejects_a_summary_of_another_shape():
     z = rand_z(4, 3, "ngshape")
     with pytest.raises(ShapeMismatch, match="bilinear"):
@@ -433,10 +460,10 @@ def test_epoch_gradients_are_bit_equal_to_the_op_tape(n_views, variant):
     assert bits(total_objective) == bits(tape_total_objective)
 
 
-def test_tape_holds_at_most_40_arrays_after_the_forward():
-    """At n=600, d=64 and two views, what the tape holds once
-    total_objective's forward returns is at most 40 n x d float64 arrays;
-    the per-op tape holds more than 50."""
+def tape_memory(objective):
+    """(held, peak) of one forward of `objective` at n=600, d=64 and two
+    views, in n x d float64 arrays: what the tape holds once the forward
+    returns, and the most the forward held at once (`tracemalloc`)."""
     n, d = 600, 64
     rng = substream(140, "tapemem")
     views = []
@@ -448,18 +475,51 @@ def test_tape_holds_at_most_40_arrays_after_the_forward():
     positives = sampled_positives(n, "tapemem")
     params = init_params(["v0", "v1"], d_in=d, d=d, seed=9)
     perms = [substream(142, "p", i).permutation(n) for i in range(2)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = objective(corrupted, params, positives, 0.5, perms)
+        held, peak = tracemalloc.get_traced_memory()
+        return (held - before) / (n * d * 8), (peak - before) / (n * d * 8)
+    finally:
+        tracemalloc.stop()
 
-    def held(objective):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            loss = objective(corrupted, params, positives, 0.5, perms)
-            return (tracemalloc.get_traced_memory()[0] - before) / (n * d * 8)
-        finally:
-            tracemalloc.stop()
 
-    fused, oracle = held(total_objective), held(tape_total_objective)
-    assert fused <= 40 < 50 < oracle, (fused, oracle)
+def test_tape_holds_at_most_22_arrays_after_the_forward():
+    """A node-graph pair keeps its logits and no z B, and no shuffled copy
+    of a negative branch is made, so the tape holds at most 22 n x d arrays
+    (21 measured; 31 with both kept); the per-op tape holds more than 50."""
+    fused, oracle = tape_memory(total_objective)[0], tape_memory(
+        tape_total_objective)[0]
+    assert fused <= 22 < 50 < oracle, (fused, oracle)
+
+
+def test_forward_peaks_at_most_32_arrays():
+    """total_objective's forward never holds more than 32 n x d arrays at
+    once (30.1 measured; 41.4 with each pair's z B, the shuffled copies
+    and the node-node kernel's separate unit rows)."""
+    peak = tape_memory(total_objective)[1]
+    assert peak <= 32, peak
+
+
+def test_node_node_call_with_gradients_peaks_at_most_12_arrays():
+    """One node-node call that forms both input gradients peaks at 12 n x d
+    arrays at n=600, d=64: the keys, their gradient, one n x d scratch,
+    the logits block and one block product (11.2 measured; 14.4 with the
+    unit rows beside the keys and out-of-place gradient temporaries)."""
+    n, d = 600, 64
+    z_m, z_n = rand_z(n, d, "nnpeak1"), rand_z(n, d, "nnpeak2")
+    positives = sampled_positives(n, "nnpeak")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = node_node_loss(z_m, z_n, positives, 0.5)
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z_m.grad is not None and z_n.grad is not None
+    assert (peak - before) / (n * d * 8) <= 12, peak
 
 
 def test_pair_term_count_and_kinds():
