@@ -3,11 +3,16 @@
 Node-node: per anchor u the positive mass is the cross-view similarity
 to its positive set P_u; negatives are the same-view and cross-view
 similarities to everything outside P_u (u itself sits in P_u, so the
-anchor's self-similarity never appears as a negative). It is one tape
-node whose one pass over blocks of CHUNK anchor rows forms the loss and
-both input gradients; backward only scales them. Positives are gathered
-from the CSR arrays `PositiveSets` holds. Memory is O(CHUNK*n) floats,
-with no n x n array of any dtype alive at any time.
+anchor's self-similarity never appears as a negative). Each logit is
+shifted by the constant 1/tau, which no logit of unit rows exceeds, so
+exp never overflows. The same-view negative mass depends only on the
+anchor view, so it is one tape node per view, formed over the upper
+triangle of the symmetric u u^T. Each ordered pair is one more node,
+whose one pass over blocks of CHUNK anchor rows of the n cross-view
+columns forms the loss and both input gradients; backward only scales
+them. Positives are gathered from the CSR arrays `PositiveSets` holds.
+Memory is O(CHUNK*n) floats, with no n x n array of any dtype alive at
+any time.
 
 Node-graph: a bilinear discriminator scores projected rows against the
 projected mean summary, positive branch vs a negative branch, in one tape
@@ -38,10 +43,9 @@ from .positives import PositiveSets
 CHUNK = 128
 
 
-def _unit_rows(x: np.ndarray, out: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), LOG_EPS)
-    return np.divide(x, norms, out=out), norms
+    return x / norms, norms
 
 
 def _logits(anchors: np.ndarray, keys: np.ndarray, inv_tau: float,
@@ -51,25 +55,132 @@ def _logits(anchors: np.ndarray, keys: np.ndarray, inv_tau: float,
     return out
 
 
+def _shifted_exps(anchors: np.ndarray, keys: np.ndarray, inv_tau: float,
+                  out: np.ndarray) -> np.ndarray:
+    """exp(S - 1/tau) for S = anchors keys^T / tau, in `out`. Unit rows
+    bound every logit by 1/tau, so the constant shift keeps exp <= 1."""
+    exps = _logits(anchors, keys, inv_tau, out=out)
+    exps -= inv_tau
+    return np.exp(exps, out=exps)
+
+
+def _to_rows(grad_unit: np.ndarray, unit: np.ndarray,
+             norms: np.ndarray) -> np.ndarray:
+    """A unit-row gradient taken back through the row normalization,
+    in place."""
+    inner = (grad_unit * unit).sum(axis=1, keepdims=True)
+    grad_unit -= inner * unit
+    grad_unit /= norms
+    return grad_unit
+
+
+def _strip_offsets(rows: np.ndarray, cols: np.ndarray, n: int,
+                   chunk: int) -> list[np.ndarray]:
+    """Per strip of `chunk` rows, the flat offsets in that strip's block of
+    the entries (rows[k], cols[k]), rows ascending, whose column is at or
+    right of the strip's first row; the block's columns start there too."""
+    first = rows - rows % chunk
+    keep = cols >= first
+    rows, first = rows[keep], first[keep]
+    offsets = (rows - first) * (n - first) + (cols[keep] - first)
+    return np.split(offsets, np.searchsorted(rows, np.arange(chunk, n, chunk)))
+
+
+def anchor_negatives(z: Tensor, positives: PositiveSets, tau: float) -> Tensor:
+    """Each anchor's same-view negative mass, an (n,1) tape node.
+
+    With unit rows u of z, N_i = sum_{j not in P_i} exp(u_i.u_j/tau - 1/tau).
+    That term of the InfoNCE denominator is the same for every pair with z
+    as the anchor view, so it is formed once per view. E = exp(u u^T/tau -
+    1/tau) is symmetric, and only its upper triangle is formed: strip I is
+    row block I against the columns from I's first row on. The strip's
+    row sums, with the entries of P zeroed, go to rows I; its column sums
+    right of the diagonal tile, with the entries of P^T zeroed, go to the
+    later rows. No sum is formed by subtraction.
+    Backward forms each strip again and scales it by W_ij = E_ij
+    (g_i [j not in P_i] + g_j [i not in P_j]) / tau, W symmetric, then
+    adds W u_J to rows I and the off-diagonal W^T u_I to the later rows.
+    P^T comes from `positives.indptr` and `indices`. The tape keeps N and
+    each strip's offsets of P and P^T, no n x d array.
+    """
+    n = z.shape[0]
+    if positives.n != n:
+        raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
+    chunk, inv_tau = CHUNK, 1.0 / tau
+    anchors = np.repeat(np.arange(n), np.diff(positives.indptr))
+    # the entries (i, j) of P^T, i in P_j, sorted by row, then column
+    transposed = np.divmod(np.sort(positives.indices * n + anchors), n)
+    strips = list(zip(range(0, n, chunk),
+                      _strip_offsets(anchors, positives.indices, n, chunk),
+                      _strip_offsets(*transposed, n, chunk)))
+    # the first strip is the largest: one buffer serves every strip, so no
+    # two strips are ever alive
+    size = min(chunk, n) * n
+
+    def strip(unit, lo, buffer):
+        hi, width = min(lo + chunk, n), n - lo
+        exps = buffer[:(hi - lo) * width].reshape(hi - lo, width)
+        return hi, _shifted_exps(unit[lo:hi], unit[lo:], inv_tau, out=exps)
+
+    unit, _ = _unit_rows(z.data)
+    mass = np.zeros((n, 1))
+    buffer = np.empty(size)
+    for lo, at_p, at_t in strips:
+        hi, exps = strip(unit, lo, buffer)
+        flat = exps.reshape(-1)
+        kept = flat[at_p]
+        flat[at_p] = 0.0
+        mass[lo:hi, 0] += exps.sum(axis=1)
+        flat[at_p] = kept
+        # the diagonal tile's column sums are not taken, so its entries
+        # of P^T may be zeroed with the rest
+        flat[at_t] = 0.0
+        mass[hi:, 0] += exps[:, hi - lo:].sum(axis=0)
+
+    def grad_fn(g):
+        unit, norms = _unit_rows(z.data)
+        gamma = g[:, 0] * inv_tau
+        grad = np.zeros_like(unit)
+        buffer, weights = np.empty((2, size))
+        for lo, at_p, at_t in strips:
+            hi, exps = strip(unit, lo, buffer)
+            w = weights[:exps.size].reshape(exps.shape)
+            np.add(gamma[lo:hi, None], gamma[None, lo:], out=w)
+            # g_i leaves the entries of P, g_j those of P^T, and both
+            # leave the entries of both
+            flat = w.reshape(-1)
+            flat[at_p] = gamma[lo + at_p % (n - lo)]
+            flat[at_t] = gamma[lo + at_t // (n - lo)]
+            flat[np.intersect1d(at_p, at_t, assume_unique=True)] = 0.0
+            exps *= w
+            grad[lo:hi] += exps @ unit[lo:]
+            grad[hi:] += exps[:, hi - lo:].T @ unit[lo:hi]
+        z._accumulate(_to_rows(grad, unit, norms))
+
+    return nm._make(mass, (z,), grad_fn)
+
+
 def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
-                   tau: float) -> Tensor:
+                   tau: float, negatives: Tensor | None = None) -> Tensor:
     """Mean InfoNCE-style loss over anchors, on projected rows.
 
     Rows are L2-normalized (norms clamped at LOG_EPS), so with unit rows
     u of z_m and w of z_n the logits are S_mn = u w^T / tau and
-    S_mm = u u^T / tau. Per anchor i, after a detached row shift,
-    P_i = sum_{j in P_i} exp S_mn[i,j] and D_i = P_i plus the exp mass of
-    both logit rows outside P_i; the loss is mean_i log D_i - log P_i with
-    both logs clamped at LOG_EPS.
+    S_mm = u u^T / tau, none above 1/tau. Per anchor i, shifted by the
+    constant 1/tau, P_i = sum_{j in P_i} exp(S_mn[i,j] - 1/tau) and
+    D_i = P_i plus the exp mass of both logit rows outside P_i; the loss
+    is mean_i log D_i - log P_i with both logs clamped at LOG_EPS.
 
-    Anchors stream through in blocks of CHUNK rows, one logits matmul and
-    one exp per block. P_i is gathered from the CSR rows `positives.mask()`
-    returns, and D_i is P_i plus the row sum left once the positives of
-    both halves are zeroed: never a full row sum minus the positives,
-    which would cancel against the anchor's dominant self term.
-    As the output is a scalar, the same pass turns each block into dL/dS
-    for g = 1 and adds its share to both input gradients; backward only
-    scales them by g.
+    The S_mm half of D_i is `negatives`, the anchor view's
+    `anchor_negatives` node, which every pair with z_m as its anchor view
+    shares; a call without it builds its own. This node streams only the
+    n cross-view key columns, in blocks of CHUNK anchors, one logits
+    matmul and one exp per block. P_i is gathered from the CSR rows
+    `positives.mask()` returns, and the cross-view negative mass is the
+    row sum left once the positives are zeroed, never a row sum minus the
+    positives. As the output is a scalar, the same pass turns each block
+    into dL/dS for g = 1 and adds its share to both input gradients;
+    backward only scales them, and hands g dL/dD to `negatives`.
     Peak memory is O(CHUNK*n) floats, with no n x n array of any dtype.
     A NaN or inf in a row makes the loss NaN, which the trainer reports.
     """
@@ -78,73 +189,69 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
         raise ShapeMismatch(f"projected views differ: {z_m.shape} vs {z_n.shape}")
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
+    if negatives is None:
+        negatives = anchor_negatives(z_m, positives, tau)
+    elif negatives.shape != (n, 1):
+        raise ShapeMismatch(f"negative masses {negatives.shape}, views have {n} rows")
     indptr, indices = positives.mask()
-    needs_grad = z_m.requires_grad or z_n.requires_grad
+    needs_grad = (z_m.requires_grad or z_n.requires_grad
+                  or negatives.requires_grad)
     inv_tau = 1.0 / tau
     g0 = 1.0 / n
-    # key rows: columns [0,n) of a logit block are S_mn, [n,2n) are S_mm;
-    # the unit rows are normalized straight into their halves
-    keys = np.empty((2 * n, z_m.shape[1]))
-    unit_n, norms_n = _unit_rows(z_n.data, out=keys[:n])
-    unit_m, norms_m = _unit_rows(z_m.data, out=keys[n:])
-    grad_unit_m = np.empty_like(unit_m) if needs_grad else None
-    grad_keys = np.zeros_like(keys) if needs_grad else None
+    unit_n, norms_n = _unit_rows(z_n.data)
+    unit_m, norms_m = _unit_rows(z_m.data)
+    grad_m = np.empty_like(unit_m) if needs_grad else None
+    grad_n = np.zeros_like(unit_n) if needs_grad else None
+    grad_neg = np.empty((n, 1)) if needs_grad else None
 
     pos_mass = np.empty((n, 1))
     denominator = np.empty((n, 1))
     # one logits buffer for every block, so no two blocks are ever alive
-    block = np.empty((min(CHUNK, n), 2 * n))
+    block = np.empty((min(CHUNK, n), n))
     for lo in range(0, n, CHUNK):
         rows = slice(lo, min(lo + CHUNK, n))
-        exps = _logits(unit_m[rows], keys, inv_tau, out=block[:rows.stop - lo])
-        # log-sum-exp shift, detached: the true gradient is unchanged by it
-        exps -= exps.max(axis=1, keepdims=True)
-        np.exp(exps, out=exps)
-        # flat offsets of the block's positives in its S_mn half
+        exps = _shifted_exps(unit_m[rows], unit_n, inv_tau,
+                             out=block[:rows.stop - lo])
+        # flat offsets of the block's positives
         local = np.repeat(np.arange(rows.stop - lo),
                           np.diff(indptr[lo:rows.stop + 1]))
-        at_mn = local * (2 * n) + indices[indptr[lo]:indptr[rows.stop]]
+        at_pos = local * n + indices[indptr[lo]:indptr[rows.stop]]
         flat = exps.reshape(-1)
-        pos_exps = flat[at_mn]
+        pos_exps = flat[at_pos]
         pos = np.bincount(local, weights=pos_exps,
                           minlength=rows.stop - lo)[:, None]
-        # what is left once both halves' positives are zeroed is the
-        # negative mass; P_i + that is exactly P_i when nothing is left
-        flat[at_mn] = 0.0
-        flat[at_mn + n] = 0.0
-        den = pos + exps.sum(axis=1, keepdims=True)
+        # what is left once the positives are zeroed is the cross-view
+        # negative mass; P_i + that + N_i is exactly P_i when both are 0
+        flat[at_pos] = 0.0
+        den = pos + exps.sum(axis=1, keepdims=True) + negatives.data[rows]
         pos_mass[rows], denominator[rows] = pos, den
         if not needs_grad:
             continue
         # d/dD and d/dP of the mean; zero where a LOG_EPS clamp is active
         g_den = np.where(den > LOG_EPS, g0 / np.maximum(den, LOG_EPS), 0.0)
         g_pos = g_den - np.where(pos > LOG_EPS, g0 / np.maximum(pos, LOG_EPS), 0.0)
+        grad_neg[rows] = g_den
         # dL/dS = exp * dL/dexp / tau, in place over the block
-        exps *= g_den
-        flat[at_mn] = pos_exps * g_pos[local, 0]
-        exps *= inv_tau
-        grad_unit_m[rows] = exps @ keys
-        grad_keys += exps.T @ unit_m[rows]
+        exps *= g_den * inv_tau
+        flat[at_pos] = pos_exps * (g_pos[local, 0] * inv_tau)
+        grad_m[rows] = exps @ unit_n
+        grad_n += exps.T @ unit_m[rows]
     per_anchor = (np.log(np.maximum(denominator, LOG_EPS))
                   - np.log(np.maximum(pos_mass, LOG_EPS)))
 
-    grads = []
-    if needs_grad:
-        # each half of grad_keys becomes its input's gradient, in place
-        grad_keys[n:] += grad_unit_m
-        for z, unit, norms, grad in ((z_m, unit_m, norms_m, grad_keys[n:]),
-                                     (z_n, unit_n, norms_n, grad_keys[:n])):
-            if z.requires_grad:
-                inner = (grad * unit).sum(axis=1, keepdims=True)
-                grad -= inner * unit
-                grad /= norms
-                grads.append((z, grad))
+    grads = [(z, _to_rows(grad, unit, norms))
+             for z, unit, norms, grad in ((z_m, unit_m, norms_m, grad_m),
+                                          (z_n, unit_n, norms_n, grad_n))
+             if z.requires_grad]
+    if negatives.requires_grad:
+        grads.append((negatives, grad_neg))
 
     def grad_fn(g):
         for z, grad in grads:
             z._accumulate(g[0, 0] * grad)
 
-    return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
+    return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n, negatives),
+                    grad_fn)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -230,7 +337,9 @@ def pair_terms(corrupted, params, positives: PositiveSets,
     once. The intra negative branch is the second corruption's projection
     with its rows shuffled by neg_perms[m]; the inter (m,n) negative branch
     is the projection of view n's first corruption. Both are the pair's
-    node-node keys.
+    node-node keys. Each anchor view's same-view negative mass is one
+    `anchor_negatives` node, made before the view's V pairs, which all
+    read it.
     """
     corrupted = list(corrupted)
     z: dict[tuple[int, int], Tensor] = {}
@@ -244,6 +353,7 @@ def pair_terms(corrupted, params, positives: PositiveSets,
 
     terms: list[ContrastTerm] = []
     for m in range(len(corrupted)):
+        negatives = anchor_negatives(z[m, 1], positives, tau)
         for n in range(len(corrupted)):
             if m == n:
                 kind, other, rows = "intra", z[m, 2], neg_perms[m]
@@ -251,7 +361,8 @@ def pair_terms(corrupted, params, positives: PositiveSets,
                 kind, other, rows = "inter", z[n, 1], None
             terms.append(ContrastTerm(
                 m=m, n=n, kind=kind,
-                local_loss=node_node_loss(z[m, 1], other, positives, tau),
+                local_loss=node_node_loss(z[m, 1], other, positives, tau,
+                                          negatives),
                 global_loss=node_graph_loss(z[m, 1], other, summaries[m],
                                             params, rows)))
     return terms

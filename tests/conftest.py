@@ -826,6 +826,16 @@ def tape_node_node_loss(z_m, z_n, positives, tau):
     return mean_all(per_anchor)
 
 
+def tape_anchor_negatives(z, positives, tau):
+    """Each anchor's same-view negative mass, N_i = sum over j outside P_i
+    of exp(u_i.u_j / tau - 1/tau), from dense tape ops over the full n x n
+    similarity: the anchor node's oracle. Use it on small n only."""
+    unit = row_l2_normalize(z)
+    logits = scale(matmul(unit, transpose(unit)), 1.0 / tau)
+    return row_sum(mul_const(exp(add_const(logits, -1.0 / tau)),
+                             ~dense_mask(positives)))
+
+
 def two_pass_node_node_loss(z_m, z_n, positives, tau):
     """The chunked node-node op with a dense positive mask, whose backward
     recomputes every block's logits and exponentials: the one-pass
@@ -1175,6 +1185,23 @@ def numerics_grad_cases():
         return (lambda: objective_module.node_graph_loss(
             z_m, z_neg, s, {"disc.B": b}), [z_m, b, s, z_neg])
     case("node_graph_loss", c_node_graph_loss)
+
+    # P^T differs from P: 4 is in P_2 but 2 is not in P_4, 1 in P_3 only
+    asymmetric = positive_sets([[0, 2], [1], [0, 2, 4], [1, 3], [4]])
+
+    def c_anchor_negatives():
+        z = param((5, 3), "an_z")
+        k = substream(7, "gradcase", "an_k").uniform(0.5, 1.5, size=(5, 1))
+        return (lambda: mean_all(mul_const(objective_module.anchor_negatives(
+            z, asymmetric, 0.5), k)), [z])
+    case("anchor_negatives", c_anchor_negatives)
+
+    def c_node_node_loss():
+        z_m, z_n = param((5, 3), "nn_zm"), param((5, 3), "nn_zn")
+        negatives = param((5, 1), "nn_neg", lo=0.5, hi=2.0)
+        return (lambda: objective_module.node_node_loss(
+            z_m, z_n, asymmetric, 0.5, negatives), [z_m, z_n, negatives])
+    case("node_node_loss", c_node_node_loss)
 
     def c_total_objective():
         rng = substream(7, "gradcase", "total")

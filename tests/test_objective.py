@@ -10,16 +10,19 @@ import pytest
 
 import hgcml.model
 import hgcml.objective
-from conftest import (anchor_only, dense_mask, layer_bits, positive_sets,
-                      scale, tape_node_graph_loss, tape_node_node_loss,
-                      tape_total_objective, tape_weighted_total,
-                      two_pass_node_node_loss, view_from_adjacency)
+from conftest import (anchor_only, dense_mask, grad_check, layer_bits,
+                      mean_all, mul_const, positive_sets, scale,
+                      tape_anchor_negatives, tape_node_graph_loss,
+                      tape_node_node_loss, tape_total_objective,
+                      tape_weighted_total, two_pass_node_node_loss,
+                      view_from_adjacency)
 from hgcml.augment import corrupt
 from hgcml.model import gcn_forward, init_params, readout
 from hgcml.numerics import LOG_EPS, AdamState, ShapeMismatch, Tensor
-from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
-                             node_node_loss, pair_terms, total_objective)
-from hgcml.positives import select_positives
+from hgcml.objective import (CHUNK, ContrastTerm, anchor_negatives,
+                             node_graph_loss, node_node_loss, pair_terms,
+                             total_objective)
+from hgcml.positives import PositiveSets, select_positives
 from hgcml.rng import substream
 
 
@@ -245,6 +248,9 @@ def test_one_pass_kernel_matches_two_pass_oracle(kind, n, tau, w):
 
 
 def test_one_pass_kernel_computes_logits_once_per_block(monkeypatch):
+    """A standalone call forms the pair's cross-view logits once per block
+    of CHUNK anchors; the anchor node it builds forms each upper-triangle
+    strip once in forward and once more in backward."""
     n = 2 * CHUNK + 3
     calls = []
     logits = hgcml.objective._logits
@@ -256,7 +262,102 @@ def test_one_pass_kernel_computes_logits_once_per_block(monkeypatch):
     monkeypatch.setattr(hgcml.objective, "_logits", counting)
     z_m, z_n = rand_z(n, 4, "once-m"), rand_z(n, 4, "once-n")
     node_node_loss(z_m, z_n, sampled_positives(n, "once"), 0.5).backward()
-    assert len(calls) == math.ceil(n / CHUNK)
+    assert len(calls) == 3 * math.ceil(n / CHUNK)
+
+
+ANCHOR_CASES = (
+    [pytest.param("sampled", n, id=f"asymmetric-n{n}")
+     for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)]
+    + [pytest.param("anchor_only", CHUNK + 1, id="anchor-only"),
+       pytest.param("all_positive", CHUNK + 1, id="all-positive")])
+
+
+def anchor_inputs(kind, n, d=3):
+    """Rows of two views, per-anchor weights on N and the positive sets of
+    one anchor-node case; the sampled sets are asymmetric once n > 1, so
+    the P^T mask differs from the P mask."""
+    a, b = rand_z(n, d, f"anchor-m-{n}"), rand_z(n, d, f"anchor-n-{n}")
+    if kind == "anchor_only":
+        positives = anchor_only(n)
+    elif kind == "all_positive":
+        positives = positive_sets([np.arange(n) for _ in range(n)])
+    else:
+        positives = sampled_positives(n, f"anchor-{n}")
+        mask = dense_mask(positives)
+        assert n == 1 or (mask != mask.T).any()
+    weights = substream(27, "anchor-w", n).uniform(0.5, 1.5, (n, 1))
+    return a, b, weights, positives
+
+
+def weighted_negatives(anchor_fn, z, weights, positives, tau):
+    """A scalar over the anchor node whose gradient per anchor differs."""
+    return mean_all(mul_const(anchor_fn(z, positives, tau), weights))
+
+
+@pytest.mark.parametrize("tau", [0.07, 0.5])
+@pytest.mark.parametrize("kind,n", ANCHOR_CASES)
+def test_anchor_node_matches_the_dense_oracle(kind, n, tau):
+    """N and the gradient of its weighted mean agree with dense tape ops
+    over the full n x n similarity."""
+    a, _, weights, positives = anchor_inputs(kind, n)
+    results = []
+    for anchor_fn in (tape_anchor_negatives, anchor_negatives):
+        z = Tensor(a.data.copy(), requires_grad=True)
+        negatives = anchor_fn(z, positives, tau)
+        mean_all(mul_const(negatives, weights)).backward()
+        results.append((negatives.data, z.grad))
+    (want, want_grad), (got, got_grad) = results
+    assert relative_error(got, want) <= 1e-12
+    assert relative_error(got_grad, want_grad) <= 1e-12
+
+
+# the finite-difference checks run the same strip layout at a small CHUNK
+FD_CHUNK = 8
+FD_CASES = (
+    [pytest.param("sampled", n, id=f"asymmetric-n{n}")
+     for n in (1, FD_CHUNK - 1, FD_CHUNK, FD_CHUNK + 1, 2 * FD_CHUNK + 3)]
+    + [pytest.param("anchor_only", FD_CHUNK + 1, id="anchor-only"),
+       pytest.param("all_positive", FD_CHUNK + 1, id="all-positive")])
+
+
+@pytest.mark.parametrize("kind,n", FD_CASES)
+def test_anchor_node_passes_the_finite_difference_check(monkeypatch, kind, n):
+    monkeypatch.setattr(hgcml.objective, "CHUNK", FD_CHUNK)
+    a, _, weights, positives = anchor_inputs(kind, n)
+    assert grad_check(lambda: weighted_negatives(
+        anchor_negatives, a, weights, positives, 0.5), [a]) < 1e-6
+
+
+@pytest.mark.parametrize("kind,n", FD_CASES)
+def test_pair_node_passes_the_finite_difference_check(monkeypatch, kind, n):
+    """The pair node on its own, with N as a leaf, and fed by the anchor
+    node as pair_terms feeds it."""
+    monkeypatch.setattr(hgcml.objective, "CHUNK", FD_CHUNK)
+    a, b, _, positives = anchor_inputs(kind, n)
+    negatives = Tensor(anchor_negatives(a, positives, 0.5).data,
+                       requires_grad=True)
+    assert grad_check(lambda: node_node_loss(a, b, positives, 0.5, negatives),
+                      [a, b, negatives]) < 1e-6
+    assert grad_check(lambda: node_node_loss(
+        a, b, positives, 0.5, anchor_negatives(a, positives, 0.5)),
+        [a, b]) < 1e-6
+
+
+def test_anchor_node_keeps_no_n_by_d_array():
+    """What the anchor node leaves on the tape after its forward, N and
+    its strips' index arrays, is under half of one n x d array."""
+    n, d = 600, 64
+    z = rand_z(n, d, "anchorheld")
+    positives = sampled_positives(n, "anchorheld")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        negatives = anchor_negatives(z, positives, 0.5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert negatives.requires_grad
+    assert held < n * d * 8 / 2, held
 
 
 def test_one_pass_kernel_without_grad_inputs_matches():
@@ -291,16 +392,22 @@ def test_one_pass_kernel_peak_memory_is_below_a_dense_mask(monkeypatch):
 @pytest.mark.parametrize("grad", [True, False])
 def test_fused_loss_non_finite_row_gives_a_nan_loss(value, side, grad):
     """A NaN or inf in a row of the second block makes the loss NaN, with or
-    without gradients; the trainer's finiteness check is what reports it."""
+    without gradients, whether the call builds the anchor node or is
+    handed it; the trainer's finiteness check is what reports it."""
     z_m, z_n = rand_z(CHUNK + 5, 4, "nan1"), rand_z(CHUNK + 5, 4, "nan2")
     (z_m if side == "anchor" else z_n).data[CHUNK + 2, 1] = value
     if not grad:
         z_m, z_n = Tensor(z_m.data), Tensor(z_n.data)
+    positives = sampled_positives(CHUNK + 5, "nan")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        loss = node_node_loss(z_m, z_n, sampled_positives(CHUNK + 5, "nan"),
-                              tau=0.5)
-    assert np.isnan(loss.item())
+        loss = node_node_loss(z_m, z_n, positives, tau=0.5)
+        # as pair_terms calls it, with the anchor view's node passed in
+        negatives = anchor_negatives(z_m, positives, 0.5)
+        shared = node_node_loss(z_m, z_n, positives, 0.5, negatives)
+    assert np.isnan(loss.item()) and np.isnan(shared.item())
+    if side == "anchor":
+        assert np.isnan(negatives.data[CHUNK + 2, 0])
 
 
 def test_fused_loss_peak_memory_is_a_tenth_of_the_oracle():
@@ -319,6 +426,12 @@ def test_fused_loss_peak_memory_is_a_tenth_of_the_oracle():
 
     fused, oracle = peak_bytes(node_node_loss), peak_bytes(tape_node_node_loss)
     assert fused * 10 <= oracle, (fused, oracle)
+
+
+def test_negative_masses_of_another_shape_are_rejected():
+    z = rand_z(4, 3, "negshape")
+    with pytest.raises(ShapeMismatch, match="negative masses"):
+        node_node_loss(z, z, anchor_only(4), 0.5, Tensor(np.ones((3, 1))))
 
 
 def test_zero_discriminator_gives_two_log_two():
@@ -486,9 +599,10 @@ def tape_memory(objective):
 
 
 def test_tape_holds_at_most_22_arrays_after_the_forward():
-    """A node-graph pair keeps its logits and no z B, and no shuffled copy
-    of a negative branch is made, so the tape holds at most 22 n x d arrays
-    (21 measured; 31 with both kept); the per-op tape holds more than 50."""
+    """A node-graph pair keeps its logits and no z B, no shuffled copy of a
+    negative branch is made, and an anchor node keeps no n x d array, so
+    the tape holds at most 22 n x d arrays (21.4 measured; 31 with z B and
+    the shuffled copies kept); the per-op tape holds more than 50."""
     fused, oracle = tape_memory(total_objective)[0], tape_memory(
         tape_total_objective)[0]
     assert fused <= 22 < 50 < oracle, (fused, oracle)
@@ -496,17 +610,18 @@ def test_tape_holds_at_most_22_arrays_after_the_forward():
 
 def test_forward_peaks_at_most_32_arrays():
     """total_objective's forward never holds more than 32 n x d arrays at
-    once (30.1 measured; 41.4 with each pair's z B, the shuffled copies
-    and the node-node kernel's separate unit rows)."""
+    once (26.7 measured; 30.1 with each pair's 2n-key logits block, 41.4
+    with each pair's z B, the shuffled copies and the node-node kernel's
+    separate unit rows)."""
     peak = tape_memory(total_objective)[1]
     assert peak <= 32, peak
 
 
 def test_node_node_call_with_gradients_peaks_at_most_12_arrays():
-    """One node-node call that forms both input gradients peaks at 12 n x d
-    arrays at n=600, d=64: the keys, their gradient, one n x d scratch,
-    the logits block and one block product (11.2 measured; 14.4 with the
-    unit rows beside the keys and out-of-place gradient temporaries)."""
+    """One node-node call that forms both input gradients, with the anchor
+    node it builds, peaks at 12 n x d arrays at n=600, d=64 (9.5 measured;
+    11.2 with each pair's 2n-key logits block, 14.4 with the unit rows
+    beside the keys and out-of-place gradient temporaries)."""
     n, d = 600, 64
     z_m, z_n = rand_z(n, d, "nnpeak1"), rand_z(n, d, "nnpeak2")
     positives = sampled_positives(n, "nnpeak")
@@ -613,6 +728,29 @@ def test_projector_runs_once_per_corrupted_view_and_summary(monkeypatch,
     # two corruptions and one summary per view
     assert len(calls) == 3 * n_views
     assert sorted(calls) == sorted([(5, 4)] * 2 * n_views + [(1, 4)] * n_views)
+
+
+@pytest.mark.parametrize("n_views", [1, 2, 3])
+def test_one_anchor_node_per_view_and_one_pair_node_per_pair(monkeypatch,
+                                                            n_views):
+    """One total_objective makes V anchor nodes and V^2 pair nodes, and
+    PositiveSets.mask runs once per pair node: the anchor node reads the
+    CSR arrays itself. These are the counts the benchmark's tracer sees."""
+    calls = {"anchor": 0, "pair": 0, "mask": 0}
+    for name, owner, attr in (("anchor", hgcml.objective, "anchor_negatives"),
+                              ("pair", hgcml.objective, "node_node_loss"),
+                              ("mask", PositiveSets, "mask")):
+        def counted(*args, name=name, original=getattr(owner, attr)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, attr, counted)
+    views = make_views(5, n_views, 3, seed=103 + n_views)
+    params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=5)
+    perms = [substream(104, "p", i).permutation(5) for i in range(n_views)]
+    total_objective(corruption_pairs(views, seed=105), params,
+                    sampled_positives(5, "counts"), tau=0.5, neg_perms=perms)
+    assert calls == {"anchor": n_views, "pair": n_views ** 2,
+                     "mask": n_views ** 2}
 
 
 def test_pair_global_losses_match_projected_numpy_oracle():

@@ -204,11 +204,11 @@ def test_nan_row_in_the_node_node_loss_raises_diverged_loss(
     clean = train(toy_hin, METAPATHS, anchor_positives, *cfg)
     kernel, calls = objective.node_node_loss, []
 
-    def poisoned(z_m, z_n, positives, tau):
+    def poisoned(z_m, z_n, positives, tau, *shared):
         calls.append(None)
         if len(calls) > 2 * len(METAPATHS) ** 2:  # V^2 calls per epoch
             z_n.data[1, 0] = np.nan
-        return kernel(z_m, z_n, positives, tau)
+        return kernel(z_m, z_n, positives, tau, *shared)
 
     monkeypatch.setattr(objective, "node_node_loss", poisoned)
     with pytest.raises(DivergedLoss) as info:
