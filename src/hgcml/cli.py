@@ -33,10 +33,10 @@ from .hin import (HinError, extract_metapath_view, graph_key, load_hin,
                   read_graph, write_graph)
 from .io import (FormatError, atomic_open, read_checkpoint, read_matrix,
                  write_checkpoint, write_matrix)
+from .numerics import DivergedLoss
 from .positives import (KTooLarge, load_positives, ppr_matrix, save_positives,
                         select_positives, semantic_similarity,
                         topology_similarity)
-from .trainer import DivergedLoss, export_embeddings, train, write_trace
 
 # exit code per failure class; main reports each as one `error:` line. An
 # OSError is a file that is missing, a directory or cannot be read, and
@@ -137,6 +137,9 @@ def cmd_positives(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # training code loads only in the stages that run it
+    from .trainer import train, write_trace
+
     cfg, hin, out, _ = _stage(args)
     positives = load_positives(os.path.join(out, "positives.tsv"), hin.n_target)
     model_path = os.path.join(out, "model.bin")
@@ -157,6 +160,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .trainer import export_embeddings
+
     cfg, hin, out, _ = _stage(args)
     checkpoint = read_checkpoint(os.path.join(out, "model.bin"))
     views = [extract_metapath_view(hin, spec) for spec in cfg.metapaths]

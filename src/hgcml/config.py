@@ -177,7 +177,6 @@ class TrainSettings(_Settings):
     max_epochs: int = 500
     fusion: str = "sum"
     share_encoder: bool = False
-    literal_eq2: bool = False
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def _rules(self):

@@ -11,7 +11,9 @@ sequential kernels, so repeated runs are bit-identical.
 
 The nodes are layer-sized: the GCN and the projector in `model`, the
 losses and their weighted total in `objective`. This module keeps the
-tape itself, the one shared row op, `mean_rows`, and Adam.
+tape itself, the one shared row op, `mean_rows`, Adam, and the errors
+`ShapeMismatch` and `DivergedLoss`; the CLI maps the latter to exit 4
+without loading the trainer.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ LOG_EPS = 1e-12  # the losses' clamp on row norms and log arguments
 
 class ShapeMismatch(ValueError):
     """Operands have incompatible shapes."""
+
+
+class DivergedLoss(ArithmeticError):
+    """Training hit a NaN/Inf loss; carries the last good state."""
+
+    def __init__(self, epoch: int, checkpoint, trace):
+        super().__init__(f"non-finite loss at epoch {epoch}")
+        self.epoch = epoch
+        self.checkpoint = checkpoint
+        self.trace = trace
 
 
 def _as_matrix(data) -> np.ndarray:

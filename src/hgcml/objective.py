@@ -263,15 +263,14 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor, params,
-                    rows=None) -> Tensor:
+def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor, params) -> Tensor:
     """Mean two-term BCE of projected rows against the projected summary.
 
     -log D(z_u, s) - log(1 - D(z'_u, s)) with D = sigmoid(z B s^T),
     written as softplus of the bilinear logits, which is exact and stable.
-    The negative branch z' is z_neg, or z_neg's rows shuffled by the
-    permutation `rows` (z'_u = z_neg[rows[u]]), gathered in forward and
-    again in backward, whose gradient goes back through the inverse.
+    The negative branch z' is z_neg as it is. Each row's two terms depend
+    on that row alone, so shuffling z_neg's rows could not change the mean
+    or any gradient beyond the order of the float sums.
     One tape node that keeps only its two logit vectors: backward forms
     each branch's z B again from the same inputs, so it gets the same bits.
     """
@@ -280,35 +279,24 @@ def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor, params,
     disc_b = params[DISC_B]
     if s_m.shape[0] != 1 or disc_b.shape != (z_m.shape[1], s_m.shape[1]):
         raise ShapeMismatch(f"bilinear {z_m.shape}, {disc_b.shape}, {s_m.shape}")
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.shape != (z_neg.shape[0],):
-            raise ShapeMismatch("permutation length must match row count")
-
-    def negatives():
-        return z_neg.data if rows is None else z_neg.data[rows]
-
     # the positive branch scores -logit
     x_pos = -(z_m.data @ disc_b.data @ s_m.data.T)
-    x_neg = negatives() @ disc_b.data @ s_m.data.T
+    x_neg = z_neg.data @ disc_b.data @ s_m.data.T
     per_node = _softplus(x_pos) + _softplus(x_neg)
 
     def grad_fn(g):
         g = np.full(x_pos.shape, g[0, 0] / x_pos.size)
         # the negative branch first, then the positive one, as the
         # bilinear chain accumulates them
-        for z, z_rows, order, g_logit in (
-                (z_neg, negatives(), None if rows is None else np.argsort(rows),
-                 g * _stable_sigmoid(x_neg)),
-                (z_m, z_m.data, None, -(g * _stable_sigmoid(x_pos)))):
+        for z, g_logit in ((z_neg, g * _stable_sigmoid(x_neg)),
+                           (z_m, -(g * _stable_sigmoid(x_pos)))):
             g_zb = g_logit @ s_m.data
             if s_m.requires_grad:
-                s_m._accumulate(((z_rows @ disc_b.data).T @ g_logit).T)
+                s_m._accumulate(((z.data @ disc_b.data).T @ g_logit).T)
             if z.requires_grad:
-                g_z = g_zb @ disc_b.data.T
-                z._accumulate(g_z if order is None else g_z[order])
+                z._accumulate(g_zb @ disc_b.data.T)
             if disc_b.requires_grad:
-                disc_b._accumulate(z_rows.T @ g_zb)
+                disc_b._accumulate(z.data.T @ g_zb)
 
     # parents in the order the bilinear chain reached them: backward then
     # walks the other nodes in the per-op tape's order
@@ -328,18 +316,17 @@ class ContrastTerm:
 
 
 def pair_terms(corrupted, params, positives: PositiveSets,
-               tau: float, neg_perms) -> list[ContrastTerm]:
+               tau: float) -> list[ContrastTerm]:
     """Losses for every ordered view pair under the corruption pairing.
 
     `corrupted` is one (first, second) corruption pair per metapath view,
     each encoded by its metapath's encoder. Each corruption and each view's
     summary, the mean of its first corruption's encoder rows, is projected
-    once. The intra negative branch is the second corruption's projection
-    with its rows shuffled by neg_perms[m]; the inter (m,n) negative branch
-    is the projection of view n's first corruption. Both are the pair's
-    node-node keys. Each anchor view's same-view negative mass is one
-    `anchor_negatives` node, made before the view's V pairs, which all
-    read it.
+    once. The intra (m,m) negative branch is the projection of view m's
+    second corruption, the inter (m,n) one that of view n's first; either
+    is also the pair's node-node keys. Each anchor view's same-view
+    negative mass is one `anchor_negatives` node, made before the view's V
+    pairs, which all read it.
     """
     corrupted = list(corrupted)
     z: dict[tuple[int, int], Tensor] = {}
@@ -355,27 +342,24 @@ def pair_terms(corrupted, params, positives: PositiveSets,
     for m in range(len(corrupted)):
         negatives = anchor_negatives(z[m, 1], positives, tau)
         for n in range(len(corrupted)):
-            if m == n:
-                kind, other, rows = "intra", z[m, 2], neg_perms[m]
-            else:
-                kind, other, rows = "inter", z[n, 1], None
+            kind, other = ("intra", z[m, 2]) if m == n else ("inter", z[n, 1])
             terms.append(ContrastTerm(
                 m=m, n=n, kind=kind,
                 local_loss=node_node_loss(z[m, 1], other, positives, tau,
                                           negatives),
                 global_loss=node_graph_loss(z[m, 1], other, summaries[m],
-                                            params, rows)))
+                                            params)))
     return terms
 
 
 def total_objective(corrupted, params, positives: PositiveSets,
-                    tau: float, neg_perms, w_local: float = 1.0,
+                    tau: float, w_local: float = 1.0,
                     w_global: float = 1.0) -> Tensor:
     """Weighted sum of both losses over all ordered view pairs, minimized:
     one tape node whose parents are the pair losses."""
     losses = []
     total = None
-    for term in pair_terms(corrupted, params, positives, tau, neg_perms):
+    for term in pair_terms(corrupted, params, positives, tau):
         losses += [(term.local_loss, w_local), (term.global_loss, w_global)]
         weighted = w_local * term.local_loss.data + w_global * term.global_loss.data
         total = weighted if total is None else total + weighted

@@ -24,22 +24,12 @@ from .hin import HIN, extract_metapath_view
 from .io import FormatError, atomic_open
 from .model import (ENCODER, encoder, fuse, gcn_forward, init_params,
                     params_from_checkpoint)
-from .numerics import AdamState, Tensor
+from .numerics import AdamState, DivergedLoss, Tensor
 from .objective import total_objective
 from .positives import PositiveSets
-from .rng import derive_key, substream
+from .rng import derive_key
 
 MIN_IMPROVEMENT = 1e-6
-
-
-class DivergedLoss(ArithmeticError):
-    """Training hit a NaN/Inf loss; carries the last good state."""
-
-    def __init__(self, epoch: int, checkpoint, trace):
-        super().__init__(f"non-finite loss at epoch {epoch}")
-        self.epoch = epoch
-        self.checkpoint = checkpoint
-        self.trace = trace
 
 
 @dataclass
@@ -64,15 +54,7 @@ def _epoch_corruptions(views, augment: AugmentSettings, seed: int, epoch: int):
                     augment.mask_mode)
             for copy in (1, 2))
         pairs.append((first, second))
-    return pairs, tick
-
-
-def _negative_perms(views, seed: int, tick: int, literal_eq2: bool):
-    """Intra negative-branch row shuffles; under literal_eq2 the identity,
-    so the second corruption is scored unshuffled as Eq. 2 is printed."""
-    return [np.arange(view.n_nodes) if literal_eq2
-            else substream(seed, "shuffle", view.metapath.name, tick)
-            .permutation(view.n_nodes) for view in views]
+    return pairs
 
 
 def compute_embeddings(params, views, mode: str) -> np.ndarray:
@@ -104,10 +86,9 @@ def train(hin: HIN, metapaths, positives: PositiveSets, cfg: TrainSettings,
         # records no tape and the node-node loss forms no gradient
         scored = ({name: Tensor(t.data) for name, t in params.items()}
                   if last else params)
-        corrupted, tick = _epoch_corruptions(views, augment, seed, epoch)
-        perms = _negative_perms(views, seed, tick, cfg.literal_eq2)
+        corrupted = _epoch_corruptions(views, augment, seed, epoch)
         loss_tensor = total_objective(
-            corrupted, scored, positives, cfg.tau, perms,
+            corrupted, scored, positives, cfg.tau,
             w_local=cfg.loss_weights.local, w_global=cfg.loss_weights.global_)
         loss = loss_tensor.item()
         if not math.isfinite(loss):  # the one divergence check

@@ -756,6 +756,9 @@ def row_l2_normalize(a):
 
 
 def permute_rows(a, perm):
+    """Row gather a[perm] as a tape node, whose backward scatters the
+    gradient back through the inverse permutation: a test-only op that
+    routes a negative branch through a row shuffle."""
     perm = np.asarray(perm, dtype=np.int64)
     if perm.shape != (a.shape[0],):
         raise nm.ShapeMismatch("permutation length must match row count")
@@ -933,15 +936,19 @@ def tape_weighted_total(terms, w_local=1.0, w_global=1.0):
     return total
 
 
-def tape_total_objective(corrupted, params, positives, tau, neg_perms,
-                         w_local=1.0, w_global=1.0):
+def tape_total_objective(corrupted, params, positives, tau, w_local=1.0,
+                         w_global=1.0, rows=None):
     """`objective.total_objective` with every layer node replaced by its
-    per-op oracle tape: the tape the layer nodes must match bit for bit."""
+    per-op oracle tape: the tape the layer nodes must match bit for bit.
+    With `rows`, every pair's negative branch reaches its node-graph chain
+    through a `permute_rows` node by those rows."""
+    def graph(z_m, z_neg, s_m, params):
+        return tape_node_graph_loss(z_m, z_neg, s_m, params, rows)
+
     with mock.patch.multiple(objective_module, gcn_forward=tape_gcn_forward,
-                             project=tape_project,
-                             node_graph_loss=tape_node_graph_loss):
+                             project=tape_project, node_graph_loss=graph):
         terms = objective_module.pair_terms(corrupted, params, positives,
-                                            tau, neg_perms)
+                                            tau)
     return tape_weighted_total(terms, w_local, w_global)
 
 
@@ -1215,10 +1222,9 @@ def numerics_grad_cases():
         for tensor in params.values():
             # off the zero biases' normalization kink, as criterion 1 does
             tensor.data += 0.05 * rng.standard_normal(tensor.shape)
-        perms = [rng.permutation(4) for _ in views]
         return (lambda: objective_module.total_objective(
-            corrupted, params, anchor_only(4), 0.5, perms,
-            w_local=0.7, w_global=1.3), list(params.values()))
+            corrupted, params, anchor_only(4), 0.5, w_local=0.7,
+            w_global=1.3), list(params.values()))
     case("total_objective", c_total_objective)
 
     return cases

@@ -101,7 +101,6 @@ def test_criterion_1_gradient_correctness():
     sim_t = rng.standard_normal((6, 6))
     sim_s = rng.standard_normal((6, 6))
     positives = select_positives((sim_t + sim_t.T) / 2, (sim_s + sim_s.T) / 2, 2, 2)
-    perms = [substream(9, "perm", i).permutation(6) for i in range(2)]
     params = init_params(["va", "vb"], 5, 4, seed=3)
     unique = list({id(tensor): tensor for tensor in params.values()}.values())
     jitter = substream(9, "jitter")
@@ -111,8 +110,7 @@ def test_criterion_1_gradient_correctness():
         tensor.data += 0.05 * jitter.standard_normal(tensor.data.shape)
 
     def objective():
-        return total_objective(corrupted, params, positives, 0.5,
-                               neg_perms=perms)
+        return total_objective(corrupted, params, positives, 0.5)
 
     full_err = grad_check(objective, unique)
     ok = worst_op < 1e-6 and full_err < 1e-4
@@ -194,9 +192,8 @@ def test_criterion_4_loss_identities():
     views = [_random_symmetric_view(substream(8, "pair", i), 4, f"v{i}",
                                     feat_dim=3) for i in range(2)]
     corrupted = [(v, v) for v in views]
-    perms = [substream(8, "pp", i).permutation(4) for i in range(2)]
     terms = pair_terms(corrupted, init_params(["v0", "v1"], 3, 4, seed=2),
-                       anchor_only(4), 0.5, neg_perms=perms)
+                       anchor_only(4), 0.5)
     ok = local_err <= 1e-10 and glob_err <= 1e-12 and len(terms) == 4
     return ok, (f"2-node identical-rows loss off log(3) by {local_err:.1e} "
                 f"(<=1e-10), zero-discriminator loss off 2ln2 by "

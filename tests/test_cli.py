@@ -197,36 +197,58 @@ def test_positives_streams_the_view_sum(pipeline, tmp_path, monkeypatch):
         assert a.read() == b.read()
 
 
-SCIPY_PROBE = """\
+MODULE_PROBE = """\
 import contextlib, io, json, sys
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return sorted(m for m in sys.modules
+                  if (m + ".").startswith(sys.argv[2] + "."))
 from hgcml.cli import main
-print(json.dumps(scipy_loaded()))
+print(json.dumps(loaded()))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    print(json.dumps(scipy_loaded()))
+    print(json.dumps(loaded()))
 """
 
 
-def probe_scipy(*argvs):
-    """The scipy modules loaded in a fresh process once it has imported the
-    CLI, and again after each `main(argv)` of `argvs`."""
+def probe_modules(package, *argvs):
+    """The modules of `package` loaded in a fresh process once it has
+    imported the CLI, and again after each `main(argv)` of `argvs`."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", MODULE_PROBE, json.dumps(argvs), package],
         env=env, capture_output=True, text=True, check=True)
     return [json.loads(line) for line in result.stdout.splitlines()]
+
+
+def test_stages_that_do_not_train_leave_the_trainer_unloaded(pipeline,
+                                                             tmp_path):
+    """Training code is imported only where it runs: importing the CLI and
+    running `synth`, `prepare`, `positives` and `eval` leaves
+    `hgcml.trainer` unloaded, and `train` loads it."""
+    run, scored = str(tmp_path / "run"), tmp_path / "scored"
+    scored.mkdir()
+    for name in (cli.GRAPH_CACHE, "embeddings.bin"):
+        shutil.copy(os.path.join(pipeline["out"], name), scored)
+    config = pipeline["config"]
+    assert probe_modules(
+        "hgcml.trainer",
+        ["synth", "--out", str(tmp_path / "synth")],
+        ["prepare", "--config", config, "--out", run],
+        ["positives", "--config", config, "--out", run],
+        ["eval", "--config", config, "--out", str(scored)],
+        ["train", "--config", config, "--out", run],
+    ) == [[]] * 5 + [["hgcml.trainer"]]
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded(pipeline, tmp_path):
     """No stage needs scipy.spatial, so none pays its import cost: neither
     importing the CLI nor running `prepare` and `positives` loads it."""
     out = tmp_path / "stages"
-    loaded = probe_scipy(
+    loaded = probe_modules(
+        "scipy",
         *([stage, "--config", pipeline["config"], "--out", str(out)]
           for stage in ("prepare", "positives")))
     assert len(loaded) == 3
@@ -245,7 +267,8 @@ def test_synth_and_cached_eval_leave_scipy_unloaded(pipeline, tmp_path):
         run.mkdir()
         shutil.copy(os.path.join(pipeline["out"], "embeddings.bin"), run)
     shutil.copy(os.path.join(pipeline["out"], cli.GRAPH_CACHE), cached)
-    assert probe_scipy(
+    assert probe_modules(
+        "scipy",
         ["synth", "--out", str(tmp_path / "synth")],
         ["eval", "--config", pipeline["config"], "--out", str(cached)],
     ) == [[]] * 3
@@ -278,7 +301,8 @@ def test_positives_imports_scipy_only_for_a_sparse_series(pipeline, tmp_path):
     dense.mkdir()
     shutil.copy(os.path.join(pipeline["out"], cli.GRAPH_CACHE), dense)
     assert dense_transitions(dense) == [True, True]
-    assert probe_scipy(
+    assert probe_modules(
+        "scipy",
         ["positives", "--config", pipeline["config"], "--out", str(dense)],
     ) == [[]] * 2
     assert (dense / "positives.tsv").read_bytes() == open(
@@ -289,7 +313,8 @@ def test_positives_imports_scipy_only_for_a_sparse_series(pipeline, tmp_path):
     cached, fresh = tmp_path / "cached", tmp_path / "fresh"
     assert main(["prepare", "--config", run_cfg, "--out", str(cached)]) == 0
     assert dense_transitions(cached) == [False, False]
-    loaded = probe_scipy(["positives", "--config", run_cfg, "--out", str(cached)])
+    loaded = probe_modules("scipy", ["positives", "--config", run_cfg,
+                                     "--out", str(cached)])
     assert loaded[0] == [] and "scipy.sparse" in loaded[1]
     assert main(["positives", "--config", run_cfg, "--out", str(fresh)]) == 0
     assert ((cached / "positives.tsv").read_bytes()
@@ -433,6 +458,22 @@ def test_unknown_config_key_exits_3(pipeline, tmp_path, capsys):
         json.dump(raw, fh)
     assert main(["prepare", "--config", bad, "--out", str(tmp_path / "o")]) == 3
     assert "trian" in capsys.readouterr().err
+
+
+def test_the_removed_negative_shuffle_switch_is_an_unknown_key(
+        pipeline, tmp_path, capsys):
+    """The node-graph negatives are never shuffled, so the switch that
+    turned the shuffle off is gone: a config that still sets it exits 3
+    naming it, and `train` writes nothing."""
+    raw = json.load(open(pipeline["config"], encoding="utf-8"))
+    raw.setdefault("train", {})["literal_eq2"] = True
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out = tmp_path / "o"
+    assert main(["train", "--config", bad, "--out", str(out)]) == 3
+    assert "literal_eq2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, section, key, value", [

@@ -11,7 +11,8 @@ import pytest
 import hgcml.model
 import hgcml.objective
 from conftest import (anchor_only, dense_mask, grad_check, layer_bits,
-                      mean_all, mul_const, positive_sets, scale,
+                      mean_all, mul_const, permute_rows, positive_sets,
+                      scale,
                       tape_anchor_negatives, tape_node_graph_loss,
                       tape_node_node_loss, tape_total_objective,
                       tape_weighted_total, two_pass_node_node_loss,
@@ -478,11 +479,43 @@ def test_node_graph_node_is_bit_equal_to_its_op_chain():
     assert bits(node_graph_loss) == bits(tape_node_graph_loss)
 
 
+def test_node_graph_loss_ignores_the_order_of_the_negative_rows():
+    """Each row's two softplus terms depend on that row alone, so permuting
+    z_neg's rows leaves the loss and the gradients of z_m, disc.B and the
+    summary unchanged up to the order of the float sums, and permutes
+    z_neg's gradient with the rows: a row shuffle of the negative branch
+    would add nothing."""
+    n, d = 37, 6
+    rng = substream(45, "ngperm")
+    arrays = [rng.standard_normal(shape)
+              for shape in ((n, d), (d, d), (1, d), (n, d))]
+
+    def run(rows):
+        z_m, disc_b, s_m, z_neg = (Tensor(a.copy(), requires_grad=True)
+                                   for a in arrays[:3] + [arrays[3][rows]])
+        loss = node_graph_loss(z_m, z_neg, s_m, {"disc.B": disc_b})
+        loss.backward()
+        return loss.data, [t.grad for t in (z_m, disc_b, s_m, z_neg)]
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    loss, grads = run(np.arange(n))
+    for _ in range(5):
+        rows = rng.permutation(n)
+        shuffled, (g_m, g_b, g_s, g_neg) = run(rows)
+        assert close(shuffled, loss)
+        assert close(g_m, grads[0]) and close(g_b, grads[1])
+        assert close(g_s, grads[2]) and close(g_neg, grads[3][rows])
+
+
 @pytest.mark.parametrize("order", ["none", "identity", "random"])
 def test_node_graph_rows_are_bit_equal_to_a_permute_node(order):
-    """The negative branch shuffled by `rows` inside the node gives the
-    bits of a `permute_rows` node feeding the op chain: the loss and the
-    gradients of z_m, disc.B, the summary and the unshuffled z_neg."""
+    """The node fed a negative branch whose rows a `permute_rows` node
+    shuffled gives the bits of the op chain that shuffles them itself: the
+    loss and the gradients of z_m, disc.B, the summary and the unshuffled
+    z_neg. At the identity permutation these are also the unshuffled
+    node's bits, so an identity shuffle of the negative rows changes none."""
     n, d = 13, 4
     rng = substream(45, "ngrows")
     arrays = [rng.standard_normal(shape)
@@ -490,19 +523,21 @@ def test_node_graph_rows_are_bit_equal_to_a_permute_node(order):
     rows = {"none": None, "identity": np.arange(n),
             "random": rng.permutation(n)}[order]
 
-    def bits(loss):
+    def shuffled_node(z_m, z_neg, s_m, params, rows):
+        if rows is not None:
+            z_neg = permute_rows(z_neg, rows)
+        return node_graph_loss(z_m, z_neg, s_m, params)
+
+    def bits(loss, rows):
         z_m, disc_b, s_m, z_neg = (Tensor(a.copy(), requires_grad=True)
                                    for a in arrays)
         return layer_bits(loss, (z_m, z_neg, s_m, {"disc.B": disc_b}, rows),
                           [z_m, disc_b, s_m, z_neg], 0.6)
 
-    assert bits(node_graph_loss) == bits(tape_node_graph_loss)
-
-
-def test_node_graph_rows_of_another_length_are_rejected():
-    z = rand_z(4, 3, "ngrowshape")
-    with pytest.raises(ShapeMismatch, match="permutation length"):
-        node_graph_loss(z, z, readout(z), identity_params(3), [0, 2, 1])
+    fused = bits(shuffled_node, rows)
+    assert fused == bits(tape_node_graph_loss, rows)
+    if order == "identity":
+        assert fused == bits(shuffled_node, None)
 
 
 def test_node_graph_loss_rejects_a_summary_of_another_shape():
@@ -528,13 +563,13 @@ def test_total_node_is_bit_equal_to_its_add_scale_chain(monkeypatch):
         return data, [t.grad.tobytes() for term in terms
                       for t in (term.local_loss, term.global_loss)]
 
-    fused = bits(lambda _: total_objective(None, None, None, 0.5, None,
+    fused = bits(lambda _: total_objective(None, None, None, 0.5,
                                            w_local=0.3, w_global=1.7))
     assert fused == bits(lambda terms: tape_weighted_total(terms, 0.3, 1.7))
 
 
 EPOCH_VARIANTS = {"default": {}, "share_encoder": {"share": True},
-                  "literal_eq2": {"literal": True},
+                  "literal_eq2": {"identity_rows": True},
                   "loss_weights": {"weights": (0.5, 2.0)}}
 
 
@@ -543,14 +578,16 @@ EPOCH_VARIANTS = {"default": {}, "share_encoder": {"share": True},
 def test_epoch_gradients_are_bit_equal_to_the_op_tape(n_views, variant):
     """Two epochs of total_objective, backward and an Adam step leave every
     parameter's loss, gradient and value bit-equal to the per-op tape's,
-    so the layer nodes keep the tape's order of gradient sums."""
+    so the layer nodes keep the tape's order of gradient sums. In the
+    literal_eq2 variant each negative branch of the tape passes through an
+    identity `permute_rows` node, the path of the former literal Eq. 2
+    switch, and the bits still match: dropping the shuffle kept that
+    path's results."""
     options = EPOCH_VARIANTS[variant]
     n = 9
     views = make_views(n, n_views, 4, seed=130 + n_views)
     corrupted = corruption_pairs(views, seed=131)
     positives = sampled_positives(n, f"epoch-{n_views}")
-    perms = [np.arange(n) if options.get("literal") else
-             substream(132, "p", i).permutation(n) for i in range(n_views)]
     w_local, w_global = options.get("weights", (1.0, 1.0))
 
     def bits(objective):
@@ -560,8 +597,8 @@ def test_epoch_gradients_are_bit_equal_to_the_op_tape(n_views, variant):
         optimizer = AdamState([t.data for t in unique], lr=0.05)
         out = []
         for _ in range(2):
-            loss = objective(corrupted, params, positives, 0.5, perms,
-                             w_local, w_global)
+            loss = objective(corrupted, params, positives, 0.5, w_local,
+                             w_global)
             out.append(loss.data.tobytes())
             loss.backward()
             out += [t.grad.tobytes() for t in params.values()]
@@ -570,7 +607,9 @@ def test_epoch_gradients_are_bit_equal_to_the_op_tape(n_views, variant):
                 t.grad = None
         return out + [t.data.tobytes() for t in params.values()]
 
-    assert bits(total_objective) == bits(tape_total_objective)
+    rows = np.arange(n) if options.get("identity_rows") else None
+    assert bits(total_objective) == bits(
+        lambda *args: tape_total_objective(*args, rows=rows))
 
 
 def tape_memory(objective):
@@ -587,11 +626,10 @@ def tape_memory(objective):
     corrupted = corruption_pairs(views, seed=141)
     positives = sampled_positives(n, "tapemem")
     params = init_params(["v0", "v1"], d_in=d, d=d, seed=9)
-    perms = [substream(142, "p", i).permutation(n) for i in range(2)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss = objective(corrupted, params, positives, 0.5, perms)
+        loss = objective(corrupted, params, positives, 0.5)
         held, peak = tracemalloc.get_traced_memory()
         return (held - before) / (n * d * 8), (peak - before) / (n * d * 8)
     finally:
@@ -599,10 +637,10 @@ def tape_memory(objective):
 
 
 def test_tape_holds_at_most_22_arrays_after_the_forward():
-    """A node-graph pair keeps its logits and no z B, no shuffled copy of a
-    negative branch is made, and an anchor node keeps no n x d array, so
-    the tape holds at most 22 n x d arrays (21.4 measured; 31 with z B and
-    the shuffled copies kept); the per-op tape holds more than 50."""
+    """A node-graph pair keeps its logits and no z B, and an anchor node
+    keeps no n x d array, so the tape holds at most 22 n x d arrays (21.4
+    measured; 31 when each pair kept its z B and a row-shuffled copy of its
+    negative branch); the per-op tape holds more than 50 (50.8 measured)."""
     fused, oracle = tape_memory(total_objective)[0], tape_memory(
         tape_total_objective)[0]
     assert fused <= 22 < 50 < oracle, (fused, oracle)
@@ -611,8 +649,8 @@ def test_tape_holds_at_most_22_arrays_after_the_forward():
 def test_forward_peaks_at_most_32_arrays():
     """total_objective's forward never holds more than 32 n x d arrays at
     once (26.7 measured; 30.1 with each pair's 2n-key logits block, 41.4
-    with each pair's z B, the shuffled copies and the node-node kernel's
-    separate unit rows)."""
+    with each pair's z B, row-shuffled copies of the negative branches and
+    the node-node kernel's separate unit rows)."""
     peak = tape_memory(total_objective)[1]
     assert peak <= 32, peak
 
@@ -642,11 +680,8 @@ def test_pair_term_count_and_kinds():
         views = make_views(5, n_views, 3, seed=30 + n_views)
         params = init_params([v.metapath.name for v in views],
                              d_in=3, d=4, seed=1)
-        perms = [substream(31, "p", i).permutation(5)
-                 for i in range(n_views)]
         terms = pair_terms(corruption_pairs(views, seed=40), params,
-                           anchor_only(5), tau=0.5,
-                           neg_perms=perms)
+                           anchor_only(5), tau=0.5)
         assert len(terms) == expected
         kinds = {(t.m, t.n): t.kind for t in terms}
         assert all(kinds[(m, n)] == ("intra" if m == n else "inter")
@@ -661,13 +696,12 @@ def test_pair_terms_take_each_views_encoder_by_name():
     whose metapath has no encoder is a ShapeMismatch naming the view."""
     views = make_views(6, 3, 3, seed=120)
     params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=7)
-    perms = [substream(121, "p", i).permutation(6) for i in range(3)]
     corrupted = corruption_pairs(views, seed=122)
     positives = sampled_positives(6, "byname")
 
     def losses(order):
         terms = pair_terms([corrupted[i] for i in order], params, positives,
-                           tau=0.5, neg_perms=[perms[i] for i in order])
+                           tau=0.5)
         return {(order[t.m], order[t.n]): (t.local_loss.item(),
                                            t.global_loss.item())
                 for t in terms}
@@ -677,7 +711,7 @@ def test_pair_terms_take_each_views_encoder_by_name():
     assert losses([2, 1, 0]) == in_order
     with pytest.raises(ShapeMismatch, match="view 'v2'"):
         pair_terms(corrupted, init_params(["v0", "v1"], d_in=3, d=4, seed=7),
-                   positives, tau=0.5, neg_perms=perms)
+                   positives, tau=0.5)
 
 
 def test_total_objective_equals_sum_of_terms():
@@ -685,14 +719,13 @@ def test_total_objective_equals_sum_of_terms():
     names = [v.metapath.name for v in views]
     params = init_params(names, d_in=3, d=4, seed=2)
     ps = anchor_only(6)
-    perms = [substream(51, "p", i).permutation(6) for i in range(len(names))]
     corrupted = corruption_pairs(views, seed=60)
-    terms = pair_terms(corrupted, params, ps, tau=0.5, neg_perms=perms)
-    total = total_objective(corrupted, params, ps, tau=0.5, neg_perms=perms)
+    terms = pair_terms(corrupted, params, ps, tau=0.5)
+    total = total_objective(corrupted, params, ps, tau=0.5)
     by_hand = sum(t.local_loss.item() + t.global_loss.item() for t in terms)
     assert total.item() == pytest.approx(by_hand, abs=1e-10)
-    weighted = total_objective(corrupted, params, ps, tau=0.5, neg_perms=perms,
-                               w_local=0.3, w_global=1.7)
+    weighted = total_objective(corrupted, params, ps, tau=0.5, w_local=0.3,
+                               w_global=1.7)
     by_hand_w = sum(0.3 * t.local_loss.item() + 1.7 * t.global_loss.item()
                     for t in terms)
     assert weighted.item() == pytest.approx(by_hand_w, abs=1e-10)
@@ -705,9 +738,8 @@ def test_a_nan_weight_gives_a_nan_total_objective(name):
     views = make_views(6, 2, 3, seed=50)
     params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=2)
     params[name].data[0, 0] = np.nan
-    perms = [substream(51, "p", i).permutation(6) for i in range(len(views))]
     loss = total_objective(corruption_pairs(views, seed=60), params,
-                           anchor_only(6), tau=0.5, neg_perms=perms)
+                           anchor_only(6), tau=0.5)
     assert np.isnan(loss.item())
 
 
@@ -722,9 +754,8 @@ def test_projector_runs_once_per_corrupted_view_and_summary(monkeypatch,
         monkeypatch.setattr(module, "project", counted)
     views = make_views(5, n_views, 3, seed=100 + n_views)
     params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=5)
-    perms = [substream(101, "p", i).permutation(5) for i in range(n_views)]
     total_objective(corruption_pairs(views, seed=102), params,
-                    anchor_only(5), tau=0.5, neg_perms=perms)
+                    anchor_only(5), tau=0.5)
     # two corruptions and one summary per view
     assert len(calls) == 3 * n_views
     assert sorted(calls) == sorted([(5, 4)] * 2 * n_views + [(1, 4)] * n_views)
@@ -746,9 +777,8 @@ def test_one_anchor_node_per_view_and_one_pair_node_per_pair(monkeypatch,
         monkeypatch.setattr(owner, attr, counted)
     views = make_views(5, n_views, 3, seed=103 + n_views)
     params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=5)
-    perms = [substream(104, "p", i).permutation(5) for i in range(n_views)]
     total_objective(corruption_pairs(views, seed=105), params,
-                    sampled_positives(5, "counts"), tau=0.5, neg_perms=perms)
+                    sampled_positives(5, "counts"), tau=0.5)
     assert calls == {"anchor": n_views, "pair": n_views ** 2,
                      "mask": n_views ** 2}
 
@@ -756,7 +786,6 @@ def test_one_anchor_node_per_view_and_one_pair_node_per_pair(monkeypatch,
 def test_pair_global_losses_match_projected_numpy_oracle():
     views = make_views(6, 2, 3, seed=110)
     params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=6)
-    perms = [substream(112, "p", i).permutation(6) for i in range(2)]
     corrupted = corruption_pairs(views, seed=113)
     h = {(i, copy): gcn_forward(pair[copy - 1], params[f"enc.v{i}.W"]).data
          for i, pair in enumerate(corrupted) for copy in (1, 2)}
@@ -768,7 +797,7 @@ def test_pair_global_losses_match_projected_numpy_oracle():
     params["proj.b2"].data[:] = rng.standard_normal(params["proj.b2"].shape)
     params["disc.B"].data[:] = rng.standard_normal(params["disc.B"].shape)
     terms = pair_terms(corrupted, params, anchor_only(6),
-                       tau=0.5, neg_perms=perms)
+                       tau=0.5)
 
     def rho(h):
         hidden = np.maximum(h @ params["proj.W1"].data + params["proj.b1"].data, 0.0)
@@ -781,7 +810,7 @@ def test_pair_global_losses_match_projected_numpy_oracle():
     assert len(terms) == 4
     for term in terms:
         m, n = term.m, term.n
-        neg = h[m, 2][perms[m]] if m == n else h[n, 1]
+        neg = h[m, 2] if m == n else h[n, 1]
         summary = rho(h[m, 1].mean(axis=0, keepdims=True))
         expected = np.mean(softplus(-rho(h[m, 1]) @ b @ summary.T)
                            + softplus(rho(neg) @ b @ summary.T))
@@ -796,10 +825,9 @@ def test_objective_gradients_flow_to_all_parameters():
     views = make_views(5, 2, 3, seed=90)
     names = [v.metapath.name for v in views]
     params = init_params(names, d_in=3, d=4, seed=4)
-    perms = [substream(91, "p", i).permutation(5) for i in range(len(names))]
     corrupted = corruption_pairs(views, seed=92)
     loss = total_objective(corrupted, params, anchor_only(5),
-                           tau=0.5, neg_perms=perms)
+                           tau=0.5)
     loss.backward()
     for name, tensor in params.items():
         assert tensor.grad is not None, name
