@@ -21,7 +21,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .hin import HinError, MetapathSpec, SchemaConfig, resolve_chain
 
-MASK_MODES = ("columns", "entries")
 FUSION_MODES = ("sum", "concat")
 
 
@@ -132,14 +131,10 @@ class DataPaths(_Settings):
 class AugmentSettings(_Settings):
     p_e: float = 0.3              # paper grid 0.1..0.7
     p_f: float = 0.3
-    mask_mode: str = "columns"
-    resample_every_epoch: bool = True
 
     def _rules(self):
         return ((0.0 <= self.p_e <= 1.0, f"p_e must be in [0,1], got {self.p_e}"),
-                (0.0 <= self.p_f <= 1.0, f"p_f must be in [0,1], got {self.p_f}"),
-                (self.mask_mode in MASK_MODES,
-                 f"mask_mode must be one of {MASK_MODES}"))
+                (0.0 <= self.p_f <= 1.0, f"p_f must be in [0,1], got {self.p_f}"))
 
 
 @dataclass(frozen=True)
@@ -282,15 +277,23 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     return cfg
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a key it repeats makes the document invalid."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+    return dict(pairs)
+
+
 def _read_json(path):
     """The JSON document at `path`. Python's json reads the non-standard
     literals NaN, Infinity and -Infinity as numbers, which a float field
     then rejects as it does 1e400. A document nested too deep to parse
-    (RecursionError) or holding an integer too long to convert is invalid
-    JSON."""
+    (RecursionError), holding an integer too long to convert or repeating
+    a key within one object is invalid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:  # a directory, no read permission, ...

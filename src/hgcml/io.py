@@ -99,12 +99,15 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         try:
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
+            name = blob[offset : offset + name_len]
             offset += name_len
             rows, cols = struct.unpack_from("<II", blob, offset)
             offset += 8
             data = np.frombuffer(blob, dtype="<f8", offset=offset, count=rows * cols)
             offset += 8 * rows * cols
+            name = name.decode("utf-8")  # last: a name cut short is truncation
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from exc
         except (struct.error, ValueError) as exc:
             raise FormatError(f"{path}: truncated checkpoint") from exc
         if name in out:

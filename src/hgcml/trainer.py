@@ -1,7 +1,7 @@
 """Full-batch training loop with early stopping and embedding export.
 
-Each epoch draws two corruptions per view (fresh substreams per epoch
-unless resample_every_epoch is off), evaluates the total objective,
+Each epoch draws two corruptions per view, on substreams keyed by the
+view, the copy and the epoch, evaluates the total objective,
 backpropagates, and takes one Adam step. The loop stops when the training
 loss has not improved by at least 1e-6 for `patience` epochs or at
 max_epochs. No step would follow epoch max_epochs - 1, so it is scored
@@ -45,16 +45,10 @@ class TrainResult:
 
 
 def _epoch_corruptions(views, augment: AugmentSettings, seed: int, epoch: int):
-    tick = epoch if augment.resample_every_epoch else 0
-    pairs = []
-    for view in views:
-        first, second = (
-            corrupt(view, augment.p_e, augment.p_f,
-                    derive_key(seed, "augment", view.metapath.name, copy, tick),
-                    augment.mask_mode)
-            for copy in (1, 2))
-        pairs.append((first, second))
-    return pairs
+    return [tuple(corrupt(view, augment.p_e, augment.p_f,
+                          derive_key(seed, "augment", view.metapath.name, copy, epoch))
+                  for copy in (1, 2))
+            for view in views]
 
 
 def compute_embeddings(params, views, mode: str) -> np.ndarray:

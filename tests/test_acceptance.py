@@ -94,8 +94,7 @@ def test_criterion_1_gradient_correctness():
     corrupted = []
     for view in views:
         pair = tuple(
-            corrupt(view, 0.3, 0.3, derive_key(9, "c", view.metapath.name, copy),
-                    "columns")
+            corrupt(view, 0.3, 0.3, derive_key(9, "c", view.metapath.name, copy))
             for copy in (1, 2))
         corrupted.append(pair)
     sim_t = rng.standard_normal((6, 6))

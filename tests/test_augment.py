@@ -82,15 +82,6 @@ def test_mask_features_column_rate():
     assert abs(np.mean(counts) - 19.2) < 2.0
 
 
-def test_mask_entries_mode():
-    view = make_view(n=50, d=40)
-    out = mask_features(view, 0.3, substream(5, "t"), mask_mode="entries")
-    changed = out.features != view.features
-    assert not out.features[changed].any()  # masking only zeroes
-    rate = changed.mean()
-    assert 0.2 < rate < 0.4
-
-
 def test_corrupt_is_deterministic_per_config():
     view = make_view(n=25, d=16)
     one = corrupt(view, 0.4, 0.4, 123)
@@ -135,7 +126,3 @@ def test_corruption_config_validation():
         AugmentSettings(p_e=-0.1, p_f=0.0)
     with pytest.raises(ConfigError, match="p_f"):
         AugmentSettings(p_e=0.0, p_f=1.5)
-    with pytest.raises(ConfigError, match="mask_mode"):
-        AugmentSettings(mask_mode="rows")
-    with pytest.raises(ConfigError, match="resample_every_epoch"):
-        AugmentSettings(resample_every_epoch=0)

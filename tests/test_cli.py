@@ -20,7 +20,8 @@ import hgcml.hin as hin_module
 import hgcml.io as io_module
 import hgcml.trainer as trainer
 from conftest import append_tensor, code_objects, load_pipebench
-from hgcml.config import load_config, parse_config, to_dict
+from hgcml.config import (ConfigError, load_config, load_synth_config,
+                          parse_config, to_dict)
 from hgcml.hin import load_hin
 from hgcml.io import (read_checkpoint, read_matrix, write_checkpoint,
                        write_matrix)
@@ -460,19 +461,27 @@ def test_unknown_config_key_exits_3(pipeline, tmp_path, capsys):
     assert "trian" in capsys.readouterr().err
 
 
-def test_the_removed_negative_shuffle_switch_is_an_unknown_key(
-        pipeline, tmp_path, capsys):
-    """The node-graph negatives are never shuffled, so the switch that
-    turned the shuffle off is gone: a config that still sets it exits 3
-    naming it, and `train` writes nothing."""
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "literal_eq2", True),
+    ("augment", "mask_mode", "columns"),
+    ("augment", "resample_every_epoch", True),
+])
+def test_a_removed_config_key_is_an_unknown_key(pipeline, tmp_path, capsys,
+                                                section, key, value):
+    """Switches whose one value in use became the only behaviour are gone:
+    the node-graph negatives are never shuffled, features are masked by
+    whole columns and every epoch draws fresh corruptions. A config that
+    still sets one, even to its old default, exits 3 naming it, and
+    `train` writes nothing."""
     raw = json.load(open(pipeline["config"], encoding="utf-8"))
-    raw.setdefault("train", {})["literal_eq2"] = True
+    raw.setdefault(section, {})[key] = value
     bad = str(tmp_path / "bad.json")
     with open(bad, "w", encoding="utf-8") as fh:
         json.dump(raw, fh)
     out = tmp_path / "o"
     assert main(["train", "--config", bad, "--out", str(out)]) == 3
-    assert "literal_eq2" in capsys.readouterr().err
+    assert (f"unknown key {key!r} in section {section!r}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -482,7 +491,6 @@ def test_the_removed_negative_shuffle_switch_is_an_unknown_key(
     ("positives", "positives", "k_t", 2.5),
     ("eval", "eval", "probe_runs", 2.5),
     ("train", "train", "share_encoder", "no"),
-    ("train", "augment", "resample_every_epoch", "false"),
     ("train", "train", "patience", True),
     ("train", "train", "lr", "0.01"),
     ("prepare", "data", "nodes", 5),
@@ -813,6 +821,30 @@ def test_deeply_nested_config_exits_3(tmp_path, capsys, command):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError:"), depth
     assert "maximum recursion depth" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, document, key", [
+    ("train", '{"train": {"tau": -1}, "train": {"tau": 0.5}}', "train"),
+    ("train", '{"train": {"tau": -1, "tau": 0.5}}', "tau"),
+    ("train", '{"metapaths": [{"name": "a", "name": "b"}]}', "name"),
+    ("synth", '{"seed": 1, "blocks": 2, "seed": 2}', "seed"),
+], ids=["top-level", "nested", "in-an-array", "synth"])
+def test_a_repeated_config_key_is_invalid_json(tmp_path, capsys, command,
+                                               document, key):
+    """A key repeated within one object, at any depth, is refused rather
+    than the last one silently winning: the loader raises ConfigError and
+    the stage exits 3 before it makes its output directory."""
+    bad = tmp_path / "dup.json"
+    bad.write_text(document, encoding="utf-8")
+    load = load_synth_config if command == "synth" else load_config
+    message = f"{bad}: invalid JSON (duplicate key {key!r})"
+    with pytest.raises(ConfigError) as raised:
+        load(str(bad))
+    assert str(raised.value) == message
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

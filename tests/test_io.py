@@ -1,6 +1,7 @@
 """Atomic artifact writes: a writer that fails leaves the old file."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -75,3 +76,14 @@ def test_checkpoint_with_a_repeated_tensor_name_raises_format_error(tmp_path):
     path.write_bytes(append_tensor(blob, "w", np.zeros((2, 3))))
     with pytest.raises(FormatError, match="tensor 'w' repeated"):
         read_checkpoint(path)
+
+
+def test_checkpoint_tensor_name_that_is_not_utf8_raises_format_error(tmp_path):
+    """A whole name whose bytes do not decode is its own fault, not a
+    truncated file; it is still a FormatError, so the stages exit 2."""
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"HGM1" + struct.pack("<IH", 1, 1) + b"\xff"
+                     + struct.pack("<II", 1, 1) + struct.pack("<d", 1.0))
+    with pytest.raises(FormatError) as raised:
+        read_checkpoint(path)
+    assert str(raised.value) == f"{path}: tensor name is not UTF-8"

@@ -246,8 +246,6 @@ def test_train_config_validation():
     for alpha in (0.0, -0.1, 1.5):
         with pytest.raises(ConfigError, match="alpha"):
             PositiveSettings(alpha=alpha)
-    with pytest.raises(ConfigError, match="mask_mode"):
-        AugmentSettings(mask_mode="diagonal")
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
