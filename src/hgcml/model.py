@@ -1,12 +1,12 @@
-"""Neural components: per-view GCN encoder, shared projector head,
-mean-pooling readout, and late fusion.
+"""Neural components: per-view GCN encoder, shared projector head and
+late fusion.
 
 The encoder is a single graph convolution H = ReLU(A_hat X W) with no
 bias and the symmetric renormalization A_hat = D^-1/2 (A+I) D^-1/2, built
 from the view's edge list. The projector is a 2-layer MLP d->d->d shared
 by both losses: the objective applies it once to each corrupted view's
-rows and once to each view's mean summary, and the bilinear
-discriminator B scores those projections.
+rows and once to each view's mean summary (`numerics.mean_rows`), and
+the bilinear discriminator B scores those projections.
 
 The parameters are one name -> Tensor dict, keyed and ordered as
 `model.bin` stores them: `ENCODER` per metapath, then `HEAD`.
@@ -125,11 +125,6 @@ def project(h: Tensor, params) -> Tensor:
             w1._accumulate(h.data.T @ g)
 
     return nm._make(out, (h, w1, b1, w2, b2), grad_fn)
-
-
-def readout(h: Tensor) -> Tensor:
-    """Mean-pooled graph summary: column mean of H."""
-    return nm.mean_rows(h)
 
 
 def fuse(h_list, mode: str) -> np.ndarray:

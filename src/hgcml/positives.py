@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -192,6 +193,15 @@ class PositiveSets:
     def mask(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): the CSR rows of mask[u,v] = v in P_u."""
         return self.indptr, self.indices
+
+    @cached_property
+    def transposed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of P^T: row v holds the anchors u with v in
+        P_u, ascending. Built on first use and kept, as the sets are."""
+        anchors = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        counts = np.bincount(self.indices, minlength=self.n)
+        return (np.concatenate([[0], np.cumsum(counts)]),
+                anchors[np.argsort(self.indices, kind="stable")])
 
 
 def _top_k(sim: np.ndarray, k: int) -> np.ndarray:

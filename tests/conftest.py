@@ -646,10 +646,11 @@ def mean_all(a):
 
 
 def bilinear(h, b, s):
-    """h (n,d) x B (d,d) x s (1,d) -> logits (n,1); scalar when n=1."""
+    """h (n,d) x B (d,d) x s (1,d) -> logits (n,1); scalar when n=1. B s^T
+    is formed first, as `objective.node_graph_loss` associates it."""
     if s.shape[0] != 1 or b.shape != (h.shape[1], s.shape[1]):
         raise nm.ShapeMismatch(f"bilinear {h.shape}, {b.shape}, {s.shape}")
-    return matmul(matmul(h, b), transpose(s))
+    return matmul(h, matmul(b, transpose(s)))
 
 
 def sub(a, b):
@@ -1209,6 +1210,20 @@ def numerics_grad_cases():
         return (lambda: objective_module.node_node_loss(
             z_m, z_n, asymmetric, 0.5, negatives), [z_m, z_n, negatives])
     case("node_node_loss", c_node_node_loss)
+
+    def c_inter_pair():
+        z_m, z_n = param((5, 3), "ip_zm"), param((5, 3), "ip_zn")
+        negatives = [param((5, 1), f"ip_neg{i}", lo=0.5, hi=2.0)
+                     for i in range(2)]
+
+        def both():
+            pair = objective_module.InterPair(z_m, z_n, negatives)
+            return add(objective_module.node_node_loss(
+                z_m, z_n, asymmetric, 0.5, pair), scale(
+                objective_module.node_node_loss(z_n, z_m, asymmetric, 0.5,
+                                                pair), 0.6))
+        return both, [z_m, z_n, *negatives]
+    case("inter_pair", c_inter_pair)
 
     def c_total_objective():
         rng = substream(7, "gradcase", "total")

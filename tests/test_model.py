@@ -16,8 +16,8 @@ from conftest import (assert_same_csr, bilinear, csr_gcn_normalize,
 from hgcml.config import FUSION_MODES
 from hgcml.io import FormatError
 from hgcml.model import (fuse, gcn_forward, gcn_normalize, init_params,
-                         params_from_checkpoint, project, readout)
-from hgcml.numerics import ShapeMismatch, Tensor
+                         params_from_checkpoint, project)
+from hgcml.numerics import ShapeMismatch, Tensor, mean_rows
 from hgcml.rng import substream
 
 
@@ -146,7 +146,7 @@ def test_projector_node_is_bit_equal_to_its_op_chain(rows):
 
 def test_readout_is_column_mean():
     h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    assert np.allclose(readout(h).data, [[3.0, 4.0]], atol=1e-15)
+    assert np.allclose(mean_rows(h).data, [[3.0, 4.0]], atol=1e-15)
 
 
 def test_discriminator_zero_bilinear_gives_half():

@@ -10,7 +10,7 @@ import pytest
 
 import hgcml.model
 import hgcml.objective
-from conftest import (anchor_only, dense_mask, grad_check, layer_bits,
+from conftest import (add, anchor_only, dense_mask, grad_check, layer_bits,
                       mean_all, mul_const, permute_rows, positive_sets,
                       scale,
                       tape_anchor_negatives, tape_node_graph_loss,
@@ -18,11 +18,11 @@ from conftest import (anchor_only, dense_mask, grad_check, layer_bits,
                       tape_weighted_total, two_pass_node_node_loss,
                       view_from_adjacency)
 from hgcml.augment import corrupt
-from hgcml.model import gcn_forward, init_params, readout
-from hgcml.numerics import LOG_EPS, AdamState, ShapeMismatch, Tensor
-from hgcml.objective import (CHUNK, ContrastTerm, anchor_negatives,
-                             node_graph_loss, node_node_loss, pair_terms,
-                             total_objective)
+from hgcml.model import gcn_forward, init_params
+from hgcml.numerics import LOG_EPS, AdamState, ShapeMismatch, Tensor, mean_rows
+from hgcml.objective import (CHUNK, ContrastTerm, InterPair,
+                             anchor_negatives, node_graph_loss,
+                             node_node_loss, pair_terms, total_objective)
 from hgcml.positives import PositiveSets, select_positives
 from hgcml.rng import substream
 
@@ -344,6 +344,132 @@ def test_pair_node_passes_the_finite_difference_check(monkeypatch, kind, n):
         [a, b]) < 1e-6
 
 
+def inter_pair_losses(z_m, z_n, positives, tau, negatives):
+    """Pair (m,n)'s and pair (n,m)'s losses, read from one InterPair as
+    pair_terms reads them."""
+    pair = InterPair(z_m, z_n, negatives)
+    return (node_node_loss(z_m, z_n, positives, tau, pair),
+            node_node_loss(z_n, z_m, positives, tau, pair))
+
+
+def one_pass_losses(z_m, z_n, positives, tau, negatives):
+    """The same two losses from two standalone one-pass nodes."""
+    return (node_node_loss(z_m, z_n, positives, tau, negatives[0]),
+            node_node_loss(z_n, z_m, positives, tau, negatives[1]))
+
+
+def weighted_pair(losses):
+    """A scalar over both ordered losses, weighted apart so each
+    direction's gradient shows."""
+    return add(scale(losses[0], 0.7), scale(losses[1], 1.3))
+
+
+@pytest.mark.parametrize("kind,n", FD_CASES)
+def test_inter_pair_passes_the_finite_difference_check(monkeypatch, kind, n):
+    """Both ordered losses of the shared node, with asymmetric P once
+    n > 1 and blocks that straddle the CHUNK edges: with N_m and N_n as
+    leaves, and fed by the anchor nodes as pair_terms feeds it."""
+    monkeypatch.setattr(hgcml.objective, "CHUNK", FD_CHUNK)
+    a, b, _, positives = anchor_inputs(kind, n)
+    negatives = [Tensor(anchor_negatives(z, positives, 0.5).data,
+                        requires_grad=True) for z in (a, b)]
+    assert grad_check(lambda: weighted_pair(inter_pair_losses(
+        a, b, positives, 0.5, negatives)), [a, b, *negatives]) < 1e-6
+    assert grad_check(lambda: weighted_pair(inter_pair_losses(
+        a, b, positives, 0.5, [anchor_negatives(z, positives, 0.5)
+                               for z in (a, b)])), [a, b]) < 1e-6
+
+
+def pair_results(pair_fn, a, b, positives, tau):
+    """Both losses and the gradients of z_m, z_n, N_m and N_n (leaves)."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in (
+        a, b, *(anchor_negatives(Tensor(x), positives, tau).data
+                for x in (a, b)))]
+    losses = pair_fn(leaves[0], leaves[1], positives, tau, leaves[2:])
+    weighted_pair(losses).backward()
+    return [loss.item() for loss in losses], [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("kind,n,tau", [case for case in AGREEMENT_CASES
+                                        if case.values[0] != "same_tensor"])
+def test_inter_pair_matches_two_one_pass_nodes(kind, n, tau):
+    a, b, positives = agreement_inputs(kind, n, tau)
+    (want, want_grads), (got, got_grads) = (
+        pair_results(pair_fn, a, b, positives, tau)
+        for pair_fn in (one_pass_losses, inter_pair_losses))
+    assert relative_error(got, want) <= 1e-12
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        assert relative_error(got_grad, want_grad) <= 1e-12
+
+
+def test_inter_pair_forms_each_block_once_per_pass(monkeypatch):
+    """Both ordered losses form each block of CHUNK rows of the cross-view
+    logits once in forward and once more in backward: two logits matmuls
+    per block where two one-pass nodes make two, and two gradient matmuls
+    where they make four."""
+    n = 2 * CHUNK + 3
+    calls = []
+    logits = hgcml.objective._logits
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return logits(*args, **kwargs)
+
+    z_m, z_n = rand_z(n, 4, "interonce-m"), rand_z(n, 4, "interonce-n")
+    positives = sampled_positives(n, "interonce")
+    negatives = [Tensor(anchor_negatives(z, positives, 0.5).data,
+                        requires_grad=True) for z in (z_m, z_n)]
+    monkeypatch.setattr(hgcml.objective, "_logits", counting)
+    losses = inter_pair_losses(z_m, z_n, positives, 0.5, negatives)
+    assert len(calls) == math.ceil(n / CHUNK)
+    weighted_pair(losses).backward()
+    assert len(calls) == 2 * math.ceil(n / CHUNK)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["anchor", "key"])
+@pytest.mark.parametrize("grad", [True, False])
+def test_inter_pair_non_finite_row_gives_two_nan_losses(value, side, grad):
+    """A NaN or inf in a row of the second block of either view makes
+    both ordered losses NaN, with or without gradients."""
+    z_m, z_n = rand_z(CHUNK + 5, 4, "internan1"), rand_z(CHUNK + 5, 4,
+                                                          "internan2")
+    (z_m if side == "anchor" else z_n).data[CHUNK + 2, 1] = value
+    if not grad:
+        z_m, z_n = Tensor(z_m.data), Tensor(z_n.data)
+    positives = sampled_positives(CHUNK + 5, "internan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        losses = inter_pair_losses(z_m, z_n, positives, 0.5, [
+            anchor_negatives(z, positives, 0.5) for z in (z_m, z_n)])
+    assert all(np.isnan(loss.item()) for loss in losses)
+    assert all(loss.requires_grad == grad for loss in losses)
+
+
+def test_inter_pair_without_gradients_gives_the_same_bits():
+    """A forward over constants, as in the untaped last epoch, gives the
+    loss bits of one whose inputs take gradients."""
+    n = 2 * CHUNK + 3
+    a, b, positives = agreement_inputs("sampled", n, 0.5)
+
+    def losses(requires_grad):
+        z = [Tensor(x.copy(), requires_grad=requires_grad) for x in (a, b)]
+        return [loss.data.tobytes() for loss in inter_pair_losses(
+            *z, positives, 0.5, [anchor_negatives(t, positives, 0.5)
+                                 for t in z])]
+
+    assert losses(False) == losses(True)
+
+
+def test_inter_pair_reads_only_its_own_views():
+    z_m, z_n = rand_z(5, 3, "interown1"), rand_z(5, 3, "interown2")
+    positives = anchor_only(5)
+    pair = InterPair(z_m, z_n, [anchor_negatives(z, positives, 0.5)
+                                for z in (z_m, z_n)])
+    with pytest.raises(ShapeMismatch, match="inter pair"):
+        node_node_loss(z_m, rand_z(5, 3, "interown3"), positives, 0.5, pair)
+
+
 def test_anchor_node_keeps_no_n_by_d_array():
     """What the anchor node leaves on the tape after its forward, N and
     its strips' index arrays, is under half of one n x d array."""
@@ -439,7 +565,7 @@ def test_zero_discriminator_gives_two_log_two():
     params = identity_params(3)
     h = rand_z(4, 3, "disc1", positive=True)
     h_neg = rand_z(4, 3, "disc2", positive=True)
-    s = readout(h)
+    s = mean_rows(h)
     loss = node_graph_loss(h, h_neg, s, params)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
@@ -451,7 +577,7 @@ def test_node_graph_loss_numpy_oracle():
     params["disc.B"] = Tensor(b.copy(), requires_grad=True)
     h = rand_z(5, d, "ng1", positive=True)
     h_neg = rand_z(5, d, "ng2", positive=True)
-    s = readout(h)
+    s = mean_rows(h)
     loss = node_graph_loss(h, h_neg, s, params).item()
     # identity projector keeps positive activations unchanged
     summary = h.data.mean(axis=0, keepdims=True)
@@ -636,29 +762,34 @@ def tape_memory(objective):
         tracemalloc.stop()
 
 
-def test_tape_holds_at_most_22_arrays_after_the_forward():
-    """A node-graph pair keeps its logits and no z B, and an anchor node
-    keeps no n x d array, so the tape holds at most 22 n x d arrays (21.4
-    measured; 31 when each pair kept its z B and a row-shuffled copy of its
-    negative branch); the per-op tape holds more than 50 (50.8 measured)."""
+def test_tape_holds_at_most_18_arrays_after_the_forward():
+    """A node-graph pair keeps its logits and B s^T, an anchor node no
+    n x d array, and an inter pair's shared node its four n x 1 masses,
+    so the tape holds at most 18 n x d arrays (17.5 measured; 21.4 when
+    each ordered inter pair kept its two n x d input gradients, 31 when
+    each pair also kept its z B and a row-shuffled copy of its negative
+    branch); the per-op tape holds more than 38 (38.9 measured, 50.8 when
+    its bilinear chain kept each branch's z B)."""
     fused, oracle = tape_memory(total_objective)[0], tape_memory(
         tape_total_objective)[0]
-    assert fused <= 22 < 50 < oracle, (fused, oracle)
+    assert fused <= 18 < 38 < oracle, (fused, oracle)
 
 
 def test_forward_peaks_at_most_32_arrays():
     """total_objective's forward never holds more than 32 n x d arrays at
-    once (26.7 measured; 30.1 with each pair's 2n-key logits block, 41.4
-    with each pair's z B, row-shuffled copies of the negative branches and
-    the node-node kernel's separate unit rows)."""
+    once (22.9 measured; 26.7 when each ordered inter pair formed its own
+    input gradients, 30.1 with each pair's 2n-key logits block, 41.4 with
+    each pair's z B, row-shuffled copies of the negative branches and the
+    node-node kernel's separate unit rows)."""
     peak = tape_memory(total_objective)[1]
     assert peak <= 32, peak
 
 
 def test_node_node_call_with_gradients_peaks_at_most_12_arrays():
     """One node-node call that forms both input gradients, with the anchor
-    node it builds, peaks at 12 n x d arrays at n=600, d=64 (9.5 measured;
-    11.2 with each pair's 2n-key logits block, 14.4 with the unit rows
+    node it builds, peaks at 12 n x d arrays at n=600, d=64 (9.6 measured
+    with the P^T arrays it builds on first use, 9.5 before them; 11.2 with
+    each pair's 2n-key logits block, 14.4 with the unit rows
     beside the keys and out-of-place gradient temporaries)."""
     n, d = 600, 64
     z_m, z_n = rand_z(n, d, "nnpeak1"), rand_z(n, d, "nnpeak2")
@@ -764,12 +895,14 @@ def test_projector_runs_once_per_corrupted_view_and_summary(monkeypatch,
 @pytest.mark.parametrize("n_views", [1, 2, 3])
 def test_one_anchor_node_per_view_and_one_pair_node_per_pair(monkeypatch,
                                                             n_views):
-    """One total_objective makes V anchor nodes and V^2 pair nodes, and
-    PositiveSets.mask runs once per pair node: the anchor node reads the
-    CSR arrays itself. These are the counts the benchmark's tracer sees."""
-    calls = {"anchor": 0, "pair": 0, "mask": 0}
+    """One total_objective makes V anchor nodes and V^2 node-node calls,
+    of which the V(V-1) inter ones read V(V-1)/2 shared nodes, and
+    PositiveSets.mask runs once per call: the anchor node reads the CSR
+    arrays itself. These are the counts the benchmark's tracer sees."""
+    calls = {"anchor": 0, "pair": 0, "inter": 0, "mask": 0}
     for name, owner, attr in (("anchor", hgcml.objective, "anchor_negatives"),
                               ("pair", hgcml.objective, "node_node_loss"),
+                              ("inter", hgcml.objective, "_inter_losses"),
                               ("mask", PositiveSets, "mask")):
         def counted(*args, name=name, original=getattr(owner, attr)):
             calls[name] += 1
@@ -780,6 +913,7 @@ def test_one_anchor_node_per_view_and_one_pair_node_per_pair(monkeypatch,
     total_objective(corruption_pairs(views, seed=105), params,
                     sampled_positives(5, "counts"), tau=0.5)
     assert calls == {"anchor": n_views, "pair": n_views ** 2,
+                     "inter": n_views * (n_views - 1) // 2,
                      "mask": n_views ** 2}
 
 

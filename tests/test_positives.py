@@ -484,6 +484,23 @@ def test_load_positives_csr_equals_oracle_mask(tmp_path):
         assert_same_csr_as_oracle_mask(load_positives(path, n), chosen.sets)
 
 
+def test_transposed_csr_equals_the_transposed_oracle_mask():
+    """`transposed` is P^T's CSR, each row's anchors ascending, with int64
+    arrays like P's; it is built on first use and then kept."""
+    for trial in range(5):
+        rng = substream(trial, "transposedcsr")
+        n = int(rng.integers(1, 30))
+        chosen = select_positives(rng.random((n, n)), rng.random((n, n)),
+                                  int(rng.integers(0, n)), int(rng.integers(0, n)))
+        indptr, indices = chosen.transposed
+        want = oracle_mask(chosen.sets).T.tocsr()
+        want.sum_duplicates()
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.tolist() == want.indptr.tolist()
+        assert indices.tolist() == want.indices.tolist()
+        assert chosen.transposed[1] is indices
+
+
 def test_select_positives_peak_memory_is_below_half_a_dense_boolean():
     n = 3000
     sim_t = substream(5, "selectmem").random((n, n))
