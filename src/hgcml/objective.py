@@ -5,19 +5,18 @@ to its positive set P_u; negatives are the same-view and cross-view
 similarities to everything outside P_u (u itself sits in P_u, so the
 anchor's self-similarity never appears as a negative). Each logit is
 shifted by the constant 1/tau, which no logit of unit rows exceeds, so
-exp never overflows. The same-view negative mass depends only on the
-anchor view, so it is one tape node per view, formed over the upper
-triangle of the symmetric u u^T. Under that shift the cross-view block
-of pair (n,m) is the transpose of pair (m,n)'s, so each inter pair
-{m,n} is one two-pass node: forward forms each block of CHUNK rows of
-pair (m,n)'s once, its row sums masked by P serve (m,n) and its column
-sums masked by P^T serve (n,m), and backward forms it again. Each intra
-pair is one node whose one pass over blocks of CHUNK anchor rows of the
-n cross-view columns forms the loss and both input gradients; backward
-only scales them. In n x n x d matmul units an epoch over V views costs
-2V^2 + 3V. Positives are gathered from the CSR arrays of P and P^T that
-`PositiveSets` holds. Memory is O(CHUNK*n) floats, with no n x n array
-of any dtype alive at any time.
+exp never overflows. One tape node per epoch, `view_masses`, forms the
+masses of the V first-corruption views: each view's same-view negative
+mass over the upper triangle of the symmetric u u^T, and, for views
+m < k, the cross-view block u_m u_k^T once, whose row sums serve pair
+(m,k) and whose column sums serve (k,m). An inter pair's loss is a small
+node over its columns. Each intra pair is one node whose one pass over
+blocks of CHUNK anchor rows of the n cross-view columns forms the loss
+and both input gradients; backward only scales them. In n x n x d
+matmul units an epoch over V views costs 2V^2 + 3V. Positives are
+gathered from the CSR arrays of P and P^T that `PositiveSets` holds.
+Memory is O(CHUNK*n) floats, with no n x n array of any dtype alive at
+any time.
 
 Node-graph: a bilinear discriminator scores projected rows against the
 projected mean summary, positive branch vs a negative branch, in one tape
@@ -35,6 +34,7 @@ the scale is independent of the node count; the result is minimized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,14 +95,6 @@ def _offsets(indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int,
     return rows, rows * (n - first) + (cols - first)
 
 
-def _gather(flat: np.ndarray, rows: np.ndarray, at: np.ndarray,
-            size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sums of a block's entries at the flat offsets `at`, whose
-    rows are `rows`, and those entries."""
-    values = flat[at]
-    return np.bincount(rows, weights=values, minlength=size), values
-
-
 def _log_ratio(den: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Per-anchor log D - log P, both logs clamped at LOG_EPS."""
     return (np.log(np.maximum(den, LOG_EPS))
@@ -124,187 +116,134 @@ def _to_rows(grad_unit: np.ndarray, unit: np.ndarray,
     return grad_unit
 
 
-def anchor_negatives(z: Tensor, positives: PositiveSets, tau: float) -> Tensor:
-    """Each anchor's same-view negative mass, an (n,1) tape node.
+def view_masses(zs, positives: PositiveSets, tau: float) -> Tensor:
+    """Every view pair's negative and positive masses, one (n, 2V^2) tape
+    node over the V projected views `zs`.
 
-    With unit rows u of z, N_i = sum_{j not in P_i} exp(u_i.u_j/tau - 1/tau).
-    That term of the InfoNCE denominator is the same for every pair with z
-    as the anchor view, so it is formed once per view. E = exp(u u^T/tau -
-    1/tau) is symmetric, and only its upper triangle is formed: strip I is
-    row block I against the columns from I's first row on. The strip's
-    row sums, with the entries of P zeroed, go to rows I; its column sums
-    right of the diagonal tile, with the entries of P^T zeroed, go to the
-    later rows. No sum is formed by subtraction.
-    Backward forms each strip again and scales it by W_ij = E_ij
-    (g_i [j not in P_i] + g_j [i not in P_j]) / tau, W symmetric, then
-    adds W u_J to rows I and the off-diagonal W^T u_I to the later rows.
-    P and P^T are `positives`' CSR arrays and its `transposed` ones. The
-    tape keeps N and each strip's offsets of P and P^T, no n x d array.
+    With unit rows u_m of zs[m], E_mk = exp(u_m u_k^T/tau - 1/tau). Per
+    anchor i, column 2(mV + k) holds the mass of row i of E_mk on P_i and
+    column 2(mV + k) + 1 the mass outside P_i; for k = m that is the
+    same-view negative mass N_m, and the mass on P_i, which no loss
+    reads, stays 0. For each anchor view m and block of CHUNK rows, the
+    blocks (m,k), k >= m, are formed one at a time in one buffer. E_mm is
+    symmetric, so its block is the strip from the block's first row on:
+    its row sums go to the block's rows and its column sums right of the
+    diagonal tile to the later rows. For k > m, E_km = E_mk^T, so the
+    block against all n columns serves both pairs: its row sums, split by
+    P, go to (m,k) and its column sums, split by P^T, to (k,m). No sum is
+    formed by subtraction. Each block's offsets of P and P^T (the CSR
+    arrays `positives` holds) are formed once, for the strip and, when
+    V > 1, for the full width; the tape keeps them and the masses, no
+    n x d array.
+    Backward forms each block again and scales it by E o (a_ij + b_ij)/tau:
+    a_ij is row anchor i's dL/d(its mass on P_i) if j is in P_i, else
+    dL/d(its mass outside), and b_ij column anchor j's the same under P^T;
+    an entry in both takes both. It adds W u_k to the rows of u_m and
+    W^T u_m to those of u_k (for the strip, the part right of the
+    diagonal tile to the later rows), then takes each view's gradient
+    back through its row normalization once.
     """
-    n = z.shape[0]
+    zs = list(zs)
+    views, n = len(zs), zs[0].shape[0]
+    if any(z.shape != zs[0].shape for z in zs):
+        raise ShapeMismatch(f"projected views differ: {[z.shape for z in zs]}")
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
-    chunk, inv_tau = CHUNK, 1.0 / tau
+    inv_tau = 1.0 / tau
     csrs = ((positives.indptr, positives.indices), positives.transposed)
-    strips = [(lo, *(_offsets(*csr, lo, min(lo + chunk, n), lo, n)[1]
-                     for csr in csrs)) for lo in range(0, n, chunk)]
-    # the first strip is the largest: one buffer serves every strip, so no
-    # two strips are ever alive
-    size = min(chunk, n) * n
+    # per block, the flat offsets of P's and P^T's entries in the strip
+    # and in the full width
+    blocks = []
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        strip = [_offsets(*csr, lo, hi, lo, n)[1] for csr in csrs]
+        full = ([_offsets(*csr, lo, hi, 0, n)[1] for csr in csrs]
+                if views > 1 else None)
+        blocks.append((lo, hi, strip, full))
 
-    def strip(unit, lo, buffer):
-        hi, width = min(lo + chunk, n), n - lo
-        exps = buffer[:(hi - lo) * width].reshape(hi - lo, width)
-        return hi, _shifted_exps(unit[lo:hi], unit[lo:], inv_tau, out=exps)
+    def pairs(units, buffer):
+        """(m, k, lo, hi, first, exps, offsets) per block of E_mk, k >= m,
+        against the columns first:n, each formed in `buffer`."""
+        for m in range(views):
+            for lo, hi, strip, full in blocks:
+                for k in range(m, views):
+                    first = lo if k == m else 0
+                    exps = buffer[:(hi - lo) * (n - first)].reshape(
+                        hi - lo, n - first)
+                    yield (m, k, lo, hi, first, _shifted_exps(
+                        units[m][lo:hi], units[k][first:], inv_tau, out=exps),
+                        strip if k == m else full)
 
-    unit, _ = _unit_rows(z.data)
-    mass = np.zeros((n, 1))
-    buffer = np.empty(size)
-    for lo, at_p, at_t in strips:
-        hi, exps = strip(unit, lo, buffer)
+    mass = np.zeros((n, views, views, 2))
+    units = [_unit_rows(z.data)[0] for z in zs]
+    for m, k, lo, hi, first, exps, (at_p, at_t) in pairs(
+            units, np.empty(min(CHUNK, n) * n)):
         flat = exps.reshape(-1)
         kept = flat[at_p]
+        if k > m:
+            mass[lo:hi, m, k, 0] = np.bincount(at_p // n, kept, hi - lo)
+            mass[:, k, m, 0] += np.bincount(at_t % n, flat[at_t], n)
         flat[at_p] = 0.0
-        mass[lo:hi, 0] += exps.sum(axis=1)
+        mass[lo:hi, m, k, 1] += exps.sum(axis=1)
         flat[at_p] = kept
-        # the diagonal tile's column sums are not taken, so its entries
+        # the strip's diagonal tile gives no column sums, so its entries
         # of P^T may be zeroed with the rest
         flat[at_t] = 0.0
-        mass[hi:, 0] += exps[:, hi - lo:].sum(axis=0)
+        tail = hi - lo if k == m else 0
+        mass[first + tail:, k, m, 1] += exps[:, tail:].sum(axis=0)
 
     def grad_fn(g):
-        unit, norms = _unit_rows(z.data)
-        gamma = g[:, 0] * inv_tau
-        grad = np.zeros_like(unit)
-        buffer, weights = np.empty((2, size))
-        for lo, at_p, at_t in strips:
-            hi, exps = strip(unit, lo, buffer)
+        g = g.reshape(n, views, views, 2) * inv_tau
+        units, norms = zip(*(_unit_rows(z.data) for z in zs))
+        grads = [np.zeros_like(unit) for unit in units]
+        unread = np.zeros(n)
+        buffer, weights = np.empty((2, min(CHUNK, n) * n))
+        for m, k, lo, hi, first, exps, (at_p, at_t) in pairs(units, buffer):
+            # (on P, outside P) per row anchor, and per column anchor under
+            # P^T; no loss reads a view's mass on its own P
+            (a_on, a_out), (b_on, b_out) = (
+                (g[:, m, k].T, g[:, k, m].T) if k > m
+                else ((unread, g[:, m, m, 1]),) * 2)
+            width = n - first
             w = weights[:exps.size].reshape(exps.shape)
-            np.add(gamma[lo:hi, None], gamma[None, lo:], out=w)
-            # g_i leaves the entries of P, g_j those of P^T, and both
-            # leave the entries of both
+            np.copyto(w, b_out[None, first:])
             flat = w.reshape(-1)
-            flat[at_p] = gamma[lo + at_p % (n - lo)]
-            flat[at_t] = gamma[lo + at_t // (n - lo)]
-            flat[np.intersect1d(at_p, at_t, assume_unique=True)] = 0.0
+            flat[at_t] = b_on[first + at_t % width]
+            kept = flat[at_p]
+            w += a_out[lo:hi, None]
+            flat[at_p] = kept + a_on[lo + at_p // width]
             exps *= w
-            grad[lo:hi] += exps @ unit[lo:]
-            grad[hi:] += exps[:, hi - lo:].T @ unit[lo:hi]
-        z._accumulate(_to_rows(grad, unit, norms))
+            grads[m][lo:hi] += exps @ units[k][first:]
+            tail = hi - lo if k == m else 0
+            grads[k][first + tail:] += exps[:, tail:].T @ units[m][lo:hi]
+        for z, grad, unit, norm in zip(zs, grads, units, norms):
+            if z.requires_grad:
+                z._accumulate(_to_rows(grad, unit, norm))
 
-    return nm._make(mass, (z,), grad_fn)
+    return nm._make(mass.reshape(n, -1), tuple(zs), grad_fn)
 
 
-def _inter_losses(z_m: Tensor, z_n: Tensor, csr, transposed, tau: float,
-                  negatives: tuple[Tensor, Tensor]) -> Tensor:
-    """Both ordered node-node losses of views m != n, one (1,2) tape node.
-
-    With unit rows u of z_m and w of z_n, E = exp(u w^T/tau - 1/tau) is
-    pair (m,n)'s cross-view block, and E^T is pair (n,m)'s. Forward forms
-    each block of CHUNK rows of E once. Its row sums, masked by P (the CSR
-    `csr`), give the (m,n) anchors' positive and cross-view negative
-    masses; its column sums, masked by P^T (`transposed`), give the (n,m)
-    anchors'. Each anchor's own `anchor_negatives` mass, N_m or N_n
-    (`negatives`), joins its denominator. The tape keeps the four n x 1
-    masses. Backward forms each block again and scales it by
-    W_ij = E_ij (a_ij + b_ij) / tau, where a_ij is row anchor i's dL/dE_ij
-    under P and b_ij column anchor j's under P^T; it adds W w to the rows
-    of u and W^T u to those of w, and hands each anchor's dL/dD to N_m or
-    N_n. That is four n x n x d matmul units, where two one-pass nodes
-    cost six.
-    """
-    n = z_m.shape[0]
-    inv_tau = 1.0 / tau
-    neg_m, neg_n = negatives
-    block = np.empty((min(CHUNK, n), n))
-    pos_m, den_m = np.empty(n), np.empty(n)
-    pos_n, cross_n = np.zeros(n), np.zeros(n)
-    for lo, hi, exps in _blocks(_unit_rows(z_m.data)[0],
-                                _unit_rows(z_n.data)[0], inv_tau, block):
-        flat = exps.reshape(-1)
-        local, at_p = _offsets(*csr, lo, hi, 0, n)
-        _, at_t = _offsets(*transposed, lo, hi, 0, n)
-        pos, kept = _gather(flat, local, at_p, hi - lo)
-        pos_n += _gather(flat, at_t % n, at_t, n)[0]
-        # what is left once the positives are zeroed is the cross-view
-        # negative mass, of the rows for P and of the columns for P^T
-        flat[at_p] = 0.0
-        pos_m[lo:hi] = pos
-        den_m[lo:hi] = pos + exps.sum(axis=1) + neg_m.data[lo:hi, 0]
-        flat[at_p] = kept
-        flat[at_t] = 0.0
-        cross_n += exps.sum(axis=0)
-    den_n = pos_n + cross_n + neg_n.data[:, 0]
+def _pair_ratio(masses: Tensor, columns: list[int]) -> Tensor:
+    """Mean log D - log P of a pair whose masses P, C (outside P_i) and N
+    are `columns` of `masses`, with D = P + C + N: one tape node."""
+    n = masses.shape[0]
+    pos, cross, neg = masses.data[:, columns].T
+    den = pos + cross + neg
 
     def grad_fn(g):
-        unit_m, norms_m = _unit_rows(z_m.data)
-        unit_n, norms_n = _unit_rows(z_n.data)
-        # per direction, dL/dD and, for an entry of P or P^T, dL/dD + dL/dP,
-        # over tau; zero where a LOG_EPS clamp is active
-        g_den_m = _inverse(den_m, g[0, 0] / n)
-        g_den_n = _inverse(den_n, g[0, 1] / n)
-        a, b = g_den_m * inv_tau, g_den_n * inv_tau
-        a_pos = (g_den_m - _inverse(pos_m, g[0, 0] / n)) * inv_tau
-        b_pos = (g_den_n - _inverse(pos_n, g[0, 1] / n)) * inv_tau
-        grad_m, grad_n = np.empty_like(unit_m), np.zeros_like(unit_n)
-        buffer, weights = np.empty((2, min(CHUNK, n), n))
-        for lo, hi, exps in _blocks(unit_m, unit_n, inv_tau, buffer):
-            local, at_p = _offsets(*csr, lo, hi, 0, n)
-            _, at_t = _offsets(*transposed, lo, hi, 0, n)
-            flat = exps.reshape(-1)
-            # E o B, the column anchors' share, beside E o A, the row
-            # anchors': each holds one mask, so no entry needs both
-            by_cols = np.multiply(exps, b, out=weights[:hi - lo])
-            by_cols.reshape(-1)[at_t] = flat[at_t] * b_pos[at_t % n]
-            kept = flat[at_p]
-            exps *= a[lo:hi, None]
-            flat[at_p] = kept * a_pos[lo + local]
-            exps += by_cols
-            grad_m[lo:hi] = exps @ unit_n
-            grad_n += exps.T @ unit_m[lo:hi]
-        for z, grad in ((z_m, _to_rows(grad_m, unit_m, norms_m)),
-                        (z_n, _to_rows(grad_n, unit_n, norms_n)),
-                        (neg_m, g_den_m[:, None]), (neg_n, g_den_n[:, None])):
-            if z.requires_grad:
-                z._accumulate(grad)
+        g_den = _inverse(den, g[0, 0] / n)
+        grad = np.zeros(masses.shape)
+        grad[:, columns] = np.stack(
+            [g_den - _inverse(pos, g[0, 0] / n), g_den, g_den], axis=1)
+        masses._accumulate(grad)
 
-    losses = [[_log_ratio(den_m, pos_m).mean(), _log_ratio(den_n, pos_n).mean()]]
-    return nm._make(np.array(losses), (z_m, z_n, neg_m, neg_n), grad_fn)
-
-
-class InterPair:
-    """Views m != n as one inter pair: `node_node_loss` reads pair (m,n)'s
-    loss and pair (n,m)'s from it. The first read makes the pair's one
-    `_inter_losses` node, with the anchor nodes `negatives` of z_m and
-    z_n; each read is a node over one of its two columns."""
-
-    def __init__(self, z_m: Tensor, z_n: Tensor,
-                 negatives: tuple[Tensor, Tensor]):
-        self.views = (z_m, z_n)
-        self.negatives = negatives
-        self.losses: Tensor | None = None
-
-    def read(self, z_m: Tensor, z_n: Tensor, csr, transposed,
-             tau: float) -> Tensor:
-        if (z_m, z_n) not in (self.views, self.views[::-1]):
-            raise ShapeMismatch("the views are not those of this inter pair")
-        column = int(z_m is not self.views[0])
-        if self.losses is None:
-            self.losses = _inter_losses(*self.views, csr, transposed, tau,
-                                        self.negatives)
-        losses = self.losses
-
-        def grad_fn(g):
-            grad = np.zeros((1, 2))
-            grad[0, column] = g[0, 0]
-            losses._accumulate(grad)
-
-        return nm._make(losses.data[:, column:column + 1].copy(), (losses,),
-                        grad_fn)
+    return nm._make(np.array([[_log_ratio(den, pos).mean()]]), (masses,),
+                    grad_fn)
 
 
 def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
-                   tau: float, shared: Tensor | InterPair | None = None) -> Tensor:
+                   tau: float, shared: tuple[Tensor, int, int] | None = None
+                   ) -> Tensor:
     """Mean InfoNCE-style loss over anchors, on projected rows.
 
     Rows are L2-normalized (norms clamped at LOG_EPS), so with unit rows
@@ -314,20 +253,20 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     D_i = P_i plus the exp mass of both logit rows outside P_i; the loss
     is mean_i log D_i - log P_i with both logs clamped at LOG_EPS.
 
-    `shared` is what the pair reads from nodes other pairs share. For an
-    intra pair it is the anchor view's `anchor_negatives` node, the S_mm
-    half of D_i, which every pair with z_m as its anchor view shares; a
-    call without it builds its own. This node streams only the n
-    cross-view key columns, in blocks of CHUNK anchors, one logits matmul
-    and one exp per block. P_i is gathered from the CSR rows
+    `shared` is (masses, m, k): the epoch's `view_masses` node, which all
+    pairs share, and this pair's anchor view m and key view k in it. A
+    call without it reads a `view_masses` node of z_m alone, as pair
+    (0, 0). For k != m the node already holds P_i and the cross-view mass
+    outside P_i, and the call is a small node over those two columns and
+    N_m's. For k = m it reads N_m, the S_mm half of D_i, and streams the
+    n columns of z_n, in blocks of CHUNK anchors, one logits matmul and
+    one exp per block. P_i is gathered from the CSR rows
     `positives.mask()` returns, and the cross-view negative mass is the
     row sum left once the positives are zeroed, never a row sum minus the
     positives. As the output is a scalar, the same pass turns each block
     into dL/dS for g = 1 and adds its share to both input gradients;
-    backward only scales them, and hands g dL/dD to the anchor node.
-    For an inter pair `shared` is the `InterPair` of z_m and z_n, whose
-    one node forms this loss and that of the swapped pair; the call reads
-    its column. Every call reads the CSR rows once.
+    backward only scales them, and hands g dL/dD to N_m's column.
+    Every call reads the CSR rows once.
     Peak memory is O(CHUNK*n) floats, with no n x n array of any dtype.
     A NaN or inf in a row makes the loss NaN, which the trainer reports.
     """
@@ -337,13 +276,17 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
     csr = positives.mask()
-    if isinstance(shared, InterPair):
-        return shared.read(z_m, z_n, csr, positives.transposed, tau)
-    negatives = anchor_negatives(z_m, positives, tau) if shared is None else shared
-    if negatives.shape != (n, 1):
-        raise ShapeMismatch(f"negative masses {negatives.shape}, views have {n} rows")
+    masses, m, k = ((view_masses([z_m], positives, tau), 0, 0)
+                    if shared is None else shared)
+    if masses.shape[0] != n:
+        raise ShapeMismatch(f"negative masses {masses.shape}, views have {n} rows")
+    views = math.isqrt(masses.shape[1] // 2)
+    at, column = 2 * (m * views + k), 2 * (m * views + m) + 1
+    if k != m:
+        return _pair_ratio(masses, [at, at + 1, column])
+    negatives = masses.data[:, column:column + 1]
     needs_grad = (z_m.requires_grad or z_n.requires_grad
-                  or negatives.requires_grad)
+                  or masses.requires_grad)
     inv_tau = 1.0 / tau
     g0 = 1.0 / n
     unit_n, norms_n = _unit_rows(z_n.data)
@@ -358,12 +301,12 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     for lo, hi, exps in _blocks(unit_m, unit_n, inv_tau, block):
         local, at_pos = _offsets(*csr, lo, hi, 0, n)
         flat = exps.reshape(-1)
-        pos, pos_exps = _gather(flat, local, at_pos, hi - lo)
-        pos = pos[:, None]
+        pos_exps = flat[at_pos]
+        pos = np.bincount(local, pos_exps, hi - lo)[:, None]
         # what is left once the positives are zeroed is the cross-view
         # negative mass; P_i + that + N_i is exactly P_i when both are 0
         flat[at_pos] = 0.0
-        den = pos + exps.sum(axis=1, keepdims=True) + negatives.data[lo:hi]
+        den = pos + exps.sum(axis=1, keepdims=True) + negatives[lo:hi]
         pos_mass[lo:hi], denominator[lo:hi] = pos, den
         if not needs_grad:
             continue
@@ -382,14 +325,16 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
              for z, unit, norms, grad in ((z_m, unit_m, norms_m, grad_m),
                                           (z_n, unit_n, norms_n, grad_n))
              if z.requires_grad]
-    if negatives.requires_grad:
-        grads.append((negatives, grad_neg))
 
     def grad_fn(g):
         for z, grad in grads:
             z._accumulate(g[0, 0] * grad)
+        if masses.requires_grad:
+            grad = np.zeros(masses.shape)
+            grad[:, column:column + 1] = g[0, 0] * grad_neg
+            masses._accumulate(grad)
 
-    return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n, negatives),
+    return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n, masses),
                     grad_fn)
 
 
@@ -467,10 +412,10 @@ def pair_terms(corrupted, params, positives: PositiveSets,
     summary, the mean of its first corruption's encoder rows, is projected
     once. The intra (m,m) negative branch is the projection of view m's
     second corruption, the inter (m,n) one that of view n's first; either
-    is also the pair's node-node keys. Each anchor view's same-view
-    negative mass is one `anchor_negatives` node, made before any pair.
-    An intra pair reads its view's; the pairs (m,n) and (n,m) read one
-    `InterPair`, which reads both.
+    is also the pair's node-node keys. One `view_masses` node over the
+    first corruptions' projections, made before any pair, holds every
+    pair's same-view negative mass and every inter pair's cross-view
+    masses; each pair's node-node loss reads its columns.
     """
     corrupted = list(corrupted)
     z: dict[tuple[int, int], Tensor] = {}
@@ -483,20 +428,15 @@ def pair_terms(corrupted, params, positives: PositiveSets,
         summaries[i] = project(nm.mean_rows(h_first), params)
 
     views = range(len(corrupted))
-    negatives = [anchor_negatives(z[m, 1], positives, tau) for m in views]
-    inter = {(m, n): InterPair(z[m, 1], z[n, 1], (negatives[m], negatives[n]))
-             for m in views for n in views if m < n}
+    masses = view_masses([z[m, 1] for m in views], positives, tau)
     terms: list[ContrastTerm] = []
     for m in views:
         for n in views:
-            if m == n:
-                kind, other, shared = "intra", z[m, 2], negatives[m]
-            else:
-                kind, other, shared = "inter", z[n, 1], inter[min(m, n), max(m, n)]
+            kind, other = ("intra", z[m, 2]) if m == n else ("inter", z[n, 1])
             terms.append(ContrastTerm(
                 m=m, n=n, kind=kind,
                 local_loss=node_node_loss(z[m, 1], other, positives, tau,
-                                          shared),
+                                          (masses, m, n)),
                 global_loss=node_graph_loss(z[m, 1], other, summaries[m],
                                             params)))
     return terms

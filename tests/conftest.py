@@ -833,7 +833,8 @@ def tape_node_node_loss(z_m, z_n, positives, tau):
 def tape_anchor_negatives(z, positives, tau):
     """Each anchor's same-view negative mass, N_i = sum over j outside P_i
     of exp(u_i.u_j / tau - 1/tau), from dense tape ops over the full n x n
-    similarity: the anchor node's oracle. Use it on small n only."""
+    similarity: the oracle of the mass node's N columns. Use it on small n
+    only."""
     unit = row_l2_normalize(z)
     logits = scale(matmul(unit, transpose(unit)), 1.0 / tau)
     return row_sum(mul_const(exp(add_const(logits, -1.0 / tau)),
@@ -1197,33 +1198,20 @@ def numerics_grad_cases():
     # P^T differs from P: 4 is in P_2 but 2 is not in P_4, 1 in P_3 only
     asymmetric = positive_sets([[0, 2], [1], [0, 2, 4], [1, 3], [4]])
 
-    def c_anchor_negatives():
-        z = param((5, 3), "an_z")
-        k = substream(7, "gradcase", "an_k").uniform(0.5, 1.5, size=(5, 1))
-        return (lambda: mean_all(mul_const(objective_module.anchor_negatives(
-            z, asymmetric, 0.5), k)), [z])
-    case("anchor_negatives", c_anchor_negatives)
+    def c_view_masses():
+        zs = [param((5, 3), f"vm_z{v}") for v in range(3)]
+        # every output column weighted apart, so each one's gradient shows
+        k = substream(7, "gradcase", "vm_k").uniform(0.5, 1.5, size=(5, 18))
+        return (lambda: mean_all(mul_const(objective_module.view_masses(
+            zs, asymmetric, 0.5), k)), zs)
+    case("view_masses", c_view_masses)
 
     def c_node_node_loss():
         z_m, z_n = param((5, 3), "nn_zm"), param((5, 3), "nn_zn")
-        negatives = param((5, 1), "nn_neg", lo=0.5, hi=2.0)
+        masses = param((5, 2), "nn_neg", lo=0.5, hi=2.0)
         return (lambda: objective_module.node_node_loss(
-            z_m, z_n, asymmetric, 0.5, negatives), [z_m, z_n, negatives])
+            z_m, z_n, asymmetric, 0.5, (masses, 0, 0)), [z_m, z_n, masses])
     case("node_node_loss", c_node_node_loss)
-
-    def c_inter_pair():
-        z_m, z_n = param((5, 3), "ip_zm"), param((5, 3), "ip_zn")
-        negatives = [param((5, 1), f"ip_neg{i}", lo=0.5, hi=2.0)
-                     for i in range(2)]
-
-        def both():
-            pair = objective_module.InterPair(z_m, z_n, negatives)
-            return add(objective_module.node_node_loss(
-                z_m, z_n, asymmetric, 0.5, pair), scale(
-                objective_module.node_node_loss(z_n, z_m, asymmetric, 0.5,
-                                                pair), 0.6))
-        return both, [z_m, z_n, *negatives]
-    case("inter_pair", c_inter_pair)
 
     def c_total_objective():
         rng = substream(7, "gradcase", "total")

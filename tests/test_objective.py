@@ -11,8 +11,8 @@ import pytest
 import hgcml.model
 import hgcml.objective
 from conftest import (add, anchor_only, dense_mask, grad_check, layer_bits,
-                      mean_all, mul_const, permute_rows, positive_sets,
-                      scale,
+                      matmul, mean_all, mul_const, permute_rows,
+                      positive_sets, scale,
                       tape_anchor_negatives, tape_node_graph_loss,
                       tape_node_node_loss, tape_total_objective,
                       tape_weighted_total, two_pass_node_node_loss,
@@ -20,9 +20,9 @@ from conftest import (add, anchor_only, dense_mask, grad_check, layer_bits,
 from hgcml.augment import corrupt
 from hgcml.model import gcn_forward, init_params
 from hgcml.numerics import LOG_EPS, AdamState, ShapeMismatch, Tensor, mean_rows
-from hgcml.objective import (CHUNK, ContrastTerm, InterPair,
-                             anchor_negatives, node_graph_loss,
-                             node_node_loss, pair_terms, total_objective)
+from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
+                             node_node_loss, pair_terms, total_objective,
+                             view_masses)
 from hgcml.positives import PositiveSets, select_positives
 from hgcml.rng import substream
 
@@ -250,8 +250,8 @@ def test_one_pass_kernel_matches_two_pass_oracle(kind, n, tau, w):
 
 def test_one_pass_kernel_computes_logits_once_per_block(monkeypatch):
     """A standalone call forms the pair's cross-view logits once per block
-    of CHUNK anchors; the anchor node it builds forms each upper-triangle
-    strip once in forward and once more in backward."""
+    of CHUNK anchors; the one-view mass node it builds forms each
+    upper-triangle strip once in forward and once more in backward."""
     n = 2 * CHUNK + 3
     calls = []
     logits = hgcml.objective._logits
@@ -274,10 +274,10 @@ ANCHOR_CASES = (
 
 
 def anchor_inputs(kind, n, d=3):
-    """Rows of two views, per-anchor weights on N and the positive sets of
-    one anchor-node case; the sampled sets are asymmetric once n > 1, so
+    """Rows of three views, per-anchor weights on N and the positive sets
+    of one mass-node case; the sampled sets are asymmetric once n > 1, so
     the P^T mask differs from the P mask."""
-    a, b = rand_z(n, d, f"anchor-m-{n}"), rand_z(n, d, f"anchor-n-{n}")
+    zs = [rand_z(n, d, f"anchor-{v}-{n}") for v in "mnk"]
     if kind == "anchor_only":
         positives = anchor_only(n)
     elif kind == "all_positive":
@@ -287,32 +287,55 @@ def anchor_inputs(kind, n, d=3):
         mask = dense_mask(positives)
         assert n == 1 or (mask != mask.T).any()
     weights = substream(27, "anchor-w", n).uniform(0.5, 1.5, (n, 1))
-    return a, b, weights, positives
+    return zs, weights, positives
 
 
-def weighted_negatives(anchor_fn, z, weights, positives, tau):
-    """A scalar over the anchor node whose gradient per anchor differs."""
-    return mean_all(mul_const(anchor_fn(z, positives, tau), weights))
+def columns(masses, views, cells):
+    """The columns of a `view_masses` node at the cells (m, k, outside),
+    as a tape node: a product with a 0/1 selector, exact."""
+    pick = np.zeros((masses.shape[1], len(cells)))
+    for c, (m, k, outside) in enumerate(cells):
+        pick[2 * (m * views + k) + outside, c] = 1.0
+    return matmul(masses, Tensor(pick))
+
+
+def weighted_masses(zs, positives, tau, label):
+    """A scalar over every column of the mass node of `zs`, each column
+    and anchor weighted apart, so each one's gradient shows."""
+    masses = view_masses(zs, positives, tau)
+    weights = substream(28, "masses-w", label).uniform(0.5, 1.5, masses.shape)
+    return mean_all(mul_const(masses, weights))
 
 
 @pytest.mark.parametrize("tau", [0.07, 0.5])
 @pytest.mark.parametrize("kind,n", ANCHOR_CASES)
 def test_anchor_node_matches_the_dense_oracle(kind, n, tau):
-    """N and the gradient of its weighted mean agree with dense tape ops
-    over the full n x n similarity."""
-    a, _, weights, positives = anchor_inputs(kind, n)
-    results = []
-    for anchor_fn in (tape_anchor_negatives, anchor_negatives):
-        z = Tensor(a.data.copy(), requires_grad=True)
-        negatives = anchor_fn(z, positives, tau)
-        mean_all(mul_const(negatives, weights)).backward()
-        results.append((negatives.data, z.grad))
-    (want, want_grad), (got, got_grad) = results
-    assert relative_error(got, want) <= 1e-12
-    assert relative_error(got_grad, want_grad) <= 1e-12
+    """Every view's N column of the mass node, at one, two and three
+    views, and the gradients of their weighted mean agree with dense tape
+    ops over each view's full n x n similarity."""
+    zs, weights, positives = anchor_inputs(kind, n)
+    for views in (1, 2, 3):
+        results = []
+        for negatives_of in (
+                lambda zs: [tape_anchor_negatives(z, positives, tau)
+                            for z in zs],
+                lambda zs: [columns(view_masses(zs, positives, tau), views,
+                                    [(m, m, 1)]) for m in range(views)]):
+            leaves = [Tensor(z.data.copy(), requires_grad=True)
+                      for z in zs[:views]]
+            negatives = negatives_of(leaves)
+            total = mean_all(mul_const(negatives[0], weights))
+            for m, column in enumerate(negatives[1:], 1):
+                total = add(total, scale(mean_all(column), m + 0.5))
+            total.backward()
+            results.append(([t.data for t in negatives],
+                             [t.grad for t in leaves]))
+        (want, want_grads), (got, got_grads) = results
+        for got_part, want_part in zip(got + got_grads, want + want_grads):
+            assert relative_error(got_part, want_part) <= 1e-12
 
 
-# the finite-difference checks run the same strip layout at a small CHUNK
+# the finite-difference checks run the same block layout at a small CHUNK
 FD_CHUNK = 8
 FD_CASES = (
     [pytest.param("sampled", n, id=f"asymmetric-n{n}")
@@ -323,39 +346,41 @@ FD_CASES = (
 
 @pytest.mark.parametrize("kind,n", FD_CASES)
 def test_anchor_node_passes_the_finite_difference_check(monkeypatch, kind, n):
+    """The mass node of one view, the same-view strips alone."""
     monkeypatch.setattr(hgcml.objective, "CHUNK", FD_CHUNK)
-    a, _, weights, positives = anchor_inputs(kind, n)
-    assert grad_check(lambda: weighted_negatives(
-        anchor_negatives, a, weights, positives, 0.5), [a]) < 1e-6
+    zs, _, positives = anchor_inputs(kind, n)
+    assert grad_check(lambda: weighted_masses(zs[:1], positives, 0.5, n),
+                      zs[:1]) < 1e-6
 
 
 @pytest.mark.parametrize("kind,n", FD_CASES)
 def test_pair_node_passes_the_finite_difference_check(monkeypatch, kind, n):
-    """The pair node on its own, with N as a leaf, and fed by the anchor
-    node as pair_terms feeds it."""
+    """The intra pair node on its own, with the masses as a leaf, and fed
+    by the mass node as pair_terms feeds it."""
     monkeypatch.setattr(hgcml.objective, "CHUNK", FD_CHUNK)
-    a, b, _, positives = anchor_inputs(kind, n)
-    negatives = Tensor(anchor_negatives(a, positives, 0.5).data,
-                       requires_grad=True)
-    assert grad_check(lambda: node_node_loss(a, b, positives, 0.5, negatives),
-                      [a, b, negatives]) < 1e-6
+    (a, b, _), _, positives = anchor_inputs(kind, n)
+    masses = Tensor(view_masses([a], positives, 0.5).data, requires_grad=True)
+    assert grad_check(lambda: node_node_loss(a, b, positives, 0.5,
+                                             (masses, 0, 0)),
+                      [a, b, masses]) < 1e-6
     assert grad_check(lambda: node_node_loss(
-        a, b, positives, 0.5, anchor_negatives(a, positives, 0.5)),
+        a, b, positives, 0.5, (view_masses([a], positives, 0.5), 0, 0)),
         [a, b]) < 1e-6
 
 
-def inter_pair_losses(z_m, z_n, positives, tau, negatives):
-    """Pair (m,n)'s and pair (n,m)'s losses, read from one InterPair as
-    pair_terms reads them."""
-    pair = InterPair(z_m, z_n, negatives)
-    return (node_node_loss(z_m, z_n, positives, tau, pair),
-            node_node_loss(z_n, z_m, positives, tau, pair))
+def inter_pair_losses(z_m, z_n, positives, tau, masses=None):
+    """Pair (m,n)'s and pair (n,m)'s losses, read from one mass node over
+    both views as pair_terms reads them."""
+    if masses is None:
+        masses = view_masses([z_m, z_n], positives, tau)
+    return (node_node_loss(z_m, z_n, positives, tau, (masses, 0, 1)),
+            node_node_loss(z_n, z_m, positives, tau, (masses, 1, 0)))
 
 
-def one_pass_losses(z_m, z_n, positives, tau, negatives):
+def one_pass_losses(z_m, z_n, positives, tau):
     """The same two losses from two standalone one-pass nodes."""
-    return (node_node_loss(z_m, z_n, positives, tau, negatives[0]),
-            node_node_loss(z_n, z_m, positives, tau, negatives[1]))
+    return (node_node_loss(z_m, z_n, positives, tau),
+            node_node_loss(z_n, z_m, positives, tau))
 
 
 def weighted_pair(losses):
@@ -366,47 +391,49 @@ def weighted_pair(losses):
 
 @pytest.mark.parametrize("kind,n", FD_CASES)
 def test_inter_pair_passes_the_finite_difference_check(monkeypatch, kind, n):
-    """Both ordered losses of the shared node, with asymmetric P once
-    n > 1 and blocks that straddle the CHUNK edges: with N_m and N_n as
-    leaves, and fed by the anchor nodes as pair_terms feeds it."""
+    """The mass node of two and of three views, every column weighted
+    apart, and both ordered inter losses read from it, with the masses
+    as a leaf and fed by the node as pair_terms feeds them: asymmetric P
+    once n > 1, blocks that straddle the CHUNK edges."""
     monkeypatch.setattr(hgcml.objective, "CHUNK", FD_CHUNK)
-    a, b, _, positives = anchor_inputs(kind, n)
-    negatives = [Tensor(anchor_negatives(z, positives, 0.5).data,
-                        requires_grad=True) for z in (a, b)]
+    zs, _, positives = anchor_inputs(kind, n)
+    for views in (2, 3):
+        assert grad_check(lambda: weighted_masses(
+            zs[:views], positives, 0.5, (n, views)), zs[:views]) < 1e-6
+    a, b, _ = zs
+    masses = Tensor(view_masses([a, b], positives, 0.5).data,
+                    requires_grad=True)
     assert grad_check(lambda: weighted_pair(inter_pair_losses(
-        a, b, positives, 0.5, negatives)), [a, b, *negatives]) < 1e-6
+        a, b, positives, 0.5, masses)), [masses]) < 1e-6
     assert grad_check(lambda: weighted_pair(inter_pair_losses(
-        a, b, positives, 0.5, [anchor_negatives(z, positives, 0.5)
-                               for z in (a, b)])), [a, b]) < 1e-6
-
-
-def pair_results(pair_fn, a, b, positives, tau):
-    """Both losses and the gradients of z_m, z_n, N_m and N_n (leaves)."""
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in (
-        a, b, *(anchor_negatives(Tensor(x), positives, tau).data
-                for x in (a, b)))]
-    losses = pair_fn(leaves[0], leaves[1], positives, tau, leaves[2:])
-    weighted_pair(losses).backward()
-    return [loss.item() for loss in losses], [t.grad for t in leaves]
+        a, b, positives, 0.5)), [a, b]) < 1e-6
 
 
 @pytest.mark.parametrize("kind,n,tau", [case for case in AGREEMENT_CASES
                                         if case.values[0] != "same_tensor"])
 def test_inter_pair_matches_two_one_pass_nodes(kind, n, tau):
+    """Both ordered losses read from the mass node, and the gradients of
+    both views through them and through each view's N, agree with two
+    standalone one-pass nodes."""
     a, b, positives = agreement_inputs(kind, n, tau)
-    (want, want_grads), (got, got_grads) = (
-        pair_results(pair_fn, a, b, positives, tau)
-        for pair_fn in (one_pass_losses, inter_pair_losses))
+    results = []
+    for pair_fn in (one_pass_losses, inter_pair_losses):
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in (a, b)]
+        losses = pair_fn(*leaves, positives, tau)
+        weighted_pair(losses).backward()
+        results.append(([loss.item() for loss in losses],
+                        [t.grad for t in leaves]))
+    (want, want_grads), (got, got_grads) = results
     assert relative_error(got, want) <= 1e-12
     for got_grad, want_grad in zip(got_grads, want_grads):
         assert relative_error(got_grad, want_grad) <= 1e-12
 
 
 def test_inter_pair_forms_each_block_once_per_pass(monkeypatch):
-    """Both ordered losses form each block of CHUNK rows of the cross-view
-    logits once in forward and once more in backward: two logits matmuls
-    per block where two one-pass nodes make two, and two gradient matmuls
-    where they make four."""
+    """The mass node of V views forms each block of CHUNK rows of every
+    view pair (m,k), k >= m, once in forward and once more in backward:
+    V(V+1)/2 logits matmuls per block and pass, where one pass per
+    ordered pair would make V^2."""
     n = 2 * CHUNK + 3
     calls = []
     logits = hgcml.objective._logits
@@ -415,15 +442,16 @@ def test_inter_pair_forms_each_block_once_per_pass(monkeypatch):
         calls.append(1)
         return logits(*args, **kwargs)
 
-    z_m, z_n = rand_z(n, 4, "interonce-m"), rand_z(n, 4, "interonce-n")
+    zs = [rand_z(n, 4, f"interonce-{v}") for v in range(3)]
     positives = sampled_positives(n, "interonce")
-    negatives = [Tensor(anchor_negatives(z, positives, 0.5).data,
-                        requires_grad=True) for z in (z_m, z_n)]
     monkeypatch.setattr(hgcml.objective, "_logits", counting)
-    losses = inter_pair_losses(z_m, z_n, positives, 0.5, negatives)
-    assert len(calls) == math.ceil(n / CHUNK)
-    weighted_pair(losses).backward()
-    assert len(calls) == 2 * math.ceil(n / CHUNK)
+    for views in (1, 2, 3):
+        calls.clear()
+        blocks = views * (views + 1) // 2 * math.ceil(n / CHUNK)
+        total = weighted_masses(zs[:views], positives, 0.5, views)
+        assert len(calls) == blocks
+        total.backward()
+        assert len(calls) == 2 * blocks
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -440,8 +468,7 @@ def test_inter_pair_non_finite_row_gives_two_nan_losses(value, side, grad):
     positives = sampled_positives(CHUNK + 5, "internan")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        losses = inter_pair_losses(z_m, z_n, positives, 0.5, [
-            anchor_negatives(z, positives, 0.5) for z in (z_m, z_n)])
+        losses = inter_pair_losses(z_m, z_n, positives, 0.5)
     assert all(np.isnan(loss.item()) for loss in losses)
     assert all(loss.requires_grad == grad for loss in losses)
 
@@ -454,36 +481,43 @@ def test_inter_pair_without_gradients_gives_the_same_bits():
 
     def losses(requires_grad):
         z = [Tensor(x.copy(), requires_grad=requires_grad) for x in (a, b)]
-        return [loss.data.tobytes() for loss in inter_pair_losses(
-            *z, positives, 0.5, [anchor_negatives(t, positives, 0.5)
-                                 for t in z])]
+        return [loss.data.tobytes()
+                for loss in inter_pair_losses(*z, positives, 0.5)]
 
     assert losses(False) == losses(True)
 
 
 def test_inter_pair_reads_only_its_own_views():
-    z_m, z_n = rand_z(5, 3, "interown1"), rand_z(5, 3, "interown2")
-    positives = anchor_only(5)
-    pair = InterPair(z_m, z_n, [anchor_negatives(z, positives, 0.5)
-                                for z in (z_m, z_n)])
-    with pytest.raises(ShapeMismatch, match="inter pair"):
-        node_node_loss(z_m, rand_z(5, 3, "interown3"), positives, 0.5, pair)
+    """Pair (m,k)'s call hands gradients only to the mass node's columns
+    of its own views: its masses on and outside P_i, and N_m."""
+    views, n = 3, 9
+    zs = [rand_z(n, 3, f"interown{v}") for v in range(views)]
+    positives = sampled_positives(n, "interown")
+    for m, k in ((0, 2), (2, 1)):
+        masses = Tensor(view_masses(zs, positives, 0.5).data,
+                        requires_grad=True)
+        node_node_loss(zs[m], zs[k], positives, 0.5,
+                       (masses, m, k)).backward()
+        read = {2 * (m * views + k), 2 * (m * views + k) + 1,
+                2 * (m * views + m) + 1}
+        assert set(np.flatnonzero(masses.grad.any(axis=0))) == read
 
 
 def test_anchor_node_keeps_no_n_by_d_array():
-    """What the anchor node leaves on the tape after its forward, N and
-    its strips' index arrays, is under half of one n x d array."""
+    """What the mass node of one view leaves on the tape after its
+    forward, N and its strips' index arrays, is under half of one n x d
+    array: it builds no full-width offsets for a single view."""
     n, d = 600, 64
     z = rand_z(n, d, "anchorheld")
     positives = sampled_positives(n, "anchorheld")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        negatives = anchor_negatives(z, positives, 0.5)
+        masses = view_masses([z], positives, 0.5)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert negatives.requires_grad
+    assert masses.requires_grad
     assert held < n * d * 8 / 2, held
 
 
@@ -519,8 +553,8 @@ def test_one_pass_kernel_peak_memory_is_below_a_dense_mask(monkeypatch):
 @pytest.mark.parametrize("grad", [True, False])
 def test_fused_loss_non_finite_row_gives_a_nan_loss(value, side, grad):
     """A NaN or inf in a row of the second block makes the loss NaN, with or
-    without gradients, whether the call builds the anchor node or is
-    handed it; the trainer's finiteness check is what reports it."""
+    without gradients, whether the call builds its mass node or is handed
+    one; the trainer's finiteness check is what reports it."""
     z_m, z_n = rand_z(CHUNK + 5, 4, "nan1"), rand_z(CHUNK + 5, 4, "nan2")
     (z_m if side == "anchor" else z_n).data[CHUNK + 2, 1] = value
     if not grad:
@@ -529,12 +563,12 @@ def test_fused_loss_non_finite_row_gives_a_nan_loss(value, side, grad):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         loss = node_node_loss(z_m, z_n, positives, tau=0.5)
-        # as pair_terms calls it, with the anchor view's node passed in
-        negatives = anchor_negatives(z_m, positives, 0.5)
-        shared = node_node_loss(z_m, z_n, positives, 0.5, negatives)
+        # as pair_terms calls it, with the mass node passed in
+        masses = view_masses([z_m], positives, 0.5)
+        shared = node_node_loss(z_m, z_n, positives, 0.5, (masses, 0, 0))
     assert np.isnan(loss.item()) and np.isnan(shared.item())
     if side == "anchor":
-        assert np.isnan(negatives.data[CHUNK + 2, 0])
+        assert np.isnan(masses.data[CHUNK + 2, 1])
 
 
 def test_fused_loss_peak_memory_is_a_tenth_of_the_oracle():
@@ -558,7 +592,8 @@ def test_fused_loss_peak_memory_is_a_tenth_of_the_oracle():
 def test_negative_masses_of_another_shape_are_rejected():
     z = rand_z(4, 3, "negshape")
     with pytest.raises(ShapeMismatch, match="negative masses"):
-        node_node_loss(z, z, anchor_only(4), 0.5, Tensor(np.ones((3, 1))))
+        node_node_loss(z, z, anchor_only(4), 0.5,
+                       (Tensor(np.ones((3, 2))), 0, 0))
 
 
 def test_zero_discriminator_gives_two_log_two():
@@ -763,13 +798,15 @@ def tape_memory(objective):
 
 
 def test_tape_holds_at_most_18_arrays_after_the_forward():
-    """A node-graph pair keeps its logits and B s^T, an anchor node no
-    n x d array, and an inter pair's shared node its four n x 1 masses,
-    so the tape holds at most 18 n x d arrays (17.5 measured; 21.4 when
-    each ordered inter pair kept its two n x d input gradients, 31 when
-    each pair also kept its z B and a row-shuffled copy of its negative
-    branch); the per-op tape holds more than 38 (38.9 measured, 50.8 when
-    its bilinear chain kept each branch's z B)."""
+    """A node-graph pair keeps its logits and B s^T, the mass node its
+    n x 2V^2 masses and index arrays, and an inter pair's node-node call
+    two n x 1 vectors, so the tape holds at most 18 n x d arrays (17.8
+    measured; 17.5 with an anchor node per view and a two-pass node per
+    inter pair, 21.4 when each ordered inter pair kept its two n x d
+    input gradients, 31 when each pair also kept its z B and a
+    row-shuffled copy of its negative branch); the per-op tape holds more
+    than 38 (39.2 measured, 50.8 when its bilinear chain kept each
+    branch's z B)."""
     fused, oracle = tape_memory(total_objective)[0], tape_memory(
         tape_total_objective)[0]
     assert fused <= 18 < 38 < oracle, (fused, oracle)
@@ -777,7 +814,8 @@ def test_tape_holds_at_most_18_arrays_after_the_forward():
 
 def test_forward_peaks_at_most_32_arrays():
     """total_objective's forward never holds more than 32 n x d arrays at
-    once (22.9 measured; 26.7 when each ordered inter pair formed its own
+    once (23.1 measured; 22.9 with an anchor node per view and a two-pass
+    node per inter pair, 26.7 when each ordered inter pair formed its own
     input gradients, 30.1 with each pair's 2n-key logits block, 41.4 with
     each pair's z B, row-shuffled copies of the negative branches and the
     node-node kernel's separate unit rows)."""
@@ -786,11 +824,11 @@ def test_forward_peaks_at_most_32_arrays():
 
 
 def test_node_node_call_with_gradients_peaks_at_most_12_arrays():
-    """One node-node call that forms both input gradients, with the anchor
-    node it builds, peaks at 12 n x d arrays at n=600, d=64 (9.6 measured
-    with the P^T arrays it builds on first use, 9.5 before them; 11.2 with
-    each pair's 2n-key logits block, 14.4 with the unit rows
-    beside the keys and out-of-place gradient temporaries)."""
+    """One node-node call that forms both input gradients, with the mass
+    node it builds, peaks at 12 n x d arrays at n=600, d=64 (9.7 measured;
+    9.6 with an anchor node, 9.5 before the P^T arrays it builds on first
+    use; 11.2 with each pair's 2n-key logits block, 14.4 with the unit
+    rows beside the keys and out-of-place gradient temporaries)."""
     n, d = 600, 64
     z_m, z_n = rand_z(n, d, "nnpeak1"), rand_z(n, d, "nnpeak2")
     positives = sampled_positives(n, "nnpeak")
@@ -893,16 +931,13 @@ def test_projector_runs_once_per_corrupted_view_and_summary(monkeypatch,
 
 
 @pytest.mark.parametrize("n_views", [1, 2, 3])
-def test_one_anchor_node_per_view_and_one_pair_node_per_pair(monkeypatch,
-                                                            n_views):
-    """One total_objective makes V anchor nodes and V^2 node-node calls,
-    of which the V(V-1) inter ones read V(V-1)/2 shared nodes, and
-    PositiveSets.mask runs once per call: the anchor node reads the CSR
+def test_one_mass_node_and_one_node_node_call_per_pair(monkeypatch, n_views):
+    """One total_objective makes one mass node and V^2 node-node calls,
+    and PositiveSets.mask runs once per call: the mass node reads the CSR
     arrays itself. These are the counts the benchmark's tracer sees."""
-    calls = {"anchor": 0, "pair": 0, "inter": 0, "mask": 0}
-    for name, owner, attr in (("anchor", hgcml.objective, "anchor_negatives"),
+    calls = {"masses": 0, "pair": 0, "mask": 0}
+    for name, owner, attr in (("masses", hgcml.objective, "view_masses"),
                               ("pair", hgcml.objective, "node_node_loss"),
-                              ("inter", hgcml.objective, "_inter_losses"),
                               ("mask", PositiveSets, "mask")):
         def counted(*args, name=name, original=getattr(owner, attr)):
             calls[name] += 1
@@ -912,9 +947,31 @@ def test_one_anchor_node_per_view_and_one_pair_node_per_pair(monkeypatch,
     params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=5)
     total_objective(corruption_pairs(views, seed=105), params,
                     sampled_positives(5, "counts"), tau=0.5)
-    assert calls == {"anchor": n_views, "pair": n_views ** 2,
-                     "inter": n_views * (n_views - 1) // 2,
-                     "mask": n_views ** 2}
+    assert calls == {"masses": 1, "pair": n_views ** 2, "mask": n_views ** 2}
+
+
+@pytest.mark.parametrize("n_views", [1, 2, 3, 6])
+def test_a_taped_epoch_forms_each_blocks_offsets_once(monkeypatch, n_views):
+    """A total_objective and its backward form the offsets of P and P^T
+    once per block of CHUNK rows in the mass node, for the strip and,
+    when V > 1, for the full width, and once per block in each intra
+    pair's forward: (4 + V) per block, 3 at one view."""
+    monkeypatch.setattr(hgcml.objective, "CHUNK", 4)
+    calls = []
+    offsets = hgcml.objective._offsets
+
+    def counting(*args):
+        calls.append(1)
+        return offsets(*args)
+
+    monkeypatch.setattr(hgcml.objective, "_offsets", counting)
+    n = 9
+    views = make_views(n, n_views, 3, seed=106 + n_views)
+    params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=5)
+    total_objective(corruption_pairs(views, seed=107), params,
+                    sampled_positives(n, "offsets"), tau=0.5).backward()
+    per_block = 2 + 2 * (n_views > 1) + n_views
+    assert len(calls) == per_block * math.ceil(n / 4)
 
 
 def test_pair_global_losses_match_projected_numpy_oracle():
