@@ -1206,6 +1206,28 @@ def numerics_grad_cases():
             zs, asymmetric, 0.5), k)), zs)
     case("view_masses", c_view_masses)
 
+    def c_anchor_negatives():
+        # one view: the node is the anchor's same-view strip alone, and its
+        # outside column is the negative mass N_m a one-view run reads
+        z = param((5, 3), "an_z")
+        k = substream(7, "gradcase", "an_k").uniform(0.5, 1.5, size=(5, 2))
+        return (lambda: mean_all(mul_const(objective_module.view_masses(
+            [z], asymmetric, 0.5), k)), [z])
+    case("anchor_negatives", c_anchor_negatives)
+
+    def c_inter_pair():
+        # both directions of one inter pair, read from one shared node
+        z_m, z_n = param((5, 3), "ip_zm"), param((5, 3), "ip_zn")
+
+        def both():
+            masses = objective_module.view_masses([z_m, z_n], asymmetric, 0.5)
+            return add(objective_module.node_node_loss(
+                z_m, z_n, asymmetric, 0.5, (masses, 0, 1)), scale(
+                objective_module.node_node_loss(z_n, z_m, asymmetric, 0.5,
+                                                (masses, 1, 0)), 0.6))
+        return both, [z_m, z_n]
+    case("inter_pair", c_inter_pair)
+
     def c_node_node_loss():
         z_m, z_n = param((5, 3), "nn_zm"), param((5, 3), "nn_zn")
         masses = param((5, 2), "nn_neg", lo=0.5, hi=2.0)
