@@ -199,7 +199,7 @@ def _read_rows(path, n_fields: int):
             raise fault
 
 
-def _blocks(path):
+def _line_blocks(path):
     """Yield (number of its first line, text) per block of whole lines.
 
     `text` joins the block's lines with "\n". Reads BLOCK_CHARS characters
@@ -228,7 +228,7 @@ def _blocks(path):
 
 
 def _read_columns(path, n_fields: int):
-    """Yield (line numbers, columns, fault) per block of `_blocks(path)`.
+    """Yield (line numbers, columns, fault) per block of `_line_blocks(path)`.
 
     Blank lines are skipped. `fault` is the MalformedRecord of the block's
     first line that is not UTF-8 (checked first) or has another field count,
@@ -236,7 +236,7 @@ def _read_columns(path, n_fields: int):
     follows. The caller runs its own checks on the columns first, since an
     earlier line's fault wins.
     """
-    for first, text in _blocks(path):
+    for first, text in _line_blocks(path):
         fault = None
         try:
             raw = text.encode("utf-8")
@@ -382,6 +382,8 @@ def load_hin(node_file, edge_file, feature_file, label_file,
             shape=(size[decl.src], size[decl.dst]), dtype=np.float64)
         biadjacency[decl.name] = mat.indptr, mat.indices, mat.shape
 
+    if not size[schema.target_type]:
+        raise HinError(f"no node of the target type {schema.target_type!r}")
     features = _load_features(feature_file, row_of)
     labels = None if label_file is None else _load_labels(label_file, row_of)
     return HIN(schema=schema, biadjacency=biadjacency, views={},

@@ -13,10 +13,10 @@ m < k, the cross-view block u_m u_k^T once, whose row sums serve pair
 node over its columns. Each intra pair is one node whose one pass over
 blocks of CHUNK anchor rows of the n cross-view columns forms the loss
 and both input gradients; backward only scales them. In n x n x d
-matmul units an epoch over V views costs 2V^2 + 3V. Positives are
-gathered from the CSR arrays of P and P^T that `PositiveSets` holds.
-Memory is O(CHUNK*n) floats, with no n x n array of any dtype alive at
-any time.
+matmul units an epoch over V views costs 2V^2 + 3V. Both kernels walk
+`PositiveSets.blocks(CHUNK)`, each block's flat offsets of P's and P^T's
+entries, built once per run, to gather the positives. Memory is
+O(CHUNK*n) floats, with no n x n array of any dtype alive at any time.
 
 Node-graph: a bilinear discriminator scores projected rows against the
 projected mean summary, positive branch vs a negative branch, in one tape
@@ -54,45 +54,14 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms, norms
 
 
-def _logits(anchors: np.ndarray, keys: np.ndarray, inv_tau: float,
-            out: np.ndarray | None = None) -> np.ndarray:
-    out = np.matmul(anchors, keys.T, out=out)
-    out *= inv_tau
-    return out
-
-
 def _shifted_exps(anchors: np.ndarray, keys: np.ndarray, inv_tau: float,
                   out: np.ndarray) -> np.ndarray:
     """exp(S - 1/tau) for S = anchors keys^T / tau, in `out`. Unit rows
     bound every logit by 1/tau, so the constant shift keeps exp <= 1."""
-    exps = _logits(anchors, keys, inv_tau, out=out)
+    exps = np.matmul(anchors, keys.T, out=out)
+    exps *= inv_tau
     exps -= inv_tau
     return np.exp(exps, out=exps)
-
-
-def _blocks(unit_m: np.ndarray, unit_n: np.ndarray, inv_tau: float,
-            buffer: np.ndarray):
-    """(lo, hi, exps) per block of CHUNK rows of exp(u w^T/tau - 1/tau),
-    with u and w the unit rows; every block is formed in `buffer`, so no
-    two blocks are ever alive."""
-    n = unit_m.shape[0]
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        yield lo, hi, _shifted_exps(unit_m[lo:hi], unit_n, inv_tau,
-                                    out=buffer[:hi - lo])
-
-
-def _offsets(indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int,
-             first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of CSR rows lo:hi whose column is at or right of
-    `first`: their rows within the block, and their flat offsets in the
-    block of those rows against columns first:n, rows ascending."""
-    rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
-    cols = indices[indptr[lo]:indptr[hi]]
-    if first:
-        keep = cols >= first
-        rows, cols = rows[keep], cols[keep]
-    return rows, rows * (n - first) + (cols - first)
 
 
 def _log_ratio(den: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -131,10 +100,9 @@ def view_masses(zs, positives: PositiveSets, tau: float) -> Tensor:
     diagonal tile to the later rows. For k > m, E_km = E_mk^T, so the
     block against all n columns serves both pairs: its row sums, split by
     P, go to (m,k) and its column sums, split by P^T, to (k,m). No sum is
-    formed by subtraction. Each block's offsets of P and P^T (the CSR
-    arrays `positives` holds) are formed once, for the strip and, when
-    V > 1, for the full width; the tape keeps them and the masses, no
-    n x d array.
+    formed by subtraction. Each block's offsets of P and P^T, for the
+    strip and the full width, come from `positives.blocks(CHUNK)`, built
+    once per run; the tape keeps only the masses, no n x d array.
     Backward forms each block again and scales it by E o (a_ij + b_ij)/tau:
     a_ij is row anchor i's dL/d(its mass on P_i) if j is in P_i, else
     dL/d(its mass outside), and b_ij column anchor j's the same under P^T;
@@ -150,22 +118,13 @@ def view_masses(zs, positives: PositiveSets, tau: float) -> Tensor:
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
     inv_tau = 1.0 / tau
-    csrs = ((positives.indptr, positives.indices), positives.transposed)
-    # per block, the flat offsets of P's and P^T's entries in the strip
-    # and in the full width
-    blocks = []
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        strip = [_offsets(*csr, lo, hi, lo, n)[1] for csr in csrs]
-        full = ([_offsets(*csr, lo, hi, 0, n)[1] for csr in csrs]
-                if views > 1 else None)
-        blocks.append((lo, hi, strip, full))
+    layout = positives.blocks(CHUNK)
 
     def pairs(units, buffer):
         """(m, k, lo, hi, first, exps, offsets) per block of E_mk, k >= m,
         against the columns first:n, each formed in `buffer`."""
         for m in range(views):
-            for lo, hi, strip, full in blocks:
+            for lo, hi, strip, full in layout:
                 for k in range(m, views):
                     first = lo if k == m else 0
                     exps = buffer[:(hi - lo) * (n - first)].reshape(
@@ -259,14 +218,13 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     (0, 0). For k != m the node already holds P_i and the cross-view mass
     outside P_i, and the call is a small node over those two columns and
     N_m's. For k = m it reads N_m, the S_mm half of D_i, and streams the
-    n columns of z_n, in blocks of CHUNK anchors, one logits matmul and
-    one exp per block. P_i is gathered from the CSR rows
-    `positives.mask()` returns, and the cross-view negative mass is the
-    row sum left once the positives are zeroed, never a row sum minus the
+    n columns of z_n, in the blocks of `positives.blocks(CHUNK)`, one
+    logits matmul and one exp per block. P_i is gathered at the block's
+    full-width offsets of P, and the cross-view negative mass is the row
+    sum left once the positives are zeroed, never a row sum minus the
     positives. As the output is a scalar, the same pass turns each block
     into dL/dS for g = 1 and adds its share to both input gradients;
     backward only scales them, and hands g dL/dD to N_m's column.
-    Every call reads the CSR rows once.
     Peak memory is O(CHUNK*n) floats, with no n x n array of any dtype.
     A NaN or inf in a row makes the loss NaN, which the trainer reports.
     """
@@ -275,7 +233,7 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
         raise ShapeMismatch(f"projected views differ: {z_m.shape} vs {z_n.shape}")
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
-    csr = positives.mask()
+    positives.mask()  # counted by the benchmark; ROADMAP item 2 removes it
     masses, m, k = ((view_masses([z_m], positives, tau), 0, 0)
                     if shared is None else shared)
     if masses.shape[0] != n:
@@ -295,11 +253,11 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
     grad_n = np.zeros_like(unit_n) if needs_grad else None
     grad_neg = np.empty((n, 1)) if needs_grad else None
 
-    pos_mass = np.empty((n, 1))
-    denominator = np.empty((n, 1))
+    pos_mass, denominator = np.empty((2, n, 1))
     block = np.empty((min(CHUNK, n), n))
-    for lo, hi, exps in _blocks(unit_m, unit_n, inv_tau, block):
-        local, at_pos = _offsets(*csr, lo, hi, 0, n)
+    for lo, hi, _, (at_pos, _) in positives.blocks(CHUNK):
+        exps = _shifted_exps(unit_m[lo:hi], unit_n, inv_tau, block[:hi - lo])
+        local = at_pos // n
         flat = exps.reshape(-1)
         pos_exps = flat[at_pos]
         pos = np.bincount(local, pos_exps, hi - lo)[:, None]

@@ -195,13 +195,41 @@ class PositiveSets:
         return self.indptr, self.indices
 
     @cached_property
-    def transposed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of P^T: row v holds the anchors u with v in
-        P_u, ascending. Built on first use and kept, as the sets are."""
-        anchors = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        counts = np.bincount(self.indices, minlength=self.n)
-        return (np.concatenate([[0], np.cumsum(counts)]),
-                anchors[np.argsort(self.indices, kind="stable")])
+    def _layouts(self) -> dict[int, list]:
+        return {}
+
+    def blocks(self, height: int) -> list:
+        """(lo, hi, strip, full) per block of `height` anchors: the flat
+        offsets of P's and P^T's entries in rows lo:hi against columns lo:n
+        and 0:n, rows, then columns ascending. Built once per height and
+        kept as the sets are, each kind one read-only array blocks view."""
+        if height not in self._layouts:
+            self._layouts[height] = self._layout(height)
+        return self._layouts[height]
+
+    def _layout(self, height: int) -> list:
+        n = self.n
+        anchors = np.repeat(np.arange(n), np.diff(self.indptr))
+        order = np.argsort(self.indices, kind="stable")
+        kinds = []  # (offsets, each row's start in them): strip, full; P, P^T
+        # P's entries, then P^T's: row v holds the anchors u with v in P_u
+        for rows, cols in ((anchors, self.indices),
+                           (self.indices[order], anchors[order])):
+            local = rows % height
+            first = rows - local
+            keep = cols >= first
+            starts = np.searchsorted(rows, np.arange(n + 1))
+            kinds += [((local * (n - first) + cols - first)[keep],
+                       np.concatenate(([0], np.cumsum(keep)))[starts]),
+                      (local * n + cols, starts)]
+        for offsets, _ in kinds:
+            offsets.setflags(write=False)
+        layout = []
+        for lo in range(0, n, height):
+            hi = min(lo + height, n)
+            cut = [offsets[at[lo]:at[hi]] for offsets, at in kinds]
+            layout.append((lo, hi, tuple(cut[0::2]), tuple(cut[1::2])))
+        return layout
 
 
 def _top_k(sim: np.ndarray, k: int) -> np.ndarray:

@@ -859,7 +859,7 @@ def two_pass_node_node_loss(z_m, z_n, positives, tau):
     pos_mass = np.empty((n, 1))
     denominator = np.empty((n, 1))
     for rows in blocks:
-        exps = objective_module._logits(unit_m[rows], keys, inv_tau)
+        exps = unit_m[rows] @ keys.T * inv_tau
         shift[rows] = exps.max(axis=1, keepdims=True)
         exps -= shift[rows]
         np.exp(exps, out=exps)
@@ -882,7 +882,7 @@ def two_pass_node_node_loss(z_m, z_n, positives, tau):
         grad_unit_m = np.zeros_like(unit_m)
         grad_keys = np.zeros_like(keys)
         for rows in blocks:
-            exps = objective_module._logits(unit_m[rows], keys, inv_tau)
+            exps = unit_m[rows] @ keys.T * inv_tau
             exps -= shift[rows]
             np.exp(exps, out=exps)
             pos = mask[rows]

@@ -751,6 +751,35 @@ def test_missing_nodes_file_exits_2_naming_it(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("features", ["features.tsv", "features.bin"])
+def test_no_node_of_the_target_type_exits_2_naming_it(tmp_path, capsys,
+                                                      features):
+    """An author/paper graph whose target type is venue: prepare exits 2
+    naming the type, before it reads the features (no rows in either
+    format), and makes no output directory."""
+    (tmp_path / "nodes.tsv").write_text("a1\tauthor\np1\tpaper\n")
+    (tmp_path / "edges.tsv").write_text("a1\tp1\tAP\n")
+    if features.endswith(".tsv"):
+        (tmp_path / features).write_text("")
+    else:
+        write_matrix(str(tmp_path / features), np.zeros((0, 3)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"nodes": "nodes.tsv", "edges": "edges.tsv",
+                 "features": features},
+        "schema": {"types": ["author", "paper", "venue"],
+                   "target_type": "venue",
+                   "relations": [
+                       {"name": "AP", "src": "author", "dst": "paper"},
+                       {"name": "PV", "src": "paper", "dst": "venue"}]},
+        "metapaths": [{"name": "VPV", "relations": ["PV", "PV"]}]}))
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: HinError: no node of the target type 'venue'"]
+    assert not out.exists()
+
+
 def test_missing_positives_file_exits_2_naming_it(pipeline, tmp_path, capsys):
     """train without positives.tsv: load_positives reports the file."""
     out = tmp_path / "out"

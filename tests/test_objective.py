@@ -10,14 +10,16 @@ import pytest
 
 import hgcml.model
 import hgcml.objective
-from conftest import (add, anchor_only, dense_mask, grad_check, layer_bits,
-                      matmul, mean_all, mul_const, permute_rows,
-                      positive_sets, scale,
+from conftest import (APA, APCPA, APSPA, add, anchor_only, dense_mask,
+                      grad_check, layer_bits, matmul, mean_all, mul_const,
+                      permute_rows, positive_sets, scale,
                       tape_anchor_negatives, tape_node_graph_loss,
                       tape_node_node_loss, tape_total_objective,
                       tape_weighted_total, two_pass_node_node_loss,
                       view_from_adjacency)
 from hgcml.augment import corrupt
+from hgcml.config import AugmentSettings, TrainSettings
+from hgcml.hin import MetapathSpec
 from hgcml.model import gcn_forward, init_params
 from hgcml.numerics import LOG_EPS, AdamState, ShapeMismatch, Tensor, mean_rows
 from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
@@ -25,6 +27,7 @@ from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
                              view_masses)
 from hgcml.positives import PositiveSets, select_positives
 from hgcml.rng import substream
+from hgcml.trainer import train
 
 
 def identity_params(d, names=("m",)):
@@ -254,13 +257,13 @@ def test_one_pass_kernel_computes_logits_once_per_block(monkeypatch):
     upper-triangle strip once in forward and once more in backward."""
     n = 2 * CHUNK + 3
     calls = []
-    logits = hgcml.objective._logits
+    shifted_exps = hgcml.objective._shifted_exps
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return logits(*args, **kwargs)
+        return shifted_exps(*args, **kwargs)
 
-    monkeypatch.setattr(hgcml.objective, "_logits", counting)
+    monkeypatch.setattr(hgcml.objective, "_shifted_exps", counting)
     z_m, z_n = rand_z(n, 4, "once-m"), rand_z(n, 4, "once-n")
     node_node_loss(z_m, z_n, sampled_positives(n, "once"), 0.5).backward()
     assert len(calls) == 3 * math.ceil(n / CHUNK)
@@ -436,15 +439,15 @@ def test_inter_pair_forms_each_block_once_per_pass(monkeypatch):
     ordered pair would make V^2."""
     n = 2 * CHUNK + 3
     calls = []
-    logits = hgcml.objective._logits
+    shifted_exps = hgcml.objective._shifted_exps
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return logits(*args, **kwargs)
+        return shifted_exps(*args, **kwargs)
 
     zs = [rand_z(n, 4, f"interonce-{v}") for v in range(3)]
     positives = sampled_positives(n, "interonce")
-    monkeypatch.setattr(hgcml.objective, "_logits", counting)
+    monkeypatch.setattr(hgcml.objective, "_shifted_exps", counting)
     for views in (1, 2, 3):
         calls.clear()
         blocks = views * (views + 1) // 2 * math.ceil(n / CHUNK)
@@ -505,11 +508,13 @@ def test_inter_pair_reads_only_its_own_views():
 
 def test_anchor_node_keeps_no_n_by_d_array():
     """What the mass node of one view leaves on the tape after its
-    forward, N and its strips' index arrays, is under half of one n x d
-    array: it builds no full-width offsets for a single view."""
+    forward, with the run's block layout already built, is its n x 2
+    masses and little else: under half of one n x d array, and under
+    twice the masses, so no block's index arrays."""
     n, d = 600, 64
     z = rand_z(n, d, "anchorheld")
     positives = sampled_positives(n, "anchorheld")
+    positives.blocks(CHUNK)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -519,6 +524,7 @@ def test_anchor_node_keeps_no_n_by_d_array():
         tracemalloc.stop()
     assert masses.requires_grad
     assert held < n * d * 8 / 2, held
+    assert held < 2 * masses.data.nbytes, held
 
 
 def test_one_pass_kernel_without_grad_inputs_matches():
@@ -951,27 +957,29 @@ def test_one_mass_node_and_one_node_node_call_per_pair(monkeypatch, n_views):
 
 
 @pytest.mark.parametrize("n_views", [1, 2, 3, 6])
-def test_a_taped_epoch_forms_each_blocks_offsets_once(monkeypatch, n_views):
-    """A total_objective and its backward form the offsets of P and P^T
-    once per block of CHUNK rows in the mass node, for the strip and,
-    when V > 1, for the full width, and once per block in each intra
-    pair's forward: (4 + V) per block, 3 at one view."""
-    monkeypatch.setattr(hgcml.objective, "CHUNK", 4)
-    calls = []
-    offsets = hgcml.objective._offsets
+def test_train_builds_the_layout_once_per_height(monkeypatch, toy_hin,
+                                                 n_views):
+    """A 3-epoch train, two taped epochs and an untaped last one, builds
+    the positive sets' block layout once, at CHUNK, and forms no offsets
+    after that: both node-node kernels of every epoch walk that one."""
+    monkeypatch.setattr(hgcml.objective, "CHUNK", 3)
+    heights = []
+    layout = PositiveSets._layout
 
-    def counting(*args):
-        calls.append(1)
-        return offsets(*args)
+    def counting(positives, height):
+        heights.append(height)
+        return layout(positives, height)
 
-    monkeypatch.setattr(hgcml.objective, "_offsets", counting)
-    n = 9
-    views = make_views(n, n_views, 3, seed=106 + n_views)
-    params = init_params([v.metapath.name for v in views], d_in=3, d=4, seed=5)
-    total_objective(corruption_pairs(views, seed=107), params,
-                    sampled_positives(n, "offsets"), tau=0.5).backward()
-    per_block = 2 + 2 * (n_views > 1) + n_views
-    assert len(calls) == per_block * math.ceil(n / 4)
+    monkeypatch.setattr(PositiveSets, "_layout", counting)
+    relations = [APA.relations, APCPA.relations, APSPA.relations]
+    metapaths = [MetapathSpec(f"m{v}", relations[v % 3])
+                 for v in range(n_views)]
+    positives = sampled_positives(toy_hin.n_target, "layout")
+    result = train(toy_hin, metapaths, positives,
+                   TrainSettings(dim=4, max_epochs=3, patience=3),
+                   AugmentSettings(), seed=0)
+    assert len(result.trace) == 3
+    assert heights == [3]
 
 
 def test_pair_global_losses_match_projected_numpy_oracle():

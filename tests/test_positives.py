@@ -484,21 +484,72 @@ def test_load_positives_csr_equals_oracle_mask(tmp_path):
         assert_same_csr_as_oracle_mask(load_positives(path, n), chosen.sets)
 
 
-def test_transposed_csr_equals_the_transposed_oracle_mask():
-    """`transposed` is P^T's CSR, each row's anchors ascending, with int64
-    arrays like P's; it is built on first use and then kept."""
+def oracle_layout(sets, height):
+    """(lo, hi, strip, full) per block of `height` anchors, from the dense
+    oracle mask: the flat positions of the block's entries of P and of
+    P^T against columns lo:n and 0:n, row-major."""
+    n = len(sets)
+    mask = oracle_mask(sets).toarray()
+    masks = mask, mask.T
+    return [(lo, min(lo + height, n),
+             tuple(np.flatnonzero(m[lo:lo + height, lo:]) for m in masks),
+             tuple(np.flatnonzero(m[lo:lo + height]) for m in masks))
+            for lo in range(0, n, height)]
+
+
+def assert_layout_is_the_oracles(positives, height):
+    """`blocks(height)` equals the oracle layout offset for offset, in
+    read-only int64 arrays, and is built once: a second call returns the
+    same object."""
+    got = positives.blocks(height)
+    assert positives.blocks(height) is got
+    want = oracle_layout(positives.sets, height)
+    assert [block[:2] for block in got] == [block[:2] for block in want]
+    for (*_, strip, full), (*_, want_strip, want_full) in zip(got, want):
+        for offsets, expected in zip(strip + full, want_strip + want_full):
+            assert offsets.dtype == np.int64 and not offsets.flags.writeable
+            assert offsets.tolist() == expected.tolist()
+
+
+LAYOUT_CASES = (
+    [pytest.param("sampled", h, n, id=f"h{h}-n{n}")
+     for h in (1, 4, 128)
+     for n in sorted({1, max(h - 1, 1), h, h + 1, 2 * h + 3})]
+    + [pytest.param(kind, h, 2 * h + 3, id=f"{kind}-h{h}")
+       for kind in ("anchor_only", "all_positive") for h in (1, 4, 128)])
+
+
+@pytest.mark.parametrize("kind,height,n", LAYOUT_CASES)
+def test_layout_equals_the_oracle_masks(kind, height, n):
+    """At n below, at and past a multiple of the height, n = 1, and for
+    anchor-only and all-positive sets; the sampled sets are asymmetric
+    once n > 4, so P^T's offsets differ from P's."""
+    if kind == "anchor_only":
+        chosen = anchor_only(n)
+    elif kind == "all_positive":
+        chosen = select_positives(np.zeros((n, n)), np.zeros((n, n)),
+                                  n - 1, 0)
+        assert chosen.indices.size == n * n
+    else:
+        k = min(1, n - 1)
+        rng = substream(n, "layout", height)
+        chosen = select_positives(rng.random((n, n)), rng.random((n, n)), k, k)
+        mask = oracle_mask(chosen.sets).toarray()
+        assert n <= 4 or (mask != mask.T).any()
+    assert_layout_is_the_oracles(chosen, height)
+
+
+def test_layout_of_random_sets_equals_the_transposed_oracle_mask():
+    """On random sets, at every height from 1 to past n, P^T's offsets
+    are those of the transposed oracle mask, each row's anchors ascending,
+    and each height's layout is built once."""
     for trial in range(5):
         rng = substream(trial, "transposedcsr")
         n = int(rng.integers(1, 30))
         chosen = select_positives(rng.random((n, n)), rng.random((n, n)),
                                   int(rng.integers(0, n)), int(rng.integers(0, n)))
-        indptr, indices = chosen.transposed
-        want = oracle_mask(chosen.sets).T.tocsr()
-        want.sum_duplicates()
-        assert indptr.dtype == indices.dtype == np.int64
-        assert indptr.tolist() == want.indptr.tolist()
-        assert indices.tolist() == want.indices.tolist()
-        assert chosen.transposed[1] is indices
+        for height in range(1, n + 2):
+            assert_layout_is_the_oracles(chosen, height)
 
 
 def test_select_positives_peak_memory_is_below_half_a_dense_boolean():
