@@ -155,10 +155,13 @@ def kmeans(x: np.ndarray, k: int, rng: np.random.Generator,
     for _ in range(max_iter):
         distances = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = distances.argmin(axis=1)
-        for empty in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
-            # repair: hand the empty cluster the globally farthest point
+        sizes = np.bincount(assign, minlength=k)
+        for empty in np.flatnonzero(sizes == 0):
+            # repair: the farthest point of a cluster that keeps another one
             own = distances[np.arange(n), assign]
-            assign[int(own.argmax())] = empty
+            donor = int(np.where(sizes[assign] > 1, own, -1.0).argmax())
+            sizes[[assign[donor], empty]] += (-1, 1)
+            assign[donor] = empty
         new_centroids = np.vstack([x[assign == c].mean(axis=0) for c in range(k)])
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids

@@ -112,17 +112,12 @@ def project(h: Tensor, params) -> Tensor:
     out += b2.data
 
     def grad_fn(g):
-        if b2.requires_grad:
-            b2._accumulate(g.sum(axis=0, keepdims=True))
-        if w2.requires_grad:
-            w2._accumulate(hidden.T @ g)
+        b2._accumulate(g.sum(axis=0, keepdims=True))
+        w2._accumulate(hidden.T @ g)
         g = (g @ w2.data.T) * (hidden > 0)
-        if b1.requires_grad:
-            b1._accumulate(g.sum(axis=0, keepdims=True))
-        if h.requires_grad:
-            h._accumulate(g @ w1.data.T)
-        if w1.requires_grad:
-            w1._accumulate(h.data.T @ g)
+        b1._accumulate(g.sum(axis=0, keepdims=True))
+        h._accumulate(g @ w1.data.T)
+        w1._accumulate(h.data.T @ g)
 
     return nm._make(out, (h, w1, b1, w2, b2), grad_fn)
 

@@ -5,9 +5,11 @@ Each differentiable step records one node built with `_make`: its data,
 its parents and a grad_fn that reads only what the step kept for it.
 Tensor.backward() walks the nodes in reverse topological order,
 accumulates gradients into the leaves' `.grad`, and lets go of each
-intermediate node once its gradient has been passed on. Gradients flow
-only into tensors with requires_grad=True. All reductions use numpy's
-sequential kernels, so repeated runs are bit-identical.
+intermediate node once its gradient has been passed on. A node's
+backward hands every parent its gradient; `_accumulate` alone drops it
+for a tensor with requires_grad=False, so no layer checks. All
+reductions use numpy's sequential kernels, so repeated runs are
+bit-identical.
 
 The nodes are layer-sized: the GCN and the projector in `model`, the
 losses and their weighted total in `objective`. This module keeps the
@@ -72,6 +74,9 @@ class Tensor:
         return float(self.data[0, 0])
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add `g` to `.grad`; the one place a constant keeps no gradient."""
+        if not self.requires_grad:
+            return
         if self.grad is None:
             # a C-ordered copy, never g itself: mean_rows passes a
             # read-only broadcast view, the node-graph loss a transposed
@@ -96,8 +101,7 @@ class Tensor:
         while order:
             node = order.pop()
             if node._grad_fn is not None:
-                if node.grad is not None:
-                    node._grad_fn(node.grad)
+                node._grad_fn(node.grad)
                 node.grad = None
                 node._grad_fn = None
                 node._parents = ()
@@ -144,8 +148,7 @@ def mean_rows(a: Tensor) -> Tensor:
     n = a.shape[0]
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g / n, a.shape))
+        a._accumulate(np.broadcast_to(g / n, a.shape))
 
     return _make(a.data.mean(axis=0, keepdims=True), (a,), grad_fn)
 
@@ -174,14 +177,11 @@ class AdamState:
         self.v = [np.zeros_like(a) for a in self.arrays]
 
     def step(self, grads) -> None:
-        """One update from `grads`, one per array; a None gradient leaves
-        its array and moments as they are."""
+        """One update from `grads`, one array per parameter array."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
-            if g is None:
-                continue
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

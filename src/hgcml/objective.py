@@ -176,8 +176,7 @@ def view_masses(zs, positives: PositiveSets, tau: float) -> Tensor:
             tail = hi - lo if k == m else 0
             grads[k][first + tail:] += exps[:, tail:].T @ units[m][lo:hi]
         for z, grad, unit, norm in zip(zs, grads, units, norms):
-            if z.requires_grad:
-                z._accumulate(_to_rows(grad, unit, norm))
+            z._accumulate(_to_rows(grad, unit, norm))
 
     return nm._make(mass.reshape(n, -1), tuple(zs), grad_fn)
 
@@ -233,7 +232,7 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
         raise ShapeMismatch(f"projected views differ: {z_m.shape} vs {z_n.shape}")
     if positives.n != n:
         raise ShapeMismatch(f"positives cover {positives.n} nodes, views have {n}")
-    positives.mask()  # counted by the benchmark; ROADMAP item 2 removes it
+    positives.mask()  # counted by the benchmark; ROADMAP item 3 removes it
     masses, m, k = ((view_masses([z_m], positives, tau), 0, 0)
                     if shared is None else shared)
     if masses.shape[0] != n:
@@ -278,19 +277,16 @@ def node_node_loss(z_m: Tensor, z_n: Tensor, positives: PositiveSets,
         grad_m[lo:hi] = exps @ unit_n
         grad_n += exps.T @ unit_m[lo:hi]
     per_anchor = _log_ratio(denominator, pos_mass)
-
-    grads = [(z, _to_rows(grad, unit, norms))
-             for z, unit, norms, grad in ((z_m, unit_m, norms_m, grad_m),
-                                          (z_n, unit_n, norms_n, grad_n))
-             if z.requires_grad]
+    if needs_grad:
+        _to_rows(grad_m, unit_m, norms_m)
+        _to_rows(grad_n, unit_n, norms_n)
 
     def grad_fn(g):
-        for z, grad in grads:
-            z._accumulate(g[0, 0] * grad)
-        if masses.requires_grad:
-            grad = np.zeros(masses.shape)
-            grad[:, column:column + 1] = g[0, 0] * grad_neg
-            masses._accumulate(grad)
+        z_m._accumulate(g[0, 0] * grad_m)
+        z_n._accumulate(g[0, 0] * grad_n)
+        grad = np.zeros(masses.shape)
+        grad[:, column:column + 1] = g[0, 0] * grad_neg
+        masses._accumulate(grad)
 
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n, masses),
                     grad_fn)
@@ -337,12 +333,9 @@ def node_graph_loss(z_m: Tensor, z_neg: Tensor, s_m: Tensor, params) -> Tensor:
         for z, g_logit in ((z_neg, g * _stable_sigmoid(x_neg)),
                            (z_m, -(g * _stable_sigmoid(x_pos)))):
             z_g = z.data.T @ g_logit
-            if z.requires_grad:
-                z._accumulate(g_logit @ b_s.T)
-            if disc_b.requires_grad:
-                disc_b._accumulate(z_g @ s_m.data)
-            if s_m.requires_grad:
-                s_m._accumulate((disc_b.data.T @ z_g).T)
+            z._accumulate(g_logit @ b_s.T)
+            disc_b._accumulate(z_g @ s_m.data)
+            s_m._accumulate((disc_b.data.T @ z_g).T)
 
     # parents in the order the bilinear chain reached them: backward then
     # walks the other nodes in the per-op tape's order
@@ -414,7 +407,6 @@ def total_objective(corrupted, params, positives: PositiveSets,
 
     def grad_fn(g):
         for loss, weight in losses:
-            if loss.requires_grad:
-                loss._accumulate(weight * g)
+            loss._accumulate(weight * g)
 
     return nm._make(total, tuple(loss for loss, _ in losses), grad_fn)

@@ -542,10 +542,8 @@ def matmul(a, b):
         raise nm.ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        a._accumulate(g @ b.data.T)
+        b._accumulate(a.data.T @ g)
 
     return nm._make(a.data @ b.data, (a, b), grad_fn)
 
@@ -556,8 +554,7 @@ def spmm(s, x):
         raise nm.ShapeMismatch(f"spmm {s.shape} @ {x.shape}")
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(s.T @ g)
+        x._accumulate(s.T @ g)
 
     return nm._make(s @ x.data, (x,), grad_fn)
 
@@ -567,10 +564,8 @@ def add(a, b):
         raise nm.ShapeMismatch(f"add {a.shape} vs {b.shape}")
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
+        a._accumulate(g)
+        b._accumulate(g)
 
     return nm._make(a.data + b.data, (a, b), grad_fn)
 
@@ -579,8 +574,7 @@ def scale(a, c):
     c = float(c)
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(c * g)
+        a._accumulate(c * g)
 
     return nm._make(c * a.data, (a,), grad_fn)
 
@@ -591,10 +585,8 @@ def add_bias(a, b):
         raise nm.ShapeMismatch(f"add_bias {a.shape} + {b.shape}")
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0, keepdims=True))
+        a._accumulate(g)
+        b._accumulate(g.sum(axis=0, keepdims=True))
 
     return nm._make(a.data + b.data, (a, b), grad_fn)
 
@@ -604,8 +596,7 @@ def relu(a):
     mask = a.data > 0
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
+        a._accumulate(g * mask)
 
     return nm._make(np.where(mask, a.data, 0.0), (a,), grad_fn)
 
@@ -621,16 +612,14 @@ def softplus(a):
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * stable_sigmoid(x))
+        a._accumulate(g * stable_sigmoid(x))
 
     return nm._make(out, (a,), grad_fn)
 
 
 def transpose(a):
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
+        a._accumulate(g.T)
 
     return nm._make(a.data.T.copy(), (a,), grad_fn)
 
@@ -639,8 +628,7 @@ def mean_all(a):
     size = a.data.size
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.full(a.shape, g[0, 0] / size))
+        a._accumulate(np.full(a.shape, g[0, 0] / size))
 
     return nm._make(np.array([[a.data.mean()]]), (a,), grad_fn)
 
@@ -658,10 +646,8 @@ def sub(a, b):
         raise nm.ShapeMismatch(f"sub {a.shape} vs {b.shape}")
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
+        a._accumulate(g)
+        b._accumulate(-g)
 
     return nm._make(a.data - b.data, (a, b), grad_fn)
 
@@ -671,10 +657,8 @@ def mul(a, b):
         raise nm.ShapeMismatch(f"mul {a.shape} vs {b.shape}")
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
+        a._accumulate(g * b.data)
+        b._accumulate(g * a.data)
 
     return nm._make(a.data * b.data, (a, b), grad_fn)
 
@@ -684,8 +668,7 @@ def add_const(a, k):
     k = np.asarray(k, dtype=np.float64)
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g)
+        a._accumulate(g)
 
     return nm._make(a.data + k, (a,), grad_fn)
 
@@ -695,8 +678,7 @@ def mul_const(a, k):
     k = np.asarray(k, dtype=np.float64)
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * k)
+        a._accumulate(g * k)
 
     return nm._make(a.data * k, (a,), grad_fn)
 
@@ -705,8 +687,7 @@ def sigmoid(a):
     out = stable_sigmoid(a.data)
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * out * (1.0 - out))
+        a._accumulate(g * out * (1.0 - out))
 
     return nm._make(out, (a,), grad_fn)
 
@@ -717,8 +698,7 @@ def exp(a):
         raise OracleOverflow("exp overflow")
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * out)
+        a._accumulate(g * out)
 
     return nm._make(out, (a,), grad_fn)
 
@@ -729,16 +709,14 @@ def log(a):
     mask = a.data > LOG_EPS
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * mask / clamped)
+        a._accumulate(g * mask / clamped)
 
     return nm._make(np.log(clamped), (a,), grad_fn)
 
 
 def row_sum(a):
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g, a.shape))
+        a._accumulate(np.broadcast_to(g, a.shape))
 
     return nm._make(a.data.sum(axis=1, keepdims=True), (a,), grad_fn)
 
@@ -749,9 +727,8 @@ def row_l2_normalize(a):
     out = a.data / norms
 
     def grad_fn(g):
-        if a.requires_grad:
-            inner = (g * out).sum(axis=1, keepdims=True)
-            a._accumulate((g - inner * out) / norms)
+        inner = (g * out).sum(axis=1, keepdims=True)
+        a._accumulate((g - inner * out) / norms)
 
     return nm._make(out, (a,), grad_fn)
 
@@ -767,8 +744,7 @@ def permute_rows(a, perm):
     inv[perm] = np.arange(perm.size)
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(g[inv])
+        a._accumulate(g[inv])
 
     return nm._make(a.data[perm].copy(), (a,), grad_fn)
 
@@ -894,9 +870,8 @@ def two_pass_node_node_loss(z_m, z_n, positives, tau):
         grad_unit_m += grad_keys[n:]
         for z, unit, norms, grad_unit in ((z_m, unit_m, norms_m, grad_unit_m),
                                           (z_n, unit_n, norms_n, grad_keys[:n])):
-            if z.requires_grad:
-                inner = (grad_unit * unit).sum(axis=1, keepdims=True)
-                z._accumulate((grad_unit - inner * unit) / norms)
+            inner = (grad_unit * unit).sum(axis=1, keepdims=True)
+            z._accumulate((grad_unit - inner * unit) / norms)
 
     return nm._make(np.array([[per_anchor.mean()]]), (z_m, z_n), grad_fn)
 

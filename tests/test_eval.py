@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ def test_kmeans_assignment_shape_and_k():
     assign = kmeans(x, 3, substream(0, "km"))
     assert assign.shape == (30,)
     assert np.unique(assign).size == 3
+
+
+@pytest.mark.parametrize("x,k", [
+    pytest.param(np.zeros((30, 4)), 3, id="all-zero"),
+    pytest.param(np.repeat([[0.0, 0.0], [1.0, 1.0]], 15, axis=0), 4,
+                 id="two-distinct-points")])
+def test_kmeans_repair_leaves_no_cluster_empty(x, k):
+    """Two clusters left empty in one pass take two different points, each
+    from a cluster that keeps another member: no centroid is the mean of
+    no rows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assign = kmeans(x, k, substream(0, "km-repair"))
+    assert np.bincount(assign, minlength=k).min() >= 1
 
 
 def test_kmeans_nmi_length_mismatch():

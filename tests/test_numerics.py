@@ -123,6 +123,23 @@ def test_no_gradient_into_constants():
     assert a.grad is not None
 
 
+def test_only_the_tape_reads_requires_grad():
+    """No layer decides which parents take a gradient: outside `numerics`,
+    whose `_accumulate` drops a constant's, `requires_grad` is read only
+    by `node_node_loss`'s `needs_grad` (its three inputs), which spares a
+    forward over constants the gradient half of its pass."""
+    reads = []
+    for info in pkgutil.iter_modules(hgcml.__path__):
+        module = importlib.import_module(f"hgcml.{info.name}")
+        if module is not nm:
+            reads += [(info.name, owner, code.co_name)
+                      for owner, code in code_objects(module)
+                      for ins in dis.get_instructions(code)
+                      if ins.opname in ("LOAD_ATTR", "LOAD_METHOD")
+                      and ins.argval == "requires_grad"]
+    assert reads == [("objective", "node_node_loss", "node_node_loss")] * 3
+
+
 def test_shape_mismatch_errors():
     with pytest.raises(nm.ShapeMismatch):
         add(nm.Tensor(np.zeros((2, 2))), nm.Tensor(np.zeros((3, 2))))
@@ -152,13 +169,6 @@ def test_adam_first_step_magnitude():
     state.step([np.array([[1.0]])])
     expected = 1.0 - 1e-3 * (1.0 / (1.0 + 1e-8))
     assert p[0, 0] == pytest.approx(expected, abs=1e-15)
-
-
-def test_adam_skips_missing_gradients():
-    p = np.array([[2.0]])
-    state = nm.AdamState([p], lr=0.1)
-    state.step([None])
-    assert p[0, 0] == 2.0
 
 
 def test_adam_two_steps_match_hand_recurrence():

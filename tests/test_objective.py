@@ -11,7 +11,7 @@ import pytest
 import hgcml.model
 import hgcml.objective
 from conftest import (APA, APCPA, APSPA, add, anchor_only, dense_mask,
-                      grad_check, layer_bits, matmul, mean_all, mul_const,
+                      grad_check, layer_bits, matmul, mean_all, mul, mul_const,
                       permute_rows, positive_sets, scale,
                       tape_anchor_negatives, tape_node_graph_loss,
                       tape_node_node_loss, tape_total_objective,
@@ -20,7 +20,7 @@ from conftest import (APA, APCPA, APSPA, add, anchor_only, dense_mask,
 from hgcml.augment import corrupt
 from hgcml.config import AugmentSettings, TrainSettings
 from hgcml.hin import MetapathSpec
-from hgcml.model import gcn_forward, init_params
+from hgcml.model import gcn_forward, init_params, project
 from hgcml.numerics import LOG_EPS, AdamState, ShapeMismatch, Tensor, mean_rows
 from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
                              node_node_loss, pair_terms, total_objective,
@@ -887,6 +887,82 @@ def test_pair_terms_take_each_views_encoder_by_name():
     with pytest.raises(ShapeMismatch, match="view 'v2'"):
         pair_terms(corrupted, init_params(["v0", "v1"], d_in=3, d=4, seed=7),
                    positives, tau=0.5)
+
+
+def constant_rule_cases():
+    """(layer, arrays) per layer node: `layer` maps named input tensors to
+    the node's output, and `arrays` holds those inputs' values."""
+    n, d = 9, 3
+    rng = substream(31, "constant-rule")
+    positives = sampled_positives(n, "constant-rule")
+    views = make_views(n, 2, d, seed=31)
+    corrupted = corruption_pairs(views, seed=32)
+    z = {f"z{v}": rng.standard_normal((n, d)) for v in range(3)}
+    params = {name: t.data for name, t in init_params(
+        [view.metapath.name for view in views], d_in=d, d=4, seed=33).items()}
+    projector = {name: rng.standard_normal(params[name].shape)
+                 for name in ("proj.W1", "proj.b1", "proj.W2", "proj.b2")}
+
+    def masses(count):
+        return view_masses([Tensor(z[f"z{v}"]) for v in range(count)],
+                           positives, 0.5).data
+
+    return {
+        "gcn_forward": (lambda t: gcn_forward(views[0], t["W"]),
+                        {"W": rng.standard_normal((d, 4))}),
+        "project": (lambda t: project(t["h"], t),
+                    {"h": rng.standard_normal((n, 4)), **projector}),
+        "mean_rows": (lambda t: mean_rows(t["a"]),
+                      {"a": rng.standard_normal((n, d))}),
+        "view_masses": (lambda t: view_masses([t[k] for k in sorted(z)],
+                                              positives, 0.5), z),
+        "node_node_loss-intra": (
+            lambda t: node_node_loss(t["z0"], t["z1"], positives, 0.5,
+                                     (t["masses"], 0, 0)),
+            {"z0": z["z0"], "z1": z["z1"], "masses": masses(1)}),
+        "node_node_loss-inter": (
+            lambda t: node_node_loss(Tensor(z["z0"]), Tensor(z["z1"]),
+                                     positives, 0.5, (t["masses"], 0, 1)),
+            {"masses": masses(2)}),
+        "node_graph_loss": (
+            lambda t: node_graph_loss(t["z_m"], t["z_neg"], t["s_m"], t),
+            {"z_m": z["z0"], "z_neg": z["z1"],
+             "s_m": rng.standard_normal((1, d)),
+             "disc.B": rng.standard_normal((d, d))}),
+        "total_objective": (
+            lambda t: total_objective(corrupted, t, positives, 0.5), params),
+    }
+
+
+CONSTANT_RULE_CASES = constant_rule_cases()
+
+
+@pytest.mark.parametrize("layer", sorted(CONSTANT_RULE_CASES))
+def test_a_constant_input_takes_no_gradient_and_moves_no_other(layer):
+    """Each layer's backward hands every parent its gradient, and the tape
+    alone keeps a constant's out: made constant, an input's .grad stays
+    None, and every other input, with the trainable weight the output is
+    scored by, gets the bits it gets when all inputs are trainable."""
+    build, arrays = CONSTANT_RULE_CASES[layer]
+
+    def grads(constant):
+        inputs = {name: Tensor(a.copy(), requires_grad=name != constant)
+                  for name, a in arrays.items()}
+        out = build(inputs)
+        weight = Tensor(substream(34, "constant-rule", layer).standard_normal(
+            out.shape), requires_grad=True)
+        mean_all(mul(out, weight)).backward()
+        return {name: t.grad for name, t in [*inputs.items(),
+                                             ("weight", weight)]}
+
+    def bits(grads):
+        return {name: g.tobytes() for name, g in grads.items()}
+
+    trainable = bits(grads(None))
+    for name in arrays:
+        got = grads(name)
+        assert got.pop(name) is None, name
+        assert bits(got) == {k: v for k, v in trainable.items() if k != name}
 
 
 def test_total_objective_equals_sum_of_terms():
