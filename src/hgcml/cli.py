@@ -73,12 +73,13 @@ def _out_dir(out: str, make: bool = True) -> str:
 def _stage(args, cached: bool = True, make: bool = False):
     """(run config, graph, output directory, graph key) of a pipeline stage.
 
-    With `cached`, the graph comes from the output directory's graph cache
-    when its key matches, and so holds the views `prepare` extracted;
-    otherwise it is parsed. Hashing the data files for the key reads each
-    one first, so a file that is missing or cannot be read ends the stage
-    with its OSError, which names it. Only with `make` is the directory
-    made, and last, so neither a bad dataset nor a missing input leaves one.
+    The graph holds the views of the config's metapaths. With `cached`, it
+    comes from the output directory's graph cache when its key matches;
+    otherwise `load_hin` parses the dataset and extracts them. Hashing the
+    data files for the key reads each one first, so a file that is missing
+    or cannot be read ends the stage with its OSError, which names it. Only
+    with `make` is the directory made, and last, so neither a bad dataset
+    nor a missing input leaves one.
     """
     if not args.config:
         raise ConfigError("--config is required for this command")
@@ -90,31 +91,28 @@ def _stage(args, cached: bool = True, make: bool = False):
     out = _out_path(args, cfg)
     hin = None
     if cached:
-        hin = read_graph(os.path.join(out, GRAPH_CACHE), key, cfg.schema,
-                         cfg.metapaths)
+        hin = read_graph(os.path.join(out, GRAPH_CACHE), key, cfg.metapaths)
     if hin is None:
-        hin = load_hin(*files, cfg.schema)
+        hin = load_hin(*files, cfg.schema, cfg.metapaths)
     return cfg, hin, _out_dir(out, make), key
 
 
 def cmd_prepare(args) -> int:
     cfg, hin, out, key = _stage(args, cached=False, make=True)
-    views = []
     for spec in cfg.metapaths:
         view = extract_metapath_view(hin, spec)
         path = os.path.join(out, f"view_{spec.name}.tsv")
         with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(f"{i}\t{j}\n" for i, j in zip(*view.edges.tolist()))
-        views.append(view)
         print(f"wrote {path}")
     summary_path = os.path.join(out, "views.tsv")
     with atomic_open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("view\tnodes\tedges\n")
-        for view in views:
-            fh.write(f"{view.metapath.name}\t{view.n_nodes}\t{view.n_edges}\n")
+        for name, view in hin.views.items():
+            fh.write(f"{name}\t{view.n_nodes}\t{view.n_edges}\n")
     print(f"wrote {summary_path}")
     cache_path = os.path.join(out, GRAPH_CACHE)
-    write_graph(cache_path, hin, views, key)
+    write_graph(cache_path, hin, key)
     print(f"wrote {cache_path}")
     return 0
 

@@ -6,19 +6,19 @@ opaque strings; after loading, each type gets its own dense 0-based index
 space that preserves input order, and the target type's indices are the
 row indices used by features, labels, positives, and embeddings.
 
-A relation is held as the arrays of its binary CSR biadjacency,
-`(indptr, indices, shape)`. A metapath view is the homogeneous graph over
-target nodes whose edges connect endpoints of at least one path instance
-of the metapath. It is computed as the binarized product of the relations'
-sparse matrices; each step traverses its relation forward or backward,
-whichever continues the chain from the current node type. A view holds
-only its edge list, which every consumer reads: `prepare`, edge dropping,
-the GCN and PPR.
+A metapath view is the homogeneous graph over target nodes whose edges
+connect endpoints of at least one path instance of the metapath.
+`load_hin` builds each relation's sparse matrix, computes every view
+as the binarized product of those matrices (each step traverses its
+relation forward or backward, whichever continues the chain from the
+current node type) and keeps only the views. A view holds only its edge
+list, which every consumer reads: `prepare`, edge dropping, the GCN and PPR.
 
 `prepare` writes the features, labels and each metapath's view to a cache
 (`write_graph`) keyed by `graph_key`, the SHA-256 of everything `load_hin`
-reads and of the metapaths; later stages take the graph, views included,
-from `read_graph` only when the key matches and parse otherwise.
+reads and of the metapaths; later stages take the graph from `read_graph`
+only when the key matches and parse otherwise; either way it holds the
+same three fields: views, features and labels.
 
 `scipy.sparse` is imported only by `load_hin` and the metapath product, so
 reading the cache imports no scipy module.
@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -176,12 +175,10 @@ class MetapathView:
 
 @dataclass
 class HIN:
-    """A typed graph; the input's string ids exist only while parsing."""
+    """A graph as every stage holds it: its metapath views over the target
+    nodes, their features and labels; no string id or relation outlives parsing."""
 
-    schema: SchemaConfig
-    # relation -> (indptr, indices, (N_src, N_dst)) of its binary CSR; parsed only
-    biadjacency: dict[str, tuple[np.ndarray, np.ndarray, tuple[int, int]]]
-    views: dict[str, MetapathView]  # metapath name -> view; read from the cache only
+    views: dict[str, MetapathView]  # metapath name -> view, in config order
     features: np.ndarray                      # (N_target, d_in) float64
     labels: np.ndarray | None = None          # (N_target,) int64, -1 = unlabeled
 
@@ -204,13 +201,10 @@ def _line_blocks(path):
 
     `text` joins the block's lines with "\n". Reads BLOCK_CHARS characters
     at a time in text mode, so lines split exactly as iterating the file
-    splits them; a byte that is not UTF-8 reads as a lone surrogate.
+    splits them; a byte that is not UTF-8 reads as a lone surrogate, and a
+    byte-order mark at the start of the file is dropped.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
-    except FileNotFoundError as exc:
-        raise MalformedRecord(f"file not found: {path}") from exc
-    with fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lineno, parts = 1, []
         while chunk := fh.read(BLOCK_CHARS):
             cut = chunk.rfind("\n")
@@ -352,8 +346,9 @@ def _read_edges(path, schema: SchemaConfig, node_type, position):
 
 
 def load_hin(node_file, edge_file, feature_file, label_file,
-             schema: SchemaConfig) -> HIN:
-    """Load and validate a HIN from the TSV/binary files.
+             schema: SchemaConfig, metapaths: tuple[MetapathSpec, ...]) -> HIN:
+    """Load and validate a HIN from the TSV/binary files and extract the
+    view of each of `metapaths` from its relations, which are then dropped.
 
     Node and edge lines are parsed a block at a time and checked as arrays.
     A fault is reported for the earliest faulty line, and within one line
@@ -374,26 +369,26 @@ def load_hin(node_file, edge_file, feature_file, label_file,
                               range(members.size)))
     rel, src, dst = _read_edges(edge_file, schema, node_type, position)
 
-    biadjacency = {}
+    relations = {}
     for k, decl in enumerate(schema.relations):
         mine = rel == k
-        mat = sp.csr_matrix(  # duplicate edge records sum into one entry
+        # duplicate edge records sum into one entry, which no view can tell
+        relations[decl.name] = sp.csr_matrix(
             (np.ones(int(mine.sum())), (within[src[mine]], within[dst[mine]])),
             shape=(size[decl.src], size[decl.dst]), dtype=np.float64)
-        biadjacency[decl.name] = mat.indptr, mat.indices, mat.shape
 
     if not size[schema.target_type]:
         raise HinError(f"no node of the target type {schema.target_type!r}")
     features = _load_features(feature_file, row_of)
     labels = None if label_file is None else _load_labels(label_file, row_of)
-    return HIN(schema=schema, biadjacency=biadjacency, views={},
-               features=features, labels=labels)
+    views = {}
+    for spec in metapaths:
+        views[spec.name] = _metapath_view(relations, schema, spec, features)
+    return HIN(views=views, features=features, labels=labels)
 
 
 def _load_features(path, row_of: dict[str, int]) -> np.ndarray:
     path = str(path)
-    if not os.path.exists(path):
-        raise FeatureRowMissing(f"features file not found: {path}")
     if path.endswith(".tsv"):
         rows: dict[int, np.ndarray] = {}
         dim = None
@@ -477,7 +472,7 @@ def _file_digest(path) -> bytes:
     return digest.digest()
 
 
-def write_graph(path, hin: HIN, views: list[MetapathView], key: bytes) -> None:
+def write_graph(path, hin: HIN, key: bytes) -> None:
     """The graph cache: HGM1 tensors `key` (1x32 bytes), `features`,
     `labels` (2xN, when present) and per view `view.<metapath name>`
     (2xm). Integers are stored as float64, which is exact below 2**53, so
@@ -485,16 +480,16 @@ def write_graph(path, hin: HIN, views: list[MetapathView], key: bytes) -> None:
     tensors = {"key": np.frombuffer(key, np.uint8)[None], "features": hin.features}
     if hin.labels is not None:
         tensors["labels"] = _label_words(hin.labels)
-    for view in views:
-        tensors[f"view.{view.metapath.name}"] = view.edges
+    for name, view in hin.views.items():
+        tensors[f"view.{name}"] = view.edges
     io.write_checkpoint(path, tensors)
 
 
-def read_graph(path, key: bytes, schema: SchemaConfig,
+def read_graph(path, key: bytes,
                metapaths: tuple[MetapathSpec, ...]) -> HIN | None:
-    """The graph `write_graph` stored at `path`, with the views of `metapaths`
-    and no relation; None if the file is missing or unreadable, its key is not
-    `key`, or the rest is not just finite features, valid views and labels."""
+    """The graph `write_graph` stored at `path`, with the views of `metapaths`;
+    None if the file is missing or unreadable, its key is not `key`, or the
+    rest is not just finite features, valid views and labels."""
     try:
         tensors = io.read_checkpoint(path)
     except (OSError, io.FormatError):
@@ -520,8 +515,7 @@ def read_graph(path, key: bytes, schema: SchemaConfig,
             return None
     except (KeyError, ValueError, HinError):
         return None
-    return HIN(schema=schema, biadjacency={}, views=views, features=features,
-               labels=labels)
+    return HIN(views=views, features=features, labels=labels)
 
 
 def _label_words(labels: np.ndarray) -> np.ndarray:
@@ -569,18 +563,20 @@ def resolve_chain(schema: SchemaConfig, spec: MetapathSpec) -> list[tuple[str, b
 
 
 def extract_metapath_view(hin: HIN, spec: MetapathSpec) -> MetapathView:
-    """The view `hin` holds for `spec` if read from the cache, else the
-    binarized metapath product over target nodes; zero diagonal, symmetric."""
-    if spec.name in hin.views:
-        return hin.views[spec.name]
+    """The view of `spec` that `hin` holds; a function of its own because
+    pipebench's tracer patches it in `cli` and `trainer`."""
+    return hin.views[spec.name]
+
+
+def _metapath_view(relations: dict, schema: SchemaConfig, spec: MetapathSpec,
+                   features: np.ndarray) -> MetapathView:
+    """The binarized product of `relations` (name -> CSR) along
+    `spec`'s chain over target nodes; zero diagonal, symmetric."""
     import scipy.sparse as sp
 
-    steps = resolve_chain(hin.schema, spec)
     product = None
-    for rel_name, reverse in steps:
-        indptr, indices, shape = hin.biadjacency[rel_name]
-        mat = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=shape)
-        mat = mat.T.tocsr() if reverse else mat
+    for rel_name, reverse in resolve_chain(schema, spec):
+        mat = relations[rel_name].T.tocsr() if reverse else relations[rel_name]
         product = mat if product is None else product @ mat
     # binarize (neighbor sets, not path counts) and drop self-loops
     coo = product.tocoo()
@@ -592,13 +588,13 @@ def extract_metapath_view(hin: HIN, spec: MetapathSpec) -> MetapathView:
     if (adj != adj.T).nnz:
         warnings.warn(
             f"metapath {spec.name!r} product is asymmetric; symmetrizing",
-            AsymmetricViewWarning, stacklevel=2)
+            AsymmetricViewWarning, stacklevel=3)
         adj = adj + adj.T
     if adj.nnz == 0:
         warnings.warn(f"metapath {spec.name!r} view has no edges",
-                      EmptyViewWarning, stacklevel=2)
+                      EmptyViewWarning, stacklevel=3)
     # the upper triangle of the canonical CSR, row by row, in its index dtype
     rows = np.repeat(np.arange(n, dtype=adj.indices.dtype), np.diff(adj.indptr))
     upper = adj.indices > rows
     edges = np.stack((rows[upper], adj.indices[upper]))
-    return MetapathView(edges=edges, features=hin.features, metapath=spec)
+    return MetapathView(edges=edges, features=features, metapath=spec)

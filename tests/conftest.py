@@ -1,5 +1,6 @@
 """Shared fixtures: toy bibliographic HIN, random typed graphs, oracles."""
 
+import dataclasses
 import importlib.util
 import os
 import struct
@@ -58,6 +59,7 @@ TOY_EDGES = [("a1", "p1", "AP"), ("a2", "p1", "AP"), ("a2", "p2", "AP"),
 APA = MetapathSpec("APA", ("AP", "AP"))
 APSPA = MetapathSpec("APSPA", ("AP", "PS", "PS", "AP"))
 APCPA = MetapathSpec("APCPA", ("AP", "PC", "PC", "AP"))
+TOY_METAPATHS = (APA, APSPA, APCPA)  # 2, 2 and 4 edges over the 4 authors
 
 
 def write_toy_files(dirpath, features=None, labels=None):
@@ -91,43 +93,48 @@ def toy_paths(tmp_path):
 @pytest.fixture
 def toy_hin(toy_paths):
     return load_hin(toy_paths["nodes"], toy_paths["edges"],
-                    toy_paths["features"], toy_paths["labels"], TOY_SCHEMA)
+                    toy_paths["features"], toy_paths["labels"], TOY_SCHEMA,
+                    TOY_METAPATHS)
 
 
-def build_hin(schema, counts, edges, features, labels=None):
-    """Assemble a HIN in memory: edges are (relation, src_idx, dst_idx).
-    Returns the HIN and the string ids of each type, in index order, that
-    its input files would use."""
-    node_ids = {t: [f"{t}{i}" for i in range(counts.get(t, 0))]
-                for t in schema.types}
-    biadjacency = {}
+def build_relations(schema, counts, edges):
+    """Each relation's binary float64 CSR biadjacency, name -> matrix, from
+    edges given as (relation, src_idx, dst_idx) and node counts per type."""
+    relations = {}
     for rel in schema.relations:
         rows = [e[1] for e in edges if e[0] == rel.name]
         cols = [e[2] for e in edges if e[0] == rel.name]
-        mat = sp.csr_matrix(
+        relations[rel.name] = sp.csr_matrix(
             (np.ones(len(rows)), (rows, cols)),
             shape=(counts[rel.src], counts[rel.dst]), dtype=np.float64)
-        biadjacency[rel.name] = mat.indptr, mat.indices, mat.shape
-    return HIN(schema=schema, biadjacency=biadjacency, views={},
-               features=np.asarray(features, dtype=np.float64),
-               labels=labels), node_ids
+    return relations
 
 
-def relation_matrix(hin, name):
-    """Relation `name` of `hin` as the binary float64 CSR its arrays
-    describe, built as view extraction builds it."""
-    indptr, indices, shape = hin.biadjacency[name]
-    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=shape)
+@dataclasses.dataclass
+class TypedCase:
+    """A small typed graph in memory: its schema, each relation's CSR, the
+    target nodes' features, the string ids of each type in index order that
+    its input files use, and a type-correct metapath."""
+
+    schema: SchemaConfig
+    relations: dict
+    features: np.ndarray
+    node_ids: dict
+    spec: MetapathSpec
+
+    @property
+    def n_target(self):
+        return self.features.shape[0]
 
 
-def brute_force_view(hin, spec):
-    """Path-enumeration oracle: walk every typed path, connect endpoints."""
-    schema = hin.schema
+def brute_force_view(relations, schema, spec, n):
+    """Path-enumeration oracle over `relations` (name -> CSR) and `n` target
+    nodes: walk every typed path, connect its endpoints; dense 0/1."""
     steps = []
     current = schema.target_type
     for rel_name in spec.relations:
         rel = schema.relation(rel_name)
-        coo = relation_matrix(hin, rel_name).tocoo()
+        coo = relations[rel_name].tocoo()
         neighbors = {}
         if current == rel.src:
             for i, j in zip(coo.row, coo.col):
@@ -141,7 +148,6 @@ def brute_force_view(hin, spec):
             raise AssertionError(f"oracle chain broken at {rel_name}")
         steps.append(neighbors)
     assert current == schema.target_type
-    n = hin.n_target
     adj = np.zeros((n, n))
     for start in range(n):
         frontier = {start}
@@ -168,7 +174,7 @@ def append_tensor(blob, name, array):
 def view_from_adjacency(adjacency, features, name="m"):
     """A view over `adjacency`, a dense or sparse symmetric 0/1 matrix with
     a zero diagonal: its upper triangle, row by row, is the edge list, in
-    the CSR's index dtype as `extract_metapath_view` gives it."""
+    the CSR's index dtype as the metapath product gives it."""
     adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
     assert (adjacency != adjacency.T).nnz == 0, "adjacency must be symmetric"
     assert not adjacency.diagonal().any(), "adjacency must have a zero diagonal"
@@ -197,8 +203,7 @@ def metapath_neighbors(view, node):
 
 
 def random_typed_case(rng):
-    """A random small typed graph, its string ids as `build_hin` returns
-    them, and a type-correct metapath."""
+    """A random small `TypedCase`."""
     variant = rng.integers(4)
     n_t = int(rng.integers(2, 21))
     n_u = int(rng.integers(1, 16))
@@ -240,19 +245,17 @@ def random_typed_case(rng):
         counts = {"t": n_t, "u": n_u}
         edges = bernoulli_edges("R0", n_t, n_u)
         spec = MetapathSpec("m", ("R0", "R0", "R0", "R0"))
-    features = rng.standard_normal((n_t, 3))
-    return (*build_hin(schema, counts, edges, features), spec)
+    node_ids = {t: [f"{t}{i}" for i in range(counts[t])] for t in schema.types}
+    return TypedCase(schema, build_relations(schema, counts, edges),
+                     rng.standard_normal((n_t, 3)), node_ids, spec)
 
 
 def reference_rows(path, n_fields):
     """The per-line text reader: the oracle of `hin._read_rows`. Yields
     (line number, fields) per non-blank line as the file is iterated; a
-    line that is not UTF-8 is a fault of that line."""
-    try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
-    except FileNotFoundError as exc:
-        raise MalformedRecord(f"file not found: {path}") from exc
-    with fh:
+    line that is not UTF-8 is a fault of that line, and a byte-order mark
+    at the start of the file is dropped."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             try:
@@ -271,12 +274,12 @@ def reference_rows(path, n_fields):
 
 
 def reference_load_hin(node_file, edge_file, feature_file, label_file,
-                       schema):
+                       schema, metapaths):
     """The per-line parser: the oracle of `load_hin`. Checks each line as
     it is read, so its first error is the earliest faulty line's. Labels
     and `features.tsv` go through hin's own checks, fed by the per-line
-    reader. Returns the HIN and the string ids of each type in index
-    order."""
+    reader; each view is enumerated path by path. Returns the HIN and the
+    string ids of each type in index order."""
     node_ids = {t: [] for t in schema.types}
     index = {}
     for lineno, (node_id, type_name) in reference_rows(node_file, 2):
@@ -303,13 +306,12 @@ def reference_load_hin(node_file, edge_file, feature_file, label_file,
         edges[rel_name][0].append(src_idx)
         edges[rel_name][1].append(dst_idx)
 
-    biadjacency = {}
+    relations = {}
     for decl in schema.relations:
         rows, cols = edges[decl.name]
         shape = (len(node_ids[decl.src]), len(node_ids[decl.dst]))
-        mat = sp.csr_matrix(
+        relations[decl.name] = sp.csr_matrix(
             (np.ones(len(rows)), (rows, cols)), shape=shape, dtype=np.float64)
-        biadjacency[decl.name] = mat.indptr, mat.indices, mat.shape
 
     row_of = {node_id: k for k, node_id
               in enumerate(node_ids[schema.target_type])}
@@ -318,8 +320,10 @@ def reference_load_hin(node_file, edge_file, feature_file, label_file,
         labels = None
         if label_file is not None:
             labels = _load_labels(label_file, row_of)
-    return HIN(schema=schema, biadjacency=biadjacency, views={},
-               features=features, labels=labels), node_ids
+    views = {spec.name: dataclasses.replace(view_from_adjacency(
+        brute_force_view(relations, schema, spec, len(row_of)), features),
+        metapath=spec) for spec in metapaths}
+    return HIN(views=views, features=features, labels=labels), node_ids
 
 
 def reference_load_positives(path, n):

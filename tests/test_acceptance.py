@@ -18,7 +18,7 @@ from hgcml.augment import corrupt
 from hgcml.cli import main as cli_main
 from hgcml.config import load_config
 from hgcml.evaluate import evaluate_embeddings, linear_probe, micro_f1, nmi
-from hgcml.hin import extract_metapath_view, load_hin
+from hgcml.hin import _metapath_view, load_hin
 from hgcml.model import init_params
 from hgcml.numerics import Tensor
 from hgcml.objective import (node_graph_loss, node_node_loss, pair_terms,
@@ -71,8 +71,8 @@ def _fixture_pipeline(workdir):
     paths = generate(SynthConfig(), workdir)
     cfg = load_config(paths["config"])
     hin = load_hin(cfg.path("nodes"), cfg.path("edges"), cfg.path("features"),
-                   cfg.path("labels"), cfg.schema)
-    views = [extract_metapath_view(hin, spec) for spec in cfg.metapaths]
+                   cfg.path("labels"), cfg.schema, cfg.metapaths)
+    views = list(hin.views.values())
     diffusions = [ppr_matrix(v, cfg.positives.alpha, tol=cfg.positives.tol,
                              max_iter=cfg.positives.max_iter) for v in views]
     positives = select_positives(topology_similarity(diffusions),
@@ -154,8 +154,8 @@ def test_criterion_3_metapath_view_oracle():
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_toy_files(tmp)
         hin = load_hin(paths["nodes"], paths["edges"], paths["features"],
-                       paths["labels"], TOY_SCHEMA)
-    coauthors_of_first = metapath_neighbors(extract_metapath_view(hin, APA), 0)
+                       paths["labels"], TOY_SCHEMA, (APA,))
+    coauthors_of_first = metapath_neighbors(hin.views["APA"], 0)
     toy_ok = coauthors_of_first == [1]
 
     rng = substream(4, "viewcases")
@@ -163,10 +163,12 @@ def test_criterion_3_metapath_view_oracle():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(100):
-            case_hin, _, spec = random_typed_case(rng)
-            view = extract_metapath_view(case_hin, spec)
+            case = random_typed_case(rng)
+            view = _metapath_view(case.relations, case.schema, case.spec,
+                                  case.features)
             if not np.array_equal(adjacency_of(view).toarray(),
-                                  brute_force_view(case_hin, spec)):
+                                  brute_force_view(case.relations, case.schema,
+                                                   case.spec, case.n_target)):
                 mismatches += 1
     ok = toy_ok and mismatches == 0
     return ok, (f"first author's coauthor view {coauthors_of_first} (== [1]), "

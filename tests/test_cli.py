@@ -780,15 +780,55 @@ def test_no_node_of_the_target_type_exits_2_naming_it(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_an_empty_view_warns_where_its_product_runs(tmp_path):
+    """A metapath whose view has no edges warns when the product runs: in
+    prepare, and in positives in a directory without a graph cache, but
+    not in positives on the cache prepare wrote."""
+    (tmp_path / "nodes.tsv").write_text(
+        "a1\tauthor\na2\tauthor\na3\tauthor\np1\tpaper\nv1\tvenue\n")
+    (tmp_path / "edges.tsv").write_text("a1\tp1\tAP\na2\tp1\tAP\n")
+    (tmp_path / "features.tsv").write_text(
+        "a1\t1.0,0.0\na2\t0.0,1.0\na3\t1.0,1.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"nodes": "nodes.tsv", "edges": "edges.tsv",
+                 "features": "features.tsv"},
+        "schema": {"types": ["author", "paper", "venue"],
+                   "target_type": "author",
+                   "relations": [
+                       {"name": "AP", "src": "author", "dst": "paper"},
+                       {"name": "PV", "src": "paper", "dst": "venue"}]},
+        "metapaths": [{"name": "APA", "relations": ["AP", "AP"]},
+                      {"name": "APVPA", "relations": ["AP", "PV", "PV", "AP"]}],
+        "positives": {"k_t": 1, "k_s": 1}}))
+
+    def empty_view_warnings(stage, out):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([stage, "--config", str(config), "--out",
+                         str(tmp_path / out)]) == 0
+        return [str(w.message) for w in caught
+                if issubclass(w.category, hin_module.EmptyViewWarning)]
+
+    empty = ["metapath 'APVPA' view has no edges"]
+    assert empty_view_warnings("prepare", "run") == empty
+    assert empty_view_warnings("positives", "run") == []
+    assert empty_view_warnings("positives", "fresh") == empty
+    assert (tmp_path / "run" / "views.tsv").read_text().splitlines()[1:] == [
+        "APA\t3\t1", "APVPA\t3\t0"]
+
+
 def test_missing_positives_file_exits_2_naming_it(pipeline, tmp_path, capsys):
-    """train without positives.tsv: load_positives reports the file."""
+    """train without positives.tsv: opening it raises the FileNotFoundError
+    that names it."""
     out = tmp_path / "out"
     shutil.copytree(pipeline["out"], out)
     for name in ("positives.tsv", "model.bin", "trace.tsv"):
         (out / name).unlink()
     assert main(["train", "--config", pipeline["config"], "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: MalformedRecord: file not found: {out / 'positives.tsv'}"]
+    assert err == ["error: FileNotFoundError: [Errno 2] No such file or "
+                   f"directory: '{out / 'positives.tsv'}'"]
     assert not (out / "model.bin").exists() and not (out / "trace.tsv").exists()
 
 
@@ -887,7 +927,8 @@ def test_parameters_are_named_and_ordered_as_model_bin(pipeline, monkeypatch,
     names = [spec.name for spec in cfg.metapaths]
     stored = list(read_checkpoint(os.path.join(pipeline["out"], "model.bin")))
     hin = load_hin(*(cfg.path(name) for name in
-                     ("nodes", "edges", "features", "labels")), cfg.schema)
+                     ("nodes", "edges", "features", "labels")), cfg.schema,
+                   cfg.metapaths)
     assert list(init_params(names, hin.features.shape[1], cfg.train.dim,
                             cfg.seed, share)) == stored
     stepped = []

@@ -15,18 +15,20 @@ from hgcml.hin import (HIN, AsymmetricViewWarning, DuplicateNodeId,
                        FeatureRowMissing, HinError, MalformedRecord,
                        MetapathSpec, MetapathView, RelationDecl, SchemaConfig,
                        TypeChainBroken, UnknownNode, UnknownRelation,
-                       UnknownType, extract_metapath_view, graph_key,
-                       load_hin, read_graph, resolve_chain, write_graph)
+                       UnknownType, _metapath_view, extract_metapath_view,
+                       graph_key, load_hin, read_graph, resolve_chain,
+                       write_graph)
 import hgcml.hin as hin_module
 from hgcml.io import read_checkpoint, write_checkpoint, write_matrix
 from hgcml.positives import load_positives
 from hgcml.rng import substream
 
-from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_NODES, TOY_SCHEMA,
-                      adjacency_of, append_tensor, brute_force_view,
-                      build_hin, metapath_neighbors, random_typed_case,
-                      reference_load_hin, reference_load_positives,
-                      reference_rows, relation_matrix, write_toy_files)
+from conftest import (APA, APCPA, APSPA, TOY_EDGES, TOY_METAPATHS, TOY_NODES,
+                      TOY_SCHEMA, adjacency_of, append_tensor,
+                      brute_force_view, build_relations, metapath_neighbors,
+                      random_typed_case, reference_load_hin,
+                      reference_load_positives, reference_rows,
+                      write_toy_files)
 
 
 def edge_pairs(view):
@@ -34,13 +36,12 @@ def edge_pairs(view):
 
 
 def test_toy_counts(toy_hin):
-    assert len(toy_hin.schema.types) == 4
-    assert len(toy_hin.schema.relations) == 3
+    """A graph is its views, features and labels; no relation is kept."""
+    assert [f.name for f in dataclasses.fields(HIN)] == [
+        "views", "features", "labels"]
     assert toy_hin.n_target == 4
-    # (authors, papers), (papers, subjects), (papers, conferences)
-    assert {name: shape for name, (_, _, shape)
-            in toy_hin.biadjacency.items()} == {
-        "AP": (4, 5), "PS": (5, 3), "PC": (5, 2)}
+    assert list(toy_hin.views) == ["APA", "APSPA", "APCPA"]
+    assert [view.n_edges for view in toy_hin.views.values()] == [2, 2, 4]
     assert toy_hin.features.shape == (4, 2)
 
 
@@ -55,29 +56,27 @@ def test_target_remap_preserves_input_order(toy_paths):
     with open(labels, "w", encoding="utf-8") as fh:
         fh.writelines(f"a{k + 1}\t{10 + k}\n" for k in (3, 1, 0, 2))
     hin = load_hin(toy_paths["nodes"], toy_paths["edges"], features, labels,
-                   TOY_SCHEMA)
+                   TOY_SCHEMA, TOY_METAPATHS)
     assert hin.features.tolist() == [[k, k + 0.5] for k in range(4)]
     assert hin.labels.tolist() == [10, 11, 12, 13]
-    # a3 is author 2 and wrote p3 and p5, papers 2 and 4; p5 is in s2,
-    # subject 1, and at c2, conference 1
-    assert sorted(relation_matrix(hin, "AP")[2].indices.tolist()) == [2, 4]
-    assert relation_matrix(hin, "PS")[4].indices.tolist() == [1]
-    assert relation_matrix(hin, "PC")[4].indices.tolist() == [1]
+    # a3 is author 2: it shares p5 with a4, author 3, and c1 with a1 and a2
+    assert metapath_neighbors(hin.views["APA"], 2) == [3]
+    assert metapath_neighbors(hin.views["APCPA"], 2) == [0, 1, 3]
 
 
 def test_coauthor_view_neighbors(toy_hin):
-    view = extract_metapath_view(toy_hin, APA)
+    view = toy_hin.views["APA"]
     assert metapath_neighbors(view, 0) == [1]
     assert edge_pairs(view) == {(0, 1), (2, 3)}
 
 
 def test_cosubject_view(toy_hin):
-    view = extract_metapath_view(toy_hin, APSPA)
+    view = toy_hin.views["APSPA"]
     assert edge_pairs(view) == {(0, 1), (2, 3)}
 
 
 def test_coconference_view(toy_hin):
-    view = extract_metapath_view(toy_hin, APCPA)
+    view = toy_hin.views["APCPA"]
     assert edge_pairs(view) == {(0, 1), (0, 2), (1, 2), (2, 3)}
 
 
@@ -85,16 +84,19 @@ def test_three_node_chain_not_transitive():
     schema = SchemaConfig(types=("author", "paper"),
                           relations=(RelationDecl("AP", "author", "paper"),),
                           target_type="author")
-    hin, _ = build_hin(schema, {"author": 3, "paper": 2},
-                       [("AP", 0, 0), ("AP", 1, 0), ("AP", 1, 1),
-                        ("AP", 2, 1)], np.zeros((3, 1)))
-    view = extract_metapath_view(hin, MetapathSpec("APA", ("AP", "AP")))
+    relations = build_relations(schema, {"author": 3, "paper": 2},
+                                [("AP", 0, 0), ("AP", 1, 0), ("AP", 1, 1),
+                                 ("AP", 2, 1)])
+    view = _metapath_view(relations, schema,
+                          MetapathSpec("APA", ("AP", "AP")), np.zeros((3, 1)))
     assert edge_pairs(view) == {(0, 1), (1, 2)}
 
 
-def test_view_is_symmetric_zero_diagonal_deterministic(toy_hin):
-    a = adjacency_of(extract_metapath_view(toy_hin, APCPA))
-    b = adjacency_of(extract_metapath_view(toy_hin, APCPA))
+def test_view_is_symmetric_zero_diagonal_deterministic(toy_paths, toy_hin):
+    a = adjacency_of(toy_hin.views["APCPA"])
+    b = adjacency_of(load_hin(toy_paths["nodes"], toy_paths["edges"],
+                              toy_paths["features"], None, TOY_SCHEMA,
+                              (APCPA,)).views["APCPA"])
     assert (a != a.T).nnz == 0
     assert not a.diagonal().any()
     assert (a != b).nnz == 0
@@ -105,23 +107,20 @@ def test_empty_edge_file_is_valid(tmp_path):
         fh.write("a1\tauthor\np1\tpaper\n")
     open(tmp_path / "edges.tsv", "w").close()
     write_matrix(str(tmp_path / "features.bin"), np.ones((1, 3)))
-    hin = load_hin(str(tmp_path / "nodes.tsv"), str(tmp_path / "edges.tsv"),
-                   str(tmp_path / "features.bin"), None, TOY_SCHEMA)
-    assert hin.n_target == 1
-    assert relation_matrix(hin, "AP").nnz == 0
     with pytest.warns(EmptyViewWarning):
-        view = extract_metapath_view(hin, APA)
-    assert view.n_edges == 0
+        hin = load_hin(str(tmp_path / "nodes.tsv"), str(tmp_path / "edges.tsv"),
+                       str(tmp_path / "features.bin"), None, TOY_SCHEMA, (APA,))
+    assert hin.n_target == 1
+    assert hin.views["APA"].n_edges == 0
 
 
-def test_duplicate_edges_collapse(toy_paths):
+def test_duplicate_edges_collapse(toy_paths, toy_hin):
+    """A repeated edge record is one edge: every view is as without it."""
     with open(toy_paths["edges"], "a") as fh:
         fh.write("a1\tp1\tAP\n")  # repeat of an existing edge
     hin = load_hin(toy_paths["nodes"], toy_paths["edges"],
-                   toy_paths["features"], None, TOY_SCHEMA)
-    ap = relation_matrix(hin, "AP")
-    assert ap[0].indices.tolist() == [0]  # a1 wrote p1, listed once
-    assert ap.nnz == 6
+                   toy_paths["features"], None, TOY_SCHEMA, TOY_METAPATHS)
+    assert_same_graph(hin, toy_hin)
 
 
 def test_unknown_node_in_edge(toy_paths):
@@ -129,7 +128,7 @@ def test_unknown_node_in_edge(toy_paths):
         fh.write("a1\tp99\tAP\n")
     with pytest.raises(UnknownNode):
         load_hin(toy_paths["nodes"], toy_paths["edges"],
-                 toy_paths["features"], None, TOY_SCHEMA)
+                 toy_paths["features"], None, TOY_SCHEMA, TOY_METAPATHS)
 
 
 def test_endpoint_type_mismatch(toy_paths):
@@ -137,7 +136,7 @@ def test_endpoint_type_mismatch(toy_paths):
         fh.write("a1\ts1\tAP\n")  # subject on a paper endpoint
     with pytest.raises(EndpointTypeMismatch):
         load_hin(toy_paths["nodes"], toy_paths["edges"],
-                 toy_paths["features"], None, TOY_SCHEMA)
+                 toy_paths["features"], None, TOY_SCHEMA, TOY_METAPATHS)
 
 
 def test_duplicate_node_id(toy_paths):
@@ -145,7 +144,7 @@ def test_duplicate_node_id(toy_paths):
         fh.write("a1\tauthor\n")
     with pytest.raises(DuplicateNodeId):
         load_hin(toy_paths["nodes"], toy_paths["edges"],
-                 toy_paths["features"], None, TOY_SCHEMA)
+                 toy_paths["features"], None, TOY_SCHEMA, TOY_METAPATHS)
 
 
 def test_unknown_type_and_relation(toy_paths):
@@ -153,13 +152,13 @@ def test_unknown_type_and_relation(toy_paths):
         fh.write("x1\tvenue\n")
     with pytest.raises(UnknownType):
         load_hin(toy_paths["nodes"], toy_paths["edges"],
-                 toy_paths["features"], None, TOY_SCHEMA)
+                 toy_paths["features"], None, TOY_SCHEMA, TOY_METAPATHS)
     paths = write_toy_files(os.path.dirname(toy_paths["nodes"]))
     with open(paths["edges"], "a") as fh:
         fh.write("a1\tp1\tZZ\n")
     with pytest.raises(UnknownRelation):
         load_hin(paths["nodes"], paths["edges"], paths["features"],
-                 None, TOY_SCHEMA)
+                 None, TOY_SCHEMA, TOY_METAPATHS)
 
 
 def test_malformed_record_reports_line(toy_paths):
@@ -167,21 +166,24 @@ def test_malformed_record_reports_line(toy_paths):
         fh.write("only_one_field\n")
     with pytest.raises(MalformedRecord, match=":17"):
         load_hin(toy_paths["nodes"], toy_paths["edges"],
-                 toy_paths["features"], None, TOY_SCHEMA)
+                 toy_paths["features"], None, TOY_SCHEMA, TOY_METAPATHS)
 
 
-def test_missing_feature_file(toy_paths):
+def test_missing_feature_file(toy_paths, tmp_path):
+    """A missing features file, in either format, raises the FileNotFoundError
+    that names it."""
     os.remove(toy_paths["features"])
-    with pytest.raises(FeatureRowMissing):
-        load_hin(toy_paths["nodes"], toy_paths["edges"],
-                 toy_paths["features"], None, TOY_SCHEMA)
+    for path in (toy_paths["features"], str(tmp_path / "features.tsv")):
+        with pytest.raises(FileNotFoundError, match=re.escape(path)):
+            load_hin(toy_paths["nodes"], toy_paths["edges"], path, None,
+                     TOY_SCHEMA, TOY_METAPATHS)
 
 
 def test_feature_row_count_mismatch(toy_paths):
     write_matrix(toy_paths["features"], np.ones((3, 2)))  # 4 authors
     with pytest.raises(FeatureRowMissing):
         load_hin(toy_paths["nodes"], toy_paths["edges"],
-                 toy_paths["features"], None, TOY_SCHEMA)
+                 toy_paths["features"], None, TOY_SCHEMA, TOY_METAPATHS)
 
 
 def test_nonfinite_features_rejected(toy_paths):
@@ -190,7 +192,7 @@ def test_nonfinite_features_rejected(toy_paths):
     write_matrix(toy_paths["features"], bad)
     with pytest.raises(MalformedRecord):
         load_hin(toy_paths["nodes"], toy_paths["edges"],
-                 toy_paths["features"], None, TOY_SCHEMA)
+                 toy_paths["features"], None, TOY_SCHEMA, TOY_METAPATHS)
 
 
 def test_features_tsv_alternative(tmp_path, toy_paths):
@@ -200,7 +202,7 @@ def test_features_tsv_alternative(tmp_path, toy_paths):
         for i in range(4):
             fh.write(f"a{i + 1}\t{dense[i, 0]},{dense[i, 1]}\n")
     hin = load_hin(toy_paths["nodes"], toy_paths["edges"], str(tsv),
-                   None, TOY_SCHEMA)
+                   None, TOY_SCHEMA, TOY_METAPATHS)
     assert np.array_equal(hin.features, dense)
 
 
@@ -209,7 +211,8 @@ def test_labels_loaded(toy_paths, tmp_path):
     with open(labels, "w") as fh:
         fh.write("a1\t0\na2\t0\na3\t1\na4\t1\n")
     hin = load_hin(toy_paths["nodes"], toy_paths["edges"],
-                   toy_paths["features"], str(labels), TOY_SCHEMA)
+                   toy_paths["features"], str(labels), TOY_SCHEMA,
+                   TOY_METAPATHS)
     assert hin.labels.tolist() == [0, 0, 1, 1]
 
 
@@ -218,7 +221,8 @@ def test_partial_labels_fill_minus_one(toy_paths, tmp_path):
     with open(labels, "w") as fh:
         fh.write("a2\t3\n")
     hin = load_hin(toy_paths["nodes"], toy_paths["edges"],
-                   toy_paths["features"], str(labels), TOY_SCHEMA)
+                   toy_paths["features"], str(labels), TOY_SCHEMA,
+                   TOY_METAPATHS)
     assert hin.labels.tolist() == [-1, 3, -1, -1]
 
 
@@ -236,7 +240,7 @@ def test_repeated_node_in_a_row_file_names_its_line(toy_paths, tmp_path, name):
         with pytest.raises(MalformedRecord,
                            match=f"^{re.escape(str(path))}:5: node 'a1' repeated$"):
             loader(paths["nodes"], paths["edges"], paths["features"],
-                   paths["labels"], TOY_SCHEMA)
+                   paths["labels"], TOY_SCHEMA, TOY_METAPATHS)
 
 
 @pytest.mark.parametrize("class_id", [
@@ -250,10 +254,10 @@ def test_class_id_outside_int64_names_its_line(toy_paths, tmp_path, class_id):
         with pytest.raises(MalformedRecord,
                            match=f"^{re.escape(str(path))}:3: class id outside int64$"):
             loader(toy_paths["nodes"], toy_paths["edges"],
-                   toy_paths["features"], str(path), TOY_SCHEMA)
+                   toy_paths["features"], str(path), TOY_SCHEMA, TOY_METAPATHS)
     path.write_text(f"a1\t{2 ** 63 - 1}\na2\t007\n", encoding="utf-8")
     hin = load_hin(toy_paths["nodes"], toy_paths["edges"],
-                   toy_paths["features"], str(path), TOY_SCHEMA)
+                   toy_paths["features"], str(path), TOY_SCHEMA, TOY_METAPATHS)
     assert hin.labels.tolist() == [2 ** 63 - 1, 7, -1, -1]
 
 
@@ -271,7 +275,7 @@ def test_class_id_outside_the_grammar_names_its_line(toy_paths, tmp_path,
                 f"^{re.escape(str(path))}:3: class id "
                 f"{re.escape(repr(class_id))} is not ASCII digits$")):
             loader(toy_paths["nodes"], toy_paths["edges"],
-                   toy_paths["features"], str(path), TOY_SCHEMA)
+                   toy_paths["features"], str(path), TOY_SCHEMA, TOY_METAPATHS)
 
 
 def test_schema_validation():
@@ -286,17 +290,27 @@ def test_schema_validation():
         SchemaConfig(types=("a", "b"), relations=(), target_type="a")
 
 
-def test_zero_length_metapath_rejected(toy_hin):
-    with pytest.raises(TypeChainBroken):
-        extract_metapath_view(toy_hin, MetapathSpec("bad", ()))
+def load_toy(toy_paths, *metapaths):
+    return load_hin(toy_paths["nodes"], toy_paths["edges"],
+                    toy_paths["features"], None, TOY_SCHEMA, metapaths)
 
 
-def test_chain_that_cannot_type_check(toy_hin):
+def test_zero_length_metapath_rejected(toy_paths):
     with pytest.raises(TypeChainBroken):
-        extract_metapath_view(toy_hin, MetapathSpec("bad", ("PS", "AP")))
+        load_toy(toy_paths, MetapathSpec("bad", ()))
+
+
+def test_chain_that_cannot_type_check(toy_paths):
+    with pytest.raises(TypeChainBroken):
+        load_toy(toy_paths, APA, MetapathSpec("bad", ("PS", "AP")))
     with pytest.raises(TypeChainBroken):
         # ends on paper, not on the target type
-        extract_metapath_view(toy_hin, MetapathSpec("bad", ("AP",)))
+        load_toy(toy_paths, MetapathSpec("bad", ("AP",)))
+
+
+def test_extract_metapath_view_returns_the_held_view(toy_hin):
+    for spec in TOY_METAPATHS:
+        assert extract_metapath_view(toy_hin, spec) is toy_hin.views[spec.name]
 
 
 def test_resolve_chain_directions(toy_hin):
@@ -310,10 +324,11 @@ def test_asymmetric_product_symmetrized():
                                      RelationDecl("R1", "u", "t")),
                           target_type="t")
     # one directed chain t0 -R0-> u0 -R1-> t1 and nothing back
-    hin, _ = build_hin(schema, {"t": 2, "u": 1},
-                       [("R0", 0, 0), ("R1", 0, 1)], np.zeros((2, 1)))
+    relations = build_relations(schema, {"t": 2, "u": 1},
+                                [("R0", 0, 0), ("R1", 0, 1)])
     with pytest.warns(AsymmetricViewWarning):
-        view = extract_metapath_view(hin, MetapathSpec("m", ("R0", "R1")))
+        view = _metapath_view(relations, schema, MetapathSpec("m", ("R0", "R1")),
+                              np.zeros((2, 1)))
     assert edge_pairs(view) == {(0, 1)}
     adjacency = adjacency_of(view)
     assert (adjacency != adjacency.T).nnz == 0
@@ -348,26 +363,28 @@ def test_view_takes_sorted_upper_triangle_edges():
 
 def test_views_match_brute_force_enumeration():
     for trial in range(30):
-        rng = substream(trial, "viewcase")
-        hin, _, spec = random_typed_case(rng)
+        case = random_typed_case(substream(trial, "viewcase"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            view = extract_metapath_view(hin, spec)
-        assert np.array_equal(adjacency_of(view).toarray(),
-                              brute_force_view(hin, spec)), f"trial {trial}"
+            view = _metapath_view(case.relations, case.schema, case.spec,
+                                  case.features)
+        assert np.array_equal(
+            adjacency_of(view).toarray(),
+            brute_force_view(case.relations, case.schema, case.spec,
+                             case.n_target)), f"trial {trial}"
 
 
 # -- the block parser against the per-line oracle ----------------------------
 
-def typed_lines(hin, node_ids, rng, prefix=""):
-    """Shuffled node and edge lines of an in-memory HIN with the string ids
-    `node_ids`, with a few repeated edges; `prefix` renames every node id."""
-    nodes = [f"{prefix}{node_id}\t{t}" for t, ids in node_ids.items()
+def typed_lines(case, rng, prefix=""):
+    """Shuffled node and edge lines of a `TypedCase`, with a few repeated
+    edges; `prefix` renames every node id."""
+    nodes = [f"{prefix}{node_id}\t{t}" for t, ids in case.node_ids.items()
              for node_id in ids]
     edges = []
-    for rel in hin.schema.relations:
-        coo = relation_matrix(hin, rel.name).tocoo()
-        src_ids, dst_ids = node_ids[rel.src], node_ids[rel.dst]
+    for rel in case.schema.relations:
+        coo = case.relations[rel.name].tocoo()
+        src_ids, dst_ids = case.node_ids[rel.src], case.node_ids[rel.dst]
         edges += [f"{prefix}{src_ids[i]}\t{prefix}{dst_ids[j]}\t{rel.name}"
                   for i, j in zip(coo.row, coo.col)]
     if edges:
@@ -387,40 +404,41 @@ def write_lines(path, lines, rng, crlf=False, final_newline=True, blanks=0):
         fh.write(eol.join(lines) + (eol if final_newline and lines else ""))
 
 
-def write_typed_case(dirpath, hin, node_ids, nodes, edges, rng, prefix="",
-                     **fmt):
-    """The node and edge lines in the input formats, plus the HIN's
-    features and a label for every other target node of `node_ids`."""
+def write_typed_case(dirpath, case, nodes, edges, rng, prefix="", **fmt):
+    """The node and edge lines in the input formats, plus the case's
+    features and a label for every other target node."""
     paths = {name: os.path.join(dirpath, f"{name}.tsv")
              for name in ("nodes", "edges", "labels")}
     paths["features"] = os.path.join(dirpath, "features.bin")
     write_lines(paths["nodes"], nodes, rng, **fmt)
     write_lines(paths["edges"], edges, rng, **fmt)
-    write_matrix(paths["features"], hin.features)
-    targets = node_ids[hin.schema.target_type]
+    write_matrix(paths["features"], case.features)
+    targets = case.node_ids[case.schema.target_type]
     write_lines(paths["labels"], [f"{prefix}{node_id}\t{k % 3}" for k, node_id
                                   in enumerate(targets) if k % 2 == 0], rng)
     return paths
 
 
-def load_outcome(loader, paths, schema):
+def load_outcome(loader, paths, schema, metapaths):
     try:
-        return loader(paths["nodes"], paths["edges"], paths["features"],
-                      paths["labels"], schema)
-    except HinError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty or asymmetric views
+            return loader(paths["nodes"], paths["edges"], paths["features"],
+                          paths["labels"], schema, metapaths)
+    except (HinError, FileNotFoundError) as exc:
         return exc
 
 
-def assert_same_outcome(paths, schema):
+def assert_same_outcome(paths, schema, metapaths):
     """load_hin and the per-line oracle agree: the same graph, or the same
     exception class and message. Returns the oracle's outcome: its graph
     and string ids, or its exception."""
-    want = load_outcome(reference_load_hin, paths, schema)
-    got = load_outcome(load_hin, paths, schema)
-    if isinstance(want, HinError):
+    want = load_outcome(reference_load_hin, paths, schema, metapaths)
+    got = load_outcome(load_hin, paths, schema, metapaths)
+    if isinstance(want, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
         return want
-    assert not isinstance(got, HinError), got
+    assert not isinstance(got, Exception), got
     assert_same_graph(got, want[0])
     return want
 
@@ -446,13 +464,18 @@ def assert_same_value(got, want, where):
 
 
 def assert_same_graph(got, want):
-    """Every field of two HINs is the same value; a relation is compared
-    as the CSR that view extraction builds from its arrays."""
+    """Every field of two HINs is the same value. A view is compared as its
+    metapath and edge values over its graph's own features: the cache holds
+    edges as int64, the product in its CSR's index dtype."""
     for f in dataclasses.fields(HIN):
         mine, theirs = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "biadjacency":
-            mine, theirs = ({name: relation_matrix(g, name)
-                             for name in g.biadjacency} for g in (got, want))
+        if f.name == "views":
+            assert all(view.features is g.features
+                       for g in (got, want) for view in g.views.values())
+            mine, theirs = ({name: {"metapath": view.metapath,
+                                    "edges": view.edges.astype(np.int64)}
+                             for name, view in g.views.items()}
+                            for g in (got, want))
         assert_same_value(mine, theirs, f.name)
 
 
@@ -475,10 +498,10 @@ FAULTS = {"node-fields": MalformedRecord, "node-type": UnknownType,
 
 def case_with_edges(rng, prefix=""):
     while True:
-        hin, node_ids, _ = random_typed_case(rng)
-        nodes, edges = typed_lines(hin, node_ids, rng, prefix)
+        case = random_typed_case(rng)
+        nodes, edges = typed_lines(case, rng, prefix)
         if edges:
-            return hin, node_ids, nodes, edges
+            return case, nodes, edges
 
 
 def fault_line(kind, nodes, edges, rng):
@@ -511,57 +534,35 @@ def parse_case(tmp_path, trial):
     """(paths, schema, metapath) of the random typed case `trial`, written
     with its own mix of id prefix, line ends and blank lines."""
     rng = substream(trial, "parsecase")
-    hin, node_ids, spec = random_typed_case(rng)
+    case = random_typed_case(rng)
     prefix = "ñ節-" if trial % 3 == 0 else ""
-    nodes, edges = typed_lines(hin, node_ids, rng, prefix)
+    nodes, edges = typed_lines(case, rng, prefix)
     dirpath = tmp_path / str(trial)
     dirpath.mkdir()
-    paths = write_typed_case(dirpath, hin, node_ids, nodes, edges, rng, prefix,
+    paths = write_typed_case(dirpath, case, nodes, edges, rng, prefix,
                              crlf=trial % 2 == 1,
                              final_newline=trial % 4 != 3,
                              blanks=trial % 5)
-    return paths, hin.schema, spec
+    return paths, case.schema, case.spec
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 def test_block_parse_matches_per_line_oracle(tmp_path, monkeypatch, block):
     monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
     for trial in range(24):
-        paths, schema, _ = parse_case(tmp_path, trial)
-        assert not isinstance(assert_same_outcome(paths, schema), HinError)
+        paths, schema, spec = parse_case(tmp_path, trial)
+        assert not isinstance(assert_same_outcome(paths, schema, (spec,)),
+                              Exception)
 
 
 # -- the graph cache ------------------------------------------------------------
 
-TOY_METAPATHS = (APA, APCPA)  # views of 2 and 4 edges over the 4 authors
+CACHE_METAPATHS = (APA, APCPA)  # views of 2 and 4 edges over the 4 authors
 
 
-def key_of(paths, schema, metapaths=TOY_METAPATHS):
+def key_of(paths, schema, metapaths=CACHE_METAPATHS):
     return graph_key(paths["nodes"], paths["edges"], paths["features"],
                      paths["labels"], schema, metapaths)
-
-
-def views_of(hin, metapaths):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [extract_metapath_view(hin, spec) for spec in metapaths]
-
-
-def assert_cached_graph(cached, parsed, views):
-    """`cached` is `parsed` with `views` in place of its relations: the
-    same features and labels, no relation, and each view's edges as int64,
-    which view extraction then returns without running the product."""
-    assert cached is not None
-    assert cached.schema == parsed.schema and cached.biadjacency == {}
-    assert_same_value(cached.features, parsed.features, "features")
-    assert_same_value(cached.labels, parsed.labels, "labels")
-    assert list(cached.views) == [view.metapath.name for view in views]
-    for view in views:
-        got = extract_metapath_view(cached, view.metapath)
-        assert got is cached.views[view.metapath.name]
-        assert got.metapath == view.metapath and got.features is cached.features
-        assert got.edges.dtype == np.int64
-        assert np.array_equal(got.edges, view.edges), view.metapath.name
 
 
 def test_cached_graph_equals_parsed_graph(tmp_path):
@@ -569,30 +570,26 @@ def test_cached_graph_equals_parsed_graph(tmp_path):
         paths, schema, spec = parse_case(tmp_path, trial)
         if trial % 2:
             paths["labels"] = None
-        parsed = load_hin(paths["nodes"], paths["edges"], paths["features"],
-                          paths["labels"], schema)
-        views = views_of(parsed, [spec])
+        parsed = load_outcome(load_hin, paths, schema, (spec,))
         cache = tmp_path / str(trial) / "graph.bin"
-        write_graph(cache, parsed, views, key_of(paths, schema, [spec]))
-        cached = read_graph(cache, key_of(paths, schema, [spec]), schema, [spec])
-        assert_cached_graph(cached, parsed, views)
+        write_graph(cache, parsed, key_of(paths, schema, [spec]))
+        assert_same_graph(read_graph(cache, key_of(paths, schema, [spec]),
+                                     [spec]), parsed)
 
 
 def test_graph_cache_keeps_every_int64_label(tmp_path):
     """Class ids at and past 2**53, where float64 stops being exact, and
     both ends of int64 come back from the cache as they went in."""
     toy_paths = write_toy_files(str(tmp_path), labels=[0, 1, 0, 1])
-    parsed = load_hin(toy_paths["nodes"], toy_paths["edges"],
-                      toy_paths["features"], toy_paths["labels"], TOY_SCHEMA)
-    views = views_of(parsed, TOY_METAPATHS)
+    parsed = load_outcome(load_hin, toy_paths, TOY_SCHEMA, CACHE_METAPATHS)
     key = key_of(toy_paths, TOY_SCHEMA)
     cache = tmp_path / "graph.bin"
     for labels in ([-1, 0, 2 ** 53, 2 ** 53 + 1],
                    [2 ** 63 - 1, -2 ** 63, 2 ** 32 - 1, 2 ** 32]):
         labelled = dataclasses.replace(parsed, labels=np.array(labels, np.int64))
-        write_graph(cache, labelled, views, key)
-        cached = read_graph(cache, key, TOY_SCHEMA, TOY_METAPATHS)
-        assert_cached_graph(cached, labelled, views)
+        write_graph(cache, labelled, key)
+        cached = read_graph(cache, key, CACHE_METAPATHS)
+        assert_same_graph(cached, labelled)
         assert cached.labels.tolist() == labels
 
 
@@ -652,14 +649,11 @@ def test_graph_key_raises_for_an_unreadable_file(toy_paths):
 def test_graph_cache_not_trusted(tmp_path, fault):
     """Every fault makes the cache unreadable: the stage parses instead."""
     toy_paths = write_toy_files(str(tmp_path), labels=[0, 1, 0, 1])
-    parsed = load_hin(toy_paths["nodes"], toy_paths["edges"],
-                      toy_paths["features"], toy_paths["labels"], TOY_SCHEMA)
-    views = views_of(parsed, TOY_METAPATHS)
+    parsed = load_outcome(load_hin, toy_paths, TOY_SCHEMA, CACHE_METAPATHS)
     key = key_of(toy_paths, TOY_SCHEMA)
     cache = tmp_path / "graph.bin"
-    write_graph(cache, parsed, views, key)
-    assert_cached_graph(read_graph(cache, key, TOY_SCHEMA, TOY_METAPATHS),
-                        parsed, views)
+    write_graph(cache, parsed, key)
+    assert_same_graph(read_graph(cache, key, CACHE_METAPATHS), parsed)
     blob = cache.read_bytes()
     tensors = read_checkpoint(cache)
     # APCPA's edges, one pair per column: (0, 1), (0, 2), (1, 2), (2, 3)
@@ -719,7 +713,7 @@ def test_graph_cache_not_trusted(tmp_path, fault):
         else:  # its label would wrap round past int64
             tensors["labels"][0, 2] = 2 ** 31
         write_checkpoint(cache, tensors)
-    assert read_graph(cache, key, TOY_SCHEMA, TOY_METAPATHS) is None
+    assert read_graph(cache, key, CACHE_METAPATHS) is None
 
 
 @pytest.mark.parametrize("kind", sorted(FAULTS))
@@ -728,17 +722,18 @@ def test_each_fault_reported_like_per_line_oracle(tmp_path, monkeypatch, kind):
         monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
         rng = substream(trial, "faultcase", kind)
         prefix = "ñ節-" if trial % 3 == 0 else ""
-        hin, node_ids, nodes, edges = case_with_edges(rng, prefix)
+        case, nodes, edges = case_with_edges(rng, prefix)
         lines = {"nodes": nodes, "edges": edges}
         where, line = fault_line(kind, nodes, edges, rng)
         lines[where].insert(int(rng.integers(len(lines[where]) + 1)), line)
         dirpath = tmp_path / f"{block}-{trial}"
         dirpath.mkdir()
-        paths = write_typed_case(dirpath, hin, node_ids, lines["nodes"],
+        paths = write_typed_case(dirpath, case, lines["nodes"],
                                  lines["edges"], rng, prefix,
                                  crlf=trial % 2 == 1,
                                  final_newline=trial % 4 != 3, blanks=trial % 3)
-        assert isinstance(assert_same_outcome(paths, hin.schema), FAULTS[kind])
+        assert isinstance(assert_same_outcome(paths, case.schema, (case.spec,)),
+                          FAULTS[kind])
 
 
 def rows_then_fault(reader, path, n_fields):
@@ -795,38 +790,39 @@ def test_earliest_of_two_faults_is_reported(tmp_path, monkeypatch, block):
     monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
     for first, second in itertools.product(sorted(FAULTS), repeat=2):
         rng = substream(block, "twofaults", first, second)
-        hin, node_ids, nodes, edges = case_with_edges(rng)
+        case, nodes, edges = case_with_edges(rng)
         faults = [fault_line(kind, nodes, edges, rng) for kind in (first, second)]
         lines = {"nodes": nodes, "edges": edges}
         for where, line in faults:
             lines[where].insert(int(rng.integers(len(lines[where]) + 1)), line)
         dirpath = tmp_path / f"{first}-{second}"
         dirpath.mkdir()
-        paths = write_typed_case(dirpath, hin, node_ids, lines["nodes"],
+        paths = write_typed_case(dirpath, case, lines["nodes"],
                                  lines["edges"], rng,
                                  blanks=int(rng.integers(3)))
-        assert isinstance(assert_same_outcome(paths, hin.schema), HinError)
+        assert isinstance(assert_same_outcome(paths, case.schema, (case.spec,)),
+                          HinError)
 
 
 def test_missing_node_or_edge_file_reported_like_per_line_oracle(toy_paths):
     for name in ("edges", "nodes"):
         os.remove(toy_paths[name])
-        assert isinstance(assert_same_outcome(toy_paths, TOY_SCHEMA),
-                          MalformedRecord)
+        assert isinstance(assert_same_outcome(toy_paths, TOY_SCHEMA,
+                                              TOY_METAPATHS), FileNotFoundError)
 
 
 # -- labels, features.tsv and positives.tsv against the per-line oracle ------
 
-def row_lines(hin, node_ids, rng, prefix=""):
+def row_lines(case, rng, prefix=""):
     """Shuffled lines of labels.tsv, features.tsv and positives.tsv for
-    every target node of an in-memory HIN with the string ids `node_ids`."""
-    targets = node_ids[hin.schema.target_type]
+    every target node of a `TypedCase`."""
+    targets = case.node_ids[case.schema.target_type]
     n = len(targets)
     lines = {
         "labels": [f"{prefix}{node_id}\t{k % 3}"
                    for k, node_id in enumerate(targets)],
         "features": [f"{prefix}{node_id}\t" + ",".join(map(repr, row))
-                     for node_id, row in zip(targets, hin.features.tolist())],
+                     for node_id, row in zip(targets, case.features.tolist())],
         "positives": [f"{u}\t" + ",".join(map(str, np.union1d(
             rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False), [u])))
             for u in range(n)],
@@ -838,12 +834,12 @@ def row_lines(hin, node_ids, rng, prefix=""):
 def write_row_case(dirpath, rng, prefix="", fault=None, **fmt):
     """A random typed case whose labels and features are TSV row files,
     plus its positives.tsv, with one fault of the kind `fault` in them;
-    returns the HIN, its string ids and the file paths."""
-    hin, node_ids, nodes, edges = case_with_edges(rng, prefix)
-    paths = write_typed_case(dirpath, hin, node_ids, nodes, edges, rng, prefix)
-    rows = row_lines(hin, node_ids, rng, prefix)
+    returns the case and the file paths."""
+    case, nodes, edges = case_with_edges(rng, prefix)
+    paths = write_typed_case(dirpath, case, nodes, edges, rng, prefix)
+    rows = row_lines(case, rng, prefix)
     if fault is not None:
-        where, line = row_fault_line(fault, hin, node_ids, rng, prefix)
+        where, line = row_fault_line(fault, case, rng, prefix)
         at = int(rng.integers(len(rows[where]) + (line is not None)))
         if line is None:
             del rows[where][at]
@@ -852,7 +848,7 @@ def write_row_case(dirpath, rng, prefix="", fault=None, **fmt):
     for name, lines in rows.items():
         paths[name] = os.path.join(dirpath, f"{name}.tsv")
         write_lines(paths[name], lines, rng, **fmt)
-    return hin, node_ids, paths
+    return case, paths
 
 
 def assert_same_positives(path, n):
@@ -907,16 +903,16 @@ ROW_FAULTS = {"labels-fields": MalformedRecord, "labels-node": UnknownNode,
 INT64_PAST = 2 ** 63  # the smallest integer an int64 cannot hold
 
 
-def row_fault_line(kind, hin, node_ids, rng, prefix=""):
+def row_fault_line(kind, case, rng, prefix=""):
     """(file, line) holding one fault of `kind`; line None deletes one."""
-    targets = node_ids[hin.schema.target_type]
+    targets = case.node_ids[case.schema.target_type]
     n = len(targets)
     u = int(rng.integers(n))
     node = f"{prefix}{targets[u]}"
-    values = ",".join(["0.5"] * hin.features.shape[1])
+    values = ",".join(["0.5"] * case.features.shape[1])
     return {
         "labels-fields": ("labels", f"{node}\t1\t"),
-        "labels-node": ("labels", f"{prefix}{node_ids['u'][0]}\t1"),
+        "labels-node": ("labels", f"{prefix}{case.node_ids['u'][0]}\t1"),
         "labels-class": ("labels", f"{node}\tone"),
         "labels-int64": ("labels", f"{node}\t{INT64_PAST}"),
         "labels-repeated": ("labels", f"{node}\t{(u + 1) % 3}"),
@@ -955,17 +951,18 @@ def test_row_files_match_per_line_oracle(tmp_path, monkeypatch, block):
         prefix = "ñ節-" if trial % 3 == 0 else ""
         dirpath = tmp_path / str(trial)
         dirpath.mkdir()
-        hin, node_ids, paths = write_row_case(
+        case, paths = write_row_case(
             dirpath, rng, prefix, crlf=trial % 2 == 1,
             final_newline=trial % 4 != 3, blanks=trial % 5)
-        parsed, parsed_ids = assert_same_outcome(paths, hin.schema)
-        target = hin.schema.target_type
+        parsed, parsed_ids = assert_same_outcome(paths, case.schema,
+                                                 (case.spec,))
+        target = case.schema.target_type
         row_of = {f"{prefix}{node_id}": k
-                  for k, node_id in enumerate(node_ids[target])}
+                  for k, node_id in enumerate(case.node_ids[target])}
         order = [row_of[node_id] for node_id in parsed_ids[target]]
-        assert np.array_equal(parsed.features, hin.features[order])
+        assert np.array_equal(parsed.features, case.features[order])
         assert not isinstance(assert_same_positives(paths["positives"],
-                                                    hin.n_target), HinError)
+                                                    case.n_target), HinError)
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_FAULTS))
@@ -977,21 +974,21 @@ def test_each_row_file_fault_reported_like_per_line_oracle(tmp_path,
         prefix = "ñ節-" if trial % 3 == 0 else ""
         dirpath = tmp_path / f"{block}-{trial}"
         dirpath.mkdir()
-        hin, _, paths = write_row_case(dirpath, rng, prefix, fault=kind,
-                                       crlf=trial % 2 == 1,
-                                       final_newline=trial % 4 != 3,
-                                       blanks=trial % 3)
+        case, paths = write_row_case(dirpath, rng, prefix, fault=kind,
+                                     crlf=trial % 2 == 1,
+                                     final_newline=trial % 4 != 3,
+                                     blanks=trial % 3)
         if kind.startswith("positives"):
-            outcome = assert_same_positives(paths["positives"], hin.n_target)
+            outcome = assert_same_positives(paths["positives"], case.n_target)
         else:
-            outcome = assert_same_outcome(paths, hin.schema)
+            outcome = assert_same_outcome(paths, case.schema, (case.spec,))
         assert isinstance(outcome, ROW_FAULTS[kind])
 
 
 @pytest.mark.parametrize("name", ["nodes", "edges", "labels", "features",
                                   "positives"])
 def test_invalid_utf8_in_a_text_input_names_the_file(tmp_path, name):
-    hin, _, paths = write_row_case(tmp_path, substream(0, "utf8", name))
+    case, paths = write_row_case(tmp_path, substream(0, "utf8", name))
     with open(paths[name], "rb") as fh:
         line = len(fh.read().splitlines()) + 1
     with open(paths[name], "ab") as fh:
@@ -999,8 +996,79 @@ def test_invalid_utf8_in_a_text_input_names_the_file(tmp_path, name):
     message = f"^{re.escape(paths[name])}:{line}: not UTF-8 text"
     if name == "positives":
         with pytest.raises(MalformedRecord, match=message):
-            load_positives(paths["positives"], hin.n_target)
+            load_positives(paths["positives"], case.n_target)
     else:
         with pytest.raises(MalformedRecord, match=message):
             load_hin(paths["nodes"], paths["edges"], paths["features"],
-                     paths["labels"], hin.schema)
+                     paths["labels"], case.schema, (case.spec,))
+
+
+# -- a UTF-8 byte-order mark ---------------------------------------------------
+
+BOM = b"\xef\xbb\xbf"
+TEXT_INPUTS = ["nodes", "edges", "labels", "features", "positives"]
+
+
+def load_row_case(case, paths):
+    """The graph and string ids, and the positive sets, of a
+    `write_row_case`, each checked against its per-line oracle."""
+    graph = assert_same_outcome(paths, case.schema, (case.spec,))
+    positives = assert_same_positives(paths["positives"], case.n_target)
+    assert not isinstance(graph, Exception), graph
+    assert not isinstance(positives, Exception), positives
+    return graph, positives
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("name", TEXT_INPUTS)
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, name,
+                                              block):
+    """A text input that starts with a byte-order mark loads to the values
+    it loads to without one."""
+    monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
+    case, paths = write_row_case(tmp_path, substream(0, "bom", name))
+    (hin, node_ids), positives = load_row_case(case, paths)
+    with open(paths[name], "rb") as fh:
+        blob = fh.read()
+    with open(paths[name], "wb") as fh:
+        fh.write(BOM + blob)
+    (marked, marked_ids), marked_positives = load_row_case(case, paths)
+    assert_same_graph(marked, hin)
+    assert marked_ids == node_ids
+    assert len(marked_positives.sets) == len(positives.sets)
+    for mine, theirs in zip(marked_positives.sets, positives.sets):
+        assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("name", TEXT_INPUTS)
+def test_a_byte_order_mark_on_a_later_line_is_part_of_its_id(
+        tmp_path, monkeypatch, name, block):
+    """Only the mark that starts the file is dropped: in a file that starts
+    with one, a U+FEFF that starts line 2 stays in that line's id, which
+    the fault then names."""
+    monkeypatch.setattr(hin_module, "BLOCK_CHARS", block)
+    case, paths = write_row_case(tmp_path, substream(0, "later-bom", name))
+    path = paths[name]
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if name == "nodes":  # a target node first: its twin needs a feature row
+        target = next(k for k, line in enumerate(lines)
+                      if line.endswith(f"\t{case.schema.target_type}"))
+        lines.insert(0, lines.pop(target))
+    lines.insert(1, "\ufeff" + lines[0])
+    with open(path, "wb") as fh:
+        fh.write(BOM + "".join(f"{line}\n" for line in lines).encode("utf-8"))
+    marked = repr("\ufeff" + lines[0].split("\t")[0])
+    message = {
+        "nodes": f"{paths['features']}: no feature row for {marked}",
+        "edges": f"{path}:2: unknown node {marked}",
+        "labels": f"{path}:2: {marked} is not a target-type node",
+        "features": f"{path}:2: {marked} is not a target-type node",
+        "positives": f"{path}:2: id {marked} is not ASCII digits",
+    }[name]
+    if name == "positives":
+        fault = assert_same_positives(path, case.n_target)
+    else:
+        fault = assert_same_outcome(paths, case.schema, (case.spec,))
+    assert isinstance(fault, HinError) and str(fault) == message

@@ -10,16 +10,16 @@ import pytest
 
 import hgcml.model
 import hgcml.objective
-from conftest import (APA, APCPA, APSPA, add, anchor_only, dense_mask,
-                      grad_check, layer_bits, matmul, mean_all, mul, mul_const,
-                      permute_rows, positive_sets, scale,
+from conftest import (APA, APCPA, APSPA, TOY_SCHEMA, add, anchor_only,
+                      dense_mask, grad_check, layer_bits, matmul, mean_all,
+                      mul, mul_const, permute_rows, positive_sets, scale,
                       tape_anchor_negatives, tape_node_graph_loss,
                       tape_node_node_loss, tape_total_objective,
                       tape_weighted_total, two_pass_node_node_loss,
                       view_from_adjacency)
 from hgcml.augment import corrupt
 from hgcml.config import AugmentSettings, TrainSettings
-from hgcml.hin import MetapathSpec
+from hgcml.hin import MetapathSpec, load_hin
 from hgcml.model import gcn_forward, init_params, project
 from hgcml.numerics import LOG_EPS, AdamState, ShapeMismatch, Tensor, mean_rows
 from hgcml.objective import (CHUNK, ContrastTerm, node_graph_loss,
@@ -1033,7 +1033,7 @@ def test_one_mass_node_and_one_node_node_call_per_pair(monkeypatch, n_views):
 
 
 @pytest.mark.parametrize("n_views", [1, 2, 3, 6])
-def test_train_builds_the_layout_once_per_height(monkeypatch, toy_hin,
+def test_train_builds_the_layout_once_per_height(monkeypatch, toy_paths,
                                                  n_views):
     """A 3-epoch train, two taped epochs and an untaped last one, builds
     the positive sets' block layout once, at CHUNK, and forms no offsets
@@ -1050,8 +1050,10 @@ def test_train_builds_the_layout_once_per_height(monkeypatch, toy_hin,
     relations = [APA.relations, APCPA.relations, APSPA.relations]
     metapaths = [MetapathSpec(f"m{v}", relations[v % 3])
                  for v in range(n_views)]
-    positives = sampled_positives(toy_hin.n_target, "layout")
-    result = train(toy_hin, metapaths, positives,
+    hin = load_hin(toy_paths["nodes"], toy_paths["edges"],
+                   toy_paths["features"], None, TOY_SCHEMA, metapaths)
+    positives = sampled_positives(hin.n_target, "layout")
+    result = train(hin, metapaths, positives,
                    TrainSettings(dim=4, max_epochs=3, patience=3),
                    AugmentSettings(), seed=0)
     assert len(result.trace) == 3
